@@ -21,7 +21,7 @@ graph = table.graph
 
 print(f"per-tableau polynomials for {shape}:")
 for t, poly in table.items():
-    print(f"  {t.to_lists():<30} {poly!r}")
+    print(f"  {str(t.to_lists()):<30} {poly!r}")
 
 print("\nedge factors (lower tableau, generator, content gap):")
 for lo, hi, k in graph.edges:

@@ -16,8 +16,13 @@ import sys
 from . import gl, hecke, oracle, parker
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from .intpoly import cyclotomic, cyclotomic_at_one, IntPoly
-from .squareclass import Parity
-from .tableaux import enumerate_partitions, enumerate_syt, syt_count
+from .tableaux import (
+    check_partition,
+    enumerate_partitions,
+    enumerate_syt,
+    even_degree_shapes,
+    syt_count,
+)
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 1
@@ -43,8 +48,6 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"shape must be comma-separated integers, got {text!r}")
-    from .tableaux import check_partition
-
     return check_partition(parts)
 
 
@@ -141,19 +144,15 @@ def _cmd_det_sgnpair(args) -> int:
 
 def _cmd_verify_parker(args) -> int:
     q_values = _parse_int_list(args.q)
-    jobs = args.jobs or os.cpu_count() or 1
+    if args.jobs < 0:
+        raise ValueError(f"--jobs must be non-negative (0 = all cores), got {args.jobs}")
+    options = {"witness_limit": args.witness_limit, "jobs": args.jobs or os.cpu_count() or 1}
     if args.family == "unipotent":
-        report = parker.verify_parker_unipotent(
-            args.n_max, q_values, witness_limit=args.witness_limit, jobs=jobs
-        )
+        report = parker.verify_parker_unipotent(args.n_max, q_values, **options)
     elif args.family == "symmetric":
-        report = parker.verify_parker_symmetric(
-            args.n_max, witness_limit=args.witness_limit, jobs=jobs
-        )
+        report = parker.verify_parker_symmetric(args.n_max, **options)
     else:
-        report = parker.verify_parker_sign_pairs(
-            args.n_max, q_values, witness_limit=args.witness_limit, jobs=jobs
-        )
+        report = parker.verify_parker_sign_pairs(args.n_max, q_values, **options)
     lines = [
         f"family {report.family}, n <= {report.n_max}, q in {list(report.q_values)}",
         f"checked {report.checked} characters, failures: {len(report.failures)}",
@@ -175,27 +174,24 @@ def _cmd_oracle_check(args) -> int:
             raise ValueError(f"oracle q values must be >= 1, got {q}")
     rows = []
     mismatches = []
-    for n in range(2, args.n_max + 1):
-        for shape in enumerate_partitions(n):
-            if syt_count(shape) % 2:
-                continue
-            _guard_oracle_dim(shape)
-            for q in q_values:
-                expected = hecke.hecke_determinant(shape, q).det_class
-                if args.method == "gram":
-                    got = oracle.determinant_via_gram(shape, q)
-                else:
-                    got = oracle.determinant_via_skew_element(shape, q, args.seed)
-                row = {
-                    "shape": list(shape),
-                    "q": q,
-                    "formula": expected.to_json(),
-                    "oracle": got.to_json(),
-                    "match": got == expected,
-                }
-                rows.append(row)
-                if got != expected:
-                    mismatches.append(row)
+    for shape in even_degree_shapes(args.n_max):
+        _guard_oracle_dim(shape)
+        for q in q_values:
+            expected = hecke.hecke_determinant(shape, q).det_class
+            if args.method == "gram":
+                got = oracle.determinant_via_gram(shape, q)
+            else:
+                got = oracle.determinant_via_skew_element(shape, q, args.seed)
+            row = {
+                "shape": list(shape),
+                "q": q,
+                "formula": expected.to_json(),
+                "oracle": got.to_json(),
+                "match": got == expected,
+            }
+            rows.append(row)
+            if got != expected:
+                mismatches.append(row)
     payload = {
         "method": args.method,
         "n_max": args.n_max,

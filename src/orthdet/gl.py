@@ -25,7 +25,7 @@ from .errors import InvariantViolation, NotIrrPlusError
 from .hecke import QIntProduct, det_poly_factored
 from .intpoly import gaussian_binomial
 from .squareclass import SquareClass, factorize, power_class
-from .tableaux import check_partition, syt_count
+from .tableaux import check_partition, hook_lengths, syt_count
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,6 @@ def unipotent_degree(shape, q: int | PrimePower) -> int:
     aborts. Valid for any integer q >= 2 (primality is not needed for the
     arithmetic).
     """
-    from .tableaux import hook_lengths
-
     shape = check_partition(shape)
     q = q.q if isinstance(q, PrimePower) else q
     if q < 2:

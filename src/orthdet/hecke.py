@@ -227,7 +227,6 @@ class HeckeDetResult:
     degree: int
     f_factored: QIntProduct
     det_class: SquareClass
-    irr_plus: bool = True
 
     @cached_property
     def f_poly(self) -> IntPoly:

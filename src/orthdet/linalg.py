@@ -36,10 +36,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(a: Matrix, s) -> Matrix:
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 

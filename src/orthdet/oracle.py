@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
+from itertools import permutations
 from math import gcd
 
 from .errors import InvariantViolation, NotIrrPlusError, SkewElementSearchError
@@ -39,6 +39,10 @@ from .linalg import (
 )
 from .squareclass import SquareClass, class_of_integer, class_of_rational
 from .tableaux import TableauGraph, apply_simple_transposition, check_partition, enumerate_syt
+
+# Random skew elements: how many to try, and the range of their coefficients.
+SKEW_ATTEMPTS = 32
+SKEW_COEFF_BOUND = 5
 
 
 # --- permutations as tuples (perm[i] = image of i+1) ------------------------
@@ -111,7 +115,7 @@ def _diag_coefficient(d: int, q: int) -> Fraction:
     return Fraction(-1, q_int(-d)(q))
 
 
-def build_seminormal(shape, q: int, *, check: bool = True) -> SeminormalRep:
+def build_seminormal(shape, q: int) -> SeminormalRep:
     """Construct the generator matrices for a shape at integer q >= 1.
 
     Entry k and k+1 in the same row of a basis tableau give eigenvalue q,
@@ -152,8 +156,7 @@ def build_seminormal(shape, q: int, *, check: bool = True) -> SeminormalRep:
                 column[jdx][idx] = alpha * _diag_coefficient(-d, q) + q
         generators.append(tuple(tuple(row) for row in column))
     rep = SeminormalRep(shape=shape, q=q, graph=graph, generators=tuple(generators))
-    if check:
-        verify_relations(rep)
+    verify_relations(rep)
     return rep
 
 
@@ -214,8 +217,6 @@ def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Matrix]:
 
 @lru_cache(maxsize=8)
 def _all_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    from itertools import permutations
-
     return tuple(permutations(range(1, n + 1)))
 
 
@@ -300,14 +301,7 @@ def determinant_via_gram(shape, q: int) -> SquareClass:
     return class_of_integer(form.determinant)
 
 
-def determinant_via_skew_element(
-    shape,
-    q: int,
-    seed: int = 0,
-    *,
-    attempts: int = 32,
-    coeff_bound: int = 5,
-) -> SquareClass:
+def determinant_via_skew_element(shape, q: int, seed: int = 0) -> SquareClass:
     """Determinant class from the determinant of a random skew element.
 
     A combination sum c_w (T_w - T_(w^-1)) over non-involutive basis
@@ -330,10 +324,10 @@ def determinant_via_skew_element(
     )
     differences = [mat_sub(images[w], images[winv]) for w, winv in pairs]
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(SKEW_ATTEMPTS):
         total = [[Fraction(0)] * rep.dim for _ in range(rep.dim)]
         for diff in differences:
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-SKEW_COEFF_BOUND, SKEW_COEFF_BOUND)
             if c == 0:
                 continue
             for r in range(rep.dim):
@@ -346,7 +340,8 @@ def determinant_via_skew_element(
         if det != 0:
             return class_of_rational(det)
     raise SkewElementSearchError(
-        f"no invertible skew element for {shape} at q={q} in {attempts} attempts (seed {seed})"
+        f"no invertible skew element for {shape} at q={q} in {SKEW_ATTEMPTS} attempts "
+        f"(seed {seed})"
     )
 
 

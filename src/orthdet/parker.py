@@ -5,6 +5,12 @@ via q = 1, and sign pairs) over configurable ranges, recording failures as
 witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
+Every family is one entry of a module-level table: the smallest allowed
+n_max, whether the q values must be odd prime powers (the symmetric family
+runs at the fixed q = 1), a task builder and a worker. A single sweep
+routine validates the scope, maps the worker over the tasks (through a
+process pool when jobs > 1) and assembles the report.
+
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
 keeps the check exact even where the q-integer products are thousands of
@@ -13,14 +19,16 @@ digits long.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InvariantViolation, NotIrrPlusError
-from .gl import sign_pair_determinant, unipotent_degree, unipotent_determinant
+from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_degree, unipotent_determinant
 from .hecke import det_poly_factored
 from .squareclass import Parity, SquareClass, parity_of_integer
-from .tableaux import check_partition, enumerate_partitions, syt_count
+from .tableaux import check_partition, enumerate_partitions, even_degree_shapes, syt_count
 
 DEFAULT_WITNESS_LIMIT = 8
 
@@ -102,8 +110,17 @@ def _shapes_of(n: int) -> list[tuple[int, ...]]:
     return [()] if n == 0 else enumerate_partitions(n)
 
 
-def _check_unipotent_shape(args) -> list[ParityWitness]:
-    shape, q_values = args
+def _all_shapes(n_max: int) -> list[tuple[int, ...]]:
+    return [shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
+
+
+def _sign_pair_tasks(n_max: int) -> list[tuple[tuple[int, ...], int]]:
+    return [
+        (lam, n) for n in range(1, n_max + 1) for ell in range(n + 1) for lam in _shapes_of(ell)
+    ]
+
+
+def _check_unipotent_shape(q_values, shape) -> list[ParityWitness]:
     count = syt_count(shape)
     rows = []
     for q in q_values:
@@ -119,15 +136,13 @@ def _check_unipotent_shape(args) -> list[ParityWitness]:
     return rows
 
 
-def _check_symmetric_shape(shape) -> list[ParityWitness]:
-    if syt_count(shape) % 2:
-        return []
-    det = det_poly_factored(shape).square_class(1)
-    return [ParityWitness((shape,), 1, det)]
+def _check_symmetric_shape(q_values, shape) -> list[ParityWitness]:
+    factored = det_poly_factored(shape)
+    return [ParityWitness((shape,), q, factored.square_class(q)) for q in q_values]
 
 
-def _check_sign_pairs(args) -> list[ParityWitness]:
-    lam, n, q_values = args
+def _check_sign_pairs(q_values, task) -> list[ParityWitness]:
+    lam, n = task
     rows = []
     for mu in _shapes_of(n - sum(lam)):
         for q in q_values:
@@ -139,99 +154,75 @@ def _check_sign_pairs(args) -> list[ParityWitness]:
     return rows
 
 
-def _run_sweep(family, n_max, q_values, tasks, worker, witness_limit, jobs) -> ParityReport:
+@dataclass(frozen=True)
+class _Family:
+    min_n_max: int
+    odd_prime_power_q: bool
+    tasks: Callable[[int], list]
+    worker: Callable[[tuple[int, ...], object], list[ParityWitness]]
+
+
+# Keyed by report name. `tasks(n_max)` lists the pool items, one per shape
+# (unipotent, symmetric) or per first shape lam (sign pairs): that
+# granularity is what makes the process pool pay off. `worker(q_values,
+# task)` is module-level so that the pool can pickle it. The unipotent
+# tasks include odd-degree shapes, on which the worker checks that degree
+# parity and tableau-count parity agree.
+_FAMILIES = {
+    "unipotent": _Family(2, True, _all_shapes, _check_unipotent_shape),
+    "symmetric": _Family(2, False, even_degree_shapes, _check_symmetric_shape),
+    "sign-pair": _Family(1, True, _sign_pair_tasks, _check_sign_pairs),
+}
+
+
+def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
+    family = _FAMILIES[name]
+    if n_max < family.min_n_max:
+        raise ValueError(f"n_max must be at least {family.min_n_max}, got {n_max}")
+    if witness_limit < 0:
+        raise ValueError(f"witness_limit must be non-negative, got {witness_limit}")
+    q_values = tuple(q_values)
+    if family.odd_prime_power_q:
+        for q in q_values:
+            as_odd_prime_power(q)
+    tasks = family.tasks(n_max)
+    work = partial(family.worker, q_values)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(worker, tasks))
+            batches = list(pool.map(work, tasks))
     else:
-        batches = [worker(task) for task in tasks]
-    checked = 0
-    failures = []
-    witnesses = []
-    for batch in batches:
-        for row in batch:
-            checked += 1
-            if row.parity is not Parity.ODD:
-                failures.append(row)
-            if len(witnesses) < witness_limit:
-                witnesses.append(row)
+        batches = [work(task) for task in tasks]
+    rows = [row for batch in batches for row in batch]
     return ParityReport(
-        family=family,
+        family=name,
         n_max=n_max,
-        q_values=tuple(q_values),
-        checked=checked,
-        failures=tuple(failures),
-        witnesses=tuple(witnesses),
+        q_values=q_values,
+        checked=len(rows),
+        failures=tuple(row for row in rows if row.parity is not Parity.ODD),
+        witnesses=tuple(rows[:witness_limit]),
     )
 
 
 def verify_parker_unipotent(
-    n_max: int,
-    q_values,
-    *,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
-    jobs: int = 1,
+    n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT, jobs: int = 1
 ) -> ParityReport:
     """Check all even-degree unipotent determinant classes up to n_max."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    q_values = tuple(q_values)
-    from .gl import as_odd_prime_power
-
-    for q in q_values:
-        as_odd_prime_power(q)
-    tasks = [
-        (shape, q_values)
-        for n in range(2, n_max + 1)
-        for shape in enumerate_partitions(n)
-    ]
-    return _run_sweep(
-        "unipotent", n_max, q_values, tasks, _check_unipotent_shape, witness_limit, jobs
-    )
+    return _sweep("unipotent", n_max, q_values, witness_limit, jobs)
 
 
 def verify_parker_symmetric(
-    n_max: int,
-    *,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
-    jobs: int = 1,
+    n_max: int, *, witness_limit: int = DEFAULT_WITNESS_LIMIT, jobs: int = 1
 ) -> ParityReport:
     """Check all even-degree symmetric group determinant classes up to n_max."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, got {n_max}")
-    tasks = [
-        shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n)
-    ]
-    return _run_sweep(
-        "symmetric", n_max, (1,), tasks, _check_symmetric_shape, witness_limit, jobs
-    )
+    return _sweep("symmetric", n_max, (1,), witness_limit, jobs)
 
 
 def verify_parker_sign_pairs(
-    n_max: int,
-    q_values,
-    *,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
-    jobs: int = 1,
+    n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT, jobs: int = 1
 ) -> ParityReport:
     """Check all even-degree sign-pair determinant classes up to n_max.
 
     Pairs run over (lam, mu) with |lam| + |mu| = n <= n_max, either side
     possibly empty (but not both); odd-degree characters are skipped.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    q_values = tuple(q_values)
-    from .gl import as_odd_prime_power
-
-    for q in q_values:
-        as_odd_prime_power(q)
-    tasks = [
-        (lam, n, q_values)
-        for n in range(1, n_max + 1)
-        for ell in range(0, n + 1)
-        for lam in _shapes_of(ell)
-    ]
-    return _run_sweep(
-        "sign-pair", n_max, q_values, tasks, _check_sign_pairs, witness_limit, jobs
-    )
+    return _sweep("sign-pair", n_max, q_values, witness_limit, jobs)

@@ -67,9 +67,6 @@ class SquareClass:
         """Even iff 2 divides the squarefree part; the sign is ignored."""
         return Parity.EVEN if self.squarefree % 2 == 0 else Parity.ODD
 
-    def is_trivial(self) -> bool:
-        return self.sign == 1 and self.squarefree == 1
-
     def __repr__(self) -> str:
         value = self.sign * self.squarefree
         return f"SquareClass({value:+d})"

@@ -77,6 +77,12 @@ def syt_count(shape) -> int:
     return count
 
 
+def even_degree_shapes(n_max: int) -> list[tuple[int, ...]]:
+    """Partitions of n for 2 <= n <= n_max with an even number of tableaux."""
+    shapes = (shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n))
+    return [shape for shape in shapes if syt_count(shape) % 2 == 0]
+
+
 @dataclass(frozen=True)
 class StandardTableau:
     """A standard filling of a Young diagram, stored as tuples of rows."""

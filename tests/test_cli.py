@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,48 @@ def test_verify_parker_families(capsys):
                        "--family", "sgnpair", "--jobs", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_parker_rejects_negative_counts(capsys):
+    for flag in ("--jobs", "--witness-limit"):
+        code, out, err = run(capsys, "verify-parker", "--n-max", "4", "--q", "3", flag, "-1")
+        assert code == 1
+        assert out == ""
+        assert "non-negative" in err
+
+
+# sha256 of the --format json stdout; the sign-pair witness limit is high
+# enough that every checked class is listed.
+GOLDEN_JSON = [
+    pytest.param(
+        ["verify-parker", "--family", "symmetric", "--n-max", "8"],
+        "d5f45184b7dc945a43ce7a765293ca7133637d0ac64c567a22c4e17d3fdfe48a",
+        id="symmetric",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "unipotent", "--n-max", "7", "--q", "3,5"],
+        "5b32a1132e9279439dd73fe1b4f9932e6f7c2cbc7334b0aaa6656dd512333838",
+        id="unipotent",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "sgnpair", "--n-max", "6", "--q", "3,5",
+         "--witness-limit", "100000"],
+        "e0849dd283c7b6478ed5e1c76762bdef4651c92d9fe6fac659e6da674e3255fb",
+        id="sgnpair",
+    ),
+    pytest.param(
+        ["oracle-check", "--n-max", "5", "--q", "1,3"],
+        "b462701bb44312cfe7583215ef84ef50f30657da54d5462c1ad2bc47812f2ddc",
+        id="oracle-check",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_JSON)
+def test_json_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_check_gram_and_skew(capsys):

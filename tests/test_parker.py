@@ -81,13 +81,6 @@ def test_unipotent_sweep_two_qs():
     assert classes[((2, 2), 5)].squarefree == 155  # 5 * 31
 
 
-def test_unipotent_sweep_rejects_bad_scope():
-    with pytest.raises(ValueError):
-        verify_parker_unipotent(1, [3])
-    with pytest.raises(ValueError):
-        verify_parker_unipotent(5, [4])
-
-
 def test_symmetric_sweep():
     report = verify_parker_symmetric(8)
     assert report.ok
@@ -107,9 +100,40 @@ def test_sign_pair_sweep():
     assert all(w.parity is Parity.ODD for w in report.witnesses)
 
 
-def test_parallel_matches_serial():
-    serial = verify_parker_unipotent(6, [3], witness_limit=100)
-    parallel = verify_parker_unipotent(6, [3], witness_limit=100, jobs=2)
+def _symmetric(n_max, q_values, **kwargs):
+    return verify_parker_symmetric(n_max, **kwargs)
+
+
+# Each family's sweep with a common (n_max, q_values) signature, and its
+# smallest allowed n_max.
+SWEEPS = [
+    pytest.param(verify_parker_unipotent, 2, id="unipotent"),
+    pytest.param(_symmetric, 2, id="symmetric"),
+    pytest.param(verify_parker_sign_pairs, 1, id="sign-pair"),
+]
+
+
+@pytest.mark.parametrize("sweep, min_n_max", SWEEPS)
+def test_sweep_rejects_small_n_max(sweep, min_n_max):
+    with pytest.raises(ValueError):
+        sweep(min_n_max - 1, [3])
+    assert sweep(min_n_max, [3]).ok
+
+
+@pytest.mark.parametrize("q", [4, 15])
+@pytest.mark.parametrize(
+    "sweep", [verify_parker_unipotent, verify_parker_sign_pairs], ids=["unipotent", "sign-pair"]
+)
+def test_sweep_rejects_bad_q(sweep, q):
+    with pytest.raises(ValueError):
+        sweep(5, [3, q])
+
+
+@pytest.mark.parametrize("sweep, min_n_max", SWEEPS)
+def test_parallel_matches_serial(sweep, min_n_max):
+    serial = sweep(6, [3], witness_limit=100)
+    parallel = sweep(6, [3], witness_limit=100, jobs=2)
+    assert serial.checked > 0
     assert serial == parallel
 
 
