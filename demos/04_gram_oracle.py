@@ -14,14 +14,15 @@ from orthdet import (
     gram_form,
     hecke_determinant,
     verify_trace_pairing,
+    word_image,
 )
 
 shape, q = (2, 1), 3
 rep = build_seminormal(shape, q)
 print(f"seminormal generators for {shape} at q={q} (relations verified):")
-for i, matrix in enumerate(rep.generators, start=1):
+for i in range(1, rep.n):
     print(f"  T_{i}:")
-    for row in matrix:
+    for row in word_image(rep, [i]):
         print("    [" + "  ".join(str(x) for x in row) + "]")
 
 form = gram_form(rep)

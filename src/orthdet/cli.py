@@ -143,7 +143,9 @@ def _cmd_det_sgnpair(args) -> int:
 
 
 def _cmd_verify_parker(args) -> int:
-    q_values = _parse_int_list(args.q)
+    if args.family == "symmetric" and args.q is not None:
+        raise ValueError("--q does not apply to --family symmetric (it runs at q = 1)")
+    q_values = _parse_int_list("3,5,7" if args.q is None else args.q)
     if args.jobs < 0:
         raise ValueError(f"--jobs must be non-negative (0 = all cores), got {args.jobs}")
     options = {"witness_limit": args.witness_limit, "jobs": args.jobs or os.cpu_count() or 1}
@@ -168,6 +170,8 @@ def _cmd_verify_parker(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
     q_values = _parse_int_list(args.q)
     for q in q_values:
         if q < 1:
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-parker", _cmd_verify_parker, "parity sweep over a character family")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--q", default="3,5,7")
+    p.add_argument("--q", help="odd prime powers (default 3,5,7); not with symmetric")
     p.add_argument("--family", choices=("unipotent", "symmetric", "sgnpair"), default="unipotent")
     p.add_argument("--jobs", type=int, default=0, help="0 = all cores")
     p.add_argument("--witness-limit", type=int, default=parker.DEFAULT_WITNESS_LIMIT)

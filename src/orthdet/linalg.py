@@ -1,9 +1,11 @@
 """Exact linear algebra kernels: no floats anywhere.
 
-Matrices are tuples of tuples (entries int or Fraction). Determinants use
-fraction-free Bareiss elimination; homogeneous systems are reduced
-incrementally into an integer row-echelon structure whose rows are kept
-content-free to control entry growth.
+Dense matrices are tuples of rows (entries int or Fraction). A sparse
+matrix is stored as its columns: column c is the row-sorted tuple of its
+nonzero (row, value) entries. The one product multiplies a dense matrix by
+sparse columns. Determinants use fraction-free Bareiss elimination;
+homogeneous systems are reduced incrementally into an integer row-echelon
+structure whose rows are kept content-free to control entry growth.
 """
 
 from __future__ import annotations
@@ -13,23 +15,16 @@ from functools import reduce
 from math import gcd, lcm
 
 Matrix = tuple[tuple, ...]
+Columns = tuple[tuple[tuple[int, object], ...], ...]
 
 
-def identity_matrix(n: int, one=Fraction(1)) -> Matrix:
-    zero = one - one
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def identity_matrix(n: int) -> Matrix:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b)) if row[k]) for j in cols)
-        for row in a
-    )
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def mat_mul(a: Matrix, b: Columns) -> Matrix:
+    """The dense product of a dense matrix a and a matrix b given by its columns."""
+    return tuple(tuple(sum(row[k] * v for k, v in col) for col in b) for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -38,10 +33,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def bareiss_determinant(rows) -> int:

@@ -9,9 +9,10 @@ along reduced words and takes the determinant of a skew element. Agreement
 of either route with the polynomial formula is the package's central
 cross-check.
 
-All generator matrices are verified against the quadratic, braid and
-commutation relations the moment they are built; a bad block formula can
-never propagate silently.
+Each generator sends a basis tableau to itself and at most one swap
+partner, so it is stored as its sparse columns (see `linalg`) and checked
+against the quadratic, braid and commutation relations on every basis
+vector as it is built; a bad block formula can never propagate silently.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from math import gcd
 from .errors import InvariantViolation, NotIrrPlusError, SkewElementSearchError
 from .intpoly import q_int
 from .linalg import (
+    Columns,
     IntegerKernelSolver,
     Matrix,
     bareiss_determinant,
     identity_matrix,
-    is_zero_matrix,
-    mat_add,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -87,12 +87,17 @@ def _reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SeminormalRep:
-    """Generator matrices of one irreducible module on the tableau basis."""
+    """Generators of one irreducible module on the tableau basis.
+
+    Generator i is stored as its columns (see `linalg`): column b holds the
+    entries of T_i at tableau b and at its swap partner, if any;
+    `word_image(rep, [i])` is the dense matrix.
+    """
 
     shape: tuple[int, ...]
     q: int
     graph: TableauGraph
-    generators: tuple[Matrix, ...]
+    generators: tuple[Columns, ...]
 
     @property
     def dim(self) -> int:
@@ -128,18 +133,17 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     if q < 1:
         raise ValueError(f"parameter q must be >= 1, got {q}")
     graph = enumerate_syt(shape)
-    dim = graph.size
     n = sum(shape)
     generators = []
     for i in range(1, n):
-        column = [[Fraction(0)] * dim for _ in range(dim)]
+        columns = []
         for idx, t in enumerate(graph.nodes):
             (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
             if r1 == r2:
-                column[idx][idx] = Fraction(q)
+                columns.append(((idx, Fraction(q)),))
                 continue
             if c1 == c2:
-                column[idx][idx] = Fraction(-1)
+                columns.append(((idx, Fraction(-1)),))
                 continue
             partner = apply_simple_transposition(i, t)
             d = t.content(i + 1) - t.content(i)
@@ -148,45 +152,48 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
                     f"axial distance {d} in the mixing branch for {t!r}, s_{i}"
                 )
             alpha = _diag_coefficient(d, q)
-            column[idx][idx] = alpha
-            jdx = graph.index(partner)
-            if d > 0:
-                column[jdx][idx] = Fraction(1)
-            else:
-                column[jdx][idx] = alpha * _diag_coefficient(-d, q) + q
-        generators.append(tuple(tuple(row) for row in column))
+            off = Fraction(1) if d > 0 else alpha * _diag_coefficient(-d, q) + q
+            columns.append(tuple(sorted(((idx, alpha), (graph.index(partner), off)))))
+        generators.append(tuple(columns))
     rep = SeminormalRep(shape=shape, q=q, graph=graph, generators=tuple(generators))
     verify_relations(rep)
     return rep
 
 
+def _apply(columns: Columns, vec: dict, shift=0) -> dict:
+    """(T + shift) vec for T given by its columns and vec as {index: value}, zeros dropped."""
+    out = {b: shift * x for b, x in vec.items()}
+    for b, x in vec.items():
+        for r, v in columns[b]:
+            out[r] = out.get(r, 0) + v * x
+    return {r: v for r, v in out.items() if v}
+
+
 def verify_relations(rep: SeminormalRep) -> None:
-    """Quadratic, braid and commutation relation checks; raises on failure."""
+    """Quadratic, braid and commutation relations on every basis vector; raises on failure."""
     q = rep.q
-    dim = rep.dim
-    ident = identity_matrix(dim)
-    q_ident = tuple(tuple(q * x for x in row) for row in ident)
+    basis = [{b: 1} for b in range(rep.dim)]
     for i, m in enumerate(rep.generators, start=1):
-        square = mat_mul(mat_sub(m, q_ident), mat_add(m, ident))
-        if not is_zero_matrix(square):
+        if any(_apply(m, _apply(m, e, 1), -q) for e in basis):
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
     for i in range(len(rep.generators) - 1):
         a, b = rep.generators[i], rep.generators[i + 1]
-        if mat_mul(mat_mul(a, b), a) != mat_mul(mat_mul(b, a), b):
+        if any(_apply(a, _apply(b, _apply(a, e))) != _apply(b, _apply(a, _apply(b, e)))
+               for e in basis):
             raise InvariantViolation(
                 f"braid relation fails for s_{i + 1}, s_{i + 2} on {rep.shape} at q={q}"
             )
     for i in range(len(rep.generators)):
         for j in range(i + 2, len(rep.generators)):
             a, b = rep.generators[i], rep.generators[j]
-            if mat_mul(a, b) != mat_mul(b, a):
+            if any(_apply(a, _apply(b, e)) != _apply(b, _apply(a, e)) for e in basis):
                 raise InvariantViolation(
                     f"commutation fails for s_{i + 1}, s_{j + 1} on {rep.shape} at q={q}"
                 )
 
 
 def word_image(rep: SeminormalRep, word) -> Matrix:
-    """Product of generator matrices along a word, left to right."""
+    """Dense product of generator matrices along a word, left to right."""
     image = identity_matrix(rep.dim)
     for k in word:
         if not 1 <= k <= rep.n - 1:
@@ -244,8 +251,7 @@ def gram_form(rep: SeminormalRep) -> GramForm:
             var_of[(a, b)] = len(var_of)
     solver = IntegerKernelSolver(len(var_of))
 
-    for m in rep.generators:
-        columns = [[(r, m[r][c]) for r in range(dim) if m[r][c]] for c in range(dim)]
+    for columns in rep.generators:
         for a in range(dim):
             for b in range(a + 1, dim):
                 # (T^T X - X T)[a,b] = sum_c T[c,a] X[c,b] - sum_c X[a,c] T[c,b];
@@ -273,9 +279,10 @@ def gram_form(rep: SeminormalRep) -> GramForm:
         x[a][b] = x[b][a] = vec[v]
     matrix = tuple(tuple(row) for row in x)
 
-    frac = tuple(tuple(Fraction(v) for v in row) for row in matrix)
+    # X is symmetric, so transpose(T) X = X T says exactly that X T is symmetric.
     for i, m in enumerate(rep.generators, start=1):
-        if mat_mul(mat_transpose(m), frac) != mat_mul(frac, m):
+        xt = mat_mul(matrix, m)
+        if xt != mat_transpose(xt):
             raise InvariantViolation(
                 f"solved form is not invariant under s_{i} on {rep.shape} at q={rep.q}"
             )

@@ -131,15 +131,16 @@ def parity_of_integer(m: int) -> Parity:
 
 # --- integer factorization -------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a fixed witness set.
 
-    The witnesses below are deterministic for n < 3.3 * 10^24; beyond that
-    the test is (overwhelmingly) probabilistic, which is fine for the small
-    cyclotomic values this package factors.
+    The witnesses 2..41 (the first 13 primes) are deterministic for
+    n < 3317044064679887385961981, the least strong pseudoprime to all of
+    them; beyond that the test is (overwhelmingly) probabilistic, which is
+    fine for the small cyclotomic values this package factors.
     """
     if n < 2:
         return False

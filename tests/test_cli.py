@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,14 @@ def test_verify_parker_rejects_negative_counts(capsys):
         assert "non-negative" in err
 
 
+def test_verify_parker_symmetric_rejects_q(capsys):
+    code, out, err = run(capsys, "verify-parker", "--family", "symmetric", "--n-max", "4",
+                         "--q", "4")
+    assert code == 1
+    assert out == ""
+    assert "--q" in err
+
+
 # sha256 of the --format json stdout; the sign-pair witness limit is high
 # enough that every checked class is listed.
 GOLDEN_JSON = [
@@ -154,6 +166,14 @@ def test_oracle_check_gram_and_skew(capsys):
                        "--method", "skew", "--seed", "5", "--format", "json")
     assert code == 0
     assert json.loads(out)["mismatches"] == []
+
+
+def test_oracle_check_rejects_small_n_max(capsys):
+    for n_max in ("1", "0", "-3"):
+        code, out, err = run(capsys, "oracle-check", "--n-max", n_max, "--q", "3")
+        assert code == 1
+        assert out == ""
+        assert "--n-max" in err
 
 
 def test_oracle_check_resource_guard(capsys, monkeypatch):
@@ -204,3 +224,17 @@ def test_missing_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "orthdet", "det-symmetric", "--shape", "2,1", "--format", "json"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["class"]["squarefree"] == "3"

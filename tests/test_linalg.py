@@ -8,8 +8,6 @@ from orthdet.linalg import (
     IntegerKernelSolver,
     bareiss_determinant,
     identity_matrix,
-    is_zero_matrix,
-    mat_add,
     mat_mul,
     mat_sub,
     mat_transpose,
@@ -59,15 +57,37 @@ def test_rational_determinant_scaling():
     assert rational_determinant(a) == Fraction(1, 14) - Fraction(1, 15)
 
 
+def columns_of(m):
+    """The sparse columns (row-sorted nonzero (row, value) entries) of a dense matrix."""
+    return tuple(
+        tuple((r, row[c]) for r, row in enumerate(m) if row[c]) for c in range(len(m[0]))
+    )
+
+
+def dense_product(a, b):
+    """Plain triple-loop product; the reference for mat_mul."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
 def test_matrix_helpers():
     ident = identity_matrix(3)
     a = tuple(tuple(Fraction(i + 2 * j) for j in range(3)) for i in range(3))
-    assert mat_mul(ident, a) == a
-    assert mat_mul(a, ident) == a
-    assert mat_sub(a, a) == mat_mul(a, tuple(tuple(Fraction(0) for _ in r) for r in a))
-    assert is_zero_matrix(mat_sub(a, a))
-    assert mat_add(mat_sub(a, ident), ident) == a
+    assert mat_mul(ident, columns_of(a)) == a
+    assert mat_mul(a, columns_of(ident)) == a
+    assert mat_sub(a, a) == mat_mul(a, ((),) * 3)
+    assert all(not x for row in mat_sub(a, a) for x in row)
+    assert mat_sub(a, mat_sub(a, ident)) == ident
     assert mat_transpose(mat_transpose(a)) == a
+    rng = random.Random(3)
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (4, 2, 3), (5, 5, 5)]:
+        x = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(inner)]
+             for _ in range(rows)]
+        y = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(cols)]
+             for _ in range(inner)]
+        assert mat_mul(x, columns_of(y)) == dense_product(x, y)
 
 
 def test_kernel_solver_simple_system():

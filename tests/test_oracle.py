@@ -1,10 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from orthdet.errors import NotIrrPlusError
+from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.hecke import hecke_determinant
-from orthdet.linalg import identity_matrix, mat_mul
+from orthdet.linalg import identity_matrix
 from orthdet.oracle import (
     _perm_compose,
     _perm_inverse,
@@ -15,6 +16,7 @@ from orthdet.oracle import (
     determinant_via_gram,
     determinant_via_skew_element,
     gram_form,
+    verify_relations,
     verify_trace_pairing,
     word_image,
 )
@@ -24,17 +26,29 @@ from orthdet.tableaux import enumerate_partitions, syt_count
 
 def test_one_dimensional_reps():
     rep = build_seminormal((4,), 3)
-    assert all(m == ((Fraction(3),),) for m in rep.generators)
+    assert all(word_image(rep, [i]) == ((Fraction(3),),) for i in range(1, rep.n))
     rep = build_seminormal((1, 1, 1, 1), 5)
-    assert all(m == ((Fraction(-1),),) for m in rep.generators)
+    assert all(word_image(rep, [i]) == ((Fraction(-1),),) for i in range(1, rep.n))
 
 
 def test_two_one_rep_satisfies_relations():
     # relation checks run eagerly inside the constructor
     rep = build_seminormal((2, 1), 3)
     assert rep.dim == 2
-    t1, t2 = rep.generators
-    assert mat_mul(mat_mul(t1, t2), t1) == mat_mul(mat_mul(t2, t1), t2)
+    assert word_image(rep, [1, 2, 1]) == word_image(rep, [2, 1, 2])
+
+
+def test_quadratic_relation_check_rejects_wrong_q():
+    rep = dataclasses.replace(build_seminormal((3, 1, 1), 3), q=5)
+    with pytest.raises(InvariantViolation, match="quadratic relation fails"):
+        verify_relations(rep)
+
+
+def test_braid_relation_check_rejects_swapped_generators():
+    rep = build_seminormal((3, 1, 1), 3)
+    t1, t2, *rest = rep.generators
+    with pytest.raises(InvariantViolation, match="braid relation fails"):
+        verify_relations(dataclasses.replace(rep, generators=(t2, t1, *rest)))
 
 
 def test_rep_dimension_matches_tableau_count():
@@ -49,7 +63,8 @@ def test_generator_eigenvalue_multiplicities():
     for shape in [(2, 1), (2, 2), (3, 1, 1), (3, 2)]:
         for q in (1, 3, 5):
             rep = build_seminormal(shape, q)
-            for m in rep.generators:
+            for i in range(1, rep.n):
+                m = word_image(rep, [i])
                 trace = sum(m[i][i] for i in range(rep.dim))
                 a = Fraction(trace + rep.dim, q + 1)
                 assert a.denominator == 1

@@ -139,6 +139,13 @@ def test_is_probable_prime_spot_checks():
     assert not is_probable_prime(2**61 + 1)
 
 
+def test_strong_pseudoprime_to_the_first_twelve_primes_is_factored():
+    # psi_12, the least strong pseudoprime to every base 2..37
+    n = 318665857834031151167461
+    assert not is_probable_prime(n)
+    assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
 def test_squarefree_part_helper():
     assert squarefree_part(50) == 2
     assert squarefree_part(-50) == 2
