@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 argument error (including characters outside
 Irr+), 2 violated mathematical invariant (witness dumped), 3 resource
-guard tripped. Identical invocations produce byte-identical output; JSON
-is sorted and carries big integers as decimal strings.
+guard tripped or a sweep worker process died. Identical invocations
+produce byte-identical output; JSON is sorted and carries big integers as
+decimal strings.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import gl, hecke, oracle, parker
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
@@ -28,9 +30,6 @@ EXIT_OK = 0
 EXIT_ARGUMENT = 1
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
-
-ORACLE_DIM_ENV = "ORTHDET_ORACLE_DIM_LIMIT"
-DEFAULT_ORACLE_DIM_LIMIT = 20000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,21 +55,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
-
-
-def _oracle_dim_limit() -> int:
-    raw = os.environ.get(ORACLE_DIM_ENV)
-    return int(raw) if raw else DEFAULT_ORACLE_DIM_LIMIT
-
-
-def _guard_oracle_dim(shape) -> None:
-    limit = _oracle_dim_limit()
-    dim = syt_count(shape)
-    if dim > limit:
-        raise ResourceGuardError(
-            f"shape {shape} has {dim} tableaux > limit {limit}; "
-            f"raise {ORACLE_DIM_ENV} to override"
-        )
 
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
@@ -179,7 +163,6 @@ def _cmd_oracle_check(args) -> int:
     rows = []
     mismatches = []
     for shape in even_degree_shapes(args.n_max):
-        _guard_oracle_dim(shape)
         for q in q_values:
             expected = hecke.hecke_determinant(shape, q).det_class
             if args.method == "gram":
@@ -352,7 +335,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ResourceGuardError as exc:
+    except (ResourceGuardError, BrokenProcessPool) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

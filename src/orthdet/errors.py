@@ -19,11 +19,11 @@ class InvariantViolation(RuntimeError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A configured size ceiling was exceeded before starting heavy work."""
+    """A fixed size ceiling was exceeded before starting heavy work."""
 
 
 class FactorizationError(ResourceGuardError):
-    """An integer could not be factored within the configured effort.
+    """An integer could not be factored within the fixed rho step budget.
 
     Raised instead of ever returning a possibly-wrong square class.
     """

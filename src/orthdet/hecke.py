@@ -167,15 +167,14 @@ class TableauPolyTable:
         return zip(self.graph.nodes, self.polys)
 
 
-def tableau_polynomials(shape, *, max_n: int | None = None) -> TableauPolyTable:
+def tableau_polynomials(shape) -> TableauPolyTable:
     """Propagate the edge factors over the whole transposition graph.
 
     Whenever a tableau is reachable along several upward edges, all of them
     must agree on its polynomial; a disagreement would falsify the theory
     and raises InvariantViolation.
     """
-    kwargs = {} if max_n is None else {"max_n": max_n}
-    graph = enumerate_syt(shape, **kwargs)
+    graph = enumerate_syt(shape)
     polys: list[QIntProduct | None] = [None] * graph.size
     polys[0] = QIntProduct.one()
     for lo, hi, k in graph.edges:

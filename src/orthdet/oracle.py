@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
-from .errors import InvariantViolation, NotIrrPlusError, SkewElementSearchError
+from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, SkewElementSearchError
 from .intpoly import q_int
 from .linalg import (
     Columns,
@@ -38,7 +38,13 @@ from .linalg import (
     rational_determinant,
 )
 from .squareclass import SquareClass, class_of_integer, class_of_rational
-from .tableaux import TableauGraph, apply_simple_transposition, check_partition, enumerate_syt
+from .tableaux import (
+    TableauGraph, apply_simple_transposition, check_partition, enumerate_syt, syt_count
+)
+
+# Ceiling on the module dimension: the Gram solve takes about 14 s at dim 216
+# (dim(dim+1)/2 unknowns), so one shape stays near 20 s; admits all n <= 9.
+MAX_DIM = 256
 
 # Random skew elements: how many to try, and the range of their coefficients.
 SKEW_ATTEMPTS = 32
@@ -128,10 +134,15 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     tableau with its swap partner through a 2x2 block of trace q - 1 and
     determinant -q. The partner with positive axial distance carries
     off-diagonal entry 1, the other the value completing the determinant.
+    A module of dimension above MAX_DIM raises ResourceGuardError before
+    any tableau is enumerated.
     """
     shape = check_partition(shape)
     if q < 1:
         raise ValueError(f"parameter q must be >= 1, got {q}")
+    dim = syt_count(shape)
+    if dim > MAX_DIM:
+        raise ResourceGuardError(f"shape {shape}: {dim} tableaux > oracle limit {MAX_DIM}")
     graph = enumerate_syt(shape)
     n = sum(shape)
     generators = []

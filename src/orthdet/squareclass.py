@@ -6,11 +6,11 @@ element is its own inverse); "odd"/"even" refers to whether 2 divides the
 squarefree representative.
 
 Classifying an integer requires its factorization; we trial-divide up to a
-bound and fall back to Brent's variant of Pollard rho. Parity alone never
-needs a factorization: the squarefree part is even exactly when the 2-adic
-valuation is odd, which `parity_of_integer` reads off directly. That is
-what makes parity sweeps over astronomically large q-integer products
-feasible.
+bound and fall back to Brent's variant of Pollard rho, with a fixed step
+budget per integer. Parity alone never needs a factorization: the
+squarefree part is even exactly when the 2-adic valuation is odd, which
+`parity_of_integer` reads off directly. That is what makes parity sweeps
+over astronomically large q-integer products feasible.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import FactorizationError
 
 TRIAL_DIVISION_BOUND = 10**6
-_RHO_MAX_ROUNDS = 64
+_RHO_STEP_BUDGET = 10**7
 
 
 class Parity(Enum):
@@ -82,13 +82,13 @@ class SquareClass:
 ONE = SquareClass(1, 1)
 
 
-def class_of_integer(a: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> SquareClass:
+def class_of_integer(a: int) -> SquareClass:
     """Square class of a nonzero integer."""
     if a == 0:
         raise ValueError("0 has no square class")
     sign = 1 if a > 0 else -1
     squarefree = 1
-    for p, e in factorize(abs(a), trial_bound=trial_bound).items():
+    for p, e in factorize(abs(a)).items():
         if e % 2:
             squarefree *= p
     return SquareClass(sign, squarefree)
@@ -135,38 +135,99 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set.
+    """Baillie-PSW: a strong test to base 2 and a strong Lucas test.
 
-    The witnesses 2..41 (the first 13 primes) are deterministic for
-    n < 3317044064679887385961981, the least strong pseudoprime to all of
-    them; beyond that the test is (overwhelmingly) probabilistic, which is
-    fine for the small cyclotomic values this package factors.
+    The Lucas parameters follow Selfridge (P = 1, Q = (1 - D)/4 for the
+    first D in 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1), as in
+    Baillie and Wagstaff (1980). No composite passing both tests is known,
+    and none exists below 2^64.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    return _strong_base_2(n) and _strong_lucas(n)
+
+
+def _strong_base_2(n: int) -> bool:
+    d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
-        r += 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        s += 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n, by Brent's cycle method."""
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test for odd n > 41 with no factor <= 41."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    d_param = 5
+    while (j := _jacobi(d_param, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        d_param = -d_param - 2 if d_param > 0 else -d_param + 2
+    q_param = (1 - d_param) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # U_k, V_k and Q^k for k running through the bits of d (P = 1).
+    u, v, qk = 1, 1, q_param % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d_param * u + v), qk * q_param % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of composite odd n by Brent's cycle method, and the steps used.
+
+    A step is one evaluation of y -> y^2 + c; raises FactorizationError once
+    more than `budget` steps are needed.
+    """
+    steps = 0
+
+    def spend(count: int) -> None:
+        nonlocal steps
+        steps += count
+        if steps > budget:
+            raise FactorizationError(f"{n} left unfactored: rho step budget spent")
+
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -175,12 +236,15 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         x = ys = y
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                spend(batch)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
@@ -189,17 +253,19 @@ def _brent_rho(n: int, rng: random.Random) -> int:
         if g == n:
             g = 1
             while g == 1:
+                spend(1)
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, steps
 
 
 def factorize(n: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, int]:
     """Full prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division up to trial_bound, then Brent rho on what remains.
-    Raises FactorizationError rather than ever guessing.
+    Trial division up to trial_bound, then Brent rho on what remains, with
+    at most _RHO_STEP_BUDGET rho steps for the whole call. Raises
+    FactorizationError rather than ever guessing.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
@@ -223,7 +289,7 @@ def factorize(n: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, i
     # Composite with no factor below the trial bound: recurse via rho.
     rng = random.Random(0xC0FFEE ^ n)
     stack = [n]
-    rounds = 0
+    budget = _RHO_STEP_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:
@@ -231,10 +297,14 @@ def factorize(n: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, i
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        rounds += 1
-        if rounds > _RHO_MAX_ROUNDS:
-            raise FactorizationError(f"{m} left unfactored after {_RHO_MAX_ROUNDS} rho rounds")
-        d = _brent_rho(m, rng)
+        root = math.isqrt(m)
+        if root * root == m:
+            # Rho would need about sqrt(root) steps; the skew oracle's
+            # determinants carry large square factors.
+            stack += [root, root]
+            continue
+        d, steps = _brent_rho(m, rng, budget)
+        budget -= steps
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))

@@ -16,7 +16,9 @@ from math import factorial
 
 from .errors import InvariantViolation, ResourceGuardError
 
-DEFAULT_MAX_N = 16
+# Ceiling on the tableaux of one graph: det_poly_factored costs about 3.5 KB
+# and 0.2 ms per tableau, so one shape stays near 350 MB and 20 s; admits n <= 14.
+MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]
 
@@ -189,14 +191,16 @@ class TableauGraph:
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.nodes)})
 
 
-def enumerate_syt(shape, *, max_n: int = DEFAULT_MAX_N) -> TableauGraph:
-    """Breadth-first enumeration of all standard tableaux of a shape."""
+def enumerate_syt(shape) -> TableauGraph:
+    """Breadth-first enumeration of all standard tableaux of a shape.
+
+    Raises ResourceGuardError, before building anything, for a shape with
+    more than MAX_TABLEAUX tableaux.
+    """
     shape = check_partition(shape)
-    n = sum(shape)
-    if n > max_n:
-        raise ResourceGuardError(
-            f"shape {shape} has n={n} > max_n={max_n}; raise max_n explicitly if intended"
-        )
+    count = syt_count(shape)
+    if count > MAX_TABLEAUX:
+        raise ResourceGuardError(f"shape {shape}: {count} tableaux > limit {MAX_TABLEAUX}")
     return _build_graph(shape)
 
 
@@ -248,13 +252,13 @@ def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
     )
 
 
-def tableau_word(t: StandardTableau, *, max_n: int = DEFAULT_MAX_N) -> tuple[int, ...]:
+def tableau_word(t: StandardTableau) -> tuple[int, ...]:
     """A reduced word for the permutation w with t = w . t_shape.
 
     Applying s_(word[-1]) first and s_(word[0]) last to the row-filling
     tableau yields t; the word length is the graph distance from the root.
     """
-    graph = enumerate_syt(t.shape, max_n=max_n)
+    graph = enumerate_syt(t.shape)
     word = []
     idx = graph.index(t)
     while graph.parents[idx] is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from orthdet import oracle, parker
 from orthdet.cli import main
 from orthdet.hecke import QIntProduct
 from orthdet.squareclass import SquareClass
@@ -177,10 +179,32 @@ def test_oracle_check_rejects_small_n_max(capsys):
 
 
 def test_oracle_check_resource_guard(capsys, monkeypatch):
-    monkeypatch.setenv("ORTHDET_ORACLE_DIM_LIMIT", "1")
+    monkeypatch.setattr(oracle, "MAX_DIM", 1)
     code, _, err = run(capsys, "oracle-check", "--n-max", "4", "--q", "3")
     assert code == 3
     assert "limit" in err
+
+
+def _die(q_values, task):
+    os._exit(1)
+
+
+def test_dead_sweep_worker_exits_3(capsys, monkeypatch):
+    family = dataclasses.replace(parker._FAMILIES["symmetric"], worker=_die)
+    monkeypatch.setitem(parker._FAMILIES, "symmetric", family)
+    code, out, err = run(capsys, "verify-parker", "--family", "symmetric", "--n-max", "4",
+                         "--jobs", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource guard:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["syt", "det-symmetric"])
+def test_tableau_guard_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--shape", "6,4,3,2,1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource guard:") and "1153152 tableaux" in err
 
 
 def test_selftest_small_scopes(capsys):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from orthdet.errors import InvariantViolation, NotIrrPlusError
+from orthdet import oracle
+from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import hecke_determinant
 from orthdet.linalg import identity_matrix
 from orthdet.oracle import (
@@ -170,3 +171,11 @@ def test_trace_pairing():
 def test_build_rejects_bad_q():
     with pytest.raises(ValueError):
         build_seminormal((2, 1), 0)
+
+
+def test_build_guard_fires_before_enumeration(monkeypatch):
+    # (4,3,1,1) is the largest n = 9 module (dim 216); (5,3,2) has dim 450.
+    assert syt_count((5, 3, 2)) > oracle.MAX_DIM >= syt_count((4, 3, 1, 1))
+    monkeypatch.setattr(oracle, "enumerate_syt", lambda shape: pytest.fail("enumerated"))
+    with pytest.raises(ResourceGuardError, match="oracle limit"):
+        build_seminormal((5, 3, 2), 3)

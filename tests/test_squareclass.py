@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from orthdet import squareclass
+from orthdet.errors import FactorizationError
 from orthdet.squareclass import (
     ONE,
     Parity,
@@ -137,6 +140,10 @@ def test_is_probable_prime_spot_checks():
     assert not is_probable_prime(1)
     assert not is_probable_prime(561)  # Carmichael
     assert not is_probable_prime(2**61 + 1)
+    # Strong pseudoprimes to base 2 fail the Lucas half of BPSW, strong
+    # Lucas pseudoprimes (Selfridge parameters) the base-2 half.
+    for n in (2047, 3215031751, 5459, 5777, 10877, 16109, 18971):
+        assert not is_probable_prime(n)
 
 
 def test_strong_pseudoprime_to_the_first_twelve_primes_is_factored():
@@ -144,6 +151,44 @@ def test_strong_pseudoprime_to_the_first_twelve_primes_is_factored():
     n = 318665857834031151167461
     assert not is_probable_prime(n)
     assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
+def test_psi13_is_factored():
+    # psi_13, the least strong pseudoprime to every base 2..41: Miller-Rabin
+    # with those witnesses calls it prime, the strong Lucas test does not.
+    n = 3317044064679887385961981
+    assert not is_probable_prime(n)
+    assert factorize(n) == {1287836182261: 1, 2575672364521: 1}
+
+
+def test_rho_step_budget(monkeypatch):
+    p, q = 1073741789, 1073741783  # the two largest primes below 2^30
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert factorize(p * q) == {p: 1, q: 1}
+    monkeypatch.setattr(squareclass, "_RHO_STEP_BUDGET", 1000)
+    with pytest.raises(FactorizationError, match="budget"):
+        factorize(p * q)
+
+
+def test_square_cofactor_is_split_without_rho(monkeypatch):
+    # Seen in a skew-element determinant of (3,2,1) at q = 3.
+    monkeypatch.setattr(squareclass, "_RHO_STEP_BUDGET", 0)
+    p = 390420649419299
+    assert factorize(p * p) == {p: 2}
+    assert factorize(7 * p**4) == {7: 1, p: 4}
+
+
+def test_factorize_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20241210)
+    numbers = [rng.randrange(2, 10**9) for _ in range(200)]
+    numbers += [rng.randrange(2, 2**64) for _ in range(10)]
+    # semiprimes and prime powers whose factors all lie beyond the trial bound
+    primes = [sympy.nextprime(rng.randrange(2**20, 2**28)) for _ in range(8)]
+    numbers += [a * b for a, b in zip(primes, primes[1:])] + [primes[0] ** 3]
+    for n in numbers:
+        assert factorize(n) == sympy.factorint(n), n
+        assert is_probable_prime(n) == sympy.isprime(n), n
 
 
 def test_squarefree_part_helper():

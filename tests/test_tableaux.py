@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from orthdet import tableaux
 from orthdet.errors import ResourceGuardError
 from orthdet.tableaux import (
     StandardTableau,
@@ -224,10 +225,13 @@ def test_tableau_word_reconstructs_tableau(shape):
         assert current == t
 
 
-def test_size_guard():
-    with pytest.raises(ResourceGuardError):
-        enumerate_syt((17,))
-    assert enumerate_syt((17,), max_n=17).size == 1
+def test_size_guard(monkeypatch):
+    # The guard counts tableaux, not cells: one long row is cheap at any n,
+    # while (6,4,3,2,1) has 1153152 tableaux and is refused before any build.
+    assert enumerate_syt((17,)).size == 1
+    monkeypatch.setattr(tableaux, "_build_graph", lambda shape: pytest.fail("graph built"))
+    with pytest.raises(ResourceGuardError, match="1153152 tableaux"):
+        enumerate_syt((6, 4, 3, 2, 1))
 
 
 def test_conjugate_partition():
