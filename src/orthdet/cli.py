@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 argument error (including characters outside
 Irr+), 2 violated mathematical invariant (witness dumped), 3 resource
-guard tripped or a sweep worker process died. Identical invocations
+guard tripped or a sweep worker process died, 130 interrupted (Ctrl-C),
+with one `interrupted` line on stderr. Identical invocations
 produce byte-identical output; JSON is sorted and carries big integers as
 decimal strings.
 """
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_ARGUMENT = 1
 EXIT_INVARIANT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
@@ -338,6 +340,9 @@ def main(argv=None) -> int:
     except (ResourceGuardError, BrokenProcessPool) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

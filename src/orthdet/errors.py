@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: bad arguments exit 1, violated
-mathematical invariants exit 2, tripped resource guards exit 3.
+mathematical invariants exit 2, tripped resource guards exit 3. An
+interrupt (KeyboardInterrupt) exits 130.
 """
 
 

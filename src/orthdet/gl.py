@@ -19,6 +19,7 @@ point refuses them with an explanation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import squareclass
 from .errors import InvariantViolation, NotIrrPlusError
@@ -70,6 +71,13 @@ def unipotent_degree(shape, q: int | PrimePower) -> int:
     q = q.q if isinstance(q, PrimePower) else q
     if q < 2:
         raise ValueError(f"degree formula needs q >= 2, got {q}")
+    return _unipotent_degree(shape, q)
+
+
+# Sweeps ask for the same (shape, q) degree many times: sign pairs reuse
+# every component shape across all their partners.
+@lru_cache(maxsize=None)
+def _unipotent_degree(shape: tuple[int, ...], q: int) -> int:
     n = sum(shape)
     numerator = q ** diagram_weight(shape)
     for i in range(1, n + 1):

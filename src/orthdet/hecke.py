@@ -7,20 +7,29 @@ the shape's determinant polynomial. Its value at q represents the square
 class of the orthogonal determinant of the even-degree Hecke character at
 parameter q, and at q = 1 that of the symmetric group character.
 
+The determinant polynomial is computed by a dynamic program over the Young
+lattice of sub-diagrams below the shape, the q-analogue of the norm formula
+for Young's seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras
+and Schur algebras of the symmetric group, 1999); its cost grows with the
+number of sub-diagrams, not of tableaux. `tableau_polynomials` walks the
+transposition graph instead and stays as the independent reference.
+
 Polynomials are carried in factored form (an x-power and q-integer
 multiplicities), so square classes come from classifying small cyclotomic
-values instead of factoring one enormous integer.
+values instead of factoring one enormous integer, and parities come from
+2-adic valuations of the factors without evaluating anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from . import squareclass
-from .errors import InvariantViolation, NotIrrPlusError
+from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from .intpoly import IntPoly, cyclotomic, q_int
-from .squareclass import Parity, SquareClass, class_of_integer, power_class
+from .squareclass import Parity, SquareClass, class_of_integer, power_class, two_adic_valuation
 from .tableaux import (
     StandardTableau,
     TableauGraph,
@@ -29,6 +38,13 @@ from .tableaux import (
     enumerate_syt,
     syt_count,
 )
+
+# Ceiling on the lattice walk of one shape, counted as sub-diagrams times
+# rows, since every visited sub-diagram is scanned row by row. The walk
+# costs at most about 6 us (two rows, whose tableau counts are the longest
+# integers) and 0.34 KB (one row, one level per cell) per unit, so one
+# shape stays near 6 s and 340 MB; admits every shape with n <= 50.
+MAX_SUBDIAGRAM_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -97,8 +113,25 @@ class QIntProduct:
         return result
 
     def parity_at(self, q: int) -> Parity:
-        """Parity of the square class at odd q (or q = 1), via 2-adic valuations."""
-        return squareclass.parity_of_integer(self(q))
+        """Parity of the square class of the value at q >= 1, from the factors alone.
+
+        The class is even iff the value's 2-adic valuation is odd. At odd q
+        (q = 1 included) x^e is odd, [k]_q is odd for odd k, and
+        v2([k]_q) = v2(k) + v2(q+1) - 1 for even k (lifting the exponent); at
+        even q every [k]_q is odd and only the x-power counts.
+        """
+        if q < 1:
+            raise ValueError(f"evaluation point must be >= 1, got {q}")
+        if q % 2 == 0:
+            v2 = self.x_exp * two_adic_valuation(q)
+        else:
+            v2_q_plus_1 = two_adic_valuation(q + 1)
+            v2 = sum(
+                m * (two_adic_valuation(k) + v2_q_plus_1 - 1)
+                for k, m in self.qint_mults
+                if k % 2 == 0
+            )
+        return Parity.EVEN if v2 % 2 else Parity.ODD
 
     def factors_json(self) -> list[dict]:
         factors: list[dict] = []
@@ -195,12 +228,87 @@ def det_poly_factored(shape) -> QIntProduct:
     return _det_poly_factored(check_partition(shape))
 
 
+def _subdiagram_count(shape: tuple[int, ...]) -> int:
+    """Number of partitions mu contained in shape, the empty one included.
+
+    Row by row: ways[v] counts the choices of the rows so far whose last
+    row has length v, and the next row may take any length up to both v
+    and its own part.
+    """
+    if not shape:
+        return 1
+    ways = [1] * (shape[0] + 1)
+    for part in shape[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][: part + 1]
+    return sum(ways)
+
+
 @lru_cache(maxsize=None)
 def _det_poly_factored(shape: tuple[int, ...]) -> QIntProduct:
-    product = QIntProduct.one()
-    for poly in tableau_polynomials(shape).polys:
-        product = product * poly
-    return product
+    """Multiply the tableau polynomials of a shape by summing over its Young lattice.
+
+    A standard tableau is a path of sub-diagrams from the empty one to the
+    shape, adding the cell of entry k at step k. Its polynomial has one
+    factor from_edge(c) for every cell B and every cell A filled after B
+    in a row above B, with c = content(A) - content(B) - 1 >= 1. So the
+    step mu -> mu+B contributes the factors of every cell A of shape
+    outside mu+B in a row above B, once for each of the
+    #SYT(mu) * #SYT(shape / (mu+B)) tableaux through it. Sub-diagrams are
+    padded with zero rows to the length of the shape.
+    """
+    rows = len(shape)
+    n = sum(shape)
+    lattice = _subdiagram_count(shape) * rows
+    if lattice > MAX_SUBDIAGRAM_ROWS:
+        raise ResourceGuardError(
+            f"shape {shape}: {lattice} sub-diagram rows > limit {MAX_SUBDIAGRAM_ROWS}"
+        )
+
+    def steps(mu):
+        for r in range(rows):
+            if mu[r] < shape[r] and (r == 0 or mu[r - 1] > mu[r]):
+                yield r, mu[:r] + (mu[r] + 1,) + mu[r + 1 :]
+
+    # levels[s] maps every sub-diagram with s cells to its tableau count.
+    levels = [{(0,) * rows: 1}]
+    for _ in range(n):
+        counts: dict[tuple[int, ...], int] = {}
+        for mu, paths in levels[-1].items():
+            for _, nu in steps(mu):
+                counts[nu] = counts.get(nu, 0) + paths
+        levels.append(counts)
+    expected = syt_count(shape)
+    if levels[-1][shape] != expected:
+        raise InvariantViolation(
+            f"lattice below {shape} has {levels[-1][shape]} paths, hook formula says {expected}"
+        )
+
+    x_exp = 0
+    # Difference array of the [k] multiplicities: a row of cells A adds the
+    # weight to a run of consecutive gaps c, hence to runs of k = c and k = c+2.
+    diff = [0] * (n + 4)
+    # Skew tableau counts #SYT(shape / nu) of the sub-diagrams one level up.
+    above = {shape: 1}
+    for level in reversed(levels[:-1]):
+        skew_counts = {}
+        for mu, paths in level.items():
+            skew = 0
+            for r, nu in steps(mu):
+                skew += above[nu]
+                weight = paths * above[nu]
+                content_b = mu[r] + 1 - r
+                for i in range(r):
+                    cells = shape[i] - mu[i]
+                    if cells:
+                        first_gap = mu[i] - i - content_b
+                        x_exp += weight * cells
+                        for k in (first_gap, first_gap + 2):
+                            diff[k] += weight
+                            diff[k + cells] -= weight
+            skew_counts[mu] = skew
+        above = skew_counts
+    mults = accumulate(diff)
+    return QIntProduct(x_exp, tuple((k, m) for k, m in enumerate(mults) if k >= 2 and m))
 
 
 def det_poly(shape) -> IntPoly:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import FactorizationError
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 10**4
 _RHO_STEP_BUDGET = 10**7
 
 
@@ -120,13 +120,19 @@ def power_class(base: int | SquareClass, exponent: int) -> SquareClass:
     return class_of_integer(base)
 
 
+def two_adic_valuation(m: int) -> int:
+    """The exponent of 2 in a nonzero integer."""
+    if m == 0:
+        raise ValueError("0 has no 2-adic valuation")
+    m = abs(m)
+    return (m & -m).bit_length() - 1
+
+
 def parity_of_integer(m: int) -> Parity:
     """Parity of the square class of m, via the 2-adic valuation only."""
     if m == 0:
         raise ValueError("0 has no square class")
-    m = abs(m)
-    v2 = (m & -m).bit_length() - 1
-    return Parity.EVEN if v2 % 2 else Parity.ODD
+    return Parity.EVEN if two_adic_valuation(m) % 2 else Parity.ODD
 
 
 # --- integer factorization -------------------------------------------------

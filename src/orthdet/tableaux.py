@@ -16,8 +16,11 @@ from math import factorial
 
 from .errors import InvariantViolation, ResourceGuardError
 
-# Ceiling on the tableaux of one graph: det_poly_factored costs about 3.5 KB
-# and 0.2 ms per tableau, so one shape stays near 350 MB and 20 s; admits n <= 14.
+# Ceiling on the tableaux of one graph, built for `syt`, `tableau_word`, the
+# oracle and the reference `hecke.tableau_polynomials` (det_poly_factored
+# walks the Young lattice instead and has its own guard). The graph plus its
+# tableau polynomials cost about 3.5 KB and 0.2 ms per tableau, so one shape
+# stays near 350 MB and 20 s; admits n <= 14.
 MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]

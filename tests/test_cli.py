@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from orthdet import oracle, parker
+from orthdet import cli, oracle, parker
 from orthdet.cli import main
 from orthdet.hecke import QIntProduct
 from orthdet.squareclass import SquareClass
@@ -199,12 +199,36 @@ def test_dead_sweep_worker_exits_3(capsys, monkeypatch):
     assert err.startswith("resource guard:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["syt", "det-symmetric"])
+@pytest.mark.parametrize("command", ["syt"])
 def test_tableau_guard_exits_3(capsys, command):
     code, out, err = run(capsys, command, "--shape", "6,4,3,2,1")
     assert code == 3
     assert out == ""
     assert err.startswith("resource guard:") and "1153152 tableaux" in err
+
+
+def test_det_symmetric_is_bounded_by_the_lattice_guard(capsys):
+    # 1153152 tableaux, beyond the tableau guard, but only 174 sub-diagrams.
+    code, out, _ = run(capsys, "det-symmetric", "--shape", "6,4,3,2,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["class"]["parity"] == "odd"
+
+    staircase = ",".join(str(part) for part in range(12, 0, -1))
+    code, out, err = run(capsys, "det-symmetric", "--shape", staircase)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource guard:") and "sub-diagram rows" in err
+
+
+def test_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_syt", interrupted)
+    code, out, err = run(capsys, "syt", "--shape", "2,1")
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"
 
 
 def test_selftest_small_scopes(capsys):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from orthdet.errors import NotIrrPlusError
+from orthdet import hecke, tableaux
+from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import (
     QIntProduct,
     det_poly,
@@ -12,13 +13,17 @@ from orthdet.hecke import (
     tableau_polynomials,
 )
 from orthdet.intpoly import IntPoly, q_int
-from orthdet.squareclass import ONE, SquareClass, class_of_integer
+from orthdet.squareclass import ONE, SquareClass, class_of_integer, parity_of_integer
 from orthdet.tableaux import (
     StandardTableau,
     enumerate_partitions,
     enumerate_syt,
     row_filling_tableau,
 )
+
+
+def _all_partitions(n_max):
+    return [shape for n in range(1, n_max + 1) for shape in enumerate_partitions(n)]
 
 
 @st.composite
@@ -81,6 +86,69 @@ def test_det_poly_examples():
     assert det_poly_factored((3, 1, 1)) == QIntProduct(
         12, ((2, 6), (3, 6), (4, 6), (5, 3))
     )
+
+
+def test_lattice_dp_equals_product_of_tableau_polynomials():
+    # The graph walk is the independent reference for the lattice DP.
+    hecke._det_poly_factored.cache_clear()
+    shapes_checked = _all_partitions(10)
+    for shape in shapes_checked:
+        product = QIntProduct.one()
+        for poly in tableau_polynomials(shape).polys:
+            product = product * poly
+        assert det_poly_factored(shape) == product, shape
+    assert len(shapes_checked) == 138
+    assert det_poly_factored(()) == QIntProduct.one()
+
+
+def test_det_poly_never_builds_the_graph(monkeypatch):
+    hecke._det_poly_factored.cache_clear()
+    monkeypatch.setattr(tableaux, "_build_graph", lambda shape: pytest.fail("graph built"))
+    assert det_poly_factored((3, 1, 1)) == QIntProduct(12, ((2, 6), (3, 6), (4, 6), (5, 3)))
+    # 1153152 tableaux: far beyond tableaux.MAX_TABLEAUX, a few hundred sub-diagrams.
+    assert det_poly_factored((6, 4, 3, 2, 1)).x_exp > 0
+
+
+def test_subdiagram_count_matches_brute_force():
+    for shape in _all_partitions(8):
+        contained = [
+            mu
+            for m in range(1, sum(shape) + 1)
+            for mu in enumerate_partitions(m)
+            if len(mu) <= len(shape) and all(a <= b for a, b in zip(mu, shape))
+        ]
+        assert hecke._subdiagram_count(shape) == len(contained) + 1, shape
+    assert hecke._subdiagram_count(()) == 1
+    assert hecke._subdiagram_count((3, 3)) == 10  # binomial(5, 2) lattice paths
+
+
+def test_lattice_guard(monkeypatch):
+    # (12, 11, ..., 1) has 742900 sub-diagrams and 12 rows.
+    staircase = tuple(range(12, 0, -1))
+    with pytest.raises(ResourceGuardError, match="8914800 sub-diagram rows"):
+        det_poly_factored(staircase)
+    # (2, 1): 5 sub-diagrams times 2 rows; (2, 2): 6 times 2.
+    monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 11)
+    hecke._det_poly_factored.cache_clear()
+    with pytest.raises(ResourceGuardError):
+        det_poly_factored((2, 2))
+    assert det_poly_factored((2, 1)) == QIntProduct(1, ((3, 1),))
+
+
+def test_lattice_invariant_checks_the_hook_formula(monkeypatch):
+    hecke._det_poly_factored.cache_clear()
+    monkeypatch.setattr(hecke, "syt_count", lambda shape: 3)
+    with pytest.raises(InvariantViolation, match="hook formula says 3"):
+        det_poly_factored((2, 2))
+
+
+def test_parity_at_matches_the_value():
+    for shape in _all_partitions(10):
+        factored = det_poly_factored(shape)
+        for q in (1, 2, 3, 4, 5, 7, 9, 27):
+            assert factored.parity_at(q) is parity_of_integer(factored(q)), (shape, q)
+    with pytest.raises(ValueError):
+        QIntProduct.one().parity_at(0)
 
 
 def test_det_poly_reduced_class_is_single_q_int():

@@ -1,5 +1,6 @@
 import pytest
 
+from orthdet.hecke import det_poly_factored
 from orthdet.parker import (
     ParityReport,
     lemma_parity_check,
@@ -45,6 +46,14 @@ def test_parity_bridge_examples():
     assert parity_bridge_check((2, 2), 5)
     with pytest.raises(ValueError):
         parity_bridge_check((2, 1, 1), 3)  # 3 tableaux: odd degree
+
+
+def test_parity_bridge_beyond_evaluation():
+    # n = 20: the multiplicities have about ten digits, so the value at q
+    # could not be written down; the parity comes from the factors.
+    assert det_poly_factored((6, 5, 4, 3, 2)).x_exp > 10**9
+    for q in (3, 5, 7, 9):
+        assert parity_bridge_check((6, 5, 4, 3, 2), q)
 
 
 def test_parity_bridge_sweep():
