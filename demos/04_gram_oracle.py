@@ -4,11 +4,16 @@ Builds the seminormal matrices for a shape (verifying the quadratic, braid
 and commutation relations on the spot), solves for the invariant symmetric
 bilinear form by exact elimination, and compares the Gram determinant class
 with the polynomial formula. A randomized skew element provides a second,
-fully different route to the same class.
+fully different route to the same class. Each determinant is tested
+against the formula's class by one perfect-square test; the classes are
+printed by factoring. Exits 1 if any comparison fails.
 """
+
+import sys
 
 from orthdet import (
     build_seminormal,
+    class_of_rational,
     determinant_via_gram,
     determinant_via_skew_element,
     gram_form,
@@ -32,15 +37,20 @@ for row in form.matrix:
 print(f"determinant {form.determinant}")
 
 print("\nclass comparison across shapes and parameters:")
+mismatches = 0
 for shape in [(2, 1), (2, 2), (3, 1, 1), (4, 1)]:
     for q in (1, 3, 5):
         formula = hecke_determinant(shape, q).det_class
         gram = determinant_via_gram(shape, q)
         skew = determinant_via_skew_element(shape, q, seed=0)
-        status = "ok" if formula == gram == skew else "MISMATCH"
-        print(f"  {str(shape):12s} q={q}: formula {formula!r}, gram {gram!r}, "
-              f"skew {skew!r}  {status}")
+        ok = formula.contains(gram) and formula.contains(skew)
+        mismatches += not ok
+        print(f"  {str(shape):12s} q={q}: formula {formula!r}, "
+              f"gram {class_of_rational(gram)!r}, skew {class_of_rational(skew)!r}  "
+              f"{'ok' if ok else 'MISMATCH'}")
 
 print("\ntrace pairing on the regular module (tau(T_w T_w') = q^l(w) iff w'=w^-1):")
 for n in (2, 3, 4):
     print(f"  n={n}, q=3: {verify_trace_pairing(n, 3)}")
+
+sys.exit(1 if mismatches else 0)

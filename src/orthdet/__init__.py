@@ -28,11 +28,9 @@ from .gl import (
 from .hecke import (
     HeckeDetResult,
     QIntProduct,
-    det_poly,
     det_poly_factored,
     edge_content_gap,
     hecke_determinant,
-    is_irr_plus,
     tableau_polynomials,
 )
 from .intpoly import IntPoly, cyclotomic, cyclotomic_at_one, gaussian_binomial, q_int
@@ -62,7 +60,6 @@ from .squareclass import (
     class_of_rational,
     parity_of_integer,
     power_class,
-    squarefree_part,
 )
 from .tableaux import (
     StandardTableau,

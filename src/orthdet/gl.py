@@ -12,8 +12,7 @@ Two families are covered exactly:
   the induction index and the direct-product power rule.
 
 Characters whose torus constituents have order >= 3 take values in real
-cyclotomic fields; their determinants are out of scope here and the entry
-point refuses them with an explanation.
+cyclotomic fields; their determinants are out of scope here.
 """
 
 from __future__ import annotations
@@ -231,16 +230,3 @@ def sign_pair_determinant(lam, mu, q: int | PrimePower) -> GlDetResult:
         breakdown=breakdown,
     )
 
-
-def borel_stable_determinant(*_args, **_kwargs):
-    """Structured refusal for torus constituents of order >= 3.
-
-    Their determinants live in real cyclotomic fields (classes over
-    Q(mu + 1/mu), not Q) and would additionally need the q-power factor
-    from the unipotent radical; neither is implemented here.
-    """
-    raise NotImplementedError(
-        "Borel-stable characters (torus constituent of order >= 3) need square-class "
-        "arithmetic over real cyclotomic fields, which this package does not provide; "
-        "only the rational-valued unipotent and sign-pair families are supported"
-    )

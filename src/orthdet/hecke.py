@@ -23,7 +23,7 @@ values instead of factoring one enormous integer, and parities come from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from . import squareclass
@@ -139,18 +139,6 @@ class QIntProduct:
             factors.append({"type": "x-power", "mult": self.x_exp})
         factors.extend({"type": "q-int", "k": k, "mult": m} for k, m in self.qint_mults)
         return factors
-
-    @staticmethod
-    def from_factors_json(factors: list[dict]) -> QIntProduct:
-        product = QIntProduct.one()
-        for f in factors:
-            if f["type"] == "x-power":
-                product = product * QIntProduct(int(f["mult"]), ())
-            elif f["type"] == "q-int":
-                product = product * QIntProduct(0, ((int(f["k"]), int(f["mult"])),))
-            else:
-                raise ValueError(f"unknown factor type {f['type']!r}")
-        return product
 
     def __repr__(self) -> str:
         parts = []
@@ -311,20 +299,6 @@ def _det_poly_factored(shape: tuple[int, ...]) -> QIntProduct:
     return QIntProduct(x_exp, tuple((k, m) for k, m in enumerate(mults) if k >= 2 and m))
 
 
-def det_poly(shape) -> IntPoly:
-    """The determinant polynomial of a shape, expanded."""
-    return det_poly_factored(check_partition(shape)).expand()
-
-
-def is_irr_plus(shape) -> bool:
-    """Whether the shape's Hecke/symmetric-group character has even degree.
-
-    These characters are all realizable over the rationals, hence
-    orthogonal; even degree is the only remaining membership condition.
-    """
-    return syt_count(shape) % 2 == 0
-
-
 @dataclass(frozen=True)
 class HeckeDetResult:
     """Orthogonal determinant data of one even-degree character."""
@@ -334,10 +308,6 @@ class HeckeDetResult:
     degree: int
     f_factored: QIntProduct
     det_class: SquareClass
-
-    @cached_property
-    def f_poly(self) -> IntPoly:
-        return self.f_factored.expand()
 
     def to_json(self) -> dict:
         return {

@@ -28,10 +28,6 @@ class IntPoly:
         self.coeffs = tuple(coeffs)
 
     @staticmethod
-    def zero() -> IntPoly:
-        return IntPoly()
-
-    @staticmethod
     def one() -> IntPoly:
         return IntPoly((1,))
 
@@ -156,14 +152,6 @@ class IntPoly:
             coeff = str(magnitude) if (magnitude != 1 or i == 0) else ""
             parts.append(sign + coeff + term)
         return f"IntPoly('{''.join(parts)}')"
-
-    def to_json(self) -> dict:
-        """Coefficients as decimal strings so arbitrary precision survives JSON."""
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json(data: dict) -> IntPoly:
-        return IntPoly(int(c) for c in data["coeffs"])
 
 
 def q_int(k: int) -> IntPoly:

@@ -3,10 +3,12 @@
 Nothing here touches the tableau polynomials: the module builds the
 seminormal matrices for a shape at a numeric parameter q (q = 1 gives the
 symmetric group), solves for the invariant symmetric bilinear form by
-plain exact elimination, and reads the determinant class off the Gram
-matrix. A second, randomized route multiplies out basis-element images
-along reduced words and takes the determinant of a skew element. Agreement
-of either route with the polynomial formula is the package's central
+plain exact elimination, and returns the Gram determinant. A second,
+randomized route multiplies out basis-element images along reduced words
+and returns the determinant of a skew element. Both are returned as exact
+numbers and never factored here: whether one lies in the formula's square
+class is a perfect-square test (`SquareClass.contains`). Agreement of
+either route with the polynomial formula is the package's central
 cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
@@ -37,7 +39,6 @@ from .linalg import (
     mat_transpose,
     rational_determinant,
 )
-from .squareclass import SquareClass, class_of_integer, class_of_rational
 from .tableaux import (
     TableauGraph, apply_simple_transposition, check_partition, enumerate_syt, syt_count
 )
@@ -53,15 +54,6 @@ SKEW_COEFF_BOUND = 5
 
 # --- permutations as tuples (perm[i] = image of i+1) ------------------------
 
-def _perm_identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
-def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a o b)(x) = a(b(x))."""
-    return tuple(a[v - 1] for v in b)
-
-
 def _perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, v in enumerate(a):
@@ -71,22 +63,6 @@ def _perm_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
 
 def _perm_length(a: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(a)) for j in range(i + 1, len(a)) if a[i] > a[j])
-
-
-def _reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """A reduced word: perm = s_(word[0]) o ... o s_(word[-1])."""
-    p = list(perm)
-    word = []
-    while True:
-        for k in range(len(p) - 1):
-            if p[k] > p[k + 1]:
-                word.append(k + 1)
-                p[k], p[k + 1] = p[k + 1], p[k]
-                break
-        else:
-            break
-    word.reverse()
-    return tuple(word)
 
 
 # --- seminormal representations ---------------------------------------------
@@ -303,8 +279,8 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     return GramForm(rep=rep, matrix=matrix, determinant=det)
 
 
-def determinant_via_gram(shape, q: int) -> SquareClass:
-    """Determinant class of an even-dimensional module from its Gram matrix."""
+def determinant_via_gram(shape, q: int) -> int:
+    """Gram determinant of an even-dimensional module; its class is the character's."""
     shape = check_partition(shape)
     rep = build_seminormal(shape, q)
     if rep.dim % 2:
@@ -316,11 +292,11 @@ def determinant_via_gram(shape, q: int) -> SquareClass:
         raise InvariantViolation(
             f"Gram determinant of {shape} at q={q} is negative: {form.determinant}"
         )
-    return class_of_integer(form.determinant)
+    return form.determinant
 
 
-def determinant_via_skew_element(shape, q: int, seed: int = 0) -> SquareClass:
-    """Determinant class from the determinant of a random skew element.
+def determinant_via_skew_element(shape, q: int, seed: int = 0) -> Fraction:
+    """Determinant of a random skew element; its class is the character's.
 
     A combination sum c_w (T_w - T_(w^-1)) over non-involutive basis
     elements is its own negative under the algebra involution, so the
@@ -356,7 +332,7 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> SquareClass:
                         trow[s] += c * row[s]
         det = rational_determinant(tuple(tuple(row) for row in total))
         if det != 0:
-            return class_of_rational(det)
+            return det
     raise SkewElementSearchError(
         f"no invertible skew element for {shape} at q={q} in {SKEW_ATTEMPTS} attempts "
         f"(seed {seed})"
@@ -365,13 +341,12 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> SquareClass:
 
 # --- trace pairing on the regular module --------------------------------------
 
-def verify_trace_pairing(n: int, q: int, *, max_length_sum: int | None = None) -> bool:
+def verify_trace_pairing(n: int, q: int) -> bool:
     """Check the symmetrizing-trace pattern on the regular module.
 
     With the trace normalized to pick out the identity coefficient,
     tau(T_w T_w') must be q^length(w) when w' is the inverse of w and 0
-    otherwise. Checked for all pairs (optionally capped by total length);
-    a mismatch raises InvariantViolation.
+    otherwise. Checked for all pairs; a mismatch raises InvariantViolation.
     """
     if not 2 <= n <= 5:
         raise ValueError(f"regular-module check supports 2 <= n <= 5, got {n}")
@@ -404,28 +379,20 @@ def verify_trace_pairing(n: int, q: int, *, max_length_sum: int | None = None) -
                 out[col] = q * vec[nb[col]] + (q - 1) * vec[col]
         return out
 
-    # rows[i] = identity row of the left-regular image of T_(perms[i])
-    rows: list[list[int] | None] = [None] * size
-    first = [0] * size
-    first[index[_perm_identity(n)]] = 1
-    rows[0] = first
-    for i, w in enumerate(perms[1:], start=1):
-        if max_length_sum is not None and lengths[i] > max_length_sum:
-            continue
+    # rows[i] = identity row of the left-regular image of T_(perms[i]);
+    # perms[0] is the identity.
+    rows = [[1] + [0] * (size - 1)]
+    for w in perms[1:]:
         for k in range(n - 1):
             if w[k] > w[k + 1]:
                 shorter = list(w)
                 shorter[k], shorter[k + 1] = shorter[k + 1], shorter[k]
-                rows[i] = right_apply(rows[index[tuple(shorter)]], k + 1)
+                rows.append(right_apply(rows[index[tuple(shorter)]], k + 1))
                 break
 
     for i, w in enumerate(perms):
-        if rows[i] is None:
-            continue
         winv_idx = index[_perm_inverse(w)]
         for j in range(size):
-            if max_length_sum is not None and lengths[i] + lengths[j] > max_length_sum:
-                continue
             expected = q ** lengths[i] if j == winv_idx else 0
             if rows[i][j] != expected:
                 raise InvariantViolation(

@@ -7,10 +7,12 @@ squarefree representative.
 
 Classifying an integer requires its factorization; we trial-divide up to a
 bound and fall back to Brent's variant of Pollard rho, with a fixed step
-budget per integer. Parity alone never needs a factorization: the
-squarefree part is even exactly when the 2-adic valuation is odd, which
-`parity_of_integer` reads off directly. That is what makes parity sweeps
-over astronomically large q-integer products feasible.
+budget per integer. Testing membership in a known class does not:
+`SquareClass.contains` is one perfect-square test. Parity alone never
+needs a factorization either: the squarefree part is even exactly when the
+2-adic valuation is odd, which `parity_of_integer` reads off directly.
+That is what makes parity sweeps over astronomically large q-integer
+products feasible.
 """
 
 from __future__ import annotations
@@ -61,6 +63,20 @@ class SquareClass:
         if exponent % 2 == 0:
             return ONE
         return self
+
+    def contains(self, value: int | Fraction) -> bool:
+        """Whether the nonzero rational value lies in this class, without factoring.
+
+        value = num/den lies in sign * squarefree * (Q^x)^2 iff it has this
+        sign and |num| * den * squarefree is a perfect square.
+        """
+        value = Fraction(value)
+        if value == 0:
+            raise ValueError("0 has no square class")
+        if (value > 0) != (self.sign > 0):
+            return False
+        m = abs(value.numerator) * value.denominator * self.squarefree
+        return math.isqrt(m) ** 2 == m
 
     @property
     def parity(self) -> Parity:
@@ -266,12 +282,12 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
             return g, steps
 
 
-def factorize(n: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Full prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division up to trial_bound, then Brent rho on what remains, with
-    at most _RHO_STEP_BUDGET rho steps for the whole call. Raises
-    FactorizationError rather than ever guessing.
+    Trial division up to TRIAL_DIVISION_BOUND, then Brent rho on what
+    remains, with at most _RHO_STEP_BUDGET rho steps for the whole call.
+    Raises FactorizationError rather than ever guessing.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
@@ -281,7 +297,7 @@ def factorize(n: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, i
             factors[p] = factors.get(p, 0) + 1
             n //= p
     f = 5
-    while f * f <= n and f <= trial_bound:
+    while f * f <= n and f <= TRIAL_DIVISION_BOUND:
         for p in (f, f + 2):
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
@@ -314,8 +330,3 @@ def factorize(n: int, *, trial_bound: int = TRIAL_DIVISION_BOUND) -> dict[int, i
         stack.append(d)
         stack.append(m // d)
     return dict(sorted(factors.items()))
-
-
-def squarefree_part(n: int) -> int:
-    """Squarefree part of |n|; convenience wrapper over class_of_integer."""
-    return class_of_integer(n).squarefree

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import InvariantViolation, ResourceGuardError
 
@@ -74,12 +74,7 @@ def hook_lengths(shape) -> dict[Cell, int]:
 
 def syt_count(shape) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
-    shape = check_partition(shape)
-    n = sum(shape)
-    count = factorial(n)
-    for h in hook_lengths(shape).values():
-        count //= h
-    return count
+    return factorial(sum(check_partition(shape))) // prod(hook_lengths(shape).values())
 
 
 def even_degree_shapes(n_max: int) -> list[tuple[int, ...]]:

@@ -140,11 +140,11 @@ def test_criterion_3_oracle_equivalence():
                     continue
                 for q in (1, 3, 5, 7, 9):
                     formula = hecke_determinant(shape, q).det_class
-                    assert determinant_via_gram(shape, q) == formula, (shape, q)
+                    assert formula.contains(determinant_via_gram(shape, q)), (shape, q)
                     if n <= 5:
                         for seed in (0, 1, 2):
                             got = determinant_via_skew_element(shape, q, seed)
-                            assert got == formula, (shape, q, seed)
+                            assert formula.contains(got), (shape, q, seed)
 
     _criterion(3, "Gram-form and skew-element oracle equivalence", 300.0, body)
 

@@ -58,7 +58,11 @@ def test_det_hecke_round_trip_recomputes_class(capsys):
     _, out, _ = run(capsys, "det-hecke", "--shape", "3,1,1", "--q", "7",
                     "--format", "json")
     data = json.loads(out)
-    rebuilt = QIntProduct.from_factors_json(data["factors"])
+    factors = data["factors"]
+    assert {f["type"] for f in factors} == {"x-power", "q-int"}
+    x_exp = sum(f["mult"] for f in factors if f["type"] == "x-power")
+    mults = tuple((f["k"], f["mult"]) for f in factors if f["type"] == "q-int")
+    rebuilt = QIntProduct(x_exp, mults)
     cls = rebuilt.square_class(data["q"])
     assert cls == SquareClass(data["class"]["sign"], int(data["class"]["squarefree"]))
 
@@ -168,6 +172,21 @@ def test_oracle_check_gram_and_skew(capsys):
                        "--method", "skew", "--seed", "5", "--format", "json")
     assert code == 0
     assert json.loads(out)["mismatches"] == []
+
+
+def test_oracle_check_classifies_only_mismatches(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "class_of_rational", lambda det: pytest.fail("classified"))
+    code, _, _ = run(capsys, "oracle-check", "--n-max", "4", "--q", "3", "--method", "skew")
+    assert code == 0
+
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "determinant_via_gram", lambda shape, q: 7 * 4)
+    code, out, err = run(capsys, "oracle-check", "--n-max", "4", "--q", "3",
+                         "--format", "json")
+    assert code == 2
+    data = json.loads(out)
+    assert [row["oracle"]["squarefree"] for row in data["mismatches"]] == ["7", "7"]
+    assert err.count("ORACLE MISMATCH") == 2
 
 
 def test_oracle_check_rejects_small_n_max(capsys):

@@ -6,7 +6,6 @@ from orthdet.errors import NotIrrPlusError
 from orthdet.gl import (
     PrimePower,
     as_odd_prime_power,
-    borel_stable_determinant,
     diagram_weight,
     sign_pair_determinant,
     unipotent_degree,
@@ -201,11 +200,6 @@ def test_breakdown_product_invariant():
         for _, cls in result.breakdown:
             product = product * cls
         assert product == result.det_class
-
-
-def test_borel_stable_is_refused():
-    with pytest.raises(NotImplementedError, match="cyclotomic"):
-        borel_stable_determinant((3,), 5)
 
 
 def test_result_json():

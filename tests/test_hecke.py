@@ -5,11 +5,9 @@ from orthdet import hecke, tableaux
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import (
     QIntProduct,
-    det_poly,
     det_poly_factored,
     edge_content_gap,
     hecke_determinant,
-    is_irr_plus,
     tableau_polynomials,
 )
 from orthdet.intpoly import IntPoly, q_int
@@ -80,9 +78,9 @@ def test_tableau_polynomial_two_one():
 
 
 def test_det_poly_examples():
-    assert det_poly((2, 1)) == IntPoly([0, 1, 1, 1])
-    assert det_poly((6,)) == IntPoly.one()
-    assert det_poly((1, 1, 1, 1)) == IntPoly.one()
+    assert det_poly_factored((2, 1)).expand() == IntPoly([0, 1, 1, 1])
+    assert det_poly_factored((6,)).expand() == IntPoly.one()
+    assert det_poly_factored((1, 1, 1, 1)).expand() == IntPoly.one()
     assert det_poly_factored((3, 1, 1)) == QIntProduct(
         12, ((2, 6), (3, 6), (4, 6), (5, 3))
     )
@@ -173,13 +171,6 @@ def test_well_definedness_rewalk():
     assert multi_incoming > 0  # the check above actually exercised merges
 
 
-def test_is_irr_plus_examples():
-    assert is_irr_plus((3, 1, 1))
-    assert not is_irr_plus((5,))
-    assert is_irr_plus((2, 2))
-    assert not is_irr_plus((2, 1, 1))
-
-
 def test_hecke_determinant_examples():
     result = hecke_determinant((3, 1, 1), 3)
     assert result.det_class == ONE  # [5]_3 = 121 = 11^2
@@ -226,7 +217,11 @@ def test_qint_product_arithmetic():
 
 def test_qint_product_json_round_trip():
     product = det_poly_factored((3, 1, 1))
-    rebuilt = QIntProduct.from_factors_json(product.factors_json())
+    factors = product.factors_json()
+    assert {f["type"] for f in factors} == {"x-power", "q-int"}
+    x_exp = sum(f["mult"] for f in factors if f["type"] == "x-power")
+    mults = tuple((f["k"], f["mult"]) for f in factors if f["type"] == "q-int")
+    rebuilt = QIntProduct(x_exp, mults)
     assert rebuilt == product
     assert rebuilt.square_class(3) == product.square_class(3)
 
@@ -239,4 +234,4 @@ def test_result_json_and_lazy_expansion():
         {"type": "x-power", "mult": 1},
         {"type": "q-int", "k": 3, "mult": 1},
     ]
-    assert result.f_poly == IntPoly([0, 1, 1, 1])
+    assert result.f_factored.expand() == IntPoly([0, 1, 1, 1])

@@ -8,10 +8,6 @@ from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardErr
 from orthdet.hecke import hecke_determinant
 from orthdet.linalg import identity_matrix
 from orthdet.oracle import (
-    _perm_compose,
-    _perm_inverse,
-    _perm_length,
-    _reduced_word,
     all_word_images,
     build_seminormal,
     determinant_via_gram,
@@ -80,24 +76,22 @@ def test_word_image_identity_and_braid():
         word_image(rep, [5])
 
 
+def _reduced_word(perm):
+    """A reduced word by bubble sort: perm = s_(word[0]) o ... o s_(word[-1])."""
+    p, word = list(perm), []
+    while descents := [k for k in range(len(p) - 1) if p[k] > p[k + 1]]:
+        k = descents[0]
+        word.append(k + 1)
+        p[k], p[k + 1] = p[k + 1], p[k]
+    return tuple(reversed(word))
+
+
 def test_all_word_images_match_reduced_words():
     rep = build_seminormal((2, 1, 1), 3)
     images = all_word_images(rep)
     assert len(images) == 24
     for w, matrix in images.items():
         assert matrix == word_image(rep, _reduced_word(w))
-
-
-def test_reduced_word_helpers():
-    w = (3, 1, 4, 2)
-    word = _reduced_word(w)
-    assert len(word) == _perm_length(w)
-    built = tuple(range(1, 5))
-    for k in reversed(word):
-        swapped = tuple(k + 1 if v == k else (k if v == k + 1 else v) for v in built)
-        built = swapped
-    assert built == w
-    assert _perm_compose(w, _perm_inverse(w)) == (1, 2, 3, 4)
 
 
 def test_gram_form_trivial_rep():
@@ -114,9 +108,9 @@ def test_gram_form_two_one_at_three():
 
 
 def test_gram_determinant_examples():
-    assert determinant_via_gram((3, 1, 1), 3) == ONE
-    assert determinant_via_gram((2, 2), 3) == SquareClass(1, 39)
-    assert determinant_via_gram((2, 1), 5) == SquareClass(1, 155)
+    assert ONE.contains(determinant_via_gram((3, 1, 1), 3))
+    assert SquareClass(1, 39).contains(determinant_via_gram((2, 2), 3))
+    assert SquareClass(1, 155).contains(determinant_via_gram((2, 1), 5))
 
 
 def test_gram_rejects_odd_dimension():
@@ -133,27 +127,34 @@ def test_gram_matches_formula_small_sweep():
                 continue
             for q in (1, 3, 5):
                 expected = hecke_determinant(shape, q).det_class
-                assert determinant_via_gram(shape, q) == expected
+                assert expected.contains(determinant_via_gram(shape, q))
 
 
 def test_skew_element_examples():
-    assert determinant_via_skew_element((2, 2), 3, seed=0) == SquareClass(1, 39)
-    assert determinant_via_skew_element((3, 1, 1), 3, seed=1) == ONE
-    assert determinant_via_skew_element((2, 1), 3, seed=2) == SquareClass(1, 39)
-    assert determinant_via_skew_element((2, 1), 5, seed=0) == SquareClass(1, 155)
+    assert SquareClass(1, 39).contains(determinant_via_skew_element((2, 2), 3, seed=0))
+    assert ONE.contains(determinant_via_skew_element((3, 1, 1), 3, seed=1))
+    assert SquareClass(1, 39).contains(determinant_via_skew_element((2, 1), 3, seed=2))
+    assert SquareClass(1, 155).contains(determinant_via_skew_element((2, 1), 5, seed=0))
 
 
 def test_skew_element_seed_reproducibility():
     a = determinant_via_skew_element((4, 1), 3, seed=11)
     b = determinant_via_skew_element((4, 1), 3, seed=11)
-    assert a == b == hecke_determinant((4, 1), 3).det_class
+    assert a == b
+    assert hecke_determinant((4, 1), 3).det_class.contains(a)
 
 
 def test_skew_element_multiple_seeds_agree():
+    expected = hecke_determinant((2, 1, 1, 1), 5).det_class
     for seed in (0, 1, 2):
-        assert determinant_via_skew_element((2, 1, 1, 1), 5, seed=seed) == hecke_determinant(
-            (2, 1, 1, 1), 5
-        ).det_class
+        assert expected.contains(determinant_via_skew_element((2, 1, 1, 1), 5, seed=seed))
+
+
+def test_skew_determinant_is_compared_without_factoring():
+    # Its cofactor 2438439692342443 * 3490016066363837339396413891 is
+    # beyond the rho budget, so classifying it raises FactorizationError.
+    det = determinant_via_skew_element((3, 2, 1), 5, seed=0)
+    assert hecke_determinant((3, 2, 1), 5).det_class.contains(det)
 
 
 def test_trace_pairing():
@@ -161,7 +162,7 @@ def test_trace_pairing():
     assert verify_trace_pairing(3, 3)
     assert verify_trace_pairing(4, 5)
     assert verify_trace_pairing(4, 1)
-    assert verify_trace_pairing(5, 3, max_length_sum=6)
+    assert verify_trace_pairing(5, 3)
     with pytest.raises(ValueError):
         verify_trace_pairing(6, 3)
     with pytest.raises(ValueError):

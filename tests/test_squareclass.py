@@ -16,7 +16,6 @@ from orthdet.squareclass import (
     is_probable_prime,
     parity_of_integer,
     power_class,
-    squarefree_part,
 )
 
 nonzero_ints = st.integers(-(10**6), 10**6).filter(lambda a: a != 0)
@@ -118,8 +117,8 @@ def test_factorize_small():
 def test_factorize_beyond_trial_bound_uses_rho():
     p, q = 1000003, 1000033
     assert is_probable_prime(p) and is_probable_prime(q)
-    assert factorize(p * q, trial_bound=1000) == {p: 1, q: 1}
-    assert factorize(p * p * q, trial_bound=1000) == {p: 2, q: 1}
+    assert factorize(p * q) == {p: 1, q: 1}
+    assert factorize(p * p * q) == {p: 2, q: 1}
 
 
 def test_class_of_large_cyclotomic_value():
@@ -191,9 +190,29 @@ def test_factorize_agrees_with_sympy():
         assert is_probable_prime(n) == sympy.isprime(n), n
 
 
-def test_squarefree_part_helper():
-    assert squarefree_part(50) == 2
-    assert squarefree_part(-50) == 2
+def test_contains_is_a_perfect_square_test():
+    assert SquareClass(1, 39).contains(39 * 7**2)
+    assert SquareClass(-1, 6).contains(-24)
+    assert not SquareClass(1, 39).contains(-39)
+    assert not SquareClass(-1, 6).contains(24)
+    assert not SquareClass(1, 39).contains(13)
+    assert not ONE.contains(2)
+    # 3/4 = 3 * (1/2)^2 and 5/8 = 10 * (1/4)^2
+    assert SquareClass(1, 3).contains(Fraction(3, 4))
+    assert SquareClass(-1, 10).contains(Fraction(-5, 8))
+    assert not SquareClass(1, 5).contains(Fraction(5, 8))
+    with pytest.raises(ValueError):
+        ONE.contains(0)
+    with pytest.raises(ValueError):
+        ONE.contains(Fraction(0))
+
+
+@given(nonzero_ints, nonzero_ints)
+def test_contains_agrees_with_classification(a, b):
+    cls = class_of_integer(a)
+    assert cls.contains(a)
+    assert cls.contains(Fraction(a, b * b))
+    assert cls.contains(b) == (class_of_integer(b) == cls)
 
 
 def test_json_form():
