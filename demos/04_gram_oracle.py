@@ -1,12 +1,13 @@
 """The independent oracle: explicit matrices, invariant forms, skew elements.
 
-Builds the seminormal matrices for a shape (verifying the quadratic, braid
-and commutation relations on the spot), solves for the invariant symmetric
-bilinear form by exact elimination, and compares the Gram determinant class
-with the polynomial formula. A randomized skew element provides a second,
-fully different route to the same class. Each determinant is tested
-against the formula's class by one perfect-square test; the classes are
-printed by factoring. Exits 1 if any comparison fails.
+Builds the seminormal matrices for a shape as integer matrices under one
+common scale (verifying the quadratic, braid and commutation relations on
+the spot), solves for the invariant symmetric bilinear form by exact
+elimination, and compares the Gram determinant class with the polynomial
+formula. A randomized skew element provides a second, fully different
+route to the same class. Each determinant is tested against the formula's
+class by one perfect-square test; the classes are printed by factoring.
+Exits 1 if any comparison fails.
 """
 
 import sys
@@ -24,9 +25,10 @@ from orthdet import (
 
 shape, q = (2, 1), 3
 rep = build_seminormal(shape, q)
-print(f"seminormal generators for {shape} at q={q} (relations verified):")
+print(f"seminormal generators for {shape} at q={q} (relations verified),")
+print(f"stored as integer matrices scale * T_i with scale = {rep.scale}:")
 for i in range(1, rep.n):
-    print(f"  T_{i}:")
+    print(f"  {rep.scale} * T_{i}:")
     for row in word_image(rep, [i]):
         print("    [" + "  ".join(str(x) for x in row) + "]")
 

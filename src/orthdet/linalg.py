@@ -1,11 +1,12 @@
 """Exact linear algebra kernels: no floats anywhere.
 
-Dense matrices are tuples of rows (entries int or Fraction). A sparse
-matrix is stored as its columns: column c is the row-sorted tuple of its
-nonzero (row, value) entries. The one product multiplies a dense matrix by
-sparse columns. Determinants use fraction-free Bareiss elimination;
-homogeneous systems are reduced incrementally into an integer row-echelon
-structure whose rows are kept content-free to control entry growth.
+Dense matrices are tuples of rows of integers; only `rational_determinant`
+takes Fractions, clearing denominators row by row. A sparse matrix is stored
+as its columns: column c is the row-sorted tuple of its nonzero (row, value)
+entries. The one product multiplies a dense matrix by sparse columns.
+Determinants use fraction-free Bareiss elimination; homogeneous systems
+are reduced incrementally into an integer row-echelon structure whose rows
+are kept content-free to control entry growth.
 """
 
 from __future__ import annotations
@@ -15,24 +16,16 @@ from functools import reduce
 from math import gcd, lcm
 
 Matrix = tuple[tuple, ...]
-Columns = tuple[tuple[tuple[int, object], ...], ...]
+Columns = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Columns) -> Matrix:
     """The dense product of a dense matrix a and a matrix b given by its columns."""
     return tuple(tuple(sum(row[k] * v for k, v in col) for col in b) for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def bareiss_determinant(rows) -> int:

@@ -5,26 +5,27 @@ seminormal matrices for a shape at a numeric parameter q (q = 1 gives the
 symmetric group), solves for the invariant symmetric bilinear form by
 plain exact elimination, and returns the Gram determinant. A second,
 randomized route multiplies out basis-element images along reduced words
-and returns the determinant of a skew element. Both are returned as exact
-numbers and never factored here: whether one lies in the formula's square
+and returns the determinant of a skew element. Both are returned as
+integers and never factored here: whether one lies in the formula's square
 class is a perfect-square test (`SquareClass.contains`). Agreement of
 either route with the polynomial formula is the package's central
 cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
-partner, so it is stored as its sparse columns (see `linalg`) and checked
-against the quadratic, braid and commutation relations on every basis
-vector as it is built; a bad block formula can never propagate silently.
+partner, so it is stored as its sparse columns (see `linalg`), times one
+common scale that makes every entry an integer; all arithmetic here is on
+ints. Each is checked against the quadratic, braid and commutation
+relations on every basis vector as it is built; a bad block formula can
+never propagate silently.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
+from math import lcm
 
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, SkewElementSearchError
 from .intpoly import q_int
@@ -35,16 +36,13 @@ from .linalg import (
     bareiss_determinant,
     identity_matrix,
     mat_mul,
-    mat_sub,
-    mat_transpose,
-    rational_determinant,
 )
 from .tableaux import (
     TableauGraph, apply_simple_transposition, check_partition, enumerate_syt, syt_count
 )
 
-# Ceiling on the module dimension: the Gram solve takes about 14 s at dim 216
-# (dim(dim+1)/2 unknowns), so one shape stays near 20 s; admits all n <= 9.
+# Ceiling on the module dimension: the Gram solve (dim(dim+1)/2 unknowns) takes
+# about 7 s at dim 216, (4,3,1,1) at q = 3 on a 2-core VM; admits all n <= 9.
 MAX_DIM = 256
 
 # Random skew elements: how many to try, and the range of their coefficients.
@@ -71,13 +69,14 @@ def _perm_length(a: tuple[int, ...]) -> int:
 class SeminormalRep:
     """Generators of one irreducible module on the tableau basis.
 
-    Generator i is stored as its columns (see `linalg`): column b holds the
-    entries of T_i at tableau b and at its swap partner, if any;
-    `word_image(rep, [i])` is the dense matrix.
+    Generator i is stored as the integer columns (see `linalg`) of scale * T_i,
+    scale = lcm([k]_q^2 for 2 <= k <= n-1): column b holds the entries at
+    tableau b and at its swap partner, if any; `word_image(rep, [i])` is dense.
     """
 
     shape: tuple[int, ...]
     q: int
+    scale: int
     graph: TableauGraph
     generators: tuple[Columns, ...]
 
@@ -90,26 +89,16 @@ class SeminormalRep:
         return sum(self.shape)
 
 
-def _diag_coefficient(d: int, q: int) -> Fraction:
-    """Diagonal entry q^d / [d]_q (for d > 0) resp. -1/[|d|]_q (for d < 0).
-
-    These are the two roots' mixing weights: the pair at axial distance d
-    and -d sums to q - 1, as the quadratic relation demands; the same
-    formulas specialize to Young's seminormal form at q = 1.
-    """
-    if d > 0:
-        return Fraction(q**d, q_int(d)(q))
-    return Fraction(-1, q_int(-d)(q))
-
-
 def build_seminormal(shape, q: int) -> SeminormalRep:
     """Construct the generator matrices for a shape at integer q >= 1.
 
     Entry k and k+1 in the same row of a basis tableau give eigenvalue q,
     in the same column eigenvalue -1; otherwise the generator mixes the
     tableau with its swap partner through a 2x2 block of trace q - 1 and
-    determinant -q. The partner with positive axial distance carries
-    off-diagonal entry 1, the other the value completing the determinant.
+    determinant -q: at axial distance d > 0 the diagonal entry is q^d/[d]
+    and the off-diagonal entry 1; at -d it is -1/[d] and q[d-1][d+1]/[d]^2,
+    since [d]^2 - q^(d-1) = [d-1][d+1]. At q = 1 this is Young's
+    seminormal form. Entries are stored times `scale`, so all are integers.
     A module of dimension above MAX_DIM raises ResourceGuardError before
     any tableau is enumerated.
     """
@@ -121,28 +110,31 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
         raise ResourceGuardError(f"shape {shape}: {dim} tableaux > oracle limit {MAX_DIM}")
     graph = enumerate_syt(shape)
     n = sum(shape)
+    qint = {k: q_int(k)(q) for k in range(1, n + 1)}
+    scale = lcm(*(qint[k] ** 2 for k in range(2, n)))
     generators = []
     for i in range(1, n):
         columns = []
         for idx, t in enumerate(graph.nodes):
             (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
             if r1 == r2:
-                columns.append(((idx, Fraction(q)),))
+                columns.append(((idx, q * scale),))
                 continue
             if c1 == c2:
-                columns.append(((idx, Fraction(-1)),))
+                columns.append(((idx, -scale),))
                 continue
             partner = apply_simple_transposition(i, t)
             d = t.content(i + 1) - t.content(i)
-            if abs(d) < 2:
+            e = abs(d)
+            if e < 2:
                 raise InvariantViolation(
                     f"axial distance {d} in the mixing branch for {t!r}, s_{i}"
                 )
-            alpha = _diag_coefficient(d, q)
-            off = Fraction(1) if d > 0 else alpha * _diag_coefficient(-d, q) + q
+            alpha = scale * q**e // qint[e] if d > 0 else -scale // qint[e]
+            off = scale if d > 0 else scale * q * qint[e - 1] * qint[e + 1] // qint[e] ** 2
             columns.append(tuple(sorted(((idx, alpha), (graph.index(partner), off)))))
         generators.append(tuple(columns))
-    rep = SeminormalRep(shape=shape, q=q, graph=graph, generators=tuple(generators))
+    rep = SeminormalRep(shape=shape, q=q, scale=scale, graph=graph, generators=tuple(generators))
     verify_relations(rep)
     return rep
 
@@ -157,11 +149,14 @@ def _apply(columns: Columns, vec: dict, shift=0) -> dict:
 
 
 def verify_relations(rep: SeminormalRep) -> None:
-    """Quadratic, braid and commutation relations on every basis vector; raises on failure."""
-    q = rep.q
+    """Quadratic, braid and commutation relations on every basis vector; raises on failure.
+
+    For M = scale * T the quadratic one is (M + scale)(M - q scale) = 0; the rest are homogeneous.
+    """
+    q, s = rep.q, rep.scale
     basis = [{b: 1} for b in range(rep.dim)]
     for i, m in enumerate(rep.generators, start=1):
-        if any(_apply(m, _apply(m, e, 1), -q) for e in basis):
+        if any(_apply(m, _apply(m, e, s), -q * s) for e in basis):
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
     for i in range(len(rep.generators) - 1):
         a, b = rep.generators[i], rep.generators[i + 1]
@@ -180,7 +175,7 @@ def verify_relations(rep: SeminormalRep) -> None:
 
 
 def word_image(rep: SeminormalRep, word) -> Matrix:
-    """Dense product of generator matrices along a word, left to right."""
+    """Dense product of the stored generators along a word: scale^len(word) times its image."""
     image = identity_matrix(rep.dim)
     for k in word:
         if not 1 <= k <= rep.n - 1:
@@ -190,7 +185,7 @@ def word_image(rep: SeminormalRep, word) -> Matrix:
 
 
 def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Matrix]:
-    """Images of every basis element T_w, built along one reduced word each.
+    """Integer images scale^length(w) * T_w of every basis element, one reduced word each.
 
     Peeling a right descent writes T_w = T_w' * T_s with a shorter w', so
     images are filled in by increasing length with one matrix product per
@@ -228,6 +223,7 @@ class GramForm:
 def gram_form(rep: SeminormalRep) -> GramForm:
     """Solve transpose(T_i) X = X T_i for symmetric X by exact elimination.
 
+    The stored generators are scale * T_i, so the equations are integer.
     The solution space must be one-dimensional (the module is simple and
     self-dual); the returned matrix is the primitive integer representative.
     """
@@ -243,17 +239,14 @@ def gram_form(rep: SeminormalRep) -> GramForm:
             for b in range(a + 1, dim):
                 # (T^T X - X T)[a,b] = sum_c T[c,a] X[c,b] - sum_c X[a,c] T[c,b];
                 # the matrix is antisymmetric, so strict upper entries suffice.
-                row: dict[int, Fraction] = {}
+                row: dict[int, int] = {}
                 for c, val in columns[a]:
                     v = var_of[(c, b) if c <= b else (b, c)]
                     row[v] = row.get(v, 0) + val
                 for c, val in columns[b]:
                     v = var_of[(a, c) if a <= c else (c, a)]
                     row[v] = row.get(v, 0) - val
-                den = 1
-                for val in row.values():
-                    den = den * val.denominator // gcd(den, val.denominator)
-                solver.add_equation({v: int(val * den) for v, val in row.items()})
+                solver.add_equation(row)
 
     if solver.corank != 1:
         raise InvariantViolation(
@@ -269,7 +262,7 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     # X is symmetric, so transpose(T) X = X T says exactly that X T is symmetric.
     for i, m in enumerate(rep.generators, start=1):
         xt = mat_mul(matrix, m)
-        if xt != mat_transpose(xt):
+        if xt != tuple(zip(*xt)):
             raise InvariantViolation(
                 f"solved form is not invariant under s_{i} on {rep.shape} at q={rep.q}"
             )
@@ -295,14 +288,17 @@ def determinant_via_gram(shape, q: int) -> int:
     return form.determinant
 
 
-def determinant_via_skew_element(shape, q: int, seed: int = 0) -> Fraction:
+def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
     """Determinant of a random skew element; its class is the character's.
 
     A combination sum c_w (T_w - T_(w^-1)) over non-involutive basis
     elements is its own negative under the algebra involution, so the
     square class of its (generically nonzero) matrix determinant equals
-    the character's determinant class. Retries with fresh coefficients up
-    to the budget; reports failure rather than guessing.
+    the character's determinant class. Weighting T_w by scale^(top - l(w)),
+    top = n(n-1)/2, makes the element scale^top times the rational one, so
+    the determinant gains the square scale^(top * dim) (dim is even).
+    Retries with fresh coefficients up to the budget; reports failure
+    rather than guessing.
     """
     shape = check_partition(shape)
     rep = build_seminormal(shape, q)
@@ -311,26 +307,25 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> Fraction:
             f"shape {shape} has odd dimension {rep.dim}: class is not scale-invariant"
         )
     images = all_word_images(rep)
+    top = rep.n * (rep.n - 1) // 2
     pairs = sorted(
-        (w, _perm_inverse(w))
+        (w, _perm_inverse(w), rep.scale ** (top - _perm_length(w)))
         for w in images
         if w < _perm_inverse(w)
     )
-    differences = [mat_sub(images[w], images[winv]) for w, winv in pairs]
     rng = random.Random(seed)
     for _ in range(SKEW_ATTEMPTS):
-        total = [[Fraction(0)] * rep.dim for _ in range(rep.dim)]
-        for diff in differences:
+        total = [[0] * rep.dim for _ in range(rep.dim)]
+        for w, winv, weight in pairs:
             c = rng.randint(-SKEW_COEFF_BOUND, SKEW_COEFF_BOUND)
             if c == 0:
                 continue
-            for r in range(rep.dim):
-                row = diff[r]
-                trow = total[r]
-                for s in range(rep.dim):
-                    if row[s]:
-                        trow[s] += c * row[s]
-        det = rational_determinant(tuple(tuple(row) for row in total))
+            c *= weight
+            for trow, row, rowinv in zip(total, images[w], images[winv]):
+                for s, (x, y) in enumerate(zip(row, rowinv)):
+                    if x != y:
+                        trow[s] += c * (x - y)
+        det = bareiss_determinant(total)
         if det != 0:
             return det
     raise SkewElementSearchError(

@@ -150,6 +150,11 @@ GOLDEN_JSON = [
         "b462701bb44312cfe7583215ef84ef50f30657da54d5462c1ad2bc47812f2ddc",
         id="oracle-check",
     ),
+    pytest.param(
+        ["oracle-check", "--n-max", "5", "--q", "3,5", "--method", "skew", "--seed", "1"],
+        "c7d96884ebc639fd72e6b7ac54e9c92e188c6a04574889f385afcad33f3214fc",
+        id="oracle-check-skew",
+    ),
 ]
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from orthdet import oracle
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import hecke_determinant
+from orthdet.intpoly import q_int
 from orthdet.linalg import identity_matrix
 from orthdet.oracle import (
     all_word_images,
@@ -18,14 +20,44 @@ from orthdet.oracle import (
     word_image,
 )
 from orthdet.squareclass import ONE, SquareClass, class_of_integer
-from orthdet.tableaux import enumerate_partitions, syt_count
+from orthdet.tableaux import apply_simple_transposition, enumerate_partitions, syt_count
 
 
 def test_one_dimensional_reps():
     rep = build_seminormal((4,), 3)
-    assert all(word_image(rep, [i]) == ((Fraction(3),),) for i in range(1, rep.n))
+    assert all(word_image(rep, [i]) == ((3 * rep.scale,),) for i in range(1, rep.n))
     rep = build_seminormal((1, 1, 1, 1), 5)
-    assert all(word_image(rep, [i]) == ((Fraction(-1),),) for i in range(1, rep.n))
+    assert all(word_image(rep, [i]) == ((-rep.scale,),) for i in range(1, rep.n))
+
+
+def _seminormal_column(rep, i, idx):
+    """Column idx of T_i as exact Fractions, from the seminormal formulas."""
+    q, t = rep.q, rep.graph.nodes[idx]
+    (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
+    if r1 == r2:
+        return {idx: Fraction(q)}
+    if c1 == c2:
+        return {idx: Fraction(-1)}
+
+    def diag(d):
+        return Fraction(q**d, q_int(d)(q)) if d > 0 else Fraction(-1, q_int(-d)(q))
+
+    d = t.content(i + 1) - t.content(i)
+    off = Fraction(1) if d > 0 else diag(d) * diag(-d) + q
+    return {idx: diag(d), rep.graph.index(apply_simple_transposition(i, t)): off}
+
+
+def test_generators_are_scaled_integer_columns():
+    for n in range(1, 7):
+        for shape in enumerate_partitions(n):
+            for q in (1, 3, 5):
+                rep = build_seminormal(shape, q)
+                assert rep.scale == lcm(*(q_int(k)(q) ** 2 for k in range(2, n)))
+                for i, columns in enumerate(rep.generators, start=1):
+                    for idx, column in enumerate(columns):
+                        assert all(type(v) is int for _, v in column)
+                        expected = _seminormal_column(rep, i, idx)
+                        assert dict(column) == {r: rep.scale * v for r, v in expected.items()}
 
 
 def test_two_one_rep_satisfies_relations():
@@ -62,7 +94,7 @@ def test_generator_eigenvalue_multiplicities():
             rep = build_seminormal(shape, q)
             for i in range(1, rep.n):
                 m = word_image(rep, [i])
-                trace = sum(m[i][i] for i in range(rep.dim))
+                trace = Fraction(sum(m[i][i] for i in range(rep.dim)), rep.scale)
                 a = Fraction(trace + rep.dim, q + 1)
                 assert a.denominator == 1
                 assert 0 <= a <= rep.dim
@@ -148,6 +180,16 @@ def test_skew_element_multiple_seeds_agree():
     expected = hecke_determinant((2, 1, 1, 1), 5).det_class
     for seed in (0, 1, 2):
         assert expected.contains(determinant_via_skew_element((2, 1, 1, 1), 5, seed=seed))
+
+
+def test_skew_determinant_is_scale_power_times_rational_one():
+    # 975 and 6182720 are the seed-0 determinants of the unscaled skew elements.
+    for shape, q, unscaled in [((2, 2), 3, 975), ((3, 1, 1), 1, 6182720)]:
+        rep = build_seminormal(shape, q)
+        top = rep.n * (rep.n - 1) // 2
+        det = determinant_via_skew_element(shape, q, seed=0)
+        assert type(det) is int
+        assert det == unscaled * rep.scale ** (top * rep.dim)
 
 
 def test_skew_determinant_is_compared_without_factoring():
