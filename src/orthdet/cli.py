@@ -78,13 +78,12 @@ def _class_text(cls) -> str:
 def _cmd_det_unipotent(args) -> int:
     result = gl.unipotent_determinant(_parse_shape(args.shape), args.q)
     payload = result.to_json()
-    symbolic = result.symbolic_factors()
-    payload["symbolic"] = symbolic.factors_json()
+    payload["symbolic"] = result.symbolic.factors_json()
     lines = [
         f"unipotent character of GL_{sum(result.shapes[0])}({args.q}), shape {result.shapes[0]}",
         f"degree   {result.degree}",
         f"factors  {result.f_factored!r} * q^{result.q_exponent}",
-        f"symbolic {symbolic!r}",
+        f"symbolic {result.symbolic!r}",
         f"class    {_class_text(result.det_class)}",
     ]
     lines += [f"  {label:11s} {_class_text(c)}" for label, c in result.breakdown]

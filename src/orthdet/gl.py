@@ -18,13 +18,13 @@ cyclotomic fields; their determinants are out of scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial, prod
 
-from . import squareclass
 from .errors import InvariantViolation, NotIrrPlusError
 from .hecke import QIntProduct, det_poly_factored
 from .intpoly import gaussian_binomial
-from .squareclass import SquareClass, factorize, power_class
+from .squareclass import SquareClass, factorize
 from .tableaux import check_partition, hook_lengths, syt_count
 
 
@@ -37,6 +37,8 @@ class PrimePower:
     q: int
 
 
+# Cached, so that a sweep factors each q once although every row validates it.
+@lru_cache(maxsize=None)
 def as_odd_prime_power(q: int | PrimePower) -> PrimePower:
     """Validate and decompose q as a power of an odd prime."""
     if isinstance(q, PrimePower):
@@ -78,15 +80,15 @@ def unipotent_degree(shape, q: int | PrimePower) -> int:
 @lru_cache(maxsize=None)
 def _unipotent_degree(shape: tuple[int, ...], q: int) -> int:
     n = sum(shape)
-    numerator = q ** diagram_weight(shape)
-    for i in range(1, n + 1):
-        numerator *= q**i - 1
-    denominator = 1
-    for h in hook_lengths(shape).values():
-        denominator *= q**h - 1
-    value, rem = divmod(numerator, denominator)
+    hooks = hook_lengths(shape).values()
+    numerator = q ** diagram_weight(shape) * prod(q**i - 1 for i in range(1, n + 1))
+    value, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
     if rem:
         raise InvariantViolation(f"q-hook degree of {shape} at q={q} is not an integer")
+    # The degree is the tableau count mod q - 1 (see unipotent_q_exponent), so
+    # at odd q both have the same parity; the odd-degree tests rest on it.
+    if q % 2 and (value - factorial(n) // prod(hooks)) % 2:
+        raise InvariantViolation(f"degree of {shape} at q={q} and its tableau count differ mod 2")
     return value
 
 
@@ -110,27 +112,29 @@ def unipotent_q_exponent(shape, q: int | PrimePower) -> int:
 
 @dataclass(frozen=True)
 class GlDetResult:
-    """Determinant class of a GL character with its multiplicative breakdown."""
+    """Determinant class of a GL character with its multiplicative breakdown.
+
+    The value at q of the squarefree product `symbolic` lies in the class.
+    `det_class`, and `breakdown` from the labelled factors `parts`, are
+    classified (factored) on first access only.
+    """
 
     kind: str
     shapes: tuple[tuple[int, ...], ...]
     q: PrimePower
     degree: int
-    det_class: SquareClass
-    breakdown: tuple[tuple[str, SquareClass], ...]
+    symbolic: QIntProduct
+    parts: tuple[tuple[str, QIntProduct], ...]
     f_factored: QIntProduct | None = None
     q_exponent: int | None = None
 
-    def symbolic_factors(self) -> QIntProduct | None:
-        """The determinant class as a squarefree product of symbolic factors.
+    @cached_property
+    def det_class(self) -> SquareClass:
+        return self.symbolic.square_class(self.q.q)
 
-        Only for unipotent results: the determinant polynomial reduced mod
-        squares, with the q-power exponent folded into the x-power.
-        """
-        if self.f_factored is None or self.q_exponent is None:
-            return None
-        reduced = self.f_factored.reduced()
-        return QIntProduct((reduced.x_exp + self.q_exponent) % 2, reduced.qint_mults)
+    @cached_property
+    def breakdown(self) -> tuple[tuple[str, SquareClass], ...]:
+        return tuple((label, part.square_class(self.q.q)) for label, part in self.parts)
 
     def to_json(self) -> dict:
         data = {
@@ -160,16 +164,15 @@ def unipotent_determinant(shape, q: int | PrimePower) -> GlDetResult:
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
     factored = det_poly_factored(shape)
-    f_class = factored.square_class(pp.q)
     exponent = unipotent_q_exponent(shape, pp)
-    q_class = power_class(pp.q, exponent)
+    reduced = factored.reduced()
     return GlDetResult(
         kind="unipotent",
         shapes=(shape,),
         q=pp,
         degree=degree,
-        det_class=f_class * q_class,
-        breakdown=(("hecke", f_class), ("q-power", q_class)),
+        symbolic=QIntProduct((reduced.x_exp + exponent) % 2, reduced.qint_mults),
+        parts=(("hecke", factored), ("q-power", QIntProduct(exponent, ()))),
         f_factored=factored,
         q_exponent=exponent,
     )
@@ -187,8 +190,8 @@ def sign_pair_determinant(lam, mu, q: int | PrimePower) -> GlDetResult:
     lam = check_partition(lam)
     mu = check_partition(mu)
     pp = as_odd_prime_power(q)
-    ell, m = sum(lam), sum(mu)
-    n = ell + m
+    ell = sum(lam)
+    n = ell + sum(mu)
     if n < 1:
         raise ValueError("at least one of the two partitions must be non-empty")
     deg_lam = unipotent_degree(lam, pp)
@@ -198,35 +201,22 @@ def sign_pair_determinant(lam, mu, q: int | PrimePower) -> GlDetResult:
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
 
+    one = QIntProduct.one()
     if index % 2 == 0:
-        det = squareclass.ONE
-        return GlDetResult(
-            kind="sign-pair",
-            shapes=(lam, mu),
-            q=pp,
-            degree=degree,
-            det_class=det,
-            breakdown=(("induction", det),),
-        )
-
-    # Odd induction index: the class is that of the outer product. The
-    # component of even degree must exist, else the total degree were odd.
-    if deg_lam % 2 == 0:
-        inner, outer_degree = unipotent_determinant(lam, pp), deg_mu
-    elif deg_mu % 2 == 0:
-        inner, outer_degree = unipotent_determinant(mu, pp), deg_lam
+        symbolic, parts = one, (("induction", one),)
     else:
-        raise InvariantViolation(
-            f"odd index with two odd-degree components for ({lam}, {mu}) at q={pp.q}"
-        )
-    det = inner.det_class**outer_degree
-    breakdown = (("induction", squareclass.ONE), ("outer-product", det))
+        # Odd induction index: the class is that of the outer product. The
+        # component of even degree must exist, else the total degree were odd.
+        if deg_lam % 2 == 0:
+            inner, outer_degree = unipotent_determinant(lam, pp), deg_mu
+        elif deg_mu % 2 == 0:
+            inner, outer_degree = unipotent_determinant(mu, pp), deg_lam
+        else:
+            raise InvariantViolation(
+                f"odd index with two odd-degree components for ({lam}, {mu}) at q={pp.q}"
+            )
+        symbolic = inner.symbolic if outer_degree % 2 else one
+        parts = (("induction", one), ("outer-product", symbolic))
     return GlDetResult(
-        kind="sign-pair",
-        shapes=(lam, mu),
-        q=pp,
-        degree=degree,
-        det_class=det,
-        breakdown=breakdown,
+        kind="sign-pair", shapes=(lam, mu), q=pp, degree=degree, symbolic=symbolic, parts=parts
     )
-

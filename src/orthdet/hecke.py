@@ -23,7 +23,7 @@ values instead of factoring one enormous integer, and parities come from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 from . import squareclass
@@ -301,13 +301,24 @@ def _det_poly_factored(shape: tuple[int, ...]) -> QIntProduct:
 
 @dataclass(frozen=True)
 class HeckeDetResult:
-    """Orthogonal determinant data of one even-degree character."""
+    """Orthogonal determinant data of one even-degree character.
+
+    `det_class` classifies the determinant polynomial at q on first access.
+    """
 
     shape: tuple[int, ...]
     q: int
     degree: int
     f_factored: QIntProduct
-    det_class: SquareClass
+
+    @property
+    def symbolic(self) -> QIntProduct:
+        """A product whose value at q lies in the class, as in `gl` results."""
+        return self.f_factored
+
+    @cached_property
+    def det_class(self) -> SquareClass:
+        return self.f_factored.square_class(self.q)
 
     def to_json(self) -> dict:
         return {
@@ -335,11 +346,4 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
         raise NotIrrPlusError(
             f"shape {shape} has degree {degree} (odd): determinant class undefined"
         )
-    factored = det_poly_factored(shape)
-    return HeckeDetResult(
-        shape=shape,
-        q=q,
-        degree=degree,
-        f_factored=factored,
-        det_class=factored.square_class(q),
-    )
+    return HeckeDetResult(shape=shape, q=q, degree=degree, f_factored=det_poly_factored(shape))

@@ -7,9 +7,11 @@ significant and has to be diagnosable.
 
 Every family is one entry of a module-level table: the smallest allowed
 n_max, whether the q values must be odd prime powers (the symmetric family
-runs at the fixed q = 1), a task builder and a worker. A single sweep
-routine validates the scope, maps the worker over the tasks (through a
-process pool when jobs > 1) and assembles the report.
+runs at the fixed q = 1), a task builder and its public determinant
+function. A single sweep routine validates the scope, maps one worker over
+the tasks (through a process pool when jobs > 1) and assembles the report.
+Rows keep symbolic determinants: parity is read off their factors, and only
+printed rows are classified, which is what needs factorization.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
@@ -22,11 +24,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import InvariantViolation, NotIrrPlusError
-from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_degree, unipotent_determinant
-from .hecke import det_poly_factored
+from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
+from .hecke import QIntProduct, det_poly_factored, hecke_determinant
 from .squareclass import Parity, SquareClass, parity_of_integer
 from .tableaux import check_partition, enumerate_partitions, even_degree_shapes, syt_count
 
@@ -61,15 +63,28 @@ def parity_bridge_check(shape, q: int) -> bool:
 
 @dataclass(frozen=True)
 class ParityWitness:
-    """One checked character: shapes, parameter, class and its parity."""
+    """One checked character: shapes, parameter and a symbolic determinant.
+
+    The parity is read off the factors of `symbolic`; the class is computed
+    on first access only, and must have that parity.
+    """
 
     shapes: tuple[tuple[int, ...], ...]
     q: int
-    det_class: SquareClass
+    symbolic: QIntProduct
 
     @property
     def parity(self) -> Parity:
-        return self.det_class.parity
+        return self.symbolic.parity_at(self.q)
+
+    @cached_property
+    def det_class(self) -> SquareClass:
+        det_class = self.symbolic.square_class(self.q)
+        if det_class.parity is not self.parity:
+            raise InvariantViolation(
+                f"parity of {det_class} for {self.shapes} at q={self.q} contradicts its factors"
+            )
+        return det_class
 
     def to_json(self) -> dict:
         return {
@@ -110,47 +125,30 @@ def _shapes_of(n: int) -> list[tuple[int, ...]]:
     return [()] if n == 0 else enumerate_partitions(n)
 
 
-def _all_shapes(n_max: int) -> list[tuple[int, ...]]:
-    return [shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
+def _all_shapes(n_max: int) -> list[tuple]:
+    return [((shape,),) for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
 
 
-def _sign_pair_tasks(n_max: int) -> list[tuple[tuple[int, ...], int]]:
+def _even_degree_shapes(n_max: int) -> list[tuple]:
+    return [((shape,),) for shape in even_degree_shapes(n_max)]
+
+
+def _sign_pair_tasks(n_max: int) -> list[tuple]:
     return [
-        (lam, n) for n in range(1, n_max + 1) for ell in range(n + 1) for lam in _shapes_of(ell)
+        tuple((lam, mu) for mu in _shapes_of(n - ell))
+        for n in range(1, n_max + 1) for ell in range(n + 1) for lam in _shapes_of(ell)
     ]
 
 
-def _check_unipotent_shape(q_values, shape) -> list[ParityWitness]:
-    count = syt_count(shape)
+def _check(determinant, q_values, task) -> list[ParityWitness]:
     rows = []
-    for q in q_values:
-        degree = unipotent_degree(shape, q)
-        if degree % 2 != count % 2:
-            raise InvariantViolation(
-                f"degree parity {degree % 2} disagrees with tableau-count parity "
-                f"{count % 2} for {shape} at q={q}"
-            )
-        if degree % 2:
-            continue
-        rows.append(ParityWitness((shape,), q, unipotent_determinant(shape, q).det_class))
-    return rows
-
-
-def _check_symmetric_shape(q_values, shape) -> list[ParityWitness]:
-    factored = det_poly_factored(shape)
-    return [ParityWitness((shape,), q, factored.square_class(q)) for q in q_values]
-
-
-def _check_sign_pairs(q_values, task) -> list[ParityWitness]:
-    lam, n = task
-    rows = []
-    for mu in _shapes_of(n - sum(lam)):
+    for shapes in task:
         for q in q_values:
             try:
-                result = sign_pair_determinant(lam, mu, q)
+                result = determinant(*shapes, q)
             except NotIrrPlusError:
                 continue
-            rows.append(ParityWitness((lam, mu), q, result.det_class))
+            rows.append(ParityWitness(shapes, q, result.symbolic))
     return rows
 
 
@@ -159,19 +157,19 @@ class _Family:
     min_n_max: int
     odd_prime_power_q: bool
     tasks: Callable[[int], list]
-    worker: Callable[[tuple[int, ...], object], list[ParityWitness]]
+    determinant: str
 
 
-# Keyed by report name. `tasks(n_max)` lists the pool items, one per shape
-# (unipotent, symmetric) or per first shape lam (sign pairs): that
-# granularity is what makes the process pool pay off. `worker(q_values,
-# task)` is module-level so that the pool can pickle it. The unipotent
-# tasks include odd-degree shapes, on which the worker checks that degree
-# parity and tableau-count parity agree.
+# Keyed by report name. `tasks(n_max)` lists the pool items, tuples of shape
+# tuples: one shape (unipotent, symmetric) or every (lam, mu) of one lam and
+# n (sign pairs); that granularity is what makes the process pool pay off.
+# `determinant` names the public function `_check` calls on each of them. It
+# is looked up in this module at every sweep, not stored, so that a tracer
+# rebinding module attributes sees the calls.
 _FAMILIES = {
-    "unipotent": _Family(2, True, _all_shapes, _check_unipotent_shape),
-    "symmetric": _Family(2, False, even_degree_shapes, _check_symmetric_shape),
-    "sign-pair": _Family(1, True, _sign_pair_tasks, _check_sign_pairs),
+    "unipotent": _Family(2, True, _all_shapes, "unipotent_determinant"),
+    "symmetric": _Family(2, False, _even_degree_shapes, "hecke_determinant"),
+    "sign-pair": _Family(1, True, _sign_pair_tasks, "sign_pair_determinant"),
 }
 
 
@@ -186,7 +184,7 @@ def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
         for q in q_values:
             as_odd_prime_power(q)
     tasks = family.tasks(n_max)
-    work = partial(family.worker, q_values)
+    work = partial(_check, globals()[family.determinant], q_values)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(work, tasks))

@@ -19,8 +19,8 @@ from .errors import InvariantViolation, ResourceGuardError
 # Ceiling on the tableaux of one graph, built for `syt`, `tableau_word`, the
 # oracle and the reference `hecke.tableau_polynomials` (det_poly_factored
 # walks the Young lattice instead and has its own guard). The graph plus its
-# tableau polynomials cost about 3.5 KB and 0.2 ms per tableau, so one shape
-# stays near 350 MB and 20 s; admits n <= 14.
+# tableau polynomials cost about 2.6 KB and 0.16 ms per tableau (n = 14, 2-core
+# VM), so one shape stays near 260 MB and 16 s; admits n <= 14.
 MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]
@@ -144,7 +144,8 @@ def apply_simple_transposition(k: int, t: StandardTableau) -> StandardTableau | 
     """Swap entries k and k+1; None when the result would not be standard.
 
     The swap breaks standardness exactly when k and k+1 share a row or a
-    column (where they are necessarily adjacent).
+    column (where they are necessarily adjacent); otherwise no entry lies
+    between them, so the result is standard and is built without revalidating.
     """
     n = t.n
     if not 1 <= k <= n - 1:
@@ -154,7 +155,12 @@ def apply_simple_transposition(k: int, t: StandardTableau) -> StandardTableau | 
         return None
     rows = [list(row) for row in t.rows]
     rows[i1 - 1][j1 - 1], rows[i2 - 1][j2 - 1] = k + 1, k
-    return StandardTableau(tuple(tuple(row) for row in rows))
+    positions = dict(t._positions)
+    positions[k], positions[k + 1] = (i2, j2), (i1, j1)
+    u = object.__new__(StandardTableau)
+    object.__setattr__(u, "rows", tuple(tuple(row) for row in rows))
+    object.__setattr__(u, "_positions", positions)
+    return u
 
 
 @dataclass(frozen=True)

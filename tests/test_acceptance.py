@@ -84,7 +84,7 @@ def test_criterion_1_worked_example_reproduction():
         assert det_poly_factored((3, 1, 1)).reduced() == QIntProduct(0, ((5, 1),))
         for q in (3, 5, 7):
             gl_result = unipotent_determinant((3, 1, 1), q)
-            assert gl_result.symbolic_factors() == QIntProduct(0, ((5, 1),))
+            assert gl_result.symbolic == QIntProduct(0, ((5, 1),))
             expected = _naive_squarefree_part((q**5 - 1) // (q - 1))
             assert hecke_determinant((3, 1, 1), q).det_class == SquareClass(1, expected)
             assert gl_result.det_class == SquareClass(1, expected)

@@ -1,6 +1,6 @@
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from orthdet import cli, oracle, parker
+from orthdet import cli, gl, oracle, parker
 from orthdet.cli import main
 from orthdet.hecke import QIntProduct
-from orthdet.squareclass import SquareClass
+from orthdet.squareclass import Parity, SquareClass
 
 
 def run(capsys, *argv):
@@ -110,6 +110,25 @@ def test_verify_parker_families(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_parker_checks_classes_against_parities(capsys, monkeypatch):
+    monkeypatch.setattr(QIntProduct, "parity_at", lambda self, q: Parity.EVEN)
+    code, out, err = run(capsys, "verify-parker", "--n-max", "4", "--q", "3", "--jobs", "1",
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation:") and "contradicts its factors" in err
+
+
+def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
+    # Half of n! makes the tableau count of (2,1) 1, against the even degree 12.
+    monkeypatch.setattr(gl, "factorial", lambda n: math.factorial(n) // 2)
+    gl._unipotent_degree.cache_clear()
+    code, out, err = run(capsys, "det-unipotent", "--shape", "2,1", "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation:") and "differ mod 2" in err
+
+
 def test_verify_parker_rejects_negative_counts(capsys):
     for flag in ("--jobs", "--witness-limit"):
         code, out, err = run(capsys, "verify-parker", "--n-max", "4", "--q", "3", flag, "-1")
@@ -126,8 +145,8 @@ def test_verify_parker_symmetric_rejects_q(capsys):
     assert "--q" in err
 
 
-# sha256 of the --format json stdout; the sign-pair witness limit is high
-# enough that every checked class is listed.
+# sha256 of the --format json stdout; where the witness limit is 100000,
+# every checked class is listed.
 GOLDEN_JSON = [
     pytest.param(
         ["verify-parker", "--family", "symmetric", "--n-max", "8"],
@@ -144,6 +163,22 @@ GOLDEN_JSON = [
          "--witness-limit", "100000"],
         "e0849dd283c7b6478ed5e1c76762bdef4651c92d9fe6fac659e6da674e3255fb",
         id="sgnpair",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "unipotent", "--n-max", "8", "--q", "3,5,9",
+         "--witness-limit", "100000"],
+        "01dd0c06154f8bad3980a5e0e0bf66f2bf1d0a4fe3ff2e3c1fc9c349dbcabe02",
+        id="unipotent-every-class",
+    ),
+    pytest.param(
+        ["det-unipotent", "--shape", "2,1", "--q", "3"],
+        "880054874724a616b3718b2a2fc2cd412a7d3f99b6a2068d9b9a3a4411bba8e4",
+        id="det-unipotent-odd-q-exponent",
+    ),
+    pytest.param(
+        ["det-sgnpair", "--lambda", "2", "--mu", "2,2", "--q", "3"],
+        "760beee3c213a6b95bbbeee895d2ec80f1facbc871a8c038d9436600ab49e0db",
+        id="det-sgnpair-outer-product",
     ),
     pytest.param(
         ["oracle-check", "--n-max", "5", "--q", "1,3"],
@@ -209,13 +244,12 @@ def test_oracle_check_resource_guard(capsys, monkeypatch):
     assert "limit" in err
 
 
-def _die(q_values, task):
+def _die(shape, q):
     os._exit(1)
 
 
 def test_dead_sweep_worker_exits_3(capsys, monkeypatch):
-    family = dataclasses.replace(parker._FAMILIES["symmetric"], worker=_die)
-    monkeypatch.setitem(parker._FAMILIES, "symmetric", family)
+    monkeypatch.setattr(parker, "hecke_determinant", _die)
     code, out, err = run(capsys, "verify-parker", "--family", "symmetric", "--n-max", "4",
                          "--jobs", "2")
     assert code == 3

@@ -99,7 +99,7 @@ def test_unipotent_determinant_paper_case():
         result = unipotent_determinant((3, 1, 1), q)
         assert result.q_exponent % 2 == 0
         assert result.det_class == class_of_integer(q_int(5)(q))
-        assert result.symbolic_factors().expand() == q_int(5)
+        assert result.symbolic.expand() == q_int(5)
     assert unipotent_determinant((3, 1, 1), 3).det_class == ONE  # 121 = 11^2
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from orthdet.hecke import det_poly_factored
+from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
     lemma_parity_check,
@@ -76,6 +76,13 @@ def test_unipotent_sweep_small():
     assert by_shape[(3, 1, 1)].parity is Parity.ODD
 
 
+def test_unipotent_sweep_at_a_large_q():
+    # Classes here would need [k]_q factored near 10^66; parities need no factoring.
+    report = verify_parker_unipotent(12, [1000003])
+    assert report.ok
+    assert report.checked == 162
+
+
 def test_unipotent_sweep_vacuous():
     report = verify_parker_unipotent(2, [3])
     assert report.checked == 0
@@ -127,6 +134,25 @@ def test_sweep_rejects_small_n_max(sweep, min_n_max):
     with pytest.raises(ValueError):
         sweep(min_n_max - 1, [3])
     assert sweep(min_n_max, [3]).ok
+
+
+@pytest.mark.parametrize("limit", [0, 3])
+@pytest.mark.parametrize("sweep, min_n_max", SWEEPS)
+def test_sweep_classifies_only_printed_rows(monkeypatch, sweep, min_n_max, limit):
+    square_class = QIntProduct.square_class
+    calls = []
+
+    def counting_square_class(self, q):
+        calls.append(q)
+        return square_class(self, q)
+
+    monkeypatch.setattr(QIntProduct, "square_class", counting_square_class)
+    report = sweep(6, [3], witness_limit=limit)
+    assert report.ok and report.checked > limit
+    assert calls == []
+    report.to_json()
+    report.to_json()
+    assert len(calls) == limit
 
 
 @pytest.mark.parametrize("q", [4, 15])

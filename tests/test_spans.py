@@ -1,20 +1,28 @@
 """The benchmark tracer in orthbench/spans.py wraps orthdet functions by name.
 
-Renaming a traced function would only break the traced benchmark run; this
-test makes it fail here instead.
+Renaming a traced function, or calling it through a reference the tracer
+cannot rebind, would only break the traced benchmark run; these tests make
+it fail here instead.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from orthdet import parker
+
 SPANS = Path(__file__).resolve().parents[1] / "orthbench" / "spans.py"
 
 
-def test_every_traced_target_resolves():
+def _spans():
     spec = importlib.util.spec_from_file_location("orthbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_target_resolves():
+    spans = _spans()
     missing = []
     for name, module_name, path, _ in spans.TARGETS:
         owner = importlib.import_module(f"orthdet.{module_name}")
@@ -23,3 +31,17 @@ def test_every_traced_target_resolves():
         if not callable(owner):
             missing.append(name)
     assert spans.TARGETS and missing == []
+
+
+def test_sweeps_show_their_determinant_functions():
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        parker.verify_parker_unipotent(4, [3])
+        parker.verify_parker_symmetric(4)
+        parker.verify_parker_sign_pairs(3, [3])
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"gl.unipotent_determinant", "gl.sign_pair_determinant",
+            "hecke.hecke_determinant"} <= names

@@ -131,6 +131,19 @@ def test_s1_is_never_standard(shape):
             assert apply_simple_transposition(1, t) is None
 
 
+def test_swaps_equal_validated_tableaux():
+    # Swaps skip validation; rebuilding each one through the validating
+    # constructor must give the same rows and positions.
+    for n in range(1, 8):
+        for shape in enumerate_partitions(n):
+            for t in enumerate_syt(shape).nodes:
+                for k in range(1, n):
+                    u = apply_simple_transposition(k, t)
+                    if u is not None:
+                        v = StandardTableau(u.rows)
+                        assert u.rows == v.rows and u._positions == v._positions
+
+
 @given(shapes())
 def test_transposition_is_involution_where_defined(shape):
     for t in enumerate_syt(shape).nodes:
