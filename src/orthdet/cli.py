@@ -159,6 +159,8 @@ def _cmd_oracle_check(args) -> int:
     if args.n_max < 2:
         raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
     q_values = _parse_int_list(args.q)
+    if len(set(q_values)) != len(q_values):
+        raise ValueError(f"q values must be distinct, got {list(q_values)}")
     for q in q_values:
         if q < 1:
             raise ValueError(f"oracle q values must be >= 1, got {q}")

@@ -5,7 +5,8 @@ Two families are covered exactly:
 * unipotent characters, indexed by partitions of n: the determinant class
   is the shape's determinant polynomial at q times a power of q whose
   exponent comes from the part of the Borel restriction on which the
-  unipotent radical acts without fixed vectors;
+  unipotent radical acts without fixed vectors. Degree, tableau count and
+  exponent come in one pass from the shape's cached hook record;
 * characters whose diagonal-torus constituents are order-2 linear
   characters ("sign pairs"): parabolic induction of an outer product of a
   unipotent character with a sign-twisted one, resolved by the parity of
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import prod
 
 from .errors import InvariantViolation, NotIrrPlusError
 from .hecke import QIntProduct, det_poly_factored
 from .intpoly import gaussian_binomial
 from .squareclass import SquareClass, factorize
-from .tableaux import check_partition, hook_lengths, syt_count
+from .tableaux import check_partition, hook_record
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,8 @@ class PrimePower:
 
 # Cached, so that a sweep factors each q once although every row validates it.
 @lru_cache(maxsize=None)
-def as_odd_prime_power(q: int | PrimePower) -> PrimePower:
+def as_odd_prime_power(q: int) -> PrimePower:
     """Validate and decompose q as a power of an odd prime."""
-    if isinstance(q, PrimePower):
-        return q
     if q < 3:
         raise ValueError(f"q must be at least 3, got {q}")
     if q % 2 == 0:
@@ -60,54 +59,43 @@ def diagram_weight(shape) -> int:
     return sum(i * part for i, part in enumerate(shape))
 
 
-def unipotent_degree(shape, q: int | PrimePower) -> int:
+def unipotent_degree(shape, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) attached to a shape.
 
     q-hook formula: q^weight * prod_{i=1..n} (q^i - 1) / prod_cells (q^hook - 1),
-    evaluated exactly; any inexact division would falsify the formula and
-    aborts. Valid for any integer q >= 2 (primality is not needed for the
-    arithmetic).
+    evaluated exactly with the q-power exponent; an inexact division or a
+    failed exponent check falsifies a theorem and aborts. Valid for any
+    integer q >= 2 (primality is not needed for the arithmetic).
     """
-    shape = check_partition(shape)
-    q = q.q if isinstance(q, PrimePower) else q
-    if q < 2:
-        raise ValueError(f"degree formula needs q >= 2, got {q}")
-    return _unipotent_degree(shape, q)
+    return _degree_and_exponent(check_partition(shape), q)[0]
 
 
-# Sweeps ask for the same (shape, q) degree many times: sign pairs reuse
-# every component shape across all their partners.
-@lru_cache(maxsize=None)
-def _unipotent_degree(shape: tuple[int, ...], q: int) -> int:
-    n = sum(shape)
-    hooks = hook_lengths(shape).values()
-    numerator = q ** diagram_weight(shape) * prod(q**i - 1 for i in range(1, n + 1))
-    value, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
-    if rem:
-        raise InvariantViolation(f"q-hook degree of {shape} at q={q} is not an integer")
-    # The degree is the tableau count mod q - 1 (see unipotent_q_exponent), so
-    # at odd q both have the same parity; the odd-degree tests rest on it.
-    if q % 2 and (value - factorial(n) // prod(hooks)) % 2:
-        raise InvariantViolation(f"degree of {shape} at q={q} and its tableau count differ mod 2")
-    return value
-
-
-def unipotent_q_exponent(shape, q: int | PrimePower) -> int:
+def unipotent_q_exponent(shape, q: int) -> int:
     """(degree - tableau count) / (q - 1), the exponent of the q-power factor.
 
     Divisibility is a theorem (the non-torus part of the Borel restriction
     has degree divisible by q - 1); failure aborts loudly.
     """
-    shape = check_partition(shape)
-    q = q.q if isinstance(q, PrimePower) else q
-    exponent, rem = divmod(unipotent_degree(shape, q) - syt_count(shape), q - 1)
+    return _degree_and_exponent(check_partition(shape), q)[1]
+
+
+def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
+    """Unipotent degree and q-power exponent of a validated shape, from its hook record."""
+    if q < 2:
+        raise ValueError(f"degree formula needs q >= 2, got {q}")
+    hooks, count = hook_record(shape)
+    numerator = q ** diagram_weight(shape) * prod(q**i - 1 for i in range(1, sum(shape) + 1))
+    degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
     if rem:
-        raise InvariantViolation(
-            f"q-1 does not divide degree - tableau count for {shape} at q={q}"
-        )
+        raise InvariantViolation(f"q-hook degree of {shape} at q={q} is not an integer")
+    # At odd q, q - 1 is even, so this check also makes the degree and the
+    # tableau count agree mod 2; the odd-degree tests rest on it.
+    exponent, rem = divmod(degree - count, q - 1)
+    if rem:
+        raise InvariantViolation(f"q-1 does not divide degree - tableau count for {shape} at q={q}")
     if exponent < 0:
         raise InvariantViolation(f"negative q-power exponent for {shape} at q={q}")
-    return exponent
+    return degree, exponent
 
 
 @dataclass(frozen=True)
@@ -156,15 +144,14 @@ class GlDetResult:
         return data
 
 
-def unipotent_determinant(shape, q: int | PrimePower) -> GlDetResult:
+def unipotent_determinant(shape, q: int) -> GlDetResult:
     """Determinant class of an even-degree unipotent character."""
     shape = check_partition(shape)
     pp = as_odd_prime_power(q)
-    degree = unipotent_degree(shape, pp)
+    degree, exponent = _degree_and_exponent(shape, q)
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
     factored = det_poly_factored(shape)
-    exponent = unipotent_q_exponent(shape, pp)
     reduced = factored.reduced()
     return GlDetResult(
         kind="unipotent",
@@ -178,7 +165,7 @@ def unipotent_determinant(shape, q: int | PrimePower) -> GlDetResult:
     )
 
 
-def sign_pair_determinant(lam, mu, q: int | PrimePower) -> GlDetResult:
+def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     """Determinant class of the induced sign-pair character for (lam, mu).
 
     The parabolic induction index is the Gaussian binomial [n choose l]_q:
@@ -194,9 +181,9 @@ def sign_pair_determinant(lam, mu, q: int | PrimePower) -> GlDetResult:
     n = ell + sum(mu)
     if n < 1:
         raise ValueError("at least one of the two partitions must be non-empty")
-    deg_lam = unipotent_degree(lam, pp)
-    deg_mu = unipotent_degree(mu, pp)
-    index = gaussian_binomial(n, ell, pp.q)
+    deg_lam = _degree_and_exponent(lam, q)[0]
+    deg_mu = _degree_and_exponent(mu, q)[0]
+    index = gaussian_binomial(n, ell, q)
     degree = index * deg_lam * deg_mu
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
@@ -208,12 +195,12 @@ def sign_pair_determinant(lam, mu, q: int | PrimePower) -> GlDetResult:
         # Odd induction index: the class is that of the outer product. The
         # component of even degree must exist, else the total degree were odd.
         if deg_lam % 2 == 0:
-            inner, outer_degree = unipotent_determinant(lam, pp), deg_mu
+            inner, outer_degree = unipotent_determinant(lam, q), deg_mu
         elif deg_mu % 2 == 0:
-            inner, outer_degree = unipotent_determinant(mu, pp), deg_lam
+            inner, outer_degree = unipotent_determinant(mu, q), deg_lam
         else:
             raise InvariantViolation(
-                f"odd index with two odd-degree components for ({lam}, {mu}) at q={pp.q}"
+                f"odd index with two odd-degree components for ({lam}, {mu}) at q={q}"
             )
         symbolic = inner.symbolic if outer_degree % 2 else one
         parts = (("induction", one), ("outer-product", symbolic))

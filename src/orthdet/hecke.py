@@ -103,13 +103,15 @@ class QIntProduct:
         )
 
     def square_class(self, q: int) -> SquareClass:
-        """Square class of the value at q, classified factor by factor."""
+        """Square class of the value at q, factor by factor; checked against `parity_at`."""
         if q < 1:
             raise ValueError(f"evaluation point must be >= 1, got {q}")
         result = power_class(q, self.x_exp)
         for k, m in self.qint_mults:
             if m % 2:
                 result = result * _q_int_class(k, q)
+        if result.parity is not self.parity_at(q):
+            raise InvariantViolation(f"class {result} at q={q} contradicts its factors {self!r}")
         return result
 
     def parity_at(self, q: int) -> Parity:

@@ -191,22 +191,27 @@ def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Matrix]:
     images are filled in by increasing length with one matrix product per
     group element.
     """
-    n = rep.n
-    perms = sorted(_all_perms(n), key=lambda p: (_perm_length(p), p))
-    images: dict[tuple[int, ...], Matrix] = {perms[0]: identity_matrix(rep.dim)}
-    for w in perms[1:]:
-        for k in range(n - 1):
-            if w[k] > w[k + 1]:
-                shorter = list(w)
-                shorter[k], shorter[k + 1] = shorter[k + 1], shorter[k]
-                images[w] = mat_mul(images[tuple(shorter)], rep.generators[k])
-                break
+    identity, chain = _length_ordered_walk(rep.n)
+    images: dict[tuple[int, ...], Matrix] = {identity: identity_matrix(rep.dim)}
+    for shorter, w, k in chain:
+        images[w] = mat_mul(images[shorter], rep.generators[k - 1])
     return images
 
 
 @lru_cache(maxsize=8)
-def _all_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(1, n + 1)))
+def _length_ordered_walk(n: int):
+    """The identity of S_n, then every other w by (length, w) as (w', w, k) with w = w' * s_k.
+
+    s_k is the first right descent of w, so w' is one shorter and comes earlier.
+    """
+    perms = sorted(permutations(range(1, n + 1)), key=lambda p: (_perm_length(p), p))
+    chain = []
+    for w in perms[1:]:
+        k = next(k for k in range(1, n) if w[k - 1] > w[k])
+        shorter = list(w)
+        shorter[k - 1], shorter[k] = w[k], w[k - 1]
+        chain.append((tuple(shorter), w, k))
+    return perms[0], tuple(chain)
 
 
 # --- invariant bilinear forms ------------------------------------------------
@@ -345,7 +350,8 @@ def verify_trace_pairing(n: int, q: int) -> bool:
     """
     if not 2 <= n <= 5:
         raise ValueError(f"regular-module check supports 2 <= n <= 5, got {n}")
-    perms = sorted(_all_perms(n), key=lambda p: (_perm_length(p), p))
+    identity, chain = _length_ordered_walk(n)
+    perms = [identity] + [w for _, w, _ in chain]
     index = {w: i for i, w in enumerate(perms)}
     lengths = [_perm_length(w) for w in perms]
     size = len(perms)
@@ -374,16 +380,10 @@ def verify_trace_pairing(n: int, q: int) -> bool:
                 out[col] = q * vec[nb[col]] + (q - 1) * vec[col]
         return out
 
-    # rows[i] = identity row of the left-regular image of T_(perms[i]);
-    # perms[0] is the identity.
+    # rows[i] = identity row of the left-regular image of T_(perms[i]).
     rows = [[1] + [0] * (size - 1)]
-    for w in perms[1:]:
-        for k in range(n - 1):
-            if w[k] > w[k + 1]:
-                shorter = list(w)
-                shorter[k], shorter[k + 1] = shorter[k + 1], shorter[k]
-                rows.append(right_apply(rows[index[tuple(shorter)]], k + 1))
-                break
+    for shorter, _, k in chain:
+        rows.append(right_apply(rows[index[shorter]], k))
 
     for i, w in enumerate(perms):
         winv_idx = index[_perm_inverse(w)]

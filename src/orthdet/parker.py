@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .errors import InvariantViolation, NotIrrPlusError
+from .errors import NotIrrPlusError
 from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_factored, hecke_determinant
 from .squareclass import Parity, SquareClass, parity_of_integer
@@ -66,7 +66,7 @@ class ParityWitness:
     """One checked character: shapes, parameter and a symbolic determinant.
 
     The parity is read off the factors of `symbolic`; the class is computed
-    on first access only, and must have that parity.
+    on first access only, and `square_class` checks that it has that parity.
     """
 
     shapes: tuple[tuple[int, ...], ...]
@@ -79,12 +79,7 @@ class ParityWitness:
 
     @cached_property
     def det_class(self) -> SquareClass:
-        det_class = self.symbolic.square_class(self.q)
-        if det_class.parity is not self.parity:
-            raise InvariantViolation(
-                f"parity of {det_class} for {self.shapes} at q={self.q} contradicts its factors"
-            )
-        return det_class
+        return self.symbolic.square_class(self.q)
 
     def to_json(self) -> dict:
         return {
@@ -180,6 +175,8 @@ def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
     if witness_limit < 0:
         raise ValueError(f"witness_limit must be non-negative, got {witness_limit}")
     q_values = tuple(q_values)
+    if len(set(q_values)) != len(q_values):
+        raise ValueError(f"q values must be distinct, got {list(q_values)}")
     if family.odd_prime_power_q:
         for q in q_values:
             as_odd_prime_power(q)

@@ -6,6 +6,9 @@ shape connects t and s_k.t whenever the entry swap (k, k+1) keeps the
 tableau standard; its breadth-first distance from the row-filling tableau
 is the Coxeter length of the permutation carrying one to the other, which
 is what makes the graph usable for building reduced words.
+
+Hook lengths and the tableau count of a shape are one cached record
+(`hook_record`), read by `syt_count` and by the unipotent degrees of `gl`.
 """
 
 from __future__ import annotations
@@ -72,9 +75,17 @@ def hook_lengths(shape) -> dict[Cell, int]:
     }
 
 
+# Unbounded: one small record per shape, read for every unipotent character.
+@lru_cache(maxsize=None)
+def hook_record(shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Hook lengths of a validated shape and its tableau count n! / prod(hooks)."""
+    hooks = tuple(hook_lengths(shape).values())
+    return hooks, factorial(sum(shape)) // prod(hooks)
+
+
 def syt_count(shape) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
-    return factorial(sum(check_partition(shape))) // prod(hook_lengths(shape).values())
+    return hook_record(check_partition(shape))[1]
 
 
 def even_degree_shapes(n_max: int) -> list[tuple[int, ...]]:

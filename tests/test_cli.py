@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -120,13 +119,30 @@ def test_verify_parker_checks_classes_against_parities(capsys, monkeypatch):
 
 
 def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
-    # Half of n! makes the tableau count of (2,1) 1, against the even degree 12.
-    monkeypatch.setattr(gl, "factorial", lambda n: math.factorial(n) // 2)
-    gl._unipotent_degree.cache_clear()
+    # A tableau count of 1 for (2,1), against the even degree 12: q - 1 = 2
+    # cannot divide their difference.
+    real = gl.hook_record
+    monkeypatch.setattr(gl, "hook_record", lambda shape: (real(shape)[0], 1))
     code, out, err = run(capsys, "det-unipotent", "--shape", "2,1", "--q", "3")
     assert code == 2
     assert out == ""
-    assert err.startswith("invariant violation:") and "differ mod 2" in err
+    assert err.startswith("invariant violation:") and "does not divide" in err
+
+
+def test_det_unipotent_checks_class_against_parity(capsys, monkeypatch):
+    monkeypatch.setattr(QIntProduct, "parity_at", lambda self, q: Parity.EVEN)
+    code, out, err = run(capsys, "det-unipotent", "--shape", "3,1,1", "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation:") and "contradicts its factors" in err
+
+
+def test_repeated_q_values_are_rejected(capsys):
+    for command in ("verify-parker", "oracle-check"):
+        code, out, err = run(capsys, command, "--n-max", "3", "--q", "3,3", "--format", "json")
+        assert code == 1
+        assert out == ""
+        assert "distinct" in err
 
 
 def test_verify_parker_rejects_negative_counts(capsys):

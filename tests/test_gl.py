@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from orthdet.errors import NotIrrPlusError
+from orthdet import gl
+from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.gl import (
     PrimePower,
     as_odd_prime_power,
@@ -186,6 +187,20 @@ def test_sign_pair_power_rule():
 def test_sign_pair_rejects_odd_total_degree():
     with pytest.raises(NotIrrPlusError):
         sign_pair_determinant((1,), (), 3)  # degree 1
+
+
+def test_sign_pair_checks_component_tableau_counts(monkeypatch):
+    # Two more tableaux for (2,1) keep the parity of its count, but q - 1 = 4
+    # does not divide degree - count at q = 5.
+    real = gl.hook_record
+
+    def wrong_count(shape):
+        hooks, count = real(shape)
+        return hooks, count + 2 * (shape == (2, 1))
+
+    monkeypatch.setattr(gl, "hook_record", wrong_count)
+    with pytest.raises(InvariantViolation, match="does not divide"):
+        sign_pair_determinant((2, 1), (1,), 5)
 
 
 def test_sign_pair_rejects_double_empty():

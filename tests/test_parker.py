@@ -1,5 +1,6 @@
 import pytest
 
+from orthdet import hecke, tableaux
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
@@ -155,13 +156,29 @@ def test_sweep_classifies_only_printed_rows(monkeypatch, sweep, min_n_max, limit
     assert len(calls) == limit
 
 
-@pytest.mark.parametrize("q", [4, 15])
+@pytest.mark.parametrize("q", [4, 15, 3])
 @pytest.mark.parametrize(
     "sweep", [verify_parker_unipotent, verify_parker_sign_pairs], ids=["unipotent", "sign-pair"]
 )
 def test_sweep_rejects_bad_q(sweep, q):
     with pytest.raises(ValueError):
         sweep(5, [3, q])
+
+
+def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
+    hook_lengths = tableaux.hook_lengths
+    shapes = []
+
+    def counting_hook_lengths(shape):
+        shapes.append(tuple(shape))
+        return hook_lengths(shape)
+
+    monkeypatch.setattr(tableaux, "hook_lengths", counting_hook_lengths)
+    tableaux.hook_record.cache_clear()
+    hecke._det_poly_factored.cache_clear()
+    report = verify_parker_unipotent(8, [3, 5, 7])
+    assert report.ok and report.checked > len(set(shapes)) > 0
+    assert len(shapes) == len(set(shapes))
 
 
 @pytest.mark.parametrize("sweep, min_n_max", SWEEPS)
