@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -132,9 +131,7 @@ def _cmd_verify_parker(args) -> int:
     if args.family == "symmetric" and args.q is not None:
         raise ValueError("--q does not apply to --family symmetric (it runs at q = 1)")
     q_values = _parse_int_list("3,5,7" if args.q is None else args.q)
-    if args.jobs < 0:
-        raise ValueError(f"--jobs must be non-negative (0 = all cores), got {args.jobs}")
-    options = {"witness_limit": args.witness_limit, "jobs": args.jobs or os.cpu_count() or 1}
+    options = {"witness_limit": args.witness_limit, "jobs": args.jobs}
     if args.family == "unipotent":
         report = parker.verify_parker_unipotent(args.n_max, q_values, **options)
     elif args.family == "symmetric":
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", help="odd prime powers (default 3,5,7); not with symmetric")
     p.add_argument("--family", choices=("unipotent", "symmetric", "sgnpair"), default="unipotent")
-    p.add_argument("--jobs", type=int, default=0, help="0 = all cores")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1: serial)")
     p.add_argument("--witness-limit", type=int, default=parker.DEFAULT_WITNESS_LIMIT)
 
     p = add("oracle-check", _cmd_oracle_check, "compare formula classes against a Gram or skew oracle")

@@ -42,8 +42,8 @@ class PrimePower:
 @lru_cache(maxsize=None)
 def as_odd_prime_power(q: int) -> PrimePower:
     """Validate and decompose q as a power of an odd prime."""
-    if q < 3:
-        raise ValueError(f"q must be at least 3, got {q}")
+    if not isinstance(q, int) or q < 3:
+        raise ValueError(f"q must be an integer >= 3, got {q!r}")
     if q % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
     factors = factorize(q)
@@ -81,8 +81,8 @@ def unipotent_q_exponent(shape, q: int) -> int:
 
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     """Unipotent degree and q-power exponent of a validated shape, from its hook record."""
-    if q < 2:
-        raise ValueError(f"degree formula needs q >= 2, got {q}")
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"degree formula needs an integer q >= 2, got {q!r}")
     hooks, count = hook_record(shape)
     numerator = q ** diagram_weight(shape) * prod(q**i - 1 for i in range(1, sum(shape) + 1))
     degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))

@@ -104,8 +104,8 @@ class QIntProduct:
 
     def square_class(self, q: int) -> SquareClass:
         """Square class of the value at q, factor by factor; checked against `parity_at`."""
-        if q < 1:
-            raise ValueError(f"evaluation point must be >= 1, got {q}")
+        if not isinstance(q, int) or q < 1:
+            raise ValueError(f"evaluation point must be an integer >= 1, got {q!r}")
         result = power_class(q, self.x_exp)
         for k, m in self.qint_mults:
             if m % 2:
@@ -122,8 +122,8 @@ class QIntProduct:
         v2([k]_q) = v2(k) + v2(q+1) - 1 for even k (lifting the exponent); at
         even q every [k]_q is odd and only the x-power counts.
         """
-        if q < 1:
-            raise ValueError(f"evaluation point must be >= 1, got {q}")
+        if not isinstance(q, int) or q < 1:
+            raise ValueError(f"evaluation point must be an integer >= 1, got {q!r}")
         if q % 2 == 0:
             v2 = self.x_exp * two_adic_valuation(q)
         else:
@@ -341,8 +341,8 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
     determinant class is not defined.
     """
     shape = check_partition(shape)
-    if q < 1:
-        raise ValueError(f"parameter q must be >= 1, got {q}")
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
     degree = syt_count(shape)
     if degree % 2:
         raise NotIrrPlusError(

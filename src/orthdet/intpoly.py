@@ -214,8 +214,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if q < 2:
-        raise ValueError(f"need q >= 2, got q={q}")
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"need an integer q >= 2, got q={q!r}")
     value = 1
     for i in range(1, k + 1):
         value, rem = divmod(value * (q ** (n - k + i) - 1), q**i - 1)

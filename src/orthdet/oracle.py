@@ -103,8 +103,8 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     any tableau is enumerated.
     """
     shape = check_partition(shape)
-    if q < 1:
-        raise ValueError(f"parameter q must be >= 1, got {q}")
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
     dim = syt_count(shape)
     if dim > MAX_DIM:
         raise ResourceGuardError(f"shape {shape}: {dim} tableaux > oracle limit {MAX_DIM}")
@@ -350,6 +350,8 @@ def verify_trace_pairing(n: int, q: int) -> bool:
     """
     if not 2 <= n <= 5:
         raise ValueError(f"regular-module check supports 2 <= n <= 5, got {n}")
+    if not isinstance(q, int) or q < 1:
+        raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
     identity, chain = _length_ordered_walk(n)
     perms = [identity] + [w for _, w, _ in chain]
     index = {w: i for i, w in enumerate(perms)}

@@ -9,9 +9,9 @@ Every family is one entry of a module-level table: the smallest allowed
 n_max, whether the q values must be odd prime powers (the symmetric family
 runs at the fixed q = 1), a task builder and its public determinant
 function. A single sweep routine validates the scope, maps one worker over
-the tasks (through a process pool when jobs > 1) and assembles the report.
-Rows keep symbolic determinants: parity is read off their factors, and only
-printed rows are classified, which is what needs factorization.
+the tasks, serially unless jobs > 1 asks for a process pool, and assembles
+the report. Rows keep symbolic determinants: parity is read off their
+factors, and only printed rows are classified, which needs factorization.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
@@ -40,10 +40,10 @@ def lemma_parity_check(c: int, q: int) -> bool:
 
     True for every valid input is the theorem; a False return is a finding.
     """
-    if c < 1:
-        raise ValueError(f"c must be positive, got {c}")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
+    if not isinstance(c, int) or c < 1:
+        raise ValueError(f"c must be a positive integer, got {c!r}")
+    if not isinstance(q, int) or q < 3 or q % 2 == 0:
+        raise ValueError(f"q must be an odd integer >= 3, got {q!r}")
     lhs = parity_of_integer(c * (c + 2))
     qc = (q**c - 1) // (q - 1)
     qc2 = (q ** (c + 2) - 1) // (q - 1)
@@ -55,8 +55,8 @@ def parity_bridge_check(shape, q: int) -> bool:
     shape = check_partition(shape)
     if syt_count(shape) % 2:
         raise ValueError(f"shape {shape} has odd degree: no determinant class")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be odd and >= 3, got {q}")
+    if not isinstance(q, int) or q < 3 or q % 2 == 0:
+        raise ValueError(f"q must be an odd integer >= 3, got {q!r}")
     factored = det_poly_factored(shape)
     return factored.parity_at(q) == factored.parity_at(1)
 
@@ -155,12 +155,12 @@ class _Family:
     determinant: str
 
 
-# Keyed by report name. `tasks(n_max)` lists the pool items, tuples of shape
+# Keyed by report name. `tasks(n_max)` lists the work items, tuples of shape
 # tuples: one shape (unipotent, symmetric) or every (lam, mu) of one lam and
-# n (sign pairs); that granularity is what makes the process pool pay off.
-# `determinant` names the public function `_check` calls on each of them. It
-# is looked up in this module at every sweep, not stored, so that a tracer
-# rebinding module attributes sees the calls.
+# n (sign pairs). Sweeps are serial unless jobs > 1; that asks for a process
+# pool, which this granularity serves. `determinant` names the public
+# function `_check` calls on each item, looked up in this module at every
+# sweep, not stored, so that a tracer rebinding module attributes sees it.
 _FAMILIES = {
     "unipotent": _Family(2, True, _all_shapes, "unipotent_determinant"),
     "symmetric": _Family(2, False, _even_degree_shapes, "hecke_determinant"),
@@ -174,6 +174,8 @@ def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
         raise ValueError(f"n_max must be at least {family.min_n_max}, got {n_max}")
     if witness_limit < 0:
         raise ValueError(f"witness_limit must be non-negative, got {witness_limit}")
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     q_values = tuple(q_values)
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
@@ -182,8 +184,9 @@ def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
             as_odd_prime_power(q)
     tasks = family.tasks(n_max)
     work = partial(_check, globals()[family.determinant], q_values)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(work, tasks))
     else:
         batches = [work(task) for task in tasks]

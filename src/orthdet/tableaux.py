@@ -31,10 +31,10 @@ Cell = tuple[int, int]
 
 def check_partition(parts) -> tuple[int, ...]:
     """Validate and canonicalize a partition; the empty partition is allowed."""
-    shape = tuple(int(p) for p in parts)
+    shape = tuple(parts)
     for i, p in enumerate(shape):
-        if p < 1:
-            raise ValueError(f"partition parts must be positive, got {shape}")
+        if not isinstance(p, int) or p < 1:
+            raise ValueError(f"partition parts must be positive integers, got {shape}")
         if i and shape[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
     return shape
@@ -219,8 +219,8 @@ def enumerate_syt(shape) -> TableauGraph:
     return _build_graph(shape)
 
 
-# Bounded: one graph can hold tens of thousands of tableaux, and sweeps
-# visit shapes sequentially anyway.
+# Bounded: one graph can hold tens of thousands of tableaux. Sweeps build no
+# graphs; `oracle-check` and `selftest` rebuild one shape at several q.
 @lru_cache(maxsize=32)
 def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
     root = row_filling_tableau(shape)

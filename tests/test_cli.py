@@ -146,11 +146,24 @@ def test_repeated_q_values_are_rejected(capsys):
 
 
 def test_verify_parker_rejects_negative_counts(capsys):
-    for flag in ("--jobs", "--witness-limit"):
-        code, out, err = run(capsys, "verify-parker", "--n-max", "4", "--q", "3", flag, "-1")
+    for flag, value, message in (("--jobs", "-1", "positive"), ("--jobs", "0", "positive"),
+                                 ("--witness-limit", "-1", "non-negative")):
+        code, out, err = run(capsys, "verify-parker", "--n-max", "4", "--q", "3", flag, value)
         assert code == 1
         assert out == ""
-        assert "non-negative" in err
+        assert message in err
+
+
+def test_verify_parker_is_serial_by_default(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(parker, "ProcessPoolExecutor", no_pool)
+    for family in ("unipotent", "symmetric", "sgnpair"):
+        code, out, _ = run(capsys, "verify-parker", "--family", family, "--n-max", "5",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ok"] is True
 
 
 def test_verify_parker_symmetric_rejects_q(capsys):
@@ -206,6 +219,11 @@ GOLDEN_JSON = [
         "c7d96884ebc639fd72e6b7ac54e9c92e188c6a04574889f385afcad33f3214fc",
         id="oracle-check-skew",
     ),
+]
+# The first three again through a process pool: the worker count changes no row.
+GOLDEN_JSON += [
+    pytest.param(case.values[0] + ["--jobs", "2"], case.values[1], id=f"{case.id}-jobs-2")
+    for case in GOLDEN_JSON[:3]
 ]
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthdet import gl
+from orthdet import gl, hecke, oracle, parker, tableaux
 from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.gl import (
     PrimePower,
@@ -28,6 +28,31 @@ def test_prime_power_examples():
 def test_prime_power_rejections(bad):
     with pytest.raises(ValueError):
         as_odd_prime_power(bad)
+
+
+# Floats and strings are rejected, not coerced: a float part or q would
+# answer for another character, return a float, or report a theorem as failed.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: tableaux.check_partition([2.7, 1]), id="float-part"),
+    pytest.param(lambda: tableaux.check_partition("21"), id="string-shape"),
+    pytest.param(lambda: unipotent_determinant((2.9, 1), 3), id="unipotent-float-part"),
+    pytest.param(lambda: unipotent_determinant((2, 1), 3.0), id="unipotent-float-q"),
+    pytest.param(lambda: unipotent_degree((2, 1), 10.0**20 + 1), id="degree-float-q"),
+    pytest.param(lambda: as_odd_prime_power(3.0), id="prime-power-float"),
+    pytest.param(lambda: hecke.hecke_determinant((2, 1), 3.0), id="hecke-float-q"),
+    pytest.param(lambda: hecke.QIntProduct(1, ((2, 1),)).square_class(3.0), id="square-class"),
+    pytest.param(lambda: hecke.QIntProduct(1, ((2, 1),)).parity_at(3.0), id="parity-at"),
+    pytest.param(lambda: oracle.build_seminormal((2, 1), 3.0), id="seminormal-float-q"),
+    pytest.param(lambda: gaussian_binomial(5, 2, 3.0), id="gaussian-float-q"),
+    pytest.param(lambda: parker.lemma_parity_check(2.0, 3), id="lemma-float-c"),
+    pytest.param(lambda: parker.lemma_parity_check(2, 3.0), id="lemma-float-q"),
+    pytest.param(lambda: parker.parity_bridge_check((2, 2), 3.0), id="bridge-float-q"),
+    pytest.param(lambda: oracle.verify_trace_pairing(3, 0), id="trace-pairing-q-0"),
+    pytest.param(lambda: oracle.verify_trace_pairing(3, -2), id="trace-pairing-q-negative"),
+])
+def test_only_integers_enter_the_library(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_diagram_weight():

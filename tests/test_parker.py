@@ -1,6 +1,6 @@
 import pytest
 
-from orthdet import hecke, tableaux
+from orthdet import hecke, parker, tableaux
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
@@ -196,3 +196,35 @@ def test_report_json():
     assert data["ok"] is True
     assert data["failures"] == []
     assert data["checked"] == report.checked
+
+
+def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
+    workers = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its worker count, maps in-process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(parker, "ProcessPoolExecutor", RecordingPool)
+    # Two tasks at n <= 4: the shapes (2,1) and (2,2).
+    assert verify_parker_symmetric(4, jobs=64).checked == 2
+    assert workers == [2]
+    verify_parker_symmetric(3, jobs=64)  # a single task runs serially
+    assert workers == [2]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 1.5])
+def test_sweep_rejects_bad_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        verify_parker_symmetric(4, jobs=jobs)
