@@ -14,7 +14,7 @@ import sys
 
 from orthdet import (
     build_seminormal,
-    class_of_rational,
+    class_of_integer,
     determinant_via_gram,
     determinant_via_skew_element,
     gram_form,
@@ -48,7 +48,7 @@ for shape in [(2, 1), (2, 2), (3, 1, 1), (4, 1)]:
         ok = formula.contains(gram) and formula.contains(skew)
         mismatches += not ok
         print(f"  {str(shape):12s} q={q}: formula {formula!r}, "
-              f"gram {class_of_rational(gram)!r}, skew {class_of_rational(skew)!r}  "
+              f"gram {class_of_integer(gram)!r}, skew {class_of_integer(skew)!r}  "
               f"{'ok' if ok else 'MISMATCH'}")
 
 print("\ntrace pairing on the regular module (tau(T_w T_w') = q^l(w) iff w'=w^-1):")

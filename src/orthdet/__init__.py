@@ -57,7 +57,6 @@ from .squareclass import (
     Parity,
     SquareClass,
     class_of_integer,
-    class_of_rational,
     parity_of_integer,
     power_class,
 )

@@ -152,14 +152,14 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
     factored = det_poly_factored(shape)
-    reduced = factored.reduced()
+    q_power = QIntProduct(exponent, ())
     return GlDetResult(
         kind="unipotent",
         shapes=(shape,),
         q=pp,
         degree=degree,
-        symbolic=QIntProduct((reduced.x_exp + exponent) % 2, reduced.qint_mults),
-        parts=(("hecke", factored), ("q-power", QIntProduct(exponent, ()))),
+        symbolic=(factored * q_power).reduced(),
+        parts=(("hecke", factored), ("q-power", q_power)),
         f_factored=factored,
         q_exponent=exponent,
     )
@@ -181,8 +181,8 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     n = ell + sum(mu)
     if n < 1:
         raise ValueError("at least one of the two partitions must be non-empty")
-    deg_lam = _degree_and_exponent(lam, q)[0]
-    deg_mu = _degree_and_exponent(mu, q)[0]
+    deg_lam, exp_lam = _degree_and_exponent(lam, q)
+    deg_mu, exp_mu = _degree_and_exponent(mu, q)
     index = gaussian_binomial(n, ell, q)
     degree = index * deg_lam * deg_mu
     if degree % 2:
@@ -192,17 +192,20 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     if index % 2 == 0:
         symbolic, parts = one, (("induction", one),)
     else:
-        # Odd induction index: the class is that of the outer product. The
-        # component of even degree must exist, else the total degree were odd.
+        # Odd induction index: the class is that of the outer product, the
+        # unipotent class of the even-degree component (which must exist, else
+        # the total degree were odd) when the other's degree is odd.
         if deg_lam % 2 == 0:
-            inner, outer_degree = unipotent_determinant(lam, q), deg_mu
+            inner, exponent, outer_degree = lam, exp_lam, deg_mu
         elif deg_mu % 2 == 0:
-            inner, outer_degree = unipotent_determinant(mu, q), deg_lam
+            inner, exponent, outer_degree = mu, exp_mu, deg_lam
         else:
             raise InvariantViolation(
                 f"odd index with two odd-degree components for ({lam}, {mu}) at q={q}"
             )
-        symbolic = inner.symbolic if outer_degree % 2 else one
+        symbolic = one
+        if outer_degree % 2:
+            symbolic = (det_poly_factored(inner) * QIntProduct(exponent, ())).reduced()
         parts = (("induction", one), ("outer-product", symbolic))
     return GlDetResult(
         kind="sign-pair", shapes=(lam, mu), q=pp, degree=degree, symbolic=symbolic, parts=parts

@@ -5,18 +5,22 @@ seminormal matrices for a shape at a numeric parameter q (q = 1 gives the
 symmetric group), solves for the invariant symmetric bilinear form by
 plain exact elimination, and returns the Gram determinant. A second,
 randomized route multiplies out basis-element images along reduced words
-and returns the determinant of a skew element. Both are returned as
-integers and never factored here: whether one lies in the formula's square
-class is a perfect-square test (`SquareClass.contains`). Agreement of
-either route with the polynomial formula is the package's central
-cross-check.
+and returns the determinant of a skew element. Both routes share one
+entry that refuses a shape with an odd tableau count before building
+anything, and the skew route also bounds the n! images it stores. Both
+determinants are returned as integers and never factored here: whether one
+lies in the formula's square class is a perfect-square test
+(`SquareClass.contains`). Agreement of either route with the polynomial
+formula is the package's central cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
 partner, so it is stored as its sparse columns (see `linalg`), times one
 common scale that makes every entry an integer; all arithmetic here is on
 ints. Each is checked against the quadratic, braid and commutation
 relations on every basis vector as it is built; a bad block formula can
-never propagate silently.
+never propagate silently. The trace-pairing check on the regular module
+stores its generators as sparse columns too and uses the same product,
+`linalg.mat_mul`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, SkewElementSearchError
 from .intpoly import q_int
@@ -41,9 +45,16 @@ from .tableaux import (
     TableauGraph, apply_simple_transposition, check_partition, enumerate_syt, syt_count
 )
 
-# Ceiling on the module dimension: the Gram solve (dim(dim+1)/2 unknowns) takes
-# about 7 s at dim 216, (4,3,1,1) at q = 3 on a 2-core VM; admits all n <= 9.
+# Ceiling on the module dimension, calibrated on the Gram route: its solve
+# (dim(dim+1)/2 unknowns) takes about 7 s at dim 216, (4,3,1,1) at q = 3 on a
+# 2-core VM; admits all n <= 9. The skew route has its own guard below.
 MAX_DIM = 256
+
+# Ceiling on the n! * dim^2 word-image entries the skew route stores. On a
+# 2-core VM the worst n = 7 shape, (4,1,1,1) (2,016,000 entries), takes 4.2 s
+# and 207 MB at q = 9; the smallest even n = 8 one, (4,4) (7,902,720), takes
+# 17 s and 908 MB at q = 3, and (6,2) 28 s and 1.9 GB. Admits every n <= 7.
+MAX_SKEW_ENTRIES = 4_000_000
 
 # Random skew elements: how many to try, and the range of their coefficients.
 SKEW_ATTEMPTS = 32
@@ -277,18 +288,24 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     return GramForm(rep=rep, matrix=matrix, determinant=det)
 
 
+def _even_rep(shape, q: int) -> SeminormalRep:
+    """The module of a shape with an even tableau count; odd ones are refused before building."""
+    shape = check_partition(shape)
+    dim = syt_count(shape)
+    if dim % 2:
+        raise NotIrrPlusError(
+            f"shape {shape} has odd dimension {dim}: class is not scale-invariant"
+        )
+    return build_seminormal(shape, q)
+
+
 def determinant_via_gram(shape, q: int) -> int:
     """Gram determinant of an even-dimensional module; its class is the character's."""
-    shape = check_partition(shape)
-    rep = build_seminormal(shape, q)
-    if rep.dim % 2:
-        raise NotIrrPlusError(
-            f"shape {shape} has odd dimension {rep.dim}: class is not scale-invariant"
-        )
+    rep = _even_rep(shape, q)
     form = gram_form(rep)
     if form.determinant < 0:
         raise InvariantViolation(
-            f"Gram determinant of {shape} at q={q} is negative: {form.determinant}"
+            f"Gram determinant of {rep.shape} at q={q} is negative: {form.determinant}"
         )
     return form.determinant
 
@@ -303,13 +320,14 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
     top = n(n-1)/2, makes the element scale^top times the rational one, so
     the determinant gains the square scale^(top * dim) (dim is even).
     Retries with fresh coefficients up to the budget; reports failure
-    rather than guessing.
+    rather than guessing. A shape whose n! * dim^2 image entries exceed
+    MAX_SKEW_ENTRIES raises ResourceGuardError before any image is built.
     """
-    shape = check_partition(shape)
-    rep = build_seminormal(shape, q)
-    if rep.dim % 2:
-        raise NotIrrPlusError(
-            f"shape {shape} has odd dimension {rep.dim}: class is not scale-invariant"
+    rep = _even_rep(shape, q)
+    entries = factorial(rep.n) * rep.dim**2
+    if entries > MAX_SKEW_ENTRIES:
+        raise ResourceGuardError(
+            f"shape {rep.shape}: {entries} word-image entries > skew limit {MAX_SKEW_ENTRIES}"
         )
     images = all_word_images(rep)
     top = rep.n * (rep.n - 1) // 2
@@ -334,7 +352,7 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
         if det != 0:
             return det
     raise SkewElementSearchError(
-        f"no invertible skew element for {shape} at q={q} in {SKEW_ATTEMPTS} attempts "
+        f"no invertible skew element for {rep.shape} at q={q} in {SKEW_ATTEMPTS} attempts "
         f"(seed {seed})"
     )
 
@@ -358,34 +376,23 @@ def verify_trace_pairing(n: int, q: int) -> bool:
     lengths = [_perm_length(w) for w in perms]
     size = len(perms)
 
-    # neighbor[k][i] = index of s_(k+1) o perms[i]; up[k][i] = length went up
-    neighbor = []
-    up = []
+    # generators[k - 1]: left multiplication by T_(s_k), column i holding T_k T_(perms[i]):
+    # T_(s_k w) if the length goes up, else q T_(s_k w) + (q - 1) T_w.
+    generators = []
     for k in range(1, n):
-        nb = []
-        upflags = []
-        for w in perms:
-            swapped = tuple(k + 1 if v == k else (k if v == k + 1 else v) for v in w)
-            nb.append(index[swapped])
-            upflags.append(w.index(k) < w.index(k + 1))
-        neighbor.append(nb)
-        up.append(upflags)
-
-    def right_apply(vec: list[int], k: int) -> list[int]:
-        # out = vec^T L(T_(s_k)) read off column by column
-        nb, uf = neighbor[k - 1], up[k - 1]
-        out = [0] * size
-        for col in range(size):
-            if uf[col]:
-                out[col] = vec[nb[col]]
+        columns = []
+        for i, w in enumerate(perms):
+            j = index[tuple(k + 1 if v == k else (k if v == k + 1 else v) for v in w)]
+            if w.index(k) < w.index(k + 1):
+                columns.append(((j, 1),))
             else:
-                out[col] = q * vec[nb[col]] + (q - 1) * vec[col]
-        return out
+                columns.append(tuple(sorted((r, v) for r, v in ((j, q), (i, q - 1)) if v)))
+        generators.append(tuple(columns))
 
     # rows[i] = identity row of the left-regular image of T_(perms[i]).
-    rows = [[1] + [0] * (size - 1)]
+    rows = [(1,) + (0,) * (size - 1)]
     for shorter, _, k in chain:
-        rows.append(right_apply(rows[index[shorter]], k))
+        rows.append(mat_mul((rows[index[shorter]],), generators[k - 1])[0])
 
     for i, w in enumerate(perms):
         winv_idx = index[_perm_inverse(w)]

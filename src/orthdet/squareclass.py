@@ -8,7 +8,8 @@ squarefree representative.
 Classifying an integer requires its factorization; we trial-divide up to a
 bound and fall back to Brent's variant of Pollard rho, with a fixed step
 budget per integer. Testing membership in a known class does not:
-`SquareClass.contains` is one perfect-square test. Parity alone never
+`SquareClass.contains` is one perfect-square test. Only integers are
+classified or tested; every caller holds integer values. Parity alone never
 needs a factorization either: the squarefree part is even exactly when the
 2-adic valuation is odd, which `parity_of_integer` reads off directly.
 That is what makes parity sweeps over astronomically large q-integer
@@ -21,7 +22,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import FactorizationError
 
@@ -38,8 +38,8 @@ class Parity(Enum):
 class SquareClass:
     """A class a*(Q^x)^2 in canonical form: sign and squarefree part.
 
-    Construct via class_of_integer / class_of_rational so the squarefree
-    reduction actually happens; the constructor only sanity-checks shape.
+    Construct via class_of_integer so the squarefree reduction actually
+    happens; the constructor only sanity-checks shape.
     """
 
     sign: int
@@ -64,18 +64,17 @@ class SquareClass:
             return ONE
         return self
 
-    def contains(self, value: int | Fraction) -> bool:
-        """Whether the nonzero rational value lies in this class, without factoring.
+    def contains(self, value: int) -> bool:
+        """Whether the nonzero integer value lies in this class, without factoring.
 
-        value = num/den lies in sign * squarefree * (Q^x)^2 iff it has this
-        sign and |num| * den * squarefree is a perfect square.
+        value lies in sign * squarefree * (Q^x)^2 iff it has this sign and
+        |value| * squarefree is a perfect square.
         """
-        value = Fraction(value)
-        if value == 0:
-            raise ValueError("0 has no square class")
+        if not isinstance(value, int) or value == 0:
+            raise ValueError(f"square classes are tested on nonzero integers, got {value!r}")
         if (value > 0) != (self.sign > 0):
             return False
-        m = abs(value.numerator) * value.denominator * self.squarefree
+        m = abs(value) * self.squarefree
         return math.isqrt(m) ** 2 == m
 
     @property
@@ -108,21 +107,6 @@ def class_of_integer(a: int) -> SquareClass:
         if e % 2:
             squarefree *= p
     return SquareClass(sign, squarefree)
-
-
-def class_of_rational(num, den: int | None = None) -> SquareClass:
-    """Square class of num/den (or of a Fraction).
-
-    num/den and num*den differ by den^2, so the integer path applies.
-    """
-    if den is None:
-        if isinstance(num, Fraction):
-            num, den = num.numerator, num.denominator
-        else:
-            num, den = num, 1
-    if num == 0 or den == 0:
-        raise ValueError("square classes are defined for nonzero rationals only")
-    return class_of_integer(num * den)
 
 
 def power_class(base: int | SquareClass, exponent: int) -> SquareClass:

@@ -249,7 +249,7 @@ def test_oracle_check_gram_and_skew(capsys):
 
 
 def test_oracle_check_classifies_only_mismatches(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "class_of_rational", lambda det: pytest.fail("classified"))
+    monkeypatch.setattr(cli, "class_of_integer", lambda det: pytest.fail("classified"))
     code, _, _ = run(capsys, "oracle-check", "--n-max", "4", "--q", "3", "--method", "skew")
     assert code == 0
 
@@ -271,11 +271,25 @@ def test_oracle_check_rejects_small_n_max(capsys):
         assert "--n-max" in err
 
 
+def test_oracle_check_rejects_q_below_one(capsys):
+    for q in ("0", "3,0"):
+        code, out, _ = run(capsys, "oracle-check", "--n-max", "4", "--q", q)
+        assert code == 1
+        assert out == ""
+
+
 def test_oracle_check_resource_guard(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_DIM", 1)
     code, _, err = run(capsys, "oracle-check", "--n-max", "4", "--q", "3")
     assert code == 3
     assert "limit" in err
+
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "MAX_SKEW_ENTRIES", 1)
+    code, out, err = run(capsys, "oracle-check", "--n-max", "4", "--q", "3", "--method", "skew")
+    assert code == 3
+    assert out == ""
+    assert "skew limit" in err
 
 
 def _die(shape, q):

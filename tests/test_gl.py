@@ -49,6 +49,8 @@ def test_prime_power_rejections(bad):
     pytest.param(lambda: parker.parity_bridge_check((2, 2), 3.0), id="bridge-float-q"),
     pytest.param(lambda: oracle.verify_trace_pairing(3, 0), id="trace-pairing-q-0"),
     pytest.param(lambda: oracle.verify_trace_pairing(3, -2), id="trace-pairing-q-negative"),
+    pytest.param(lambda: ONE.contains(2.0), id="contains-float"),
+    pytest.param(lambda: ONE.contains(Fraction(3, 4)), id="contains-fraction"),
 ])
 def test_only_integers_enter_the_library(call):
     with pytest.raises(ValueError):
@@ -207,6 +209,11 @@ def test_sign_pair_power_rule():
     assert index % 2 == 1
     expected = unipotent_determinant((2, 2), 3).det_class ** unipotent_degree((1, 1), 3)
     assert result.det_class == expected
+
+
+def test_sign_pair_does_not_reenter_unipotent_determinant(monkeypatch):
+    monkeypatch.setattr(gl, "unipotent_determinant", lambda shape, q: pytest.fail("re-entered"))
+    assert sign_pair_determinant((2,), (2, 2), 3).det_class == SquareClass(1, 39)
 
 
 def test_sign_pair_rejects_odd_total_degree():

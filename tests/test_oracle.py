@@ -145,7 +145,9 @@ def test_gram_determinant_examples():
     assert SquareClass(1, 155).contains(determinant_via_gram((2, 1), 5))
 
 
-def test_gram_rejects_odd_dimension():
+def test_gram_rejects_odd_dimension(monkeypatch):
+    # The tableau count refuses an odd shape before any matrix is built.
+    monkeypatch.setattr(oracle, "build_seminormal", lambda shape, q: pytest.fail("built"))
     with pytest.raises(NotIrrPlusError):
         determinant_via_gram((2, 1, 1), 3)
     with pytest.raises(NotIrrPlusError):
@@ -222,3 +224,13 @@ def test_build_guard_fires_before_enumeration(monkeypatch):
     monkeypatch.setattr(oracle, "enumerate_syt", lambda shape: pytest.fail("enumerated"))
     with pytest.raises(ResourceGuardError, match="oracle limit"):
         build_seminormal((5, 3, 2), 3)
+
+
+def test_skew_guard_fires_before_word_images(monkeypatch):
+    # (4,1,1,1) is the largest n = 7 store (5040 * 20^2); (4,4) the smallest
+    # even n = 8 one (40320 * 14^2).
+    assert 40320 * syt_count((4, 4)) ** 2 > oracle.MAX_SKEW_ENTRIES
+    assert oracle.MAX_SKEW_ENTRIES >= 5040 * syt_count((4, 1, 1, 1)) ** 2
+    monkeypatch.setattr(oracle, "all_word_images", lambda rep: pytest.fail("images built"))
+    with pytest.raises(ResourceGuardError, match="skew limit"):
+        determinant_via_skew_element((4, 4), 3)

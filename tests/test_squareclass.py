@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +10,6 @@ from orthdet.squareclass import (
     Parity,
     SquareClass,
     class_of_integer,
-    class_of_rational,
     factorize,
     is_probable_prime,
     parity_of_integer,
@@ -27,20 +25,9 @@ def test_integer_examples():
     assert class_of_integer(-12) == SquareClass(-1, 3)
 
 
-def test_rational_examples():
-    assert class_of_rational(1, 4) == ONE
-    assert class_of_rational(3, 2) == SquareClass(1, 6)
-    assert class_of_rational(-5, 20) == SquareClass(-1, 1)
-    assert class_of_rational(Fraction(-5, 20)) == SquareClass(-1, 1)
-
-
 def test_zero_rejected():
     with pytest.raises(ValueError):
         class_of_integer(0)
-    with pytest.raises(ValueError):
-        class_of_rational(0, 7)
-    with pytest.raises(ValueError):
-        class_of_rational(7, 0)
 
 
 def test_multiplication_examples():
@@ -197,21 +184,14 @@ def test_contains_is_a_perfect_square_test():
     assert not SquareClass(-1, 6).contains(24)
     assert not SquareClass(1, 39).contains(13)
     assert not ONE.contains(2)
-    # 3/4 = 3 * (1/2)^2 and 5/8 = 10 * (1/4)^2
-    assert SquareClass(1, 3).contains(Fraction(3, 4))
-    assert SquareClass(-1, 10).contains(Fraction(-5, 8))
-    assert not SquareClass(1, 5).contains(Fraction(5, 8))
     with pytest.raises(ValueError):
         ONE.contains(0)
-    with pytest.raises(ValueError):
-        ONE.contains(Fraction(0))
 
 
 @given(nonzero_ints, nonzero_ints)
 def test_contains_agrees_with_classification(a, b):
     cls = class_of_integer(a)
     assert cls.contains(a)
-    assert cls.contains(Fraction(a, b * b))
     assert cls.contains(b) == (class_of_integer(b) == cls)
 
 
