@@ -3,6 +3,8 @@
 Walks through the combinatorial layer: partitions, hooks, the row-filling
 tableau, and the graph whose edges swap adjacent entries. The (3,1,1)
 graph printed here has six nodes joined by the generators s_2, s_3, s_4.
+Each tableau's reduced word is read off its own entries, without the
+graph; its length is the tableau's distance from the root.
 """
 
 from orthdet import (

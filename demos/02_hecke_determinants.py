@@ -16,11 +16,10 @@ from orthdet import (
 )
 
 shape = (3, 1, 1)
-table = tableau_polynomials(shape)
-graph = table.graph
+graph = enumerate_syt(shape)
 
 print(f"per-tableau polynomials for {shape}:")
-for t, poly in table.items():
+for t, poly in tableau_polynomials(shape).items():
     print(f"  {str(t.to_lists()):<30} {poly!r}")
 
 print("\nedge factors (lower tableau, generator, content gap):")

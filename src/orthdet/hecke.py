@@ -32,7 +32,6 @@ from .intpoly import IntPoly, cyclotomic, q_int
 from .squareclass import Parity, SquareClass, class_of_integer, power_class, two_adic_valuation
 from .tableaux import (
     StandardTableau,
-    TableauGraph,
     apply_simple_transposition,
     check_partition,
     enumerate_syt,
@@ -69,8 +68,6 @@ class QIntProduct:
             raise ValueError(f"content gap must be >= 1, got {c}")
         if c == 1:
             return QIntProduct(1, ((3, 1),))
-        if c == 2:
-            return QIntProduct(1, ((2, 1), (4, 1)))
         return QIntProduct(1, ((c, 1), (c + 2, 1)))
 
     def __mul__(self, other: QIntProduct) -> QIntProduct:
@@ -176,26 +173,13 @@ def edge_content_gap(t: StandardTableau, k: int) -> int:
     return c
 
 
-@dataclass(frozen=True)
-class TableauPolyTable:
-    """Per-tableau polynomials of one shape, aligned with the graph nodes."""
-
-    graph: TableauGraph
-    polys: tuple[QIntProduct, ...]
-
-    def poly(self, t: StandardTableau) -> QIntProduct:
-        return self.polys[self.graph.index(t)]
-
-    def items(self):
-        return zip(self.graph.nodes, self.polys)
-
-
-def tableau_polynomials(shape) -> TableauPolyTable:
+def tableau_polynomials(shape) -> dict[StandardTableau, QIntProduct]:
     """Propagate the edge factors over the whole transposition graph.
 
-    Whenever a tableau is reachable along several upward edges, all of them
-    must agree on its polynomial; a disagreement would falsify the theory
-    and raises InvariantViolation.
+    Returns every tableau's polynomial, in the node order of
+    `enumerate_syt(shape)`. Whenever a tableau is reachable along several
+    upward edges, all of them must agree on its polynomial; a disagreement
+    would falsify the theory and raises InvariantViolation.
     """
     graph = enumerate_syt(shape)
     polys: list[QIntProduct | None] = [None] * graph.size
@@ -210,7 +194,7 @@ def tableau_polynomials(shape) -> TableauPolyTable:
                 f"tableau polynomial of {graph.nodes[hi]!r} is path-dependent: "
                 f"{polys[hi].expand()!r} vs {candidate.expand()!r}"
             )
-    return TableauPolyTable(graph, tuple(polys))
+    return dict(zip(graph.nodes, polys))
 
 
 def det_poly_factored(shape) -> QIntProduct:

@@ -7,11 +7,11 @@ plain exact elimination, and returns the Gram determinant. A second,
 randomized route multiplies out basis-element images along reduced words
 and returns the determinant of a skew element. Both routes share one
 entry that refuses a shape with an odd tableau count before building
-anything, and the skew route also bounds the n! images it stores. Both
-determinants are returned as integers and never factored here: whether one
-lies in the formula's square class is a perfect-square test
-(`SquareClass.contains`). Agreement of either route with the polynomial
-formula is the package's central cross-check.
+anything; `check_limits` bounds the dimension and the skew route's n!
+images from that count alone. Both determinants are returned as integers
+and never factored here: whether one lies in the formula's square class
+is a perfect-square test (`SquareClass.contains`). Agreement of either
+route with the polynomial formula is the package's central cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
 partner, so it is stored as its sparse columns (see `linalg`), times one
@@ -100,6 +100,18 @@ class SeminormalRep:
         return sum(self.shape)
 
 
+def check_limits(shape, skew: bool = False) -> None:
+    """ResourceGuardError for dim > MAX_DIM or, if skew, n! * dim^2 > MAX_SKEW_ENTRIES."""
+    shape = check_partition(shape)
+    dim = syt_count(shape)
+    if dim > MAX_DIM:
+        raise ResourceGuardError(f"shape {shape}: {dim} tableaux > oracle limit {MAX_DIM}")
+    if skew and (entries := factorial(sum(shape)) * dim**2) > MAX_SKEW_ENTRIES:
+        raise ResourceGuardError(
+            f"shape {shape}: {entries} word-image entries > skew limit {MAX_SKEW_ENTRIES}"
+        )
+
+
 def build_seminormal(shape, q: int) -> SeminormalRep:
     """Construct the generator matrices for a shape at integer q >= 1.
 
@@ -110,15 +122,13 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     and the off-diagonal entry 1; at -d it is -1/[d] and q[d-1][d+1]/[d]^2,
     since [d]^2 - q^(d-1) = [d-1][d+1]. At q = 1 this is Young's
     seminormal form. Entries are stored times `scale`, so all are integers.
-    A module of dimension above MAX_DIM raises ResourceGuardError before
-    any tableau is enumerated.
+    A module over `check_limits` raises ResourceGuardError before any
+    tableau is enumerated.
     """
     shape = check_partition(shape)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
-    dim = syt_count(shape)
-    if dim > MAX_DIM:
-        raise ResourceGuardError(f"shape {shape}: {dim} tableaux > oracle limit {MAX_DIM}")
+    check_limits(shape)
     graph = enumerate_syt(shape)
     n = sum(shape)
     qint = {k: q_int(k)(q) for k in range(1, n + 1)}
@@ -288,7 +298,7 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     return GramForm(rep=rep, matrix=matrix, determinant=det)
 
 
-def _even_rep(shape, q: int) -> SeminormalRep:
+def _even_rep(shape, q: int, skew: bool = False) -> SeminormalRep:
     """The module of a shape with an even tableau count; odd ones are refused before building."""
     shape = check_partition(shape)
     dim = syt_count(shape)
@@ -296,6 +306,8 @@ def _even_rep(shape, q: int) -> SeminormalRep:
         raise NotIrrPlusError(
             f"shape {shape} has odd dimension {dim}: class is not scale-invariant"
         )
+    if skew:
+        check_limits(shape, skew=True)
     return build_seminormal(shape, q)
 
 
@@ -321,14 +333,9 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
     the determinant gains the square scale^(top * dim) (dim is even).
     Retries with fresh coefficients up to the budget; reports failure
     rather than guessing. A shape whose n! * dim^2 image entries exceed
-    MAX_SKEW_ENTRIES raises ResourceGuardError before any image is built.
+    MAX_SKEW_ENTRIES raises ResourceGuardError before the module is built.
     """
-    rep = _even_rep(shape, q)
-    entries = factorial(rep.n) * rep.dim**2
-    if entries > MAX_SKEW_ENTRIES:
-        raise ResourceGuardError(
-            f"shape {rep.shape}: {entries} word-image entries > skew limit {MAX_SKEW_ENTRIES}"
-        )
+    rep = _even_rep(shape, q, skew=True)
     images = all_word_images(rep)
     top = rep.n * (rep.n - 1) // 2
     pairs = sorted(

@@ -4,8 +4,8 @@ Partitions are plain tuples of weakly decreasing positive ints. Cells are
 1-based (row, col) pairs. The transposition graph on standard tableaux of a
 shape connects t and s_k.t whenever the entry swap (k, k+1) keeps the
 tableau standard; its breadth-first distance from the row-filling tableau
-is the Coxeter length of the permutation carrying one to the other, which
-is what makes the graph usable for building reduced words.
+is the Coxeter length of the permutation carrying one to the other;
+`tableau_word` reads a word of that length off the tableau, with no graph.
 
 Hook lengths and the tableau count of a shape are one cached record
 (`hook_record`), read by `syt_count` and by the unipotent degrees of `gl`.
@@ -19,11 +19,11 @@ from math import factorial, prod
 
 from .errors import InvariantViolation, ResourceGuardError
 
-# Ceiling on the tableaux of one graph, built for `syt`, `tableau_word`, the
-# oracle and the reference `hecke.tableau_polynomials` (det_poly_factored
-# walks the Young lattice instead and has its own guard). The graph plus its
-# tableau polynomials cost about 2.6 KB and 0.16 ms per tableau (n = 14, 2-core
-# VM), so one shape stays near 260 MB and 16 s; admits n <= 14.
+# Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
+# reference `hecke.tableau_polynomials` (det_poly_factored walks the Young
+# lattice instead and has its own guard). The graph plus its tableau
+# polynomials cost about 2.6 KB and 0.16 ms per tableau (n = 14, 2-core VM),
+# so one shape stays near 260 MB and 16 s; admits n <= 14.
 MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]
@@ -189,7 +189,6 @@ class TableauGraph:
     nodes: tuple[StandardTableau, ...]
     edges: tuple[tuple[int, int, int], ...]
     distances: tuple[int, ...]
-    parents: tuple[tuple[int, int] | None, ...]
 
     @property
     def root(self) -> StandardTableau:
@@ -228,7 +227,6 @@ def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
     nodes = [root]
     index = {root: 0}
     dist = [0]
-    parents: list[tuple[int, int] | None] = [None]
     edges: list[tuple[int, int, int]] = []
     head = 0
     while head < len(nodes):
@@ -243,7 +241,6 @@ def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
                 index[u] = at = len(nodes)
                 nodes.append(u)
                 dist.append(d + 1)
-                parents.append((head, k))
                 edges.append((head, at, k))
             elif dist[at] == d + 1:
                 edges.append((head, at, k))
@@ -263,7 +260,6 @@ def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
         nodes=tuple(nodes),
         edges=tuple(edges),
         distances=tuple(dist),
-        parents=tuple(parents),
     )
 
 
@@ -271,12 +267,15 @@ def tableau_word(t: StandardTableau) -> tuple[int, ...]:
     """A reduced word for the permutation w with t = w . t_shape.
 
     Applying s_(word[-1]) first and s_(word[0]) last to the row-filling
-    tableau yields t; the word length is the graph distance from the root.
+    tableau yields t. While some entry k lies in a lower row than k+1, swap the
+    smallest such pair (that keeps the tableau standard and removes one
+    inversion) and record k; the rows then ascend as in the row-filling
+    tableau, so the word is reduced and its length is the graph distance.
     """
-    graph = enumerate_syt(t.shape)
+    rows = [t.position(value)[0] for value in range(1, t.n + 1)]
     word = []
-    idx = graph.index(t)
-    while graph.parents[idx] is not None:
-        idx, k = graph.parents[idx]
+    while descents := [k for k in range(1, t.n) if rows[k - 1] > rows[k]]:
+        k = descents[0]
+        rows[k - 1], rows[k] = rows[k], rows[k - 1]
         word.append(k)
     return tuple(word)

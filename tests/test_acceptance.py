@@ -37,6 +37,7 @@ from orthdet.squareclass import SquareClass
 from orthdet.tableaux import (
     StandardTableau,
     enumerate_partitions,
+    enumerate_syt,
     hook_lengths,
     syt_count,
 )
@@ -75,10 +76,10 @@ def _naive_squarefree_part(n):
 
 def test_criterion_1_worked_example_reproduction():
     def body():
-        table = tableau_polynomials((3, 1, 1))
         t = StandardTableau(((1, 2, 4), (3,), (5,)))
         x = IntPoly.monomial(1)
-        assert table.poly(t).expand() == x * (x + 1) ** 2 * (IntPoly.monomial(2) + 1)
+        a_t = tableau_polynomials((3, 1, 1))[t]
+        assert a_t.expand() == x * (x + 1) ** 2 * (IntPoly.monomial(2) + 1)
 
         # symbolic class of both the Hecke character and the GL character
         assert det_poly_factored((3, 1, 1)).reduced() == QIntProduct(0, ((5, 1),))
@@ -194,12 +195,13 @@ def test_criterion_7_well_definedness():
         merges = 0
         for n in range(2, 8):
             for shape in enumerate_partitions(n):
-                table = tableau_polynomials(shape)
-                graph = table.graph
+                polys = tableau_polynomials(shape)
+                graph = enumerate_syt(shape)
                 incoming = [0] * graph.size
                 for lo, hi, k in graph.edges:
-                    c = edge_content_gap(graph.nodes[lo], k)
-                    assert table.polys[lo] * QIntProduct.from_edge(c) == table.polys[hi]
+                    lower = graph.nodes[lo]
+                    c = edge_content_gap(lower, k)
+                    assert polys[lower] * QIntProduct.from_edge(c) == polys[graph.nodes[hi]]
                     incoming[hi] += 1
                 merges += sum(1 for count in incoming if count > 1)
         assert merges > 0

@@ -284,8 +284,10 @@ def test_oracle_check_resource_guard(capsys, monkeypatch):
     assert code == 3
     assert "limit" in err
 
+    # The whole scope is checked against the limits before any module is built.
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "MAX_SKEW_ENTRIES", 1)
+    monkeypatch.setattr(oracle, "build_seminormal", lambda shape, q: pytest.fail("built"))
     code, out, err = run(capsys, "oracle-check", "--n-max", "4", "--q", "3", "--method", "skew")
     assert code == 3
     assert out == ""

@@ -57,14 +57,13 @@ def test_every_graph_edge_has_positive_gap_upward_only(shape):
 
 
 def test_tableau_polynomial_root_is_one():
-    table = tableau_polynomials((3, 2, 1))
-    assert table.poly(table.graph.root) == QIntProduct.one()
+    polys = tableau_polynomials((3, 2, 1))
+    assert polys[enumerate_syt((3, 2, 1)).root] == QIntProduct.one()
 
 
 def test_tableau_polynomial_paper_case():
-    table = tableau_polynomials((3, 1, 1))
     t = StandardTableau(((1, 2, 4), (3,), (5,)))
-    a_t = table.poly(t)
+    a_t = tableau_polynomials((3, 1, 1))[t]
     assert a_t == QIntProduct(1, ((2, 1), (4, 1)))
     # x (x+1)^2 (x^2+1), multiplied out independently
     x = IntPoly.monomial(1)
@@ -72,9 +71,8 @@ def test_tableau_polynomial_paper_case():
 
 
 def test_tableau_polynomial_two_one():
-    table = tableau_polynomials((2, 1))
-    non_root = table.graph.nodes[1]
-    assert table.poly(non_root).expand() == IntPoly.monomial(1) * q_int(3)
+    non_root = enumerate_syt((2, 1)).nodes[1]
+    assert tableau_polynomials((2, 1))[non_root].expand() == IntPoly.monomial(1) * q_int(3)
 
 
 def test_det_poly_examples():
@@ -92,7 +90,7 @@ def test_lattice_dp_equals_product_of_tableau_polynomials():
     shapes_checked = _all_partitions(10)
     for shape in shapes_checked:
         product = QIntProduct.one()
-        for poly in tableau_polynomials(shape).polys:
+        for poly in tableau_polynomials(shape).values():
             product = product * poly
         assert det_poly_factored(shape) == product, shape
     assert len(shapes_checked) == 138
@@ -160,12 +158,13 @@ def test_well_definedness_rewalk():
     multi_incoming = 0
     for n in range(2, 7):
         for shape in enumerate_partitions(n):
-            table = tableau_polynomials(shape)
-            graph = table.graph
+            polys = tableau_polynomials(shape)
+            graph = enumerate_syt(shape)
             incoming = [0] * graph.size
             for lo, hi, k in graph.edges:
-                c = edge_content_gap(graph.nodes[lo], k)
-                assert table.polys[lo] * QIntProduct.from_edge(c) == table.polys[hi]
+                lower = graph.nodes[lo]
+                c = edge_content_gap(lower, k)
+                assert polys[lower] * QIntProduct.from_edge(c) == polys[graph.nodes[hi]]
                 incoming[hi] += 1
             multi_incoming += sum(1 for count in incoming if count > 1)
     assert multi_incoming > 0  # the check above actually exercised merges

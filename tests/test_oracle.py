@@ -231,6 +231,7 @@ def test_skew_guard_fires_before_word_images(monkeypatch):
     # even n = 8 one (40320 * 14^2).
     assert 40320 * syt_count((4, 4)) ** 2 > oracle.MAX_SKEW_ENTRIES
     assert oracle.MAX_SKEW_ENTRIES >= 5040 * syt_count((4, 1, 1, 1)) ** 2
+    monkeypatch.setattr(oracle, "build_seminormal", lambda shape, q: pytest.fail("built"))
     monkeypatch.setattr(oracle, "all_word_images", lambda rep: pytest.fail("images built"))
     with pytest.raises(ResourceGuardError, match="skew limit"):
         determinant_via_skew_element((4, 4), 3)

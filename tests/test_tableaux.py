@@ -181,18 +181,6 @@ def test_edges_change_distance_by_one():
             assert graph.distances[hi] - graph.distances[lo] == 1
 
 
-def test_graph_is_connected_through_parents():
-    graph = enumerate_syt((3, 2, 1))
-    for idx in range(graph.size):
-        steps = 0
-        at = idx
-        while graph.parents[at] is not None:
-            at = graph.parents[at][0]
-            steps += 1
-        assert at == 0
-        assert steps == graph.distances[idx]
-
-
 # --- independent permutation oracle -----------------------------------------
 
 def _permutation_of(t, root):
@@ -230,12 +218,32 @@ def test_tableau_word_examples():
 @given(shapes())
 def test_tableau_word_reconstructs_tableau(shape):
     graph = enumerate_syt(shape)
-    for t in graph.nodes:
+    for idx, t in enumerate(graph.nodes):
+        word = tableau_word(t)
+        assert len(word) == graph.distances[idx]  # reduced
         current = graph.root
-        for k in reversed(tableau_word(t)):
+        for k in reversed(word):
             current = apply_simple_transposition(k, current)
             assert current is not None
         assert current == t
+
+
+def test_tableau_word_needs_no_graph(monkeypatch):
+    # (6,4,3,2,1) has 1153152 tableaux, past MAX_TABLEAUX; the word of its
+    # column-filling tableau is read off the entries and still rebuilds it.
+    shape = (6, 4, 3, 2, 1)
+    assert syt_count(shape) > tableaux.MAX_TABLEAUX
+    monkeypatch.setattr(tableaux, "enumerate_syt", lambda shape: pytest.fail("enumerated"))
+    monkeypatch.setattr(tableaux, "_build_graph", lambda shape: pytest.fail("graph built"))
+    columns = row_filling_tableau(conjugate_partition(shape)).rows
+    t = StandardTableau(tuple(
+        tuple(column[i] for column in columns if i < len(column)) for i in range(len(shape))
+    ))
+    current = row_filling_tableau(shape)
+    for k in reversed(tableau_word(t)):
+        current = apply_simple_transposition(k, current)
+        assert current is not None
+    assert current == t
 
 
 def test_size_guard(monkeypatch):
