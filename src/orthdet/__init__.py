@@ -58,7 +58,6 @@ from .squareclass import (
     SquareClass,
     class_of_integer,
     parity_of_integer,
-    power_class,
 )
 from .tableaux import (
     StandardTableau,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
 
-from .errors import InvariantViolation, NotIrrPlusError
+from .errors import InvariantViolation, NotIrrPlusError, check_int
 from .hecke import QIntProduct, det_poly_factored
 from .intpoly import gaussian_binomial
 from .squareclass import SquareClass, factorize
@@ -42,9 +42,7 @@ class PrimePower:
 @lru_cache(maxsize=None)
 def as_odd_prime_power(q: int) -> PrimePower:
     """Validate and decompose q as a power of an odd prime."""
-    if not isinstance(q, int) or q < 3:
-        raise ValueError(f"q must be an integer >= 3, got {q!r}")
-    if q % 2 == 0:
+    if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
     factors = factorize(q)
     if len(factors) != 1:
@@ -67,7 +65,7 @@ def unipotent_degree(shape, q: int) -> int:
     failed exponent check falsifies a theorem and aborts. Valid for any
     integer q >= 2 (primality is not needed for the arithmetic).
     """
-    return _degree_and_exponent(check_partition(shape), q)[0]
+    return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[0]
 
 
 def unipotent_q_exponent(shape, q: int) -> int:
@@ -76,15 +74,14 @@ def unipotent_q_exponent(shape, q: int) -> int:
     Divisibility is a theorem (the non-torus part of the Borel restriction
     has degree divisible by q - 1); failure aborts loudly.
     """
-    return _degree_and_exponent(check_partition(shape), q)[1]
+    return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[1]
 
 
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """Unipotent degree and q-power exponent of a validated shape, from its hook record."""
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"degree formula needs an integer q >= 2, got {q!r}")
+    """Unipotent degree and q-power exponent of a validated shape and q, from its hook record."""
     hooks, count = hook_record(shape)
-    numerator = q ** diagram_weight(shape) * prod(q**i - 1 for i in range(1, sum(shape) + 1))
+    weight = sum(i * part for i, part in enumerate(shape))  # diagram_weight, not re-validated
+    numerator = q**weight * prod(q**i - 1 for i in range(1, sum(shape) + 1))
     degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
     if rem:
         raise InvariantViolation(f"q-hook degree of {shape} at q={q} is not an integer")

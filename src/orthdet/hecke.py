@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from . import squareclass
-from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
+from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
 from .intpoly import IntPoly, cyclotomic, q_int
-from .squareclass import Parity, SquareClass, class_of_integer, power_class, two_adic_valuation
+from .squareclass import ONE, Parity, SquareClass, class_of_integer, two_adic_valuation
 from .tableaux import (
     StandardTableau,
     apply_simple_transposition,
@@ -64,9 +63,7 @@ class QIntProduct:
     @staticmethod
     def from_edge(c: int) -> QIntProduct:
         """The edge factor x * [c+2]_x * [c]_x for content gap c >= 1."""
-        if c < 1:
-            raise ValueError(f"content gap must be >= 1, got {c}")
-        if c == 1:
+        if check_int(c, "content gap", 1) == 1:
             return QIntProduct(1, ((3, 1),))
         return QIntProduct(1, ((c, 1), (c + 2, 1)))
 
@@ -75,10 +72,6 @@ class QIntProduct:
         for k, m in other.qint_mults:
             mults[k] = mults.get(k, 0) + m
         return QIntProduct(self.x_exp + other.x_exp, tuple(sorted(mults.items())))
-
-    @property
-    def degree(self) -> int:
-        return self.x_exp + sum((k - 1) * m for k, m in self.qint_mults)
 
     def expand(self) -> IntPoly:
         poly = IntPoly.monomial(self.x_exp)
@@ -101,9 +94,8 @@ class QIntProduct:
 
     def square_class(self, q: int) -> SquareClass:
         """Square class of the value at q, factor by factor; checked against `parity_at`."""
-        if not isinstance(q, int) or q < 1:
-            raise ValueError(f"evaluation point must be an integer >= 1, got {q!r}")
-        result = power_class(q, self.x_exp)
+        check_int(q, "evaluation point", 1)
+        result = class_of_integer(q) if self.x_exp % 2 else ONE
         for k, m in self.qint_mults:
             if m % 2:
                 result = result * _q_int_class(k, q)
@@ -119,9 +111,7 @@ class QIntProduct:
         v2([k]_q) = v2(k) + v2(q+1) - 1 for even k (lifting the exponent); at
         even q every [k]_q is odd and only the x-power counts.
         """
-        if not isinstance(q, int) or q < 1:
-            raise ValueError(f"evaluation point must be an integer >= 1, got {q!r}")
-        if q % 2 == 0:
+        if check_int(q, "evaluation point", 1) % 2 == 0:
             v2 = self.x_exp * two_adic_valuation(q)
         else:
             v2_q_plus_1 = two_adic_valuation(q + 1)
@@ -151,7 +141,7 @@ class QIntProduct:
 @lru_cache(maxsize=None)
 def _q_int_class(k: int, q: int) -> SquareClass:
     """Square class of [k]_q, via the cyclotomic factorization of x^k - 1."""
-    result = squareclass.ONE
+    result = ONE
     for d in range(2, k + 1):
         if k % d == 0:
             result = result * class_of_integer(cyclotomic(d)(q))
@@ -325,8 +315,7 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
     determinant class is not defined.
     """
     shape = check_partition(shape)
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
+    check_int(q, "parameter q", 1)
     degree = syt_count(shape)
     if degree % 2:
         raise NotIrrPlusError(

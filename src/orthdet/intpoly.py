@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 
+from .errors import check_int
+
 
 class IntPoly:
     """Dense polynomial over the integers, coefficient index = exponent.
@@ -156,9 +158,7 @@ class IntPoly:
 
 def q_int(k: int) -> IntPoly:
     """The q-integer polynomial 1 + x + ... + x^(k-1); q_int(1) = 1."""
-    if k < 1:
-        raise ValueError(f"q-integer index must be positive, got {k}")
-    return IntPoly((1,) * k)
+    return IntPoly((1,) * check_int(k, "q-integer index", 1))
 
 
 @lru_cache(maxsize=None)
@@ -169,9 +169,7 @@ def cyclotomic(n: int) -> IntPoly:
     polynomials of all proper divisors of n. Every division is exact over
     the integers.
     """
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be positive, got {n}")
-    poly = IntPoly.monomial(n) - 1
+    poly = IntPoly.monomial(check_int(n, "cyclotomic index", 1)) - 1
     for d in range(1, n):
         if n % d == 0:
             poly = poly.exact_div(cyclotomic(d))
@@ -184,9 +182,7 @@ def cyclotomic_at_one(n: int) -> int:
     Returns 0 for n = 1, the prime s when n = s^k, and 1 otherwise.
     Independent of cyclotomic(); the two are cross-checked in tests.
     """
-    if n < 1:
-        raise ValueError(f"cyclotomic index must be positive, got {n}")
-    if n == 1:
+    if check_int(n, "cyclotomic index", 1) == 1:
         return 0
     smallest = _smallest_prime_factor(n)
     while n % smallest == 0:
@@ -212,10 +208,9 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     with q elements. Evaluated by iterated exact division; every partial
     product is itself a q-binomial, so each division must come out even.
     """
-    if k < 0 or n < 0 or k > n:
+    if check_int(k, "k", 0) > check_int(n, "n", 0):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"need an integer q >= 2, got q={q!r}")
+    check_int(q, "q", 2)
     value = 1
     for i in range(1, k + 1):
         value, rem = divmod(value * (q ** (n - k + i) - 1), q**i - 1)

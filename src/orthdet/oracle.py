@@ -31,7 +31,13 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial, lcm
 
-from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, SkewElementSearchError
+from .errors import (
+    InvariantViolation,
+    NotIrrPlusError,
+    ResourceGuardError,
+    SkewElementSearchError,
+    check_int,
+)
 from .intpoly import q_int
 from .linalg import (
     Columns,
@@ -126,8 +132,7 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     tableau is enumerated.
     """
     shape = check_partition(shape)
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
+    check_int(q, "parameter q", 1)
     check_limits(shape)
     graph = enumerate_syt(shape)
     n = sum(shape)
@@ -373,10 +378,9 @@ def verify_trace_pairing(n: int, q: int) -> bool:
     tau(T_w T_w') must be q^length(w) when w' is the inverse of w and 0
     otherwise. Checked for all pairs; a mismatch raises InvariantViolation.
     """
-    if not 2 <= n <= 5:
+    if check_int(n, "n", 2) > 5:
         raise ValueError(f"regular-module check supports 2 <= n <= 5, got {n}")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"parameter q must be an integer >= 1, got {q!r}")
+    check_int(q, "parameter q", 1)
     identity, chain = _length_ordered_walk(n)
     perms = [identity] + [w for _, w, _ in chain]
     index = {w: i for i, w in enumerate(perms)}

@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .errors import NotIrrPlusError
+from .errors import NotIrrPlusError, check_int
 from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_factored, hecke_determinant
 from .squareclass import Parity, SquareClass, parity_of_integer
@@ -40,10 +40,9 @@ def lemma_parity_check(c: int, q: int) -> bool:
 
     True for every valid input is the theorem; a False return is a finding.
     """
-    if not isinstance(c, int) or c < 1:
-        raise ValueError(f"c must be a positive integer, got {c!r}")
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be an odd integer >= 3, got {q!r}")
+    check_int(c, "c", 1)
+    if check_int(q, "q", 3) % 2 == 0:
+        raise ValueError(f"q must be odd, got {q}")
     lhs = parity_of_integer(c * (c + 2))
     qc = (q**c - 1) // (q - 1)
     qc2 = (q ** (c + 2) - 1) // (q - 1)
@@ -55,8 +54,8 @@ def parity_bridge_check(shape, q: int) -> bool:
     shape = check_partition(shape)
     if syt_count(shape) % 2:
         raise ValueError(f"shape {shape} has odd degree: no determinant class")
-    if not isinstance(q, int) or q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be an odd integer >= 3, got {q!r}")
+    if check_int(q, "q", 3) % 2 == 0:
+        raise ValueError(f"q must be odd, got {q}")
     factored = det_poly_factored(shape)
     return factored.parity_at(q) == factored.parity_at(1)
 
@@ -170,12 +169,9 @@ _FAMILIES = {
 
 def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
     family = _FAMILIES[name]
-    if n_max < family.min_n_max:
-        raise ValueError(f"n_max must be at least {family.min_n_max}, got {n_max}")
-    if witness_limit < 0:
-        raise ValueError(f"witness_limit must be non-negative, got {witness_limit}")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    check_int(n_max, "n_max", family.min_n_max)
+    check_int(witness_limit, "witness_limit", 0)
+    check_int(jobs, "jobs", 1)
     q_values = tuple(q_values)
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FactorizationError
+from .errors import FactorizationError, check_int
 
 TRIAL_DIVISION_BOUND = 10**4
 _RHO_STEP_BUDGET = 10**7
@@ -59,19 +59,14 @@ class SquareClass:
         g = math.gcd(self.squarefree, other.squarefree)
         return SquareClass(self.sign * other.sign, self.squarefree * other.squarefree // (g * g))
 
-    def __pow__(self, exponent: int) -> SquareClass:
-        if exponent % 2 == 0:
-            return ONE
-        return self
-
     def contains(self, value: int) -> bool:
         """Whether the nonzero integer value lies in this class, without factoring.
 
         value lies in sign * squarefree * (Q^x)^2 iff it has this sign and
         |value| * squarefree is a perfect square.
         """
-        if not isinstance(value, int) or value == 0:
-            raise ValueError(f"square classes are tested on nonzero integers, got {value!r}")
+        if check_int(value, "square-class test value", None) == 0:
+            raise ValueError("0 has no square class")
         if (value > 0) != (self.sign > 0):
             return False
         m = abs(value) * self.squarefree
@@ -99,7 +94,7 @@ ONE = SquareClass(1, 1)
 
 def class_of_integer(a: int) -> SquareClass:
     """Square class of a nonzero integer."""
-    if a == 0:
+    if check_int(a, "classified value", None) == 0:
         raise ValueError("0 has no square class")
     sign = 1 if a > 0 else -1
     squarefree = 1
@@ -107,17 +102,6 @@ def class_of_integer(a: int) -> SquareClass:
         if e % 2:
             squarefree *= p
     return SquareClass(sign, squarefree)
-
-
-def power_class(base: int | SquareClass, exponent: int) -> SquareClass:
-    """Square class of base^exponent: trivial for even exponents."""
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent}")
-    if exponent % 2 == 0:
-        return ONE
-    if isinstance(base, SquareClass):
-        return base
-    return class_of_integer(base)
 
 
 def two_adic_valuation(m: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import InvariantViolation, ResourceGuardError
+from .errors import InvariantViolation, ResourceGuardError, check_int
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
 # reference `hecke.tableau_polynomials` (det_poly_factored walks the Young
@@ -33,8 +33,7 @@ def check_partition(parts) -> tuple[int, ...]:
     """Validate and canonicalize a partition; the empty partition is allowed."""
     shape = tuple(parts)
     for i, p in enumerate(shape):
-        if not isinstance(p, int) or p < 1:
-            raise ValueError(f"partition parts must be positive integers, got {shape}")
+        check_int(p, "partition part", 1)
         if i and shape[i - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {shape}")
     return shape
@@ -42,8 +41,7 @@ def check_partition(parts) -> tuple[int, ...]:
 
 def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n, lexicographically decreasing: (n) first."""
-    if n < 1:
-        raise ValueError(f"partitions are enumerated for n >= 1, got {n}")
+    check_int(n, "n", 1)
 
     def extend(remaining: int, cap: int, prefix: tuple[int, ...], out: list):
         if remaining == 0:
@@ -189,10 +187,6 @@ class TableauGraph:
     nodes: tuple[StandardTableau, ...]
     edges: tuple[tuple[int, int, int], ...]
     distances: tuple[int, ...]
-
-    @property
-    def root(self) -> StandardTableau:
-        return self.nodes[0]
 
     @property
     def size(self) -> int:

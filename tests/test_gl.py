@@ -13,7 +13,7 @@ from orthdet.gl import (
     unipotent_determinant,
     unipotent_q_exponent,
 )
-from orthdet.intpoly import gaussian_binomial, q_int
+from orthdet.intpoly import cyclotomic_at_one, gaussian_binomial, q_int
 from orthdet.squareclass import ONE, SquareClass, class_of_integer
 from orthdet.tableaux import enumerate_partitions, hook_lengths, syt_count
 
@@ -30,8 +30,9 @@ def test_prime_power_rejections(bad):
         as_odd_prime_power(bad)
 
 
-# Floats and strings are rejected, not coerced: a float part or q would
-# answer for another character, return a float, or report a theorem as failed.
+# Floats, strings and bools are rejected, not coerced: a float part or q
+# would answer for another character, return a float, or report a theorem
+# as failed, and a bool would pass for 0 or 1 and print as `true`.
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: tableaux.check_partition([2.7, 1]), id="float-part"),
     pytest.param(lambda: tableaux.check_partition("21"), id="string-shape"),
@@ -51,6 +52,21 @@ def test_prime_power_rejections(bad):
     pytest.param(lambda: oracle.verify_trace_pairing(3, -2), id="trace-pairing-q-negative"),
     pytest.param(lambda: ONE.contains(2.0), id="contains-float"),
     pytest.param(lambda: ONE.contains(Fraction(3, 4)), id="contains-fraction"),
+    pytest.param(lambda: tableaux.check_partition((2, True)), id="bool-part"),
+    pytest.param(lambda: hecke.hecke_determinant((2, 1), True), id="hecke-bool-q"),
+    pytest.param(lambda: hecke.QIntProduct(1, ((2, 1),)).parity_at(True), id="parity-at-bool"),
+    pytest.param(lambda: parker.verify_parker_unipotent(3, [3], jobs=True), id="jobs-bool"),
+    pytest.param(lambda: parker.lemma_parity_check(True, 3), id="lemma-bool-c"),
+    pytest.param(lambda: oracle.verify_trace_pairing(2, True), id="trace-pairing-bool-q"),
+    pytest.param(lambda: ONE.contains(True), id="contains-bool"),
+    pytest.param(lambda: parker.verify_parker_symmetric(4.0), id="sweep-float-n-max"),
+    pytest.param(lambda: parker.verify_parker_symmetric(4, witness_limit=1.5),
+                 id="sweep-float-witness-limit"),
+    pytest.param(lambda: tableaux.enumerate_partitions(3.0), id="partitions-float-n"),
+    pytest.param(lambda: gaussian_binomial(5, 2.0, 3), id="gaussian-float-k"),
+    pytest.param(lambda: q_int(2.0), id="q-int-float"),
+    pytest.param(lambda: cyclotomic_at_one(9.0), id="cyclotomic-at-one-float"),
+    pytest.param(lambda: class_of_integer(True), id="class-of-bool"),
 ])
 def test_only_integers_enter_the_library(call):
     with pytest.raises(ValueError):
@@ -207,8 +223,8 @@ def test_sign_pair_power_rule():
     result = sign_pair_determinant((1, 1), (2, 2), 3)  # deg (1,1) = 3 odd at q=3
     index = gaussian_binomial(6, 2, 3)
     assert index % 2 == 1
-    expected = unipotent_determinant((2, 2), 3).det_class ** unipotent_degree((1, 1), 3)
-    assert result.det_class == expected
+    assert unipotent_degree((1, 1), 3) % 2 == 1  # and class(mu)^odd = class(mu)
+    assert result.det_class == unipotent_determinant((2, 2), 3).det_class
 
 
 def test_sign_pair_does_not_reenter_unipotent_determinant(monkeypatch):

@@ -58,7 +58,7 @@ def test_every_graph_edge_has_positive_gap_upward_only(shape):
 
 def test_tableau_polynomial_root_is_one():
     polys = tableau_polynomials((3, 2, 1))
-    assert polys[enumerate_syt((3, 2, 1)).root] == QIntProduct.one()
+    assert polys[enumerate_syt((3, 2, 1)).nodes[0]] == QIntProduct.one()
 
 
 def test_tableau_polynomial_paper_case():
@@ -210,7 +210,6 @@ def test_qint_product_arithmetic():
     a = QIntProduct.from_edge(1)
     b = QIntProduct.from_edge(3)
     assert a * b == QIntProduct(2, ((3, 2), (5, 1)))
-    assert (a * b).degree == (a * b).expand().degree
     assert QIntProduct.one()(9) == 1
 
 

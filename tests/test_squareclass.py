@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from orthdet import squareclass
 from orthdet.errors import FactorizationError
+from orthdet.hecke import QIntProduct
 from orthdet.squareclass import (
     ONE,
     Parity,
@@ -13,7 +14,6 @@ from orthdet.squareclass import (
     factorize,
     is_probable_prime,
     parity_of_integer,
-    power_class,
 )
 
 nonzero_ints = st.integers(-(10**6), 10**6).filter(lambda a: a != 0)
@@ -38,10 +38,10 @@ def test_multiplication_examples():
 
 
 def test_power_class_examples():
-    assert power_class(7, 1752) == ONE
-    assert power_class(5, 0) == ONE
-    assert power_class(3, 3) == SquareClass(1, 3)
-    assert power_class(SquareClass(-1, 5), 3) == SquareClass(-1, 5)
+    # The class of q^e, as the x-power of a determinant product contributes it.
+    assert QIntProduct(1752, ()).square_class(7) == ONE
+    assert QIntProduct(0, ()).square_class(5) == ONE
+    assert QIntProduct(3, ()).square_class(3) == SquareClass(1, 3)
 
 
 def test_parity_examples():

@@ -201,7 +201,7 @@ def test_distance_equals_coxeter_length():
     for n in range(2, 7):
         for shape in enumerate_partitions(n):
             graph = enumerate_syt(shape)
-            root = graph.root
+            root = graph.nodes[0]
             for idx, t in enumerate(graph.nodes):
                 assert graph.distances[idx] == _inversions(_permutation_of(t, root))
 
@@ -221,7 +221,7 @@ def test_tableau_word_reconstructs_tableau(shape):
     for idx, t in enumerate(graph.nodes):
         word = tableau_word(t)
         assert len(word) == graph.distances[idx]  # reduced
-        current = graph.root
+        current = graph.nodes[0]
         for k in reversed(word):
             current = apply_simple_transposition(k, current)
             assert current is not None
