@@ -16,7 +16,7 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 
 from . import gl, hecke, oracle, parker
-from .errors import InvariantViolation, ResourceGuardError
+from .errors import InvariantViolation, ResourceGuardError, check_int
 from .intpoly import cyclotomic, cyclotomic_at_one, IntPoly
 from .squareclass import class_of_integer
 from .tableaux import (
@@ -231,6 +231,10 @@ def _cmd_syt(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # An empty scope would report "ok" having checked nothing.
+    check_int(args.cyclotomic_max, "--cyclotomic-max", 1)
+    check_int(args.parity_max, "--parity-max", 1)
+    check_int(args.relations_max, "--relations-max", 2)
     checks = []
 
     ok = all(

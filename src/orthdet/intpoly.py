@@ -1,9 +1,13 @@
 """Integer-coefficient univariate polynomials and their q-analog friends.
 
-Everything here is exact: coefficients are Python ints, division is only
-permitted when it leaves no remainder, and evaluation is Horner on ints.
-Covers q-integers [k]_x = 1 + x + ... + x^(k-1), cyclotomic polynomials
-and Gaussian binomial coefficients.
+Everything here is exact: coefficients are Python ints and evaluation is
+Horner on ints. Covers q-integers [k]_x = 1 + x + ... + x^(k-1),
+cyclotomic polynomials and Gaussian binomial coefficients. Cyclotomic
+polynomials come from the Moebius product of binomials x^e - 1, one
+linear multiplication or exact division per binomial; the product identity
+prod_{d | n} Phi_d = x^n - 1 is their independent cross-check. A division
+that leaves a remainder, there or in a Gaussian binomial, falsifies a
+theorem and raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 
-from .errors import check_int
+from .errors import InvariantViolation, check_int
 
 
 class IntPoly:
@@ -105,34 +109,6 @@ class IntPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: IntPoly) -> tuple[IntPoly, IntPoly]:
-        """Long division; requires every leading-coefficient division to be exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quotient = [0] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        while len(rem) >= len(other.coeffs):
-            factor, residue = divmod(rem[-1], lead)
-            if residue != 0:
-                raise ValueError(f"leading coefficient {rem[-1]} not divisible by {lead}")
-            shift = len(rem) - len(other.coeffs)
-            quotient[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
-        return IntPoly(quotient), IntPoly(rem)
-
-    def exact_div(self, other: IntPoly) -> IntPoly:
-        """Divide, insisting the remainder is zero."""
-        quotient, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ValueError(f"{self!r} is not divisible by {other!r} (remainder {rem!r})")
-        return quotient
-
     def __call__(self, x: int) -> int:
         """Exact Horner evaluation at an integer point."""
         value = 0
@@ -165,15 +141,40 @@ def q_int(k: int) -> IntPoly:
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial.
 
-    Computed by the defining recursion: divide x^n - 1 by the cyclotomic
-    polynomials of all proper divisors of n. Every division is exact over
-    the integers.
+    Built from the Moebius product: Phi_n is the product of (x^(n/d) - 1)^mu(d)
+    over the squarefree divisors d of n. The coefficients are multiplied by
+    every numerator binomial first, then divided exactly by each denominator
+    binomial; each step is one linear pass, since x^e - 1 has two terms. An
+    inexact division falsifies the identity and raises InvariantViolation.
+    The product identity prod_{d | n} Phi_d = x^n - 1, which determines every
+    Phi_n by induction on n, is the independent cross-check in the tests and
+    in `orthdet selftest`.
     """
-    poly = IntPoly.monomial(check_int(n, "cyclotomic index", 1)) - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_div(cyclotomic(d))
-    return poly
+    binomials = [(check_int(n, "cyclotomic index", 1), 1)]  # (n/d, mu(d))
+    for p in _distinct_primes(n):
+        binomials += [(e // p, -mu) for e, mu in binomials]
+    coeffs = [1]
+    for e in (e for e, mu in binomials if mu == 1):
+        shifted = [0] * e + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= c
+        coeffs = shifted
+    for e in (e for e, mu in binomials if mu == -1):
+        coeffs = _divide_by_binomial(coeffs, e, n)
+    return IntPoly(coeffs)
+
+
+def _divide_by_binomial(coeffs: list[int], e: int, n: int) -> list[int]:
+    """coeffs / (x^e - 1), which must be exact (a step of cyclotomic(n))."""
+    # The power series coeffs / (x^e - 1): series[i] = series[i - e] - coeffs[i].
+    # The division is exact iff it stops below degree len(coeffs) - e.
+    series = []
+    for i, c in enumerate(coeffs):
+        series.append((series[i - e] if i >= e else 0) - c)
+    size = max(len(coeffs) - e, 0)
+    if any(series[size:]):
+        raise InvariantViolation(f"cyclotomic({n}): x^{e} - 1 does not divide {IntPoly(coeffs)!r}")
+    return series[:size]
 
 
 def cyclotomic_at_one(n: int) -> int:
@@ -182,23 +183,23 @@ def cyclotomic_at_one(n: int) -> int:
     Returns 0 for n = 1, the prime s when n = s^k, and 1 otherwise.
     Independent of cyclotomic(); the two are cross-checked in tests.
     """
-    if check_int(n, "cyclotomic index", 1) == 1:
+    primes = _distinct_primes(check_int(n, "cyclotomic index", 1))
+    if not primes:
         return 0
-    smallest = _smallest_prime_factor(n)
-    while n % smallest == 0:
-        n //= smallest
-    return smallest if n == 1 else 1
+    return primes[0] if len(primes) == 1 else 1
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
+def _distinct_primes(n: int) -> list[int]:
+    """The prime divisors of n >= 1 in increasing order, by trial division."""
+    primes = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return f
-        f += 2
-    return n
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    return primes + [n] if n > 1 else primes
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -215,5 +216,5 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(1, k + 1):
         value, rem = divmod(value * (q ** (n - k + i) - 1), q**i - 1)
         if rem != 0:
-            raise AssertionError(f"gaussian_binomial({n},{k},{q}): inexact step i={i}")
+            raise InvariantViolation(f"gaussian_binomial({n},{k},{q}): inexact step i={i}")
     return value

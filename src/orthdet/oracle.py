@@ -204,7 +204,7 @@ def word_image(rep: SeminormalRep, word) -> Matrix:
     """Dense product of the stored generators along a word: scale^len(word) times its image."""
     image = identity_matrix(rep.dim)
     for k in word:
-        if not 1 <= k <= rep.n - 1:
+        if check_int(k, "generator index", 1) > rep.n - 1:
             raise ValueError(f"generator index {k} out of range 1..{rep.n - 1}")
         image = mat_mul(image, rep.generators[k - 1])
     return image

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 from .errors import NotIrrPlusError, check_int
 from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_factored, hecke_determinant
-from .squareclass import Parity, SquareClass, parity_of_integer
+from .squareclass import Parity, SquareClass, two_adic_valuation
 from .tableaux import check_partition, enumerate_partitions, even_degree_shapes, syt_count
 
 DEFAULT_WITNESS_LIMIT = 8
@@ -43,10 +43,14 @@ def lemma_parity_check(c: int, q: int) -> bool:
     check_int(c, "c", 1)
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
-    lhs = parity_of_integer(c * (c + 2))
-    qc = (q**c - 1) // (q - 1)
-    qc2 = (q ** (c + 2) - 1) // (q - 1)
-    return lhs == parity_of_integer(qc * qc2)
+    # Both q-integers exactly, from one power of q. A class is even iff its
+    # 2-adic valuation is odd, and v2 is additive, so the two sides agree iff
+    # the valuations of c(c+2), [c]_q and [c+2]_q sum to an even number.
+    power = q**c
+    qc = (power - 1) // (q - 1)
+    qc2 = (power * q * q - 1) // (q - 1)
+    v2 = two_adic_valuation
+    return (v2(c * (c + 2)) + v2(qc) + v2(qc2)) % 2 == 0
 
 
 def parity_bridge_check(shape, q: int) -> bool:

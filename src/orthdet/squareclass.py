@@ -106,7 +106,7 @@ def class_of_integer(a: int) -> SquareClass:
 
 def two_adic_valuation(m: int) -> int:
     """The exponent of 2 in a nonzero integer."""
-    if m == 0:
+    if check_int(m, "2-adic valuation argument", None) == 0:
         raise ValueError("0 has no 2-adic valuation")
     m = abs(m)
     return (m & -m).bit_length() - 1
@@ -114,7 +114,7 @@ def two_adic_valuation(m: int) -> int:
 
 def parity_of_integer(m: int) -> Parity:
     """Parity of the square class of m, via the 2-adic valuation only."""
-    if m == 0:
+    if check_int(m, "parity argument", None) == 0:
         raise ValueError("0 has no square class")
     return Parity.EVEN if two_adic_valuation(m) % 2 else Parity.ODD
 
@@ -257,8 +257,7 @@ def factorize(n: int) -> dict[int, int]:
     remains, with at most _RHO_STEP_BUDGET rho steps for the whole call.
     Raises FactorizationError rather than ever guessing.
     """
-    if n < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
+    check_int(n, "factorized value", 1)
     factors: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

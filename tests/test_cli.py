@@ -219,6 +219,16 @@ GOLDEN_JSON = [
         "c7d96884ebc639fd72e6b7ac54e9c92e188c6a04574889f385afcad33f3214fc",
         id="oracle-check-skew",
     ),
+    pytest.param(
+        ["selftest"],
+        "455cb2101577437940b3f96e9587b31002158bc3e18fe7d3863fb05ca8e2b567",
+        id="selftest",
+    ),
+    pytest.param(
+        ["selftest", "--cyclotomic-max", "20", "--parity-max", "50", "--relations-max", "3"],
+        "fc4953b6ec6dd4be4893925dc2a8b29e6fbc48136b89af99f4725f359d80debb",
+        id="selftest-tiny",
+    ),
 ]
 # The first three again through a process pool: the worker count changes no row.
 GOLDEN_JSON += [
@@ -349,6 +359,19 @@ def test_selftest_small_scopes(capsys):
     assert {c["name"] for c in data["checks"]} == {
         "cyclotomic", "parity-lemma", "relations", "trace-pairing"
     }
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--cyclotomic-max", "0"),
+    ("--parity-max", "-5"),
+    ("--relations-max", "1"),
+])
+def test_selftest_rejects_empty_scopes(capsys, flag, value):
+    # An empty scope checks nothing, so it must not be reported as ok.
+    code, out, err = run(capsys, "selftest", flag, value, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert flag in err
 
 
 def test_identical_invocations_are_byte_identical(capsys):

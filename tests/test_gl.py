@@ -14,7 +14,14 @@ from orthdet.gl import (
     unipotent_q_exponent,
 )
 from orthdet.intpoly import cyclotomic_at_one, gaussian_binomial, q_int
-from orthdet.squareclass import ONE, SquareClass, class_of_integer
+from orthdet.squareclass import (
+    ONE,
+    SquareClass,
+    class_of_integer,
+    factorize,
+    parity_of_integer,
+    two_adic_valuation,
+)
 from orthdet.tableaux import enumerate_partitions, hook_lengths, syt_count
 
 
@@ -67,6 +74,11 @@ def test_prime_power_rejections(bad):
     pytest.param(lambda: q_int(2.0), id="q-int-float"),
     pytest.param(lambda: cyclotomic_at_one(9.0), id="cyclotomic-at-one-float"),
     pytest.param(lambda: class_of_integer(True), id="class-of-bool"),
+    pytest.param(lambda: factorize(9.0), id="factorize-float"),
+    pytest.param(lambda: parity_of_integer(True), id="parity-of-bool"),
+    pytest.param(lambda: two_adic_valuation(2.0), id="valuation-float"),
+    pytest.param(lambda: oracle.word_image(oracle.build_seminormal((2, 1), 3), (True,)),
+                 id="word-image-bool-index"),
 ])
 def test_only_integers_enter_the_library(call):
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from orthdet import intpoly
+from orthdet.errors import InvariantViolation
 from orthdet.intpoly import (
     IntPoly,
     cyclotomic,
@@ -39,6 +41,19 @@ def test_cyclotomic_two_power_form():
     for e in range(1, 8):
         expected = IntPoly.monomial(2 ** (e - 1)) + 1
         assert cyclotomic(2**e) == expected
+
+
+def test_cyclotomic_prime_power_and_twice_prime_closed_forms():
+    # Odd p: Phi_{p^k}(x) = sum_{j<p} x^(j p^(k-1)) and Phi_{2p}(x) = Phi_p(-x).
+    for p in (3, 5, 7, 11, 13, 31, 97):
+        for k in range(1, 5):
+            if p**k > 3000:
+                break
+            step = p ** (k - 1)
+            expected = [0] * ((p - 1) * step + 1)
+            expected[::step] = [1] * p
+            assert cyclotomic(p**k) == IntPoly(expected), (p, k)
+        assert cyclotomic(2 * p) == IntPoly([(-1) ** j for j in range(p)]), p
 
 
 def test_cyclotomic_product_identity():
@@ -119,15 +134,16 @@ def test_evaluation_examples():
     assert (IntPoly([2, 0, -1]))(5) == 2 - 25
 
 
-def test_exact_division_guard():
-    with pytest.raises(ValueError):
-        (IntPoly.monomial(2) + 1).exact_div(IntPoly([1, 1]))
+def test_cyclotomic_inexact_binomial_division_is_a_violation():
+    # x^2 + 1 is not a multiple of x - 1: a falsified step, not a bad argument.
+    with pytest.raises(InvariantViolation, match="cyclotomic"):
+        intpoly._divide_by_binomial([1, 0, 1], 1, 4)
 
 
-def test_divmod_reconstructs():
-    a = q_int(6) * cyclotomic(4) + IntPoly([3])
-    quotient, rem = divmod(a, cyclotomic(4))
-    assert quotient * cyclotomic(4) + rem == a
+def test_gaussian_binomial_inexact_step_is_a_violation(monkeypatch):
+    monkeypatch.setattr(intpoly, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InvariantViolation, match="inexact step"):
+        gaussian_binomial(4, 2, 3)
 
 
 @given(small_polys, small_polys, st.integers(-50, 50))

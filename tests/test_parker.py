@@ -10,7 +10,7 @@ from orthdet.parker import (
     verify_parker_symmetric,
     verify_parker_unipotent,
 )
-from orthdet.squareclass import Parity, class_of_integer
+from orthdet.squareclass import Parity, class_of_integer, parity_of_integer
 
 
 def test_lemma_examples():
@@ -25,6 +25,16 @@ def test_lemma_examples():
     assert lemma_parity_check(4, 3)
     assert class_of_integer(24).parity is Parity.EVEN
     assert class_of_integer(14560).squarefree == 910
+
+
+def test_lemma_matches_the_full_product_reference():
+    # The reference forms the product [c]_q [c+2]_q and classifies it whole.
+    for q in (3, 5, 7, 9, 11, 27, 81):
+        for c in range(1, 301):
+            qc = (q**c - 1) // (q - 1)
+            qc2 = (q ** (c + 2) - 1) // (q - 1)
+            expected = parity_of_integer(c * (c + 2)) == parity_of_integer(qc * qc2)
+            assert lemma_parity_check(c, q) is expected, (c, q)
 
 
 def test_lemma_rejects_bad_arguments():
