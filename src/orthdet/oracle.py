@@ -2,25 +2,31 @@
 
 Nothing here touches the tableau polynomials: the module builds the
 seminormal matrices for a shape at a numeric parameter q (q = 1 gives the
-symmetric group), solves for the invariant symmetric bilinear form by
-plain exact elimination, and returns the Gram determinant. A second,
-randomized route multiplies out basis-element images along reduced words
-and returns the determinant of a skew element. Both routes share one
-entry that refuses a shape with an odd tableau count before building
-anything; `check_limits` bounds the dimension and the skew route's n!
-images from that count alone. Both determinants are returned as integers
-and never factored here: whether one lies in the formula's square class
-is a perfect-square test (`SquareClass.contains`). Agreement of either
-route with the polynomial formula is the package's central cross-check.
+symmetric group), solves for the invariant bilinear form by plain exact
+elimination and returns its Gram determinant. The solve has dim unknowns,
+the form's first column: invariance carries it along the tableau graph to
+every other column, and the equations it imposes on that column are added
+until one solution up to scale is left, which is then certified
+invariant, symmetric and nondegenerate. The determinant is taken block by
+block over the form's nonzero pattern (`linalg.bareiss_determinant`); the
+form comes out diagonal, but no step assumes so. A second, randomized
+route multiplies out basis-element images along reduced words and returns
+the determinant of a skew element. Both routes share one entry that
+refuses a shape with an odd tableau count before building anything;
+`check_limits` bounds the dimension and the skew route's n! images from
+that count alone. Both determinants are returned as integers and never
+factored here: whether one lies in the formula's square class is a
+perfect-square test (`SquareClass.contains`). Agreement of either route
+with the polynomial formula is the package's central cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
 partner, so it is stored as its sparse columns (see `linalg`), times one
 common scale that makes every entry an integer; all arithmetic here is on
 ints. Each is checked against the quadratic, braid and commutation
-relations on every basis vector as it is built; a bad block formula can
-never propagate silently. The trace-pairing check on the regular module
-stores its generators as sparse columns too and uses the same product,
-`linalg.mat_mul`.
+relations as it is built, by products of sparse columns; a bad block
+formula can never propagate silently. Word images and the trace-pairing
+check on the regular module (whose generators are sparse columns too) use
+one dense-by-sparse product, `linalg.mat_mul`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import (
     InvariantViolation,
@@ -51,9 +57,11 @@ from .tableaux import (
     TableauGraph, apply_simple_transposition, check_partition, enumerate_syt, syt_count
 )
 
-# Ceiling on the module dimension, calibrated on the Gram route: its solve
-# (dim(dim+1)/2 unknowns) takes about 7 s at dim 216, (4,3,1,1) at q = 3 on a
-# 2-core VM; admits all n <= 9. The skew route has its own guard below.
+# Ceiling on the module dimension, calibrated on the Gram route: build plus
+# solve take 0.15 s at dim 216, (4,3,1,1) at q = 3 on a 2-core VM, and 1.2 s
+# and 50 MB at dim 768, (4,3,2,1), the largest n = 10 module. Admits all
+# n <= 9; raising it to 768 would admit all n = 10. The skew route has its
+# own guard below.
 MAX_DIM = 256
 
 # Ceiling on the n! * dim^2 word-image entries the skew route stores. On a
@@ -165,36 +173,39 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     return rep
 
 
-def _apply(columns: Columns, vec: dict, shift=0) -> dict:
-    """(T + shift) vec for T given by its columns and vec as {index: value}, zeros dropped."""
-    out = {b: shift * x for b, x in vec.items()}
-    for b, x in vec.items():
-        for r, v in columns[b]:
-            out[r] = out.get(r, 0) + v * x
-    return {r: v for r, v in out.items() if v}
+def _compose(a: Columns, b: Columns, shift: int = 0) -> Columns:
+    """The columns of (A + shift) B for A and B given by their columns, zeros dropped."""
+    out = []
+    for col in b:
+        acc: dict[int, int] = {}
+        for k, v in col:
+            acc[k] = acc.get(k, 0) + shift * v
+            for r, w in a[k]:
+                acc[r] = acc.get(r, 0) + w * v
+        out.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
+    return tuple(out)
 
 
 def verify_relations(rep: SeminormalRep) -> None:
-    """Quadratic, braid and commutation relations on every basis vector; raises on failure.
+    """Quadratic, braid and commutation relations as products of columns; raises on failure.
 
     For M = scale * T the quadratic one is (M + scale)(M - q scale) = 0; the rest are homogeneous.
     """
     q, s = rep.q, rep.scale
-    basis = [{b: 1} for b in range(rep.dim)]
+    identity = tuple(((b, 1),) for b in range(rep.dim))
     for i, m in enumerate(rep.generators, start=1):
-        if any(_apply(m, _apply(m, e, s), -q * s) for e in basis):
+        if any(_compose(m, _compose(m, identity, s), -q * s)):
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
     for i in range(len(rep.generators) - 1):
         a, b = rep.generators[i], rep.generators[i + 1]
-        if any(_apply(a, _apply(b, _apply(a, e))) != _apply(b, _apply(a, _apply(b, e)))
-               for e in basis):
+        if _compose(a, _compose(b, a)) != _compose(b, _compose(a, b)):
             raise InvariantViolation(
                 f"braid relation fails for s_{i + 1}, s_{i + 2} on {rep.shape} at q={q}"
             )
     for i in range(len(rep.generators)):
         for j in range(i + 2, len(rep.generators)):
             a, b = rep.generators[i], rep.generators[j]
-            if any(_apply(a, _apply(b, e)) != _apply(b, _apply(a, e)) for e in basis):
+            if _compose(a, b) != _compose(b, a):
                 raise InvariantViolation(
                     f"commutation fails for s_{i + 1}, s_{j + 1} on {rep.shape} at q={q}"
                 )
@@ -252,55 +263,116 @@ class GramForm:
 
 
 def gram_form(rep: SeminormalRep) -> GramForm:
-    """Solve transpose(T_i) X = X T_i for symmetric X by exact elimination.
+    """The invariant form X (transpose(T_i) X = X T_i for all i), solved on x = X e_0.
 
-    The stored generators are scale * T_i, so the equations are integer.
-    The solution space must be one-dimensional (the module is simple and
-    self-dual); the returned matrix is the primitive integer representative.
+    An invariant X is fixed by its first column x. Along the first edge
+    s --s_k--> t into each tableau (the breadth-first tree of the graph),
+    with M_k e_s = alpha e_s + off e_t for the stored M_k = scale * T_k,
+    invariance gives off X e_t = (M_k^T - alpha) X e_s. So with D_0 = 1 and
+    D_t = off D_s, the integer vector D_t X e_t is R_t x, and row r of R_t
+    is one sparse walk up the tree. Component r of X M_i e_t = M_i^T X e_t,
+    cleared of denominators, is an equation on x that every invariant form
+    satisfies; they go to a solver on dim unknowns, t in breadth-first
+    order, until its corank is 1. X is then built from the kernel vector
+    and certified: X and every X M_i are symmetric, and det X != 0. So the
+    invariant forms are exactly the multiples of X (the module is simple
+    and self-dual). The returned matrix is the primitive integer one whose
+    first nonzero upper-triangle entry (row-major) is positive.
     """
-    dim = rep.dim
-    var_of: dict[tuple[int, int], int] = {}
-    for a in range(dim):
-        for b in range(a, dim):
-            var_of[(a, b)] = len(var_of)
-    solver = IntegerKernelSolver(len(var_of))
+    dim, where = rep.dim, f"{rep.shape} at q={rep.q}"
+    gens = rep.generators
+    # tree[t] = (s, k, alpha) for the first edge s --s_k--> t into t, in discovery order.
+    tree: dict[int, tuple[int, int, int]] = {}
+    den = {0: 1}
+    for s, t, k in rep.graph.edges:
+        if t not in den and s in den:
+            column = dict(gens[k - 1][s])
+            off, alpha = column.pop(t, 0), column.pop(s, 0)
+            if not off or column:
+                raise InvariantViolation(
+                    f"column {s} of s_{k} on {where} is not a multiple of e_{s} "
+                    f"plus a nonzero multiple of e_{t}"
+                )
+            tree[t], den[t] = (s, k, alpha), off * den[s]
+    if len(den) < dim:
+        lost = min(set(range(dim)) - set(den))
+        raise InvariantViolation(f"tableau {lost} of {where} has no edge from the root side")
 
-    for columns in rep.generators:
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                # (T^T X - X T)[a,b] = sum_c T[c,a] X[c,b] - sum_c X[a,c] T[c,b];
-                # the matrix is antisymmetric, so strict upper entries suffice.
-                row: dict[int, int] = {}
-                for c, val in columns[a]:
-                    v = var_of[(c, b) if c <= b else (b, c)]
-                    row[v] = row.get(v, 0) + val
-                for c, val in columns[b]:
-                    v = var_of[(a, c) if a <= c else (c, a)]
-                    row[v] = row.get(v, 0) - val
-                solver.add_equation(row)
+    walks: dict[tuple[int, int], dict[int, int]] = {}
 
+    def walk(t: int, r: int) -> dict[int, int]:
+        """Row r of R_t as {index: coefficient}, so (D_t X e_t)_r = sum of coefficient * x."""
+        if not t:
+            return {r: 1}
+        if (row := walks.get((t, r))) is None:
+            s, k, alpha = tree[t]
+            # Row r of (M_k^T - alpha) is column r of M_k, less alpha at r.
+            step = dict(gens[k - 1][r])
+            step[r] = step.get(r, 0) - alpha
+            row = {}
+            for c, v in step.items():
+                if v:
+                    for j, w in walk(s, c).items():
+                        row[j] = row.get(j, 0) + v * w
+            walks[(t, r)] = row
+        return row
+
+    def equations():
+        for t in range(dim):
+            for m in gens:
+                common = lcm(den[t], *(den[b] for b, _ in m[t]))
+                for r in range(dim):
+                    terms = [(v * (common // den[b]), walk(b, r)) for b, v in m[t]]
+                    terms += [(-v * (common // den[t]), walk(t, c)) for c, v in m[r]]
+                    equation: dict[int, int] = {}
+                    for v, row in terms:
+                        for j, w in row.items():
+                            equation[j] = equation.get(j, 0) + v * w
+                    yield equation
+
+    solver = IntegerKernelSolver(dim)
+    for equation in equations():
+        if solver.corank == 1:
+            break
+        solver.add_equation(equation)
     if solver.corank != 1:
         raise InvariantViolation(
-            f"invariant form space of {rep.shape} at q={rep.q} has dimension "
-            f"{solver.corank}, expected 1"
+            f"invariant form space of {where} has dimension at most {solver.corank} "
+            f"by {solver.rank} equations, expected 1"
         )
-    vec = solver.kernel_vector()
-    x = [[0] * dim for _ in range(dim)]
-    for (a, b), v in var_of.items():
-        x[a][b] = x[b][a] = vec[v]
-    matrix = tuple(tuple(row) for row in x)
 
-    # X is symmetric, so transpose(T) X = X T says exactly that X T is symmetric.
-    for i, m in enumerate(rep.generators, start=1):
-        xt = mat_mul(matrix, m)
-        if xt != tuple(zip(*xt)):
-            raise InvariantViolation(
-                f"solved form is not invariant under s_{i} on {rep.shape} at q={rep.q}"
-            )
+    # D_t X e_t from x down the tree; X is their columns times lcm(D) / D_t.
+    scaled = {0: solver.kernel_vector()}
+    for t, (s, k, alpha) in tree.items():
+        w = scaled[s]
+        scaled[t] = [sum(v * w[r] for r, v in col) - alpha * w[c]
+                     for c, col in enumerate(gens[k - 1])]
+    common = lcm(*den.values())
+    columns = tuple(tuple((r, w * (common // den[t])) for r, w in enumerate(scaled[t]) if w)
+                    for t in range(dim))
+    if not _is_symmetric(columns):
+        raise InvariantViolation(f"solved form of {where} is not symmetric")
+    # X is symmetric, so transpose(M) X = X M says exactly that X M is symmetric.
+    for i, m in enumerate(gens, start=1):
+        if not _is_symmetric(_compose(columns, m)):
+            raise InvariantViolation(f"solved form is not invariant under s_{i} on {where}")
+    # Row 0 is column 0, a positive multiple of x, whose first nonzero entry
+    # is positive; so is the first nonzero entry of the upper triangle.
+    g = gcd(*(v for col in columns for _, v in col))
+    rows = [[0] * dim for _ in range(dim)]
+    for t, col in enumerate(columns):
+        for r, v in col:
+            rows[r][t] = v // g
+    matrix = tuple(map(tuple, rows))
     det = bareiss_determinant(matrix)
     if det == 0:
-        raise InvariantViolation(f"invariant form of {rep.shape} at q={rep.q} is degenerate")
+        raise InvariantViolation(f"invariant form of {where} is degenerate")
     return GramForm(rep=rep, matrix=matrix, determinant=det)
+
+
+def _is_symmetric(columns: Columns) -> bool:
+    entries = {(r, c): v for c, col in enumerate(columns) for r, v in col}
+    return all(entries.get((c, r)) == v for (r, c), v in entries.items())
 
 
 def _even_rep(shape, q: int, skew: bool = False) -> SeminormalRep:

@@ -15,7 +15,8 @@ factors, and only printed rows are classified, which needs factorization.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
-keeps the check exact even where the q-integer products are thousands of
+for q^e - 1 is read off q^e mod 2^64 (exactly, from q^e - 1 itself, only
+when that residue is 0), so the check never forms q-integers thousands of
 digits long.
 """
 
@@ -43,14 +44,24 @@ def lemma_parity_check(c: int, q: int) -> bool:
     check_int(c, "c", 1)
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
-    # Both q-integers exactly, from one power of q. A class is even iff its
-    # 2-adic valuation is odd, and v2 is additive, so the two sides agree iff
-    # the valuations of c(c+2), [c]_q and [c+2]_q sum to an even number.
-    power = q**c
-    qc = (power - 1) // (q - 1)
-    qc2 = (power * q * q - 1) // (q - 1)
-    v2 = two_adic_valuation
-    return (v2(c * (c + 2)) + v2(qc) + v2(qc2)) % 2 == 0
+    # A class is even iff its 2-adic valuation is odd, and v2 is additive, so
+    # the two sides agree iff the valuations of c(c+2), [c]_q and [c+2]_q sum
+    # to an even number. v2([e]_q) = v2(q^e - 1) - v2(q - 1); the two
+    # v2(q - 1) terms sum to an even number and drop out.
+    power = pow(q, c, 1 << 64)
+    total = two_adic_valuation(c * (c + 2)) + _v2_power_less_one(power, q, c)
+    total += _v2_power_less_one(power * q * q % (1 << 64), q, c + 2)
+    return total % 2 == 0
+
+
+def _v2_power_less_one(residue: int, q: int, e: int) -> int:
+    """v2(q^e - 1) for odd q, given residue = q^e mod 2^64.
+
+    q^e - 1 is congruent to residue - 1 mod 2^64, so a nonzero difference
+    has the same valuation (below 64); a zero one falls back to q^e - 1
+    itself, so no bound on the valuation is assumed.
+    """
+    return two_adic_valuation(residue - 1 or q**e - 1)
 
 
 def parity_bridge_check(shape, q: int) -> bool:

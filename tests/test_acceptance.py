@@ -135,7 +135,7 @@ def test_criterion_2_degree_formula_anchor():
 
 def test_criterion_3_oracle_equivalence():
     def body():
-        for n in range(2, 8):
+        for n in range(2, 9):
             for shape in enumerate_partitions(n):
                 if syt_count(shape) % 2:
                     continue

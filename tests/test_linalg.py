@@ -41,6 +41,43 @@ def test_bareiss_matches_cofactor_expansion(rows):
     assert bareiss_determinant(rows) == naive_determinant(rows)
 
 
+def _block_diagonal(blocks):
+    size = sum(len(block) for block in blocks)
+    rows = [[0] * size for _ in range(size)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at:at + len(row)] = row
+        at += len(block)
+    return rows
+
+
+permuted_block_matrices = (
+    st.lists(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ),
+        min_size=1,
+        max_size=3,
+    )
+    .map(_block_diagonal)
+    .flatmap(
+        lambda rows: st.permutations(range(len(rows))).map(
+            lambda p: [[rows[i][j] for j in p] for i in p]
+        )
+    )
+)
+
+
+@given(st.one_of(int_matrices, permuted_block_matrices))
+def test_component_split_matches_cofactor_expansion(rows):
+    # Dense matrices are one component; a block-diagonal matrix under a
+    # simultaneous row and column permutation splits into its blocks.
+    assert bareiss_determinant(rows) == naive_determinant(rows)
+
+
 def test_bareiss_handles_zero_pivots():
     rows = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
     assert bareiss_determinant(rows) == -2

@@ -8,7 +8,7 @@ from orthdet import oracle
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import hecke_determinant
 from orthdet.intpoly import q_int
-from orthdet.linalg import identity_matrix
+from orthdet.linalg import IntegerKernelSolver, bareiss_determinant, identity_matrix
 from orthdet.oracle import (
     all_word_images,
     build_seminormal,
@@ -139,10 +139,107 @@ def test_gram_form_two_one_at_three():
     assert form.matrix[0][1] == form.matrix[1][0] == 0
 
 
+def _symmetric_solve_reference(rep):
+    """The slow reference: solve transpose(M_i) X = X M_i on the dim(dim+1)/2 entries
+    X[a][b], a <= b, of a symmetric X; the primitive solution, its first nonzero
+    upper-triangle entry (row-major) positive."""
+    dim = rep.dim
+    var_of = {}
+    for a in range(dim):
+        for b in range(a, dim):
+            var_of[(a, b)] = len(var_of)
+    solver = IntegerKernelSolver(len(var_of))
+    for columns in rep.generators:
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                # (M^T X - X M)[a,b] = sum_c M[c,a] X[c,b] - sum_c X[a,c] M[c,b]
+                row = {}
+                for c, val in columns[a]:
+                    v = var_of[(c, b) if c <= b else (b, c)]
+                    row[v] = row.get(v, 0) + val
+                for c, val in columns[b]:
+                    v = var_of[(a, c) if a <= c else (c, a)]
+                    row[v] = row.get(v, 0) - val
+                solver.add_equation(row)
+    assert solver.corank == 1, (rep.shape, rep.q)
+    vec = solver.kernel_vector()
+    x = [[0] * dim for _ in range(dim)]
+    for (a, b), v in var_of.items():
+        x[a][b] = x[b][a] = vec[v]
+    return tuple(map(tuple, x))
+
+
+def test_gram_form_matches_the_symmetric_solve():
+    for n in range(2, 7):
+        for shape in enumerate_partitions(n):
+            if syt_count(shape) % 2:
+                continue
+            for q in (1, 3, 5):
+                rep = build_seminormal(shape, q)
+                form = gram_form(rep)
+                assert form.matrix == _symmetric_solve_reference(rep), (shape, q)
+                assert form.determinant == bareiss_determinant(form.matrix)
+
+
+def _gram_fails(rep, message):
+    with pytest.raises(InvariantViolation, match=message) as info:
+        gram_form(rep)
+    assert f"{rep.shape} at q={rep.q}" in str(info.value)
+
+
+def test_gram_form_rejects_an_unreached_tableau():
+    rep = build_seminormal((3, 1, 1), 3)
+    edges = tuple(edge for edge in rep.graph.edges if edge[1] != 4)
+    graph = dataclasses.replace(rep.graph, edges=edges)
+    _gram_fails(dataclasses.replace(rep, graph=graph), "tableau 4 .* no edge from the root side")
+
+
+def test_gram_form_rejects_swapped_generators():
+    # The tree edges name s_1 and s_2, whose columns now hold the other partner.
+    rep = build_seminormal((3, 1, 1), 3)
+    t1, t2, *rest = rep.generators
+    _gram_fails(dataclasses.replace(rep, generators=(t2, t1, *rest)), "nonzero multiple of e_")
+
+
+def test_gram_form_rejects_a_two_dimensional_form_space():
+    # With T_2 for both generators the tree still reaches the second tableau,
+    # but every form diagonal in T_2's eigenbasis is invariant.
+    rep = build_seminormal((2, 1), 3)
+    t2 = rep.generators[1]
+    _gram_fails(dataclasses.replace(rep, generators=(t2, t2)), "dimension at most 2")
+
+
+def test_gram_form_rejects_a_perturbed_entry():
+    # The off-diagonal entry of s_2 at tableaux 1 and 2 of (3,1,1) grows by
+    # one scale; the form the equations single out is then not invariant.
+    # (A diagonal entry would not do: the form knows nothing of the relations.)
+    rep = build_seminormal((3, 1, 1), 3)
+    t1, t2, *rest = rep.generators
+    (r, alpha), (p, off) = t2[1]
+    assert (r, p) == (1, 2)
+    t2 = t2[:1] + (((r, alpha), (p, off + rep.scale)),) + t2[2:]
+    _gram_fails(dataclasses.replace(rep, generators=(t1, t2, *rest)), "not invariant under s_2")
+
+
+def test_gram_form_rejects_a_degenerate_form():
+    # A diagonal s_1 and a Jordan block s_2 (whose first column is the tree
+    # edge) leave only diag(1, 0) invariant.
+    rep = build_seminormal((2, 1), 3)
+    diagonal = (((0, 2),), ((1, 3),))
+    jordan = (((0, 5), (1, 1)), ((1, 5),))
+    _gram_fails(dataclasses.replace(rep, generators=(diagonal, jordan)), "degenerate")
+
+
 def test_gram_determinant_examples():
     assert ONE.contains(determinant_via_gram((3, 1, 1), 3))
     assert SquareClass(1, 39).contains(determinant_via_gram((2, 2), 3))
     assert SquareClass(1, 155).contains(determinant_via_gram((2, 1), 5))
+
+
+def test_gram_reaches_the_largest_n9_modules():
+    # Both have dim 216, the most of any n = 9 shape.
+    for shape, q in [((4, 3, 1, 1), 3), ((4, 2, 2, 1), 9)]:
+        assert hecke_determinant(shape, q).det_class.contains(determinant_via_gram(shape, q))
 
 
 def test_gram_rejects_odd_dimension(monkeypatch):

@@ -27,14 +27,25 @@ def test_lemma_examples():
     assert class_of_integer(14560).squarefree == 910
 
 
+def _lemma_reference(c, q):
+    """The product [c]_q [c+2]_q formed and classified whole."""
+    qc = (q**c - 1) // (q - 1)
+    qc2 = (q ** (c + 2) - 1) // (q - 1)
+    return parity_of_integer(c * (c + 2)) == parity_of_integer(qc * qc2)
+
+
 def test_lemma_matches_the_full_product_reference():
-    # The reference forms the product [c]_q [c+2]_q and classifies it whole.
     for q in (3, 5, 7, 9, 11, 27, 81):
         for c in range(1, 301):
-            qc = (q**c - 1) // (q - 1)
-            qc2 = (q ** (c + 2) - 1) // (q - 1)
-            expected = parity_of_integer(c * (c + 2)) == parity_of_integer(qc * qc2)
-            assert lemma_parity_check(c, q) is expected, (c, q)
+            assert lemma_parity_check(c, q) is _lemma_reference(c, q), (c, q)
+
+
+def test_lemma_falls_back_to_the_exact_power():
+    # q = 1 mod 2^64, so q^e = 1 mod 2^64 and the residue says nothing:
+    # v2(q^e - 1) = 64 + v2(e) comes from the exact power.
+    q = 2**64 + 1
+    for c in range(1, 41):
+        assert lemma_parity_check(c, q) is _lemma_reference(c, q), c
 
 
 def test_lemma_rejects_bad_arguments():
