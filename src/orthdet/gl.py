@@ -51,12 +51,6 @@ def as_odd_prime_power(q: int) -> PrimePower:
     return PrimePower(p=p, r=r, q=q)
 
 
-def diagram_weight(shape) -> int:
-    """The exponent statistic sum over rows of (row index - 1) * row length."""
-    shape = check_partition(shape)
-    return sum(i * part for i, part in enumerate(shape))
-
-
 def unipotent_degree(shape, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) attached to a shape.
 
@@ -80,7 +74,7 @@ def unipotent_q_exponent(shape, q: int) -> int:
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     """Unipotent degree and q-power exponent of a validated shape and q, from its hook record."""
     hooks, count = hook_record(shape)
-    weight = sum(i * part for i, part in enumerate(shape))  # diagram_weight, not re-validated
+    weight = sum(i * part for i, part in enumerate(shape))  # sum of (row - 1) * row length
     numerator = q**weight * prod(q**i - 1 for i in range(1, sum(shape) + 1))
     degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
     if rem:
@@ -155,11 +149,16 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
         shapes=(shape,),
         q=pp,
         degree=degree,
-        symbolic=(factored * q_power).reduced(),
+        symbolic=_unipotent_class(factored, q_power),
         parts=(("hecke", factored), ("q-power", q_power)),
         f_factored=factored,
         q_exponent=exponent,
     )
+
+
+def _unipotent_class(factored: QIntProduct, q_power: QIntProduct) -> QIntProduct:
+    """The squarefree class of a unipotent character: its Hecke determinant times its q-power."""
+    return (factored * q_power).reduced()
 
 
 def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
@@ -189,20 +188,13 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     if index % 2 == 0:
         symbolic, parts = one, (("induction", one),)
     else:
-        # Odd induction index: the class is that of the outer product, the
-        # unipotent class of the even-degree component (which must exist, else
-        # the total degree were odd) when the other's degree is odd.
-        if deg_lam % 2 == 0:
-            inner, exponent, outer_degree = lam, exp_lam, deg_mu
-        elif deg_mu % 2 == 0:
-            inner, exponent, outer_degree = mu, exp_mu, deg_lam
-        else:
-            raise InvariantViolation(
-                f"odd index with two odd-degree components for ({lam}, {mu}) at q={q}"
-            )
+        # det(lam)^deg(mu) * det(mu)^deg(lam), the class of the outer product;
+        # with an odd index and an even degree, at most one degree is odd.
         symbolic = one
-        if outer_degree % 2:
-            symbolic = (det_poly_factored(inner) * QIntProduct(exponent, ())).reduced()
+        if deg_mu % 2:
+            symbolic = _unipotent_class(det_poly_factored(lam), QIntProduct(exp_lam, ()))
+        if deg_lam % 2:
+            symbolic = _unipotent_class(det_poly_factored(mu), QIntProduct(exp_mu, ()))
         parts = (("induction", one), ("outer-product", symbolic))
     return GlDetResult(
         kind="sign-pair", shapes=(lam, mu), q=pp, degree=degree, symbolic=symbolic, parts=parts

@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import InvariantViolation, check_int
+from .squareclass import factorize
 
 
 class IntPoly:
@@ -38,18 +39,10 @@ class IntPoly:
         return IntPoly((1,))
 
     @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> IntPoly:
+    def monomial(exponent: int) -> IntPoly:
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        return IntPoly((0,) * exponent + (coefficient,))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return IntPoly((0,) * exponent + (1,))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -68,24 +61,16 @@ class IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
         return IntPoly(a + b for a, b in zip_longest(self.coeffs, coeffs, fillvalue=0))
 
-    __radd__ = __add__
-
     def __sub__(self, other: int | IntPoly) -> IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
         return IntPoly(a - b for a, b in zip_longest(self.coeffs, coeffs, fillvalue=0))
-
-    def __rsub__(self, other: int | IntPoly) -> IntPoly:
-        return (-self) + other
-
-    def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
 
     def __mul__(self, other: int | IntPoly) -> IntPoly:
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return IntPoly()
         result = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -151,7 +136,7 @@ def cyclotomic(n: int) -> IntPoly:
     in `orthdet selftest`.
     """
     binomials = [(check_int(n, "cyclotomic index", 1), 1)]  # (n/d, mu(d))
-    for p in _distinct_primes(n):
+    for p in factorize(n):
         binomials += [(e // p, -mu) for e, mu in binomials]
     coeffs = [1]
     for e in (e for e, mu in binomials if mu == 1):
@@ -183,23 +168,10 @@ def cyclotomic_at_one(n: int) -> int:
     Returns 0 for n = 1, the prime s when n = s^k, and 1 otherwise.
     Independent of cyclotomic(); the two are cross-checked in tests.
     """
-    primes = _distinct_primes(check_int(n, "cyclotomic index", 1))
+    primes = list(factorize(check_int(n, "cyclotomic index", 1)))
     if not primes:
         return 0
     return primes[0] if len(primes) == 1 else 1
-
-
-def _distinct_primes(n: int) -> list[int]:
-    """The prime divisors of n >= 1 in increasing order, by trial division."""
-    primes = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    return primes + [n] if n > 1 else primes
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -1,9 +1,11 @@
 """Exact linear algebra kernels: no floats anywhere.
 
-Dense matrices are tuples of rows of integers; only `rational_determinant`
-takes Fractions, clearing denominators row by row. A sparse matrix is stored
-as its columns: column c is the row-sorted tuple of its nonzero (row, value)
-entries. The one product multiplies a dense matrix by sparse columns.
+Dense matrices are tuples of rows of integers; `rational_determinant` is
+the only code that touches Fractions, clearing denominators row by row. A
+sparse matrix is stored as its columns: column c is the row-sorted tuple of
+its nonzero (row, value) entries. `mat_mul` multiplies a dense matrix by
+sparse columns; the oracle's `_compose` is the second product, sparse
+columns by sparse columns, for its relation and invariance checks.
 Determinants use fraction-free Bareiss elimination on each diagonal block
 of the nonzero pattern (a diagonal form costs one scan); homogeneous systems
 are reduced incrementally into an integer row-echelon structure whose rows
@@ -156,17 +158,19 @@ class IntegerKernelSolver:
         free = [c for c in range(self.num_vars) if c not in self.rows]
         if len(free) != 1:
             raise ValueError(f"kernel dimension is {len(free)}, expected 1")
-        x = [Fraction(0)] * self.num_vars
-        x[free[0]] = Fraction(1)
+        x = [0] * self.num_vars
+        x[free[0]] = 1
+        # Back-substitution on a multiple of the solution: x is scaled up
+        # only when a pivot does not divide its unknown (pivots are positive).
         for p in sorted(self.rows, reverse=True):
             row = self.rows[p]
             total = sum(v * x[c] for c, v in row.items() if c != p)
-            x[p] = Fraction(-total, row[p])
-        den = reduce(lcm, (f.denominator for f in x), 1)
-        ints = [int(f * den) for f in x]
-        g = reduce(gcd, ints)
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        return ints
+            if total % row[p]:
+                m = row[p] // gcd(total, row[p])
+                x = [v * m for v in x]
+                total *= m
+            x[p] = -total // row[p]
+        g = gcd(*x)
+        if next(v for v in x if v) < 0:
+            g = -g
+        return [v // g for v in x]

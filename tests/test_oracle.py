@@ -44,7 +44,7 @@ def _seminormal_column(rep, i, idx):
 
     d = t.content(i + 1) - t.content(i)
     off = Fraction(1) if d > 0 else diag(d) * diag(-d) + q
-    return {idx: diag(d), rep.graph.index(apply_simple_transposition(i, t)): off}
+    return {idx: diag(d), rep.graph.nodes.index(apply_simple_transposition(i, t)): off}
 
 
 def test_generators_are_scaled_integer_columns():
@@ -242,6 +242,11 @@ def test_gram_reaches_the_largest_n9_modules():
         assert hecke_determinant(shape, q).det_class.contains(determinant_via_gram(shape, q))
 
 
+def test_gram_reaches_an_n10_module():
+    # dim 450; every n = 10 module is within MAX_DIM.
+    assert hecke_determinant((5, 3, 2), 3).det_class.contains(determinant_via_gram((5, 3, 2), 3))
+
+
 def test_gram_rejects_odd_dimension(monkeypatch):
     # The tableau count refuses an odd shape before any matrix is built.
     monkeypatch.setattr(oracle, "build_seminormal", lambda shape, q: pytest.fail("built"))
@@ -316,11 +321,11 @@ def test_build_rejects_bad_q():
 
 
 def test_build_guard_fires_before_enumeration(monkeypatch):
-    # (4,3,1,1) is the largest n = 9 module (dim 216); (5,3,2) has dim 450.
-    assert syt_count((5, 3, 2)) > oracle.MAX_DIM >= syt_count((4, 3, 1, 1))
+    # (4,3,2,1) is the largest n = 10 module (dim 768); (4,4,2,1) has dim 1320.
+    assert syt_count((4, 4, 2, 1)) > oracle.MAX_DIM >= syt_count((4, 3, 2, 1))
     monkeypatch.setattr(oracle, "enumerate_syt", lambda shape: pytest.fail("enumerated"))
     with pytest.raises(ResourceGuardError, match="oracle limit"):
-        build_seminormal((5, 3, 2), 3)
+        build_seminormal((4, 4, 2, 1), 3)
 
 
 def test_skew_guard_fires_before_word_images(monkeypatch):
