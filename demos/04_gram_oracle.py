@@ -29,7 +29,11 @@ print(f"seminormal generators for {shape} at q={q} (relations verified),")
 print(f"stored as integer matrices scale * T_i with scale = {rep.scale}:")
 for i in range(1, rep.n):
     print(f"  {rep.scale} * T_{i}:")
-    for row in word_image(rep, [i]):
+    rows = [[0] * rep.dim for _ in range(rep.dim)]
+    for c, column in enumerate(word_image(rep, [i])):  # sparse (row, value) columns
+        for r, v in column:
+            rows[r][c] = v
+    for row in rows:
         print("    [" + "  ".join(str(x) for x in row) + "]")
 
 form = gram_form(rep)

@@ -1,15 +1,15 @@
 """Exact linear algebra kernels: no floats anywhere.
 
-Dense matrices are tuples of rows of integers; `rational_determinant` is
-the only code that touches Fractions, clearing denominators row by row. A
-sparse matrix is stored as its columns: column c is the row-sorted tuple of
-its nonzero (row, value) entries. `mat_mul` multiplies a dense matrix by
-sparse columns; the oracle's `_compose` is the second product, sparse
-columns by sparse columns, for its relation and invariance checks.
-Determinants use fraction-free Bareiss elimination on each diagonal block
-of the nonzero pattern (a diagonal form costs one scan); homogeneous systems
-are reduced incrementally into an integer row-echelon structure whose rows
-are kept content-free to control entry growth.
+A matrix is stored as its columns: column c is the row-sorted tuple of its
+nonzero (row, value) entries. `mat_mul` is the one product, columns by
+columns, and `transpose` turns a square matrix's columns into its rows.
+Dense matrices, tuples of rows, are only determinant input;
+`rational_determinant` is the only code that touches Fractions, clearing
+denominators row by row. Determinants use fraction-free Bareiss
+elimination on each diagonal block of the nonzero pattern (a diagonal form
+costs one scan); homogeneous systems are reduced incrementally into an
+integer row-echelon structure whose rows are kept content-free to control
+entry growth.
 """
 
 from __future__ import annotations
@@ -22,13 +22,30 @@ Matrix = tuple[tuple, ...]
 Columns = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def identity_matrix(n: int) -> Columns:
+    return tuple(((c, 1),) for c in range(n))
 
 
-def mat_mul(a: Matrix, b: Columns) -> Matrix:
-    """The dense product of a dense matrix a and a matrix b given by its columns."""
-    return tuple(tuple(sum(row[k] * v for k, v in col) for col in b) for row in a)
+def mat_mul(a: Columns, b: Columns, shift: int = 0) -> Columns:
+    """The columns of (A + shift) B for A and B given by their columns, zeros dropped."""
+    out = []
+    for col in b:
+        acc: dict[int, int] = {}
+        for k, v in col:
+            acc[k] = acc.get(k, 0) + shift * v
+            for r, w in a[k]:
+                acc[r] = acc.get(r, 0) + w * v
+        out.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
+    return tuple(out)
+
+
+def transpose(a: Columns) -> Columns:
+    """The columns of the transpose of a square matrix given by its columns."""
+    out: list[list[tuple[int, int]]] = [[] for _ in a]
+    for c, col in enumerate(a):
+        for r, v in col:
+            out[r].append((c, v))
+    return tuple(map(tuple, out))
 
 
 def bareiss_determinant(rows) -> int:

@@ -22,11 +22,12 @@ with the polynomial formula is the package's central cross-check.
 Each generator sends a basis tableau to itself and at most one swap
 partner, so it is stored as its sparse columns (see `linalg`), times one
 common scale that makes every entry an integer; all arithmetic here is on
-ints. Each is checked against the quadratic, braid and commutation
-relations as it is built, by products of sparse columns; a bad block
-formula can never propagate silently. Word images and the trace-pairing
-check on the regular module (whose generators are sparse columns too) use
-one dense-by-sparse product, `linalg.mat_mul`.
+ints. Every matrix here is such columns and every product is
+`linalg.mat_mul`: the relation checks (each generator is checked against
+the quadratic, braid and commutation relations as it is built, so a bad
+block formula can never propagate silently), the form's columns and its
+invariance check, word images and the trace-pairing check on the regular
+module. Dense rows are only determinant input.
 """
 
 from __future__ import annotations
@@ -48,24 +49,25 @@ from .intpoly import q_int
 from .linalg import (
     Columns,
     IntegerKernelSolver,
-    Matrix,
     bareiss_determinant,
     identity_matrix,
     mat_mul,
+    transpose,
 )
 from .tableaux import TableauGraph, check_partition, enumerate_syt, syt_count
 
 # Ceiling on the module dimension, calibrated on the Gram route: on a 2-core
-# VM at q = 3, build plus solve take 0.48 s at dim 450, (5,3,2), and 0.93 s
+# VM at q = 3, build plus solve take 0.16 s at dim 450, (5,3,2), and 0.33 s
 # at dim 768, (4,3,2,1), the largest n = 10 module; all 26 even n = 10
-# shapes take 5.0 s and 45 MB. Admits all n <= 10. The skew route has its
-# own guard below.
+# shapes take 2.0-2.2 s and 42 MB. Admits all n <= 10. The skew route has
+# its own guard below.
 MAX_DIM = 768
 
-# Ceiling on the n! * dim^2 word-image entries the skew route stores. On a
-# 2-core VM the worst n = 7 shape, (4,1,1,1) (2,016,000 entries), takes 4.2 s
-# and 207 MB at q = 9; the smallest even n = 8 one, (4,4) (7,902,720), takes
-# 17 s and 908 MB at q = 3, and (6,2) 28 s and 1.9 GB. Admits every n <= 7.
+# Ceiling on the n! * dim^2 word-image entries the skew route stores, each a
+# (row, value) pair. On a 2-core VM the worst n = 7 shape, (4,1,1,1)
+# (2,016,000 entries), takes 3.0-3.3 s and 272 MB peak RSS at q = 9; the
+# smallest even n = 8 one, (4,4) (7,902,720), takes 12 s and 1.2 GB at q = 3.
+# Admits every n <= 7.
 MAX_SKEW_ENTRIES = 4_000_000
 
 # Random skew elements: how many to try, and the range of their coefficients.
@@ -94,7 +96,7 @@ class SeminormalRep:
 
     Generator i is stored as the integer columns (see `linalg`) of scale * T_i,
     scale = lcm([k]_q^2 for 2 <= k <= n-1): column b holds the entries at
-    tableau b and at its swap partner, if any; `word_image(rep, [i])` is dense.
+    tableau b and at its swap partner, if any; `word_image(rep, [i])` returns them.
     """
 
     shape: tuple[int, ...]
@@ -168,46 +170,33 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     return rep
 
 
-def _compose(a: Columns, b: Columns, shift: int = 0) -> Columns:
-    """The columns of (A + shift) B for A and B given by their columns, zeros dropped."""
-    out = []
-    for col in b:
-        acc: dict[int, int] = {}
-        for k, v in col:
-            acc[k] = acc.get(k, 0) + shift * v
-            for r, w in a[k]:
-                acc[r] = acc.get(r, 0) + w * v
-        out.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
-    return tuple(out)
-
-
 def verify_relations(rep: SeminormalRep) -> None:
     """Quadratic, braid and commutation relations as products of columns; raises on failure.
 
     For M = scale * T the quadratic one is (M + scale)(M - q scale) = 0; the rest are homogeneous.
     """
     q, s = rep.q, rep.scale
-    identity = tuple(((b, 1),) for b in range(rep.dim))
+    identity = identity_matrix(rep.dim)
     for i, m in enumerate(rep.generators, start=1):
-        if any(_compose(m, _compose(m, identity, s), -q * s)):
+        if any(mat_mul(m, mat_mul(m, identity, s), -q * s)):
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
     for i in range(len(rep.generators) - 1):
         a, b = rep.generators[i], rep.generators[i + 1]
-        if _compose(a, _compose(b, a)) != _compose(b, _compose(a, b)):
+        if mat_mul(a, mat_mul(b, a)) != mat_mul(b, mat_mul(a, b)):
             raise InvariantViolation(
                 f"braid relation fails for s_{i + 1}, s_{i + 2} on {rep.shape} at q={q}"
             )
     for i in range(len(rep.generators)):
         for j in range(i + 2, len(rep.generators)):
             a, b = rep.generators[i], rep.generators[j]
-            if _compose(a, b) != _compose(b, a):
+            if mat_mul(a, b) != mat_mul(b, a):
                 raise InvariantViolation(
                     f"commutation fails for s_{i + 1}, s_{j + 1} on {rep.shape} at q={q}"
                 )
 
 
-def word_image(rep: SeminormalRep, word) -> Matrix:
-    """Dense product of the stored generators along a word: scale^len(word) times its image."""
+def word_image(rep: SeminormalRep, word) -> Columns:
+    """The generators' product along a word as columns: scale^len(word) times its image."""
     image = identity_matrix(rep.dim)
     for k in word:
         if check_int(k, "generator index", 1) > rep.n - 1:
@@ -216,15 +205,15 @@ def word_image(rep: SeminormalRep, word) -> Matrix:
     return image
 
 
-def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Matrix]:
-    """Integer images scale^length(w) * T_w of every basis element, one reduced word each.
+def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Columns]:
+    """Integer images scale^length(w) * T_w of every basis element, as columns.
 
     Peeling a right descent writes T_w = T_w' * T_s with a shorter w', so
-    images are filled in by increasing length with one matrix product per
-    group element.
+    images are filled in along one reduced word each, by increasing length
+    with one `mat_mul` per group element.
     """
     identity, chain = _length_ordered_walk(rep.n)
-    images: dict[tuple[int, ...], Matrix] = {identity: identity_matrix(rep.dim)}
+    images: dict[tuple[int, ...], Columns] = {identity: identity_matrix(rep.dim)}
     for shorter, w, k in chain:
         images[w] = mat_mul(images[shorter], rep.generators[k - 1])
     return images
@@ -276,6 +265,7 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     """
     dim, where = rep.dim, f"{rep.shape} at q={rep.q}"
     gens = rep.generators
+    transposed = [transpose(m) for m in gens]
     # tree[t] = (s, k, alpha) for the first edge s --s_k--> t into t, in discovery order.
     tree: dict[int, tuple[int, int, int]] = {}
     den = {0: 1}
@@ -337,19 +327,16 @@ def gram_form(rep: SeminormalRep) -> GramForm:
         )
 
     # D_t X e_t from x down the tree; X is their columns times lcm(D) / D_t.
-    scaled = {0: solver.kernel_vector()}
+    scaled = {0: tuple((r, v) for r, v in enumerate(solver.kernel_vector()) if v)}
     for t, (s, k, alpha) in tree.items():
-        w = scaled[s]
-        scaled[t] = [sum(v * w[r] for r, v in col) - alpha * w[c]
-                     for c, col in enumerate(gens[k - 1])]
+        scaled[t] = mat_mul(transposed[k - 1], (scaled[s],), -alpha)[0]
     common = lcm(*den.values())
-    columns = tuple(tuple((r, w * (common // den[t])) for r, w in enumerate(scaled[t]) if w)
-                    for t in range(dim))
-    if not _is_symmetric(columns):
+    columns = tuple(tuple((r, w * (common // den[t])) for r, w in scaled[t]) for t in range(dim))
+    if columns != transpose(columns):
         raise InvariantViolation(f"solved form of {where} is not symmetric")
     # X is symmetric, so transpose(M) X = X M says exactly that X M is symmetric.
     for i, m in enumerate(gens, start=1):
-        if not _is_symmetric(_compose(columns, m)):
+        if (p := mat_mul(columns, m)) != transpose(p):
             raise InvariantViolation(f"solved form is not invariant under s_{i} on {where}")
     # Row 0 is column 0, a positive multiple of x, whose first nonzero entry
     # is positive; so is the first nonzero entry of the upper triangle.
@@ -363,11 +350,6 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     if det == 0:
         raise InvariantViolation(f"invariant form of {where} is degenerate")
     return GramForm(rep=rep, matrix=matrix, determinant=det)
-
-
-def _is_symmetric(columns: Columns) -> bool:
-    entries = {(r, c): v for c, col in enumerate(columns) for r, v in col}
-    return all(entries.get((c, r)) == v for (r, c), v in entries.items())
 
 
 def _even_rep(shape, q: int, skew: bool = False) -> SeminormalRep:
@@ -423,10 +405,11 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
             if c == 0:
                 continue
             c *= weight
-            for trow, row, rowinv in zip(total, images[w], images[winv]):
-                for s, (x, y) in enumerate(zip(row, rowinv)):
-                    if x != y:
-                        trow[s] += c * (x - y)
+            for s, (col, colinv) in enumerate(zip(images[w], images[winv])):
+                for r, v in col:
+                    total[r][s] += c * v
+                for r, v in colinv:
+                    total[r][s] -= c * v
         det = bareiss_determinant(total)
         if det != 0:
             return det
@@ -451,12 +434,10 @@ def verify_trace_pairing(n: int, q: int) -> bool:
     identity, chain = _length_ordered_walk(n)
     perms = [identity] + [w for _, w, _ in chain]
     index = {w: i for i, w in enumerate(perms)}
-    lengths = [_perm_length(w) for w in perms]
-    size = len(perms)
 
-    # generators[k - 1]: left multiplication by T_(s_k), column i holding T_k T_(perms[i]):
-    # T_(s_k w) if the length goes up, else q T_(s_k w) + (q - 1) T_w.
-    generators = []
+    # Left multiplication by T_(s_k) has column i holding T_k T_(perms[i]): T_(s_k w)
+    # if the length goes up, else q T_(s_k w) + (q - 1) T_w. transposed[k - 1] is its transpose.
+    transposed = []
     for k in range(1, n):
         columns = []
         for i, w in enumerate(perms):
@@ -465,20 +446,20 @@ def verify_trace_pairing(n: int, q: int) -> bool:
                 columns.append(((j, 1),))
             else:
                 columns.append(tuple(sorted((r, v) for r, v in ((j, q), (i, q - 1)) if v)))
-        generators.append(tuple(columns))
+        transposed.append(transpose(tuple(columns)))
 
-    # rows[i] = identity row of the left-regular image of T_(perms[i]).
-    rows = [(1,) + (0,) * (size - 1)]
+    # traces[i] = tau(T_(perms[i]) -) as a column: entry j is tau(T_(perms[i]) T_(perms[j])),
+    # the identity row of the left-regular image of T_(perms[i]).
+    traces = [((0, 1),)]
     for shorter, _, k in chain:
-        rows.append(mat_mul((rows[index[shorter]],), generators[k - 1])[0])
+        traces.append(mat_mul(transposed[k - 1], (traces[index[shorter]],))[0])
 
-    for i, w in enumerate(perms):
-        winv_idx = index[_perm_inverse(w)]
-        for j in range(size):
-            expected = q ** lengths[i] if j == winv_idx else 0
-            if rows[i][j] != expected:
-                raise InvariantViolation(
-                    f"trace pairing fails at n={n}, q={q}: tau(T_w T_w') = {rows[i][j]}, "
-                    f"expected {expected} for w={w}, w'={perms[j]}"
-                )
+    for w, trace in zip(perms, traces):
+        winv, expected = _perm_inverse(w), q ** _perm_length(w)
+        if trace != ((index[winv], expected),):
+            nonzero = {perms[j]: v for j, v in trace}
+            raise InvariantViolation(
+                f"trace pairing fails at n={n}, q={q}: tau(T_w T_w') for w={w} is {nonzero} "
+                f"over its nonzero w', expected {expected} at w'={winv} only"
+            )
     return True

@@ -220,6 +220,11 @@ GOLDEN_JSON = [
         id="oracle-check-skew",
     ),
     pytest.param(
+        ["oracle-check", "--n-max", "8", "--q", "3,9"],
+        "cb27562e807b5b633a84ce5876fe43c579203c5fb956d0e2efce6283a9011c0e",
+        id="oracle-check-n8",
+    ),
+    pytest.param(
         ["selftest"],
         "455cb2101577437940b3f96e9587b31002158bc3e18fe7d3863fb05ca8e2b567",
         id="selftest",

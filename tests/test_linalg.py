@@ -11,6 +11,7 @@ from orthdet.linalg import (
     identity_matrix,
     mat_mul,
     rational_determinant,
+    transpose,
 )
 
 
@@ -109,17 +110,28 @@ def dense_product(a, b):
 
 
 def test_matrix_helpers():
-    ident = identity_matrix(3)
-    a = tuple(tuple(Fraction(i + 2 * j) for j in range(3)) for i in range(3))
-    assert mat_mul(ident, columns_of(a)) == a
-    assert mat_mul(a, columns_of(ident)) == a
     rng = random.Random(3)
-    for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (4, 2, 3), (5, 5, 5)]:
-        x = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(inner)]
-             for _ in range(rows)]
-        y = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(cols)]
-             for _ in range(inner)]
-        assert mat_mul(x, columns_of(y)) == dense_product(x, y)
+
+    def random_rows(rows, cols):
+        return [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(cols)]
+                for _ in range(rows)]
+
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 3, 2), (5, 5, 5)]:
+        x, y = random_rows(rows, inner), random_rows(inner, cols)
+        # The shift adds to the diagonal, so it needs a square left factor.
+        for shift in (0, -2, 3) if rows == inner else (0,):
+            shifted = [[v + shift * (i == k) for k, v in enumerate(row)] for i, row in enumerate(x)]
+            assert mat_mul(columns_of(x), columns_of(y), shift) == columns_of(
+                dense_product(shifted, y)
+            )
+    for n in (1, 2, 5):
+        m = random_rows(n, n)
+        a = columns_of(m)
+        assert transpose(a) == columns_of(tuple(zip(*m)))
+        assert transpose(transpose(a)) == a
+        ident = identity_matrix(n)
+        assert ident == columns_of([[int(i == j) for j in range(n)] for i in range(n)])
+        assert mat_mul(ident, a) == a == mat_mul(a, ident)
 
 
 def test_kernel_solver_simple_system():

@@ -25,9 +25,9 @@ from orthdet.tableaux import apply_simple_transposition, enumerate_partitions, s
 
 def test_one_dimensional_reps():
     rep = build_seminormal((4,), 3)
-    assert all(word_image(rep, [i]) == ((3 * rep.scale,),) for i in range(1, rep.n))
+    assert all(word_image(rep, [i]) == (((0, 3 * rep.scale),),) for i in range(1, rep.n))
     rep = build_seminormal((1, 1, 1, 1), 5)
-    assert all(word_image(rep, [i]) == ((-rep.scale,),) for i in range(1, rep.n))
+    assert all(word_image(rep, [i]) == (((0, -rep.scale),),) for i in range(1, rep.n))
 
 
 def _seminormal_column(rep, i, idx):
@@ -94,7 +94,8 @@ def test_generator_eigenvalue_multiplicities():
             rep = build_seminormal(shape, q)
             for i in range(1, rep.n):
                 m = word_image(rep, [i])
-                trace = Fraction(sum(m[i][i] for i in range(rep.dim)), rep.scale)
+                trace = Fraction(sum(v for c, col in enumerate(m) for r, v in col if r == c),
+                                 rep.scale)
                 a = Fraction(trace + rep.dim, q + 1)
                 assert a.denominator == 1
                 assert 0 <= a <= rep.dim
@@ -102,7 +103,9 @@ def test_generator_eigenvalue_multiplicities():
 
 def test_word_image_identity_and_braid():
     rep = build_seminormal((2, 2), 7)
-    assert word_image(rep, []) == identity_matrix(rep.dim)
+    assert word_image(rep, []) == identity_matrix(rep.dim) == tuple(
+        ((b, 1),) for b in range(rep.dim)
+    )
     assert word_image(rep, [1, 2, 1]) == word_image(rep, [2, 1, 2])
     with pytest.raises(ValueError):
         word_image(rep, [5])
@@ -313,6 +316,14 @@ def test_trace_pairing():
         verify_trace_pairing(6, 3)
     with pytest.raises(ValueError):
         verify_trace_pairing(1, 3)
+
+
+def test_trace_pairing_rejects_a_wrong_length(monkeypatch):
+    # Every expected trace q^length(w) is off by a factor of q.
+    length = oracle._perm_length
+    monkeypatch.setattr(oracle, "_perm_length", lambda w: length(w) + 1)
+    with pytest.raises(InvariantViolation, match="trace pairing fails"):
+        verify_trace_pairing(3, 3)
 
 
 def test_build_rejects_bad_q():

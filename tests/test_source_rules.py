@@ -3,7 +3,9 @@
 Every result is exact and the package has no dependencies (`dependencies =
 []`), so its code holds no float arithmetic, imports only the standard
 library and itself, and touches `Fraction` only where `linalg` clears
-denominators in `rational_determinant`.
+denominators in `rational_determinant`. Imports sit at module level, and
+every private module-level function or class is named somewhere in the
+package besides its own definition (no dead helpers).
 """
 
 import ast
@@ -79,3 +81,43 @@ def test_fraction_only_in_rational_determinant(path):
         if _names_fraction(node) and id(node) not in allowed
     ]
     assert not found, f"{path.name}: Fraction at lines {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_at_module_level(path):
+    found = [
+        (inner.lineno, node.name)
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert not found, f"{path.name}: imports inside (line, body) {found}"
+
+
+def _identifiers(node) -> set[str]:
+    names = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            names.add(inner.id)
+        elif isinstance(inner, ast.Attribute):
+            names.add(inner.attr)
+        elif isinstance(inner, ast.alias):
+            names.add(inner.name)
+    return names
+
+
+def test_private_definitions_are_used():
+    # No dead helpers: a private module-level function or class is named in
+    # some statement of the package other than its own definition.
+    statements = [(path, node) for path in SOURCES for node in _tree(path).body]
+    named = [_identifiers(node) for _, node in statements]
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for i, (path, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in names for j, names in enumerate(named) if j != i)
+    ]
+    assert not unused, f"unused private definitions: {unused}"
