@@ -1,15 +1,15 @@
 """Exact linear algebra kernels: no floats anywhere.
 
-A matrix is stored as its columns: column c is the row-sorted tuple of its
-nonzero (row, value) entries. `mat_mul` is the one product, columns by
+Every matrix is stored as its columns: column c is the row-sorted tuple of
+its nonzero (row, value) entries. `mat_mul` is the one product, columns by
 columns, and `transpose` turns a square matrix's columns into its rows.
-Dense matrices, tuples of rows, are only determinant input;
-`rational_determinant` is the only code that touches Fractions, clearing
-denominators row by row. Determinants use fraction-free Bareiss
-elimination on each diagonal block of the nonzero pattern (a diagonal form
-costs one scan); homogeneous systems are reduced incrementally into an
-integer row-echelon structure whose rows are kept content-free to control
-entry growth.
+Dense lists exist only inside the Bareiss blocks of `bareiss_determinant`
+and as the input of `rational_determinant`, the only code that touches
+Fractions, clearing denominators row by row. Determinants use
+fraction-free Bareiss elimination on each diagonal block of the nonzero
+pattern (a diagonal form costs one pass over its entries); homogeneous
+systems are reduced incrementally into an integer row-echelon structure
+whose rows are kept content-free to control entry growth.
 """
 
 from __future__ import annotations
@@ -48,18 +48,19 @@ def transpose(a: Columns) -> Columns:
     return tuple(map(tuple, out))
 
 
-def bareiss_determinant(rows) -> int:
-    """Determinant of a square integer matrix, fraction-free, block by block.
+def bareiss_determinant(a: Columns) -> int:
+    """Determinant of a square integer matrix given by its columns, block by block.
 
     The indices split into the connected components of the nonzero-entry
     graph (i ~ j when the entry at (i, j) or at (j, i) is nonzero). A
     simultaneous permutation of rows and columns makes the matrix block
     diagonal without changing its determinant, so that is the product of
-    the Bareiss determinants of the diagonal blocks; a dense matrix costs
-    one extra scan.
+    the Bareiss determinants of the diagonal blocks. Each block is filled
+    densely reading columns as rows (det A^T = det A). An entry that is
+    not an int, or a row index outside 0..dim-1, raises ValueError.
     """
-    m = [list(map(int, row)) for row in rows]
-    label = list(range(len(m)))
+    dim = len(a)
+    label = list(range(dim))
 
     def root(i):
         while label[i] != i:
@@ -67,16 +68,23 @@ def bareiss_determinant(rows) -> int:
             i = label[i]
         return i
 
-    for i, row in enumerate(m):
-        for j, v in enumerate(row):
-            if v and j != i:
-                label[root(j)] = root(i)
+    for c, col in enumerate(a):
+        for r, v in col:
+            if type(v) is not int or not 0 <= r < dim:
+                raise ValueError(f"entry {v!r} at ({r!r}, {c}) of a {dim}x{dim} integer matrix")
+            if r != c:
+                label[root(r)] = root(c)
     blocks: dict[int, list[int]] = {}
-    for i in range(len(m)):
+    for i in range(dim):
         blocks.setdefault(root(i), []).append(i)
     det = 1
     for block in blocks.values():
-        det *= _bareiss([[m[i][j] for j in block] for i in block])
+        where = {i: j for j, i in enumerate(block)}
+        m = [[0] * len(block) for _ in block]
+        for row, c in zip(m, block):
+            for r, v in a[c]:
+                row[where[r]] = v
+        det *= _bareiss(m)
         if det == 0:
             break
     return det
@@ -110,13 +118,13 @@ def _bareiss(m: list[list[int]]) -> int:
 def rational_determinant(a: Matrix) -> Fraction:
     """Determinant of a matrix with Fraction (or int) entries, exactly."""
     scale = 1
-    int_rows = []
+    transposed = []  # the columns of the transpose, whose determinant is the same
     for row in a:
         row = [Fraction(x) for x in row]
         den = reduce(lcm, (x.denominator for x in row), 1)
         scale *= den
-        int_rows.append([int(x * den) for x in row])
-    return Fraction(bareiss_determinant(int_rows), scale)
+        transposed.append(tuple((c, int(x * den)) for c, x in enumerate(row) if x))
+    return Fraction(bareiss_determinant(tuple(transposed)), scale)
 
 
 class IntegerKernelSolver:

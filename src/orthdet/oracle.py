@@ -25,9 +25,10 @@ common scale that makes every entry an integer; all arithmetic here is on
 ints. Every matrix here is such columns and every product is
 `linalg.mat_mul`: the relation checks (each generator is checked against
 the quadratic, braid and commutation relations as it is built, so a bad
-block formula can never propagate silently), the form's columns and its
-invariance check, word images and the trace-pairing check on the regular
-module. Dense rows are only determinant input.
+block formula can never propagate silently), the symbolic rows of the
+Gram solve, the form itself and its invariance check, word images and
+the trace-pairing check on the regular module. The one dense list is the
+skew route's running sum, passed to the determinant row by row.
 """
 
 from __future__ import annotations
@@ -173,12 +174,13 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
 def verify_relations(rep: SeminormalRep) -> None:
     """Quadratic, braid and commutation relations as products of columns; raises on failure.
 
-    For M = scale * T the quadratic one is (M + scale)(M - q scale) = 0; the rest are homogeneous.
+    For M = scale * T the quadratic one, (M + scale)(M - q scale) = 0, is checked
+    in one product as (M - (q - 1) scale) M = q scale^2; the rest are homogeneous.
     """
     q, s = rep.q, rep.scale
-    identity = identity_matrix(rep.dim)
+    square = tuple(((c, q * s * s),) for c in range(rep.dim))
     for i, m in enumerate(rep.generators, start=1):
-        if any(mat_mul(m, mat_mul(m, identity, s), -q * s)):
+        if mat_mul(m, m, (1 - q) * s) != square:
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
     for i in range(len(rep.generators) - 1):
         a, b = rep.generators[i], rep.generators[i + 1]
@@ -239,10 +241,10 @@ def _length_ordered_walk(n: int):
 
 @dataclass(frozen=True)
 class GramForm:
-    """Primitive integer Gram matrix of the invariant symmetric form."""
+    """Primitive integer Gram matrix of the invariant symmetric form, as columns."""
 
     rep: SeminormalRep
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: Columns
     determinant: int
 
 
@@ -253,15 +255,16 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     s --s_k--> t into each tableau (the breadth-first tree of the graph),
     with M_k e_s = alpha e_s + off e_t for the stored M_k = scale * T_k,
     invariance gives off X e_t = (M_k^T - alpha) X e_s. So with D_0 = 1 and
-    D_t = off D_s, the integer vector D_t X e_t is R_t x, and row r of R_t
-    is one sparse walk up the tree. Component r of X M_i e_t = M_i^T X e_t,
-    cleared of denominators, is an equation on x that every invariant form
-    satisfies; they go to a solver on dim unknowns, t in breadth-first
-    order, until its corank is 1. X is then built from the kernel vector
-    and certified: X and every X M_i are symmetric, and det X != 0. So the
-    invariant forms are exactly the multiples of X (the module is simple
-    and self-dual). The returned matrix is the primitive integer one whose
-    first nonzero upper-triangle entry (row-major) is positive.
+    D_t = off D_s, the integer vector D_t X e_t is R_t x, where R_0 = 1 and
+    R_t = (M_k^T - alpha) R_s, one `mat_mul` per tableau. Component r of
+    X M_i e_t = M_i^T X e_t, cleared of denominators, is an equation on x
+    that every invariant form satisfies; they go to a solver on dim
+    unknowns, t in breadth-first order, until its corank is 1. X is then
+    built from the kernel vector and certified: X and every X M_i are
+    symmetric, and det X != 0. So the invariant forms are exactly the
+    multiples of X (the module is simple and self-dual). The returned
+    matrix is the columns of the primitive integer one whose first column,
+    which is its first row, has a positive first nonzero entry.
     """
     dim, where = rep.dim, f"{rep.shape} at q={rep.q}"
     gens = rep.generators
@@ -283,35 +286,24 @@ def gram_form(rep: SeminormalRep) -> GramForm:
         lost = min(set(range(dim)) - set(den))
         raise InvariantViolation(f"tableau {lost} of {where} has no edge from the root side")
 
-    walks: dict[tuple[int, int], dict[int, int]] = {}
-
-    def walk(t: int, r: int) -> dict[int, int]:
-        """Row r of R_t as {index: coefficient}, so (D_t X e_t)_r = sum of coefficient * x."""
+    @lru_cache(maxsize=None)
+    def rows_of(t: int) -> Columns:
+        """The rows of R_t, each as (index, coefficient) pairs: (D_t X e_t)_r = row r times x."""
         if not t:
-            return {r: 1}
-        if (row := walks.get((t, r))) is None:
-            s, k, alpha = tree[t]
-            # Row r of (M_k^T - alpha) is column r of M_k, less alpha at r.
-            step = dict(gens[k - 1][r])
-            step[r] = step.get(r, 0) - alpha
-            row = {}
-            for c, v in step.items():
-                if v:
-                    for j, w in walk(s, c).items():
-                        row[j] = row.get(j, 0) + v * w
-            walks[(t, r)] = row
-        return row
+            return identity_matrix(dim)
+        s, k, alpha = tree[t]
+        return transpose(mat_mul(transposed[k - 1], transpose(rows_of(s)), -alpha))
 
     def equations():
         for t in range(dim):
             for m in gens:
                 common = lcm(den[t], *(den[b] for b, _ in m[t]))
                 for r in range(dim):
-                    terms = [(v * (common // den[b]), walk(b, r)) for b, v in m[t]]
-                    terms += [(-v * (common // den[t]), walk(t, c)) for c, v in m[r]]
+                    terms = [(v * (common // den[b]), rows_of(b)[r]) for b, v in m[t]]
+                    terms += [(-v * (common // den[t]), rows_of(t)[c]) for c, v in m[r]]
                     equation: dict[int, int] = {}
                     for v, row in terms:
-                        for j, w in row.items():
+                        for j, w in row:
                             equation[j] = equation.get(j, 0) + v * w
                     yield equation
 
@@ -338,14 +330,9 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     for i, m in enumerate(gens, start=1):
         if (p := mat_mul(columns, m)) != transpose(p):
             raise InvariantViolation(f"solved form is not invariant under s_{i} on {where}")
-    # Row 0 is column 0, a positive multiple of x, whose first nonzero entry
-    # is positive; so is the first nonzero entry of the upper triangle.
+    # Column 0 is a positive multiple of x, whose first nonzero entry is positive.
     g = gcd(*(v for col in columns for _, v in col))
-    rows = [[0] * dim for _ in range(dim)]
-    for t, col in enumerate(columns):
-        for r, v in col:
-            rows[r][t] = v // g
-    matrix = tuple(map(tuple, rows))
+    matrix = tuple(tuple((r, v // g) for r, v in col) for col in columns)
     det = bareiss_determinant(matrix)
     if det == 0:
         raise InvariantViolation(f"invariant form of {where} is degenerate")
@@ -389,6 +376,7 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
     rather than guessing. A shape whose n! * dim^2 image entries exceed
     MAX_SKEW_ENTRIES raises ResourceGuardError before the module is built.
     """
+    check_int(seed, "seed", None)
     rep = _even_rep(shape, q, skew=True)
     images = all_word_images(rep)
     top = rep.n * (rep.n - 1) // 2
@@ -410,7 +398,10 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
                     total[r][s] += c * v
                 for r, v in colinv:
                     total[r][s] -= c * v
-        det = bareiss_determinant(total)
+        # Row r of the sum is column r of its transpose, which has the same determinant.
+        det = bareiss_determinant(
+            tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in total)
+        )
         if det != 0:
             return det
     raise SkewElementSearchError(

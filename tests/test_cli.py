@@ -225,6 +225,11 @@ GOLDEN_JSON = [
         id="oracle-check-n8",
     ),
     pytest.param(
+        ["oracle-check", "--n-max", "9", "--q", "3"],
+        "0f5a0e66acd147d00d60db9dd504da3f5193f05f264f0f13122425f64037a7c7",
+        id="oracle-check-n9",
+    ),
+    pytest.param(
         ["selftest"],
         "455cb2101577437940b3f96e9587b31002158bc3e18fe7d3863fb05ca8e2b567",
         id="selftest",

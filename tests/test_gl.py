@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthdet import gl, hecke, oracle, parker, tableaux
+from orthdet import gl, hecke, linalg, oracle, parker, tableaux
 from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.gl import (
     PrimePower,
@@ -78,6 +78,14 @@ def test_prime_power_rejections(bad):
     pytest.param(lambda: two_adic_valuation(2.0), id="valuation-float"),
     pytest.param(lambda: oracle.word_image(oracle.build_seminormal((2, 1), 3), (True,)),
                  id="word-image-bool-index"),
+    pytest.param(lambda: linalg.bareiss_determinant((((0, Fraction(1, 2)),),)),
+                 id="bareiss-fraction-entry"),
+    pytest.param(lambda: linalg.bareiss_determinant((((0, True),), ((1, True),))),
+                 id="bareiss-bool-entry"),
+    pytest.param(lambda: oracle.determinant_via_skew_element((2, 2), 3, seed=1.5),
+                 id="skew-float-seed"),
+    pytest.param(lambda: oracle.determinant_via_skew_element((2, 2), 3, seed=True),
+                 id="skew-bool-seed"),
 ])
 def test_only_integers_enter_the_library(call):
     with pytest.raises(ValueError):

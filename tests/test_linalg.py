@@ -31,6 +31,13 @@ def naive_determinant(rows):
     return total
 
 
+def columns_of(m):
+    """The sparse columns (row-sorted nonzero (row, value) entries) of a dense matrix."""
+    return tuple(
+        tuple((r, row[c]) for r, row in enumerate(m) if row[c]) for c in range(len(m[0]))
+    )
+
+
 int_matrices = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
@@ -40,7 +47,7 @@ int_matrices = st.integers(1, 5).flatmap(
 
 @given(int_matrices)
 def test_bareiss_matches_cofactor_expansion(rows):
-    assert bareiss_determinant(rows) == naive_determinant(rows)
+    assert bareiss_determinant(columns_of(rows)) == naive_determinant(rows)
 
 
 def _block_diagonal(blocks):
@@ -77,13 +84,27 @@ permuted_block_matrices = (
 def test_component_split_matches_cofactor_expansion(rows):
     # Dense matrices are one component; a block-diagonal matrix under a
     # simultaneous row and column permutation splits into its blocks.
-    assert bareiss_determinant(rows) == naive_determinant(rows)
+    assert bareiss_determinant(columns_of(rows)) == naive_determinant(rows)
 
 
 def test_bareiss_handles_zero_pivots():
     rows = [[0, 1, 0], [1, 0, 0], [0, 0, 2]]
-    assert bareiss_determinant(rows) == -2
-    assert bareiss_determinant([[0, 0], [0, 0]]) == 0
+    assert bareiss_determinant(columns_of(rows)) == -2
+    assert bareiss_determinant(columns_of([[0, 0], [0, 0]])) == 0
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param((((0, Fraction(1, 2)),),), id="fraction"),
+    pytest.param((((0, 2.9),), ((1, 1),)), id="float"),
+    pytest.param((((0, True),), ((1, True),)), id="bool"),
+    pytest.param((((0, 1), (1, 4)),), id="row-past-the-end"),
+    pytest.param((((0, 1),), ((-1, 2),)), id="negative-row"),
+])
+def test_bareiss_refuses_non_integer_or_non_square_input(columns):
+    # Truncating int() would read the first three as determinants 0, 2 and 1;
+    # a row index outside 0..dim-1 means the columns are not a square matrix.
+    with pytest.raises(ValueError):
+        bareiss_determinant(columns)
 
 
 def test_rational_determinant_scaling():
@@ -92,13 +113,6 @@ def test_rational_determinant_scaling():
         (Fraction(1, 5), Fraction(1, 7)),
     )
     assert rational_determinant(a) == Fraction(1, 14) - Fraction(1, 15)
-
-
-def columns_of(m):
-    """The sparse columns (row-sorted nonzero (row, value) entries) of a dense matrix."""
-    return tuple(
-        tuple((r, row[c]) for r, row in enumerate(m) if row[c]) for c in range(len(m[0]))
-    )
 
 
 def dense_product(a, b):

@@ -3,9 +3,11 @@
 Every result is exact and the package has no dependencies (`dependencies =
 []`), so its code holds no float arithmetic, imports only the standard
 library and itself, and touches `Fraction` only where `linalg` clears
-denominators in `rational_determinant`. Imports sit at module level, and
-every private module-level function or class is named somewhere in the
-package besides its own definition (no dead helpers).
+denominators in `rational_determinant`. No value is coerced with `int`
+except argument text in `cli` and an integral `Fraction` there. Imports
+sit at module level, and every private module-level function or class is
+named somewhere in the package besides its own definition (no dead
+helpers).
 """
 
 import ast
@@ -81,6 +83,39 @@ def test_fraction_only_in_rational_determinant(path):
         if _names_fraction(node) and id(node) not in allowed
     ]
     assert not found, f"{path.name}: Fraction at lines {found}"
+
+
+# (module, function) pairs where `int(...)` may convert: argument text, and
+# the integral Fractions of `rational_determinant`.
+INT_COERCION_ALLOWED = {
+    ("cli.py", "_parse_shape"),
+    ("cli.py", "_parse_int_list"),
+    ("linalg.py", "rational_determinant"),
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_int_coercion(path):
+    # A float, Fraction or bool is refused (`errors.check_int`), never truncated.
+    tree = _tree(path)
+    allowed = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and (path.name, node.name) in INT_COERCION_ALLOWED
+        for inner in ast.walk(node)
+    }
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in allowed
+        and (
+            getattr(node.func, "id", None) == "int"
+            or (getattr(node.func, "id", None) == "map"
+                and node.args and getattr(node.args[0], "id", None) == "int")
+        )
+    ]
+    assert not found, f"{path.name}: int coercion at lines {found}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
