@@ -152,15 +152,16 @@ def _cmd_verify_parker(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.n_max < 2:
-        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
     q_values = _parse_int_list(args.q)
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
+    shapes = even_degree_shapes(args.n_max)
+    if not shapes:
+        raise ValueError(f"--n-max {args.n_max} has no even-degree shape to check")
     skew = args.method == "skew"
     # Formula classes and oracle limits first: refuse an over-limit scope unbuilt.
     scope = []
-    for shape in even_degree_shapes(args.n_max):
+    for shape in shapes:
         for q in q_values:
             scope.append((shape, q, hecke.hecke_determinant(shape, q).det_class))
             oracle.check_limits(shape, skew)

@@ -48,14 +48,9 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = IntPoly((other,))
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: int | IntPoly) -> IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
@@ -65,9 +60,7 @@ class IntPoly:
         coeffs = (other,) if isinstance(other, int) else other.coeffs
         return IntPoly(a - b for a, b in zip_longest(self.coeffs, coeffs, fillvalue=0))
 
-    def __mul__(self, other: int | IntPoly) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
+    def __mul__(self, other: IntPoly) -> IntPoly:
         if not isinstance(other, IntPoly):
             return NotImplemented
         if not self or not other:
@@ -79,8 +72,6 @@ class IntPoly:
             for j, b in enumerate(other.coeffs):
                 result[i + j] += a * b
         return IntPoly(result)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
         if n < 0:

@@ -243,7 +243,6 @@ def _length_ordered_walk(n: int):
 class GramForm:
     """Primitive integer Gram matrix of the invariant symmetric form, as columns."""
 
-    rep: SeminormalRep
     matrix: Columns
     determinant: int
 
@@ -336,7 +335,7 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     det = bareiss_determinant(matrix)
     if det == 0:
         raise InvariantViolation(f"invariant form of {where} is degenerate")
-    return GramForm(rep=rep, matrix=matrix, determinant=det)
+    return GramForm(matrix=matrix, determinant=det)
 
 
 def _even_rep(shape, q: int, skew: bool = False) -> SeminormalRep:

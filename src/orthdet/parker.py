@@ -5,13 +5,13 @@ via q = 1, and sign pairs) over configurable ranges, recording failures as
 witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
-Every family is one entry of a module-level table: the smallest allowed
-n_max, whether the q values must be odd prime powers (the symmetric family
-runs at the fixed q = 1), a task builder and its public determinant
-function. A single sweep routine validates the scope, maps one worker over
-the tasks, serially unless jobs > 1 asks for a process pool, and assembles
-the report. Rows keep symbolic determinants: parity is read off their
-factors, and only printed rows are classified, which needs factorization.
+Every family is one entry of a module-level table: a task builder and the
+name of its public determinant function. A single sweep routine refuses an
+n_max that leaves no tasks, maps one worker over the tasks, serially unless
+jobs > 1 asks for a process pool, and assembles the report. The determinant
+checks q on every row and rejects odd-degree characters, which the worker
+skips. Rows keep symbolic determinants: parity is read off their factors,
+and only printed rows are classified, which needs factorization.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
@@ -22,16 +22,15 @@ digits long.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .errors import NotIrrPlusError, check_int
-from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
+from .gl import sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_factored, hecke_determinant
 from .squareclass import Parity, SquareClass, two_adic_valuation
-from .tableaux import check_partition, enumerate_partitions, even_degree_shapes, syt_count
+from .tableaux import check_partition, enumerate_partitions, syt_count
 
 DEFAULT_WITNESS_LIMIT = 8
 
@@ -138,10 +137,6 @@ def _all_shapes(n_max: int) -> list[tuple]:
     return [((shape,),) for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
 
 
-def _even_degree_shapes(n_max: int) -> list[tuple]:
-    return [((shape,),) for shape in even_degree_shapes(n_max)]
-
-
 def _sign_pair_tasks(n_max: int) -> list[tuple]:
     return [
         tuple((lam, mu) for mu in _shapes_of(n - ell))
@@ -161,40 +156,32 @@ def _check(determinant, q_values, task) -> list[ParityWitness]:
     return rows
 
 
-@dataclass(frozen=True)
-class _Family:
-    min_n_max: int
-    odd_prime_power_q: bool
-    tasks: Callable[[int], list]
-    determinant: str
-
-
-# Keyed by report name. `tasks(n_max)` lists the work items, tuples of shape
-# tuples: one shape (unipotent, symmetric) or every (lam, mu) of one lam and
-# n (sign pairs). Sweeps are serial unless jobs > 1; that asks for a process
-# pool, which this granularity serves. `determinant` names the public
-# function `_check` calls on each item, looked up in this module at every
-# sweep, not stored, so that a tracer rebinding module attributes sees it.
+# Keyed by report name: (tasks, determinant). `tasks(n_max)` lists the work
+# items, tuples of shape tuples: one shape (unipotent, symmetric) or every
+# (lam, mu) of one lam and n (sign pairs). Sweeps are serial unless jobs > 1;
+# that asks for a process pool, which this granularity serves. `determinant`
+# names the public function `_check` calls on each item, looked up in this
+# module at every sweep, not stored, so that a tracer rebinding module
+# attributes sees it.
 _FAMILIES = {
-    "unipotent": _Family(2, True, _all_shapes, "unipotent_determinant"),
-    "symmetric": _Family(2, False, _even_degree_shapes, "hecke_determinant"),
-    "sign-pair": _Family(1, True, _sign_pair_tasks, "sign_pair_determinant"),
+    "unipotent": (_all_shapes, "unipotent_determinant"),
+    "symmetric": (_all_shapes, "hecke_determinant"),
+    "sign-pair": (_sign_pair_tasks, "sign_pair_determinant"),
 }
 
 
 def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
-    family = _FAMILIES[name]
-    check_int(n_max, "n_max", family.min_n_max)
+    build_tasks, determinant = _FAMILIES[name]
+    check_int(n_max, "n_max", 1)
     check_int(witness_limit, "witness_limit", 0)
     check_int(jobs, "jobs", 1)
     q_values = tuple(q_values)
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
-    if family.odd_prime_power_q:
-        for q in q_values:
-            as_odd_prime_power(q)
-    tasks = family.tasks(n_max)
-    work = partial(_check, globals()[family.determinant], q_values)
+    tasks = build_tasks(n_max)
+    if not tasks:
+        raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
+    work = partial(_check, globals()[determinant], q_values)
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -11,9 +11,11 @@ budget per integer. Testing membership in a known class does not:
 `SquareClass.contains` is one perfect-square test. Only integers are
 classified or tested; every caller holds integer values. Parity alone never
 needs a factorization either: the squarefree part is even exactly when the
-2-adic valuation is odd, which `parity_of_integer` reads off directly.
-That is what makes parity sweeps over astronomically large q-integer
-products feasible.
+2-adic valuation is odd. The sweeps never form the values at all:
+`hecke.QIntProduct.parity_at` sums that valuation factor by factor, which
+is what makes parity sweeps over astronomically large q-integer products
+feasible. `parity_of_integer` reads it off a value directly, the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -281,8 +283,6 @@ def factorize(n: int) -> dict[int, int]:
     budget = _RHO_STEP_BUDGET
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -174,6 +175,52 @@ def test_verify_parker_symmetric_rejects_q(capsys):
     assert "--q" in err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_parker_rejects_q_on_the_rows(capsys, jobs):
+    # Each row's determinant validates its own q, in a pool worker too.
+    code, out, err = run(capsys, "verify-parker", "--family", "sgnpair", "--n-max", "5",
+                         "--q", "3,15", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert "prime power" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_parker_reports_a_parity_failure(capsys, monkeypatch, fmt):
+    real = parker.unipotent_determinant
+
+    def even_at_21(shape, q):
+        if tuple(shape) != (2, 1):
+            return real(shape, q)
+        # [2]_q, which is 6 at q = 5: an even class.
+        return SimpleNamespace(symbolic=QIntProduct(0, ((2, 1),)))
+
+    monkeypatch.setattr(parker, "unipotent_determinant", even_at_21)
+    code, out, err = run(capsys, "verify-parker", "--n-max", "3", "--q", "5", "--format", fmt)
+    assert code == 2
+    assert err.count("PARITY FAILURE:") == 1
+    assert err.startswith("PARITY FAILURE:") and err.count("\n") == 1
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert [w["class"]["squarefree"] for w in data["failures"]] == ["6"]
+    else:
+        assert "failures: 1" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["det-unipotent", "--shape", "2,a", "--q", "3"], "comma-separated integers"),
+    (["verify-parker", "--n-max", "4", "--q", "3,x"], "comma-separated integers"),
+    (["det-hecke", "--shape", "2,2", "--q", "1"], "q >= 2"),
+    (["syt", "--shape", "0"], "non-empty shape"),
+])
+def test_argument_errors_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 # sha256 of the --format json stdout; where the witness limit is 100000,
 # every checked class is listed.
 GOLDEN_JSON = [
@@ -245,6 +292,24 @@ GOLDEN_JSON += [
     pytest.param(case.values[0] + ["--jobs", "2"], case.values[1], id=f"{case.id}-jobs-2")
     for case in GOLDEN_JSON[:3]
 ]
+# The benchmark's sweep scopes.
+GOLDEN_JSON += [
+    pytest.param(
+        ["verify-parker", "--family", "symmetric", "--n-max", "11"],
+        "260810a1e150464800a9d357e7b6a2688dbbc7add2f2a00312a02c12382dd2b8",
+        id="bench-symmetric",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "unipotent", "--n-max", "10", "--q", "3,5,7,9"],
+        "ba882fb266a1ff919119a17939325c38b5f7bb01abd4c90570d1f4c98b7b1c43",
+        id="bench-unipotent",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "sgnpair", "--n-max", "10", "--q", "3,5,7,9"],
+        "3c87e40aedef7a43540e04709704024f366c9a74964797f0c73f54e18934b884",
+        id="bench-sgnpair",
+    ),
+]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_JSON)
@@ -284,8 +349,9 @@ def test_oracle_check_classifies_only_mismatches(capsys, monkeypatch):
 
 
 def test_oracle_check_rejects_small_n_max(capsys):
-    for n_max in ("1", "0", "-3"):
-        code, out, err = run(capsys, "oracle-check", "--n-max", n_max, "--q", "3")
+    # n <= 2 has no even-degree shape, so no comparison could be made.
+    for n_max, q in (("1", "3"), ("0", "3"), ("-3", "3"), ("2", "3"), ("2", "0")):
+        code, out, err = run(capsys, "oracle-check", "--n-max", n_max, "--q", q)
         assert code == 1
         assert out == ""
         assert "--n-max" in err

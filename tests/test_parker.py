@@ -238,11 +238,14 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(parker, "ProcessPoolExecutor", RecordingPool)
-    # Two tasks at n <= 4: the shapes (2,1) and (2,2).
+    # Ten tasks at n <= 4, one per partition of 2, 3 and 4; two have even degree.
     assert verify_parker_symmetric(4, jobs=64).checked == 2
-    assert workers == [2]
-    verify_parker_symmetric(3, jobs=64)  # a single task runs serially
-    assert workers == [2]
+    assert workers == [10]
+    # A single task runs serially.
+    monkeypatch.setitem(parker._FAMILIES, "symmetric",
+                        (lambda n_max: [(((2, 1),),)], "hecke_determinant"))
+    assert verify_parker_symmetric(4, jobs=64).checked == 1
+    assert workers == [10]
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 1.5])
