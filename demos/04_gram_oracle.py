@@ -2,11 +2,12 @@
 
 Builds the seminormal matrices for a shape as integer matrices under one
 common scale (verifying the quadratic, braid and commutation relations on
-the spot), solves for the invariant symmetric bilinear form by exact
-elimination, and compares the Gram determinant class with the polynomial
-formula. A randomized skew element provides a second, fully different
-route to the same class. Each determinant is tested against the formula's
-class by one perfect-square test; the classes are printed by factoring.
+the spot), certifies the invariant symmetric bilinear form (diagonal, and
+unique up to scale by the Jucys-Murphy elements), and compares the Gram
+determinant class with the polynomial formula. A randomized skew element
+provides a second, fully different route to the same class. Each
+determinant is tested against the formula's class by one perfect-square
+test; the classes are printed by factoring.
 Exits 1 if any comparison fails.
 """
 

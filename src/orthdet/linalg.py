@@ -7,9 +7,10 @@ Dense lists exist only inside the Bareiss blocks of `bareiss_determinant`
 and as the input of `rational_determinant`, the only code that touches
 Fractions, clearing denominators row by row. Determinants use
 fraction-free Bareiss elimination on each diagonal block of the nonzero
-pattern (a diagonal form costs one pass over its entries); homogeneous
+pattern (a diagonal form costs one pass over its entries). Homogeneous
 systems are reduced incrementally into an integer row-echelon structure
-whose rows are kept content-free to control entry growth.
+whose rows are kept content-free to control entry growth; its callers are
+the tests' reference solve of the invariant form and the benchmark tracer.
 """
 
 from __future__ import annotations

@@ -2,17 +2,14 @@
 
 Nothing here touches the tableau polynomials: the module builds the
 seminormal matrices for a shape at a numeric parameter q (q = 1 gives the
-symmetric group), solves for the invariant bilinear form by plain exact
-elimination and returns its Gram determinant. The solve has dim unknowns,
-the form's first column: invariance carries it along the tableau graph to
-every other column, and the equations it imposes on that column are added
-until one solution up to scale is left, which is then certified
-invariant, symmetric and nondegenerate. The determinant is taken block by
-block over the form's nonzero pattern (`linalg.bareiss_determinant`); the
-form comes out diagonal, but no step assumes so. A second, randomized
-route multiplies out basis-element images along reduced words and returns
-the determinant of a skew element. Both routes share one entry that
-refuses a shape with an odd tableau count before building anything;
+symmetric group) and returns the Gram determinant of the invariant
+bilinear form. The form is built diagonal along the tableau graph and
+certified invariant, nondegenerate and unique up to scale: the
+Jucys-Murphy elements act diagonally with distinct eigenvalues on the
+tableau basis, so no solve is needed. A second, randomized route
+multiplies out basis-element images along reduced words and returns the
+determinant of a skew element. Both routes share one entry that refuses
+a shape with an odd tableau count before building anything;
 `check_limits` bounds the dimension and the skew route's n! images from
 that count alone. Both determinants are returned as integers and never
 factored here: whether one lies in the formula's square class is a
@@ -25,10 +22,10 @@ common scale that makes every entry an integer; all arithmetic here is on
 ints. Every matrix here is such columns and every product is
 `linalg.mat_mul`: the relation checks (each generator is checked against
 the quadratic, braid and commutation relations as it is built, so a bad
-block formula can never propagate silently), the symbolic rows of the
-Gram solve, the form itself and its invariance check, word images and
-the trace-pairing check on the regular module. The one dense list is the
-skew route's running sum, passed to the determinant row by row.
+block formula can never propagate silently), the form's invariance check,
+the Jucys-Murphy elements, word images and the trace-pairing check on the
+regular module. The one dense list is the skew route's running sum,
+passed to the determinant row by row.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import (
     InvariantViolation,
@@ -49,7 +46,6 @@ from .errors import (
 from .intpoly import q_int
 from .linalg import (
     Columns,
-    IntegerKernelSolver,
     bareiss_determinant,
     identity_matrix,
     mat_mul,
@@ -58,9 +54,9 @@ from .linalg import (
 from .tableaux import TableauGraph, check_partition, enumerate_syt, syt_count
 
 # Ceiling on the module dimension, calibrated on the Gram route: on a 2-core
-# VM at q = 3, build plus solve take 0.16 s at dim 450, (5,3,2), and 0.33 s
-# at dim 768, (4,3,2,1), the largest n = 10 module; all 26 even n = 10
-# shapes take 2.0-2.2 s and 42 MB. Admits all n <= 10. The skew route has
+# VM at q = 3, build plus `gram_form` take 0.18 s at dim 450, (5,3,2), and
+# 0.34 s at dim 768, (4,3,2,1), the largest n = 10 module; all 26 even n = 10
+# shapes take 2.4-2.6 s and 27 MB. Admits all n <= 10. The skew route has
 # its own guard below.
 MAX_DIM = 768
 
@@ -248,94 +244,71 @@ class GramForm:
 
 
 def gram_form(rep: SeminormalRep) -> GramForm:
-    """The invariant form X (transpose(T_i) X = X T_i for all i), solved on x = X e_0.
+    """The invariant form X (transpose(T_i) X = X T_i for all i), built diagonal and certified.
 
-    An invariant X is fixed by its first column x. Along the first edge
-    s --s_k--> t into each tableau (the breadth-first tree of the graph),
-    with M_k e_s = alpha e_s + off e_t for the stored M_k = scale * T_k,
-    invariance gives off X e_t = (M_k^T - alpha) X e_s. So with D_0 = 1 and
-    D_t = off D_s, the integer vector D_t X e_t is R_t x, where R_0 = 1 and
-    R_t = (M_k^T - alpha) R_s, one `mat_mul` per tableau. Component r of
-    X M_i e_t = M_i^T X e_t, cleared of denominators, is an equation on x
-    that every invariant form satisfies; they go to a solver on dim
-    unknowns, t in breadth-first order, until its corank is 1. X is then
-    built from the kernel vector and certified: X and every X M_i are
-    symmetric, and det X != 0. So the invariant forms are exactly the
-    multiples of X (the module is simple and self-dual). The returned
-    matrix is the columns of the primitive integer one whose first column,
-    which is its first row, has a positive first nonzero entry.
+    For a diagonal X, invariance along the first edge s --s_k--> t into each
+    tableau (the breadth-first tree of the graph) reads d_t M[t, s] = d_s M[s, t]
+    for the stored M = scale * T_k, so d_0 = 1 fixes X. It is certified: every
+    X M_i is symmetric and det X != 0. By `_jucys_murphy_diagonals` every
+    invariant form is diagonal, hence a multiple of X. The returned matrix is
+    the columns of the primitive integer X, whose first entry is positive.
     """
     dim, where = rep.dim, f"{rep.shape} at q={rep.q}"
     gens = rep.generators
-    transposed = [transpose(m) for m in gens]
-    # tree[t] = (s, k, alpha) for the first edge s --s_k--> t into t, in discovery order.
-    tree: dict[int, tuple[int, int, int]] = {}
-    den = {0: 1}
+    # d_t = num[t] / den[t], along the first edge s --s_k--> t into t in discovery order.
+    num, den = {0: 1}, {0: 1}
     for s, t, k in rep.graph.edges:
         if t not in den and s in den:
             column = dict(gens[k - 1][s])
-            off, alpha = column.pop(t, 0), column.pop(s, 0)
+            off, _ = column.pop(t, 0), column.pop(s, 0)
             if not off or column:
                 raise InvariantViolation(
                     f"column {s} of s_{k} on {where} is not a multiple of e_{s} "
                     f"plus a nonzero multiple of e_{t}"
                 )
-            tree[t], den[t] = (s, k, alpha), off * den[s]
+            num[t], den[t] = num[s] * dict(gens[k - 1][t]).get(s, 0), den[s] * off
     if len(den) < dim:
         lost = min(set(range(dim)) - set(den))
         raise InvariantViolation(f"tableau {lost} of {where} has no edge from the root side")
-
-    @lru_cache(maxsize=None)
-    def rows_of(t: int) -> Columns:
-        """The rows of R_t, each as (index, coefficient) pairs: (D_t X e_t)_r = row r times x."""
-        if not t:
-            return identity_matrix(dim)
-        s, k, alpha = tree[t]
-        return transpose(mat_mul(transposed[k - 1], transpose(rows_of(s)), -alpha))
-
-    def equations():
-        for t in range(dim):
-            for m in gens:
-                common = lcm(den[t], *(den[b] for b, _ in m[t]))
-                for r in range(dim):
-                    terms = [(v * (common // den[b]), rows_of(b)[r]) for b, v in m[t]]
-                    terms += [(-v * (common // den[t]), rows_of(t)[c]) for c, v in m[r]]
-                    equation: dict[int, int] = {}
-                    for v, row in terms:
-                        for j, w in row:
-                            equation[j] = equation.get(j, 0) + v * w
-                    yield equation
-
-    solver = IntegerKernelSolver(dim)
-    for equation in equations():
-        if solver.corank == 1:
-            break
-        solver.add_equation(equation)
-    if solver.corank != 1:
-        raise InvariantViolation(
-            f"invariant form space of {where} has dimension at most {solver.corank} "
-            f"by {solver.rank} equations, expected 1"
-        )
-
-    # D_t X e_t from x down the tree; X is their columns times lcm(D) / D_t.
-    scaled = {0: tuple((r, v) for r, v in enumerate(solver.kernel_vector()) if v)}
-    for t, (s, k, alpha) in tree.items():
-        scaled[t] = mat_mul(transposed[k - 1], (scaled[s],), -alpha)[0]
     common = lcm(*den.values())
-    columns = tuple(tuple((r, w * (common // den[t])) for r, w in scaled[t]) for t in range(dim))
-    if columns != transpose(columns):
-        raise InvariantViolation(f"solved form of {where} is not symmetric")
+    diagonal = [num[t] * (common // den[t]) for t in range(dim)]
+    g = gcd(*diagonal)
+    diagonal = [d // g for d in diagonal]
+    matrix = tuple(((t, d),) if d else () for t, d in enumerate(diagonal))
     # X is symmetric, so transpose(M) X = X M says exactly that X M is symmetric.
     for i, m in enumerate(gens, start=1):
-        if (p := mat_mul(columns, m)) != transpose(p):
-            raise InvariantViolation(f"solved form is not invariant under s_{i} on {where}")
-    # Column 0 is a positive multiple of x, whose first nonzero entry is positive.
-    g = gcd(*(v for col in columns for _, v in col))
-    matrix = tuple(tuple((r, v // g) for r, v in col) for col in columns)
-    det = bareiss_determinant(matrix)
+        if (p := mat_mul(matrix, m)) != transpose(p):
+            raise InvariantViolation(f"diagonal form is not invariant under s_{i} on {where}")
+    det = prod(diagonal)
     if det == 0:
         raise InvariantViolation(f"invariant form of {where} is degenerate")
+    _jucys_murphy_diagonals(rep)
     return GramForm(matrix=matrix, determinant=det)
+
+
+def _jucys_murphy_diagonals(rep: SeminormalRep) -> list[tuple[int, ...]]:
+    """Per tableau t, the diagonal entries (J_2[t], ..., J_n[t]) of the Jucys-Murphy elements.
+
+    J_1 = 0 and J_(k+1) = (M_k J_k + q^k scale^(2k-1)) M_k, which is
+    q^k scale^(2k) L_(k+1) for L_(k+1) = T_k L_k T_k / q + T_k (Mathas 1999),
+    so J_k e_t = q^k scale^(2(k-1)) [c_t(k)]_q e_t, c_t(k) the content of k.
+    An X with transpose(M_k) X = X M_k for all k satisfies the same for every
+    J_k. Raises InvariantViolation unless each J_k is diagonal and the tuples
+    are pairwise distinct, which forces such an X to be diagonal.
+    """
+    where = f"{rep.shape} at q={rep.q}"
+    jm: Columns = tuple(() for _ in range(rep.dim))
+    labels: list[tuple[int, ...]] = [()] * rep.dim
+    for k, m in enumerate(rep.generators, start=1):
+        jm = mat_mul(mat_mul(m, jm), m, rep.q**k * rep.scale ** (2 * k - 1))
+        if any(r != t for t, col in enumerate(jm) for r, _ in col):
+            raise InvariantViolation(f"Jucys-Murphy element J_{k + 1} on {where} is not diagonal")
+        labels = [label + (col[0][1] if col else 0,) for label, col in zip(labels, jm)]
+    first: dict[tuple[int, ...], int] = {}
+    for t, label in enumerate(labels):
+        if (s := first.setdefault(label, t)) != t:
+            raise InvariantViolation(f"J_2..J_n on {where} do not separate tableaux {s} and {t}")
+    return labels
 
 
 def _even_rep(shape, q: int, skew: bool = False) -> SeminormalRep:

@@ -209,7 +209,7 @@ def test_gram_form_rejects_a_two_dimensional_form_space():
     # but every form diagonal in T_2's eigenbasis is invariant.
     rep = build_seminormal((2, 1), 3)
     t2 = rep.generators[1]
-    _gram_fails(dataclasses.replace(rep, generators=(t2, t2)), "dimension at most 2")
+    _gram_fails(dataclasses.replace(rep, generators=(t2, t2)), "J_2 .* is not diagonal")
 
 
 def test_gram_form_rejects_a_perturbed_entry():
@@ -231,6 +231,33 @@ def test_gram_form_rejects_a_degenerate_form():
     diagonal = (((0, 2),), ((1, 3),))
     jordan = (((0, 5), (1, 1)), ((1, 5),))
     _gram_fails(dataclasses.replace(rep, generators=(diagonal, jordan)), "degenerate")
+
+
+def test_jucys_murphy_diagonals_are_q_contents():
+    # J_k e_t = q^k scale^(2(k-1)) [c_t(k)]_q e_t, with [c]_q = (q^c - 1)/(q - 1), c at q = 1.
+    for n in range(1, 7):
+        for shape in enumerate_partitions(n):
+            for q in (1, 3, 5, 9):
+                rep = build_seminormal(shape, q)
+                labels = oracle._jucys_murphy_diagonals(rep)
+                assert len(labels) == rep.dim
+                for t, label in zip(rep.graph.nodes, labels):
+                    expected = []
+                    for k in range(2, n + 1):
+                        c = t.content(k)
+                        qc = c if q == 1 else (Fraction(q) ** c - 1) / (q - 1)
+                        expected.append(q**k * rep.scale ** (2 * (k - 1)) * qc)
+                    assert list(label) == expected, (shape, q, t)
+
+
+def test_jucys_murphy_diagonals_refuse_scalar_generators():
+    # Scalar generators give diagonal J_k that cannot tell the two tableaux apart.
+    rep = build_seminormal((2, 1), 3)
+    scalar = tuple(((c, 3 * rep.scale),) for c in range(rep.dim))
+    rep = dataclasses.replace(rep, generators=(scalar, scalar))
+    with pytest.raises(InvariantViolation, match="do not separate tableaux 0 and 1") as info:
+        oracle._jucys_murphy_diagonals(rep)
+    assert "(2, 1) at q=3" in str(info.value)
 
 
 def test_gram_determinant_examples():
