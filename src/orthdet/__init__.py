@@ -29,6 +29,7 @@ from .hecke import (
     HeckeDetResult,
     QIntProduct,
     det_poly_factored,
+    det_poly_reduced,
     edge_content_gap,
     hecke_determinant,
     tableau_polynomials,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
+from concurrent import futures
 
 from . import gl, hecke, oracle, parker
 from .errors import InvariantViolation, ResourceGuardError, check_int
@@ -341,7 +341,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ResourceGuardError, BrokenProcessPool) as exc:
+    except (ResourceGuardError, futures.BrokenExecutor) as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except KeyboardInterrupt:

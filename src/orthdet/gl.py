@@ -6,11 +6,16 @@ Two families are covered exactly:
   is the shape's determinant polynomial at q times a power of q whose
   exponent comes from the part of the Borel restriction on which the
   unipotent radical acts without fixed vectors. Degree, tableau count and
-  exponent come in one pass from the shape's cached hook record;
+  exponent come in one pass from the shape's cached hook record, and are
+  cached per (shape, q) once both are validated;
 * characters whose diagonal-torus constituents are order-2 linear
   characters ("sign pairs"): parabolic induction of an outer product of a
   unipotent character with a sign-twisted one, resolved by the parity of
   the induction index and the direct-product power rule.
+
+Classes come from the Hecke determinant's GF(2) walk (`det_poly_reduced`);
+the full product of a unipotent character is computed only when `to_json`
+prints its factors, and is checked against the walk then.
 
 Characters whose torus constituents have order >= 3 take values in real
 cyclotomic fields; their determinants are out of scope here.
@@ -23,7 +28,7 @@ from functools import cached_property, lru_cache
 from math import prod
 
 from .errors import InvariantViolation, NotIrrPlusError, check_int
-from .hecke import QIntProduct, det_poly_factored
+from .hecke import QIntProduct, checked_det_poly, det_poly_reduced
 from .intpoly import gaussian_binomial
 from .squareclass import SquareClass, factorize
 from .tableaux import check_partition, hook_record
@@ -71,6 +76,10 @@ def unipotent_q_exponent(shape, q: int) -> int:
     return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[1]
 
 
+# Cached, so that a sweep computes each shape's degree once per q although
+# sign pairs meet every component many times. Callers validate first: True
+# equals 1, so an unvalidated bool part or q could hit an int's entry.
+@lru_cache(maxsize=None)
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     """Unipotent degree and q-power exponent of a validated shape and q, from its hook record."""
     hooks, count = hook_record(shape)
@@ -95,7 +104,10 @@ class GlDetResult:
 
     The value at q of the squarefree product `symbolic` lies in the class.
     `det_class`, and `breakdown` from the labelled factors `parts`, are
-    classified (factored) on first access only.
+    classified (factored) on first access only. `symbolic` and `parts`
+    come from the GF(2) walk; a unipotent character's full product
+    `f_factored` comes from the dynamic program on first access and is
+    checked against its "hecke" part.
     """
 
     kind: str
@@ -104,8 +116,13 @@ class GlDetResult:
     degree: int
     symbolic: QIntProduct
     parts: tuple[tuple[str, QIntProduct], ...]
-    f_factored: QIntProduct | None = None
     q_exponent: int | None = None
+
+    @cached_property
+    def f_factored(self) -> QIntProduct | None:
+        if self.kind != "unipotent":
+            return None
+        return checked_det_poly(self.shapes[0], dict(self.parts)["hecke"])
 
     @cached_property
     def det_class(self) -> SquareClass:
@@ -142,23 +159,22 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
     degree, exponent = _degree_and_exponent(shape, q)
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
-    factored = det_poly_factored(shape)
+    reduced = det_poly_reduced(shape)
     q_power = QIntProduct(exponent, ())
     return GlDetResult(
         kind="unipotent",
         shapes=(shape,),
         q=pp,
         degree=degree,
-        symbolic=_unipotent_class(factored, q_power),
-        parts=(("hecke", factored), ("q-power", q_power)),
-        f_factored=factored,
+        symbolic=_unipotent_class(reduced, q_power),
+        parts=(("hecke", reduced), ("q-power", q_power)),
         q_exponent=exponent,
     )
 
 
-def _unipotent_class(factored: QIntProduct, q_power: QIntProduct) -> QIntProduct:
+def _unipotent_class(hecke_det: QIntProduct, q_power: QIntProduct) -> QIntProduct:
     """The squarefree class of a unipotent character: its Hecke determinant times its q-power."""
-    return (factored * q_power).reduced()
+    return (hecke_det * q_power).reduced()
 
 
 def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
@@ -179,7 +195,7 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
         raise ValueError("at least one of the two partitions must be non-empty")
     deg_lam, exp_lam = _degree_and_exponent(lam, q)
     deg_mu, exp_mu = _degree_and_exponent(mu, q)
-    index = gaussian_binomial(n, ell, q)
+    index = _induction_index(n, ell, q)
     degree = index * deg_lam * deg_mu
     if degree % 2:
         raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
@@ -192,10 +208,17 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
         # with an odd index and an even degree, at most one degree is odd.
         symbolic = one
         if deg_mu % 2:
-            symbolic = _unipotent_class(det_poly_factored(lam), QIntProduct(exp_lam, ()))
+            symbolic = _unipotent_class(det_poly_reduced(lam), QIntProduct(exp_lam, ()))
         if deg_lam % 2:
-            symbolic = _unipotent_class(det_poly_factored(mu), QIntProduct(exp_mu, ()))
+            symbolic = _unipotent_class(det_poly_reduced(mu), QIntProduct(exp_mu, ()))
         parts = (("induction", one), ("outer-product", symbolic))
     return GlDetResult(
         kind="sign-pair", shapes=(lam, mu), q=pp, degree=degree, symbolic=symbolic, parts=parts
     )
+
+
+# Cached like `_degree_and_exponent`, and called only after validation too.
+@lru_cache(maxsize=None)
+def _induction_index(n: int, ell: int, q: int) -> int:
+    """The parabolic induction index [n choose ell]_q of a sign pair."""
+    return gaussian_binomial(n, ell, q)

@@ -7,12 +7,21 @@ the shape's determinant polynomial. Its value at q represents the square
 class of the orthogonal determinant of the even-degree Hecke character at
 parameter q, and at q = 1 that of the symmetric group character.
 
-The determinant polynomial is computed by a dynamic program over the Young
-lattice of sub-diagrams below the shape, the q-analogue of the norm formula
-for Young's seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras
-and Schur algebras of the symmetric group, 1999); its cost grows with the
-number of sub-diagrams, not of tableaux. `tableau_polynomials` walks the
-transposition graph instead and stays as the independent reference.
+Three routes compute it, each cheaper than the next one down:
+
+* the GF(2) walk `det_poly_reduced` gives the product with its square
+  factors dropped, which is all a square class or a parity needs. It walks
+  only the sub-diagrams with an odd tableau count (forward) or an odd skew
+  count (backward), so its integers are single bits. Determinant results
+  and Parker sweeps read their classes and parities from it;
+* the dynamic program `det_poly_factored` over the whole Young lattice below
+  the shape gives the full product, the q-analogue of the norm formula for
+  Young's seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras
+  and Schur algebras of the symmetric group, 1999). Its weights are
+  tableau counts. It runs only where the full factors are printed, and
+  `checked_det_poly` then checks that it reduces to the walk's product;
+* `tableau_polynomials` walks the transposition graph tableau by tableau
+  and stays as the independent reference for the dynamic program.
 
 Polynomials are carried in factored form (an x-power and q-integer
 multiplicities), so square classes come from classifying small cyclotomic
@@ -25,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import xor
 
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
 from .intpoly import IntPoly, cyclotomic, q_int
@@ -43,6 +53,15 @@ from .tableaux import (
 # integers) and 0.34 KB (one row, one level per cell) per unit, so one
 # shape stays near 6 s and 340 MB; admits every shape with n <= 50.
 MAX_SUBDIAGRAM_ROWS = 1_000_000
+
+# Ceiling on the states the GF(2) walk of one shape visits: sub-diagrams with
+# an odd tableau count on the way up plus those with an odd skew count on the
+# way down, each scanned row by row. On a 2-core VM a state costs about 4 us
+# at n <= 25 (at most 366 states per shape) and 10 us on the 24-row staircase
+# (71151 states in 0.7 s), so one shape stays near 10 s. Each sub-diagram is
+# at most two states, so the walk admits every shape the full program's
+# MAX_SUBDIAGRAM_ROWS admits.
+MAX_WALK_STATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,27 @@ def det_poly_factored(shape) -> QIntProduct:
     return _det_poly_factored(check_partition(shape))
 
 
+def det_poly_reduced(shape) -> QIntProduct:
+    """The determinant polynomial of a shape without its square factors, from the GF(2) walk."""
+    return _det_poly_reduced(check_partition(shape))
+
+
+def checked_det_poly(shape, reduced: QIntProduct) -> QIntProduct:
+    """The full determinant polynomial of a shape, checked to reduce to the walk's `reduced`.
+
+    The dynamic program sums tableau counts where the walk keeps only
+    their parities, so a mismatch falsifies one of them and raises
+    InvariantViolation.
+    """
+    full = det_poly_factored(shape)
+    if full.reduced() != reduced:
+        raise InvariantViolation(
+            f"GF(2) walk of {tuple(shape)} gives {reduced!r}, "
+            f"the full product reduces to {full.reduced()!r}"
+        )
+    return full
+
+
 def _subdiagram_count(shape: tuple[int, ...]) -> int:
     """Number of partitions mu contained in shape, the empty one included.
 
@@ -275,26 +315,107 @@ def _det_poly_factored(shape: tuple[int, ...]) -> QIntProduct:
     return QIntProduct(x_exp, tuple((k, m) for k, m in enumerate(mults) if k >= 2 and m))
 
 
+@lru_cache(maxsize=None)
+def _det_poly_reduced(shape: tuple[int, ...]) -> QIntProduct:
+    """`_det_poly_factored(shape).reduced()` from the Young lattice mod 2.
+
+    The dynamic program weighs the factors of a step mu -> nu by
+    #SYT(mu) * #SYT(shape / nu), so only steps where both counts are odd
+    change the reduced product. The walk goes up from the empty diagram,
+    keeping per level the sub-diagrams with an odd tableau count: nu has one
+    iff an odd number of them lie one cell below it. It then comes down from
+    the shape, keeping those with an odd skew count the same way, and each
+    step down from nu to an odd mu toggles the parity of the x-power and of
+    the runs of [k] multiplicities that step contributes. Sub-diagrams are
+    tuples without zero rows. Both ends must agree with the parity of the
+    hook formula's count. Every state kept on either pass counts against
+    MAX_WALK_STATES.
+    """
+    rows = len(shape)
+    odd_count = syt_count(shape) % 2 == 1
+    visited = 0
+
+    def keep_odd(reached: dict) -> set:
+        nonlocal visited
+        kept = {mu for mu, odd in reached.items() if odd}
+        visited += len(kept)
+        if visited > MAX_WALK_STATES:
+            raise ResourceGuardError(
+                f"shape {shape}: GF(2) walk passed {visited} states > limit {MAX_WALK_STATES}"
+            )
+        return kept
+
+    up = [{()}]
+    for _ in range(sum(shape)):
+        reached: dict[tuple[int, ...], int] = {}
+        for mu in up[-1]:
+            for r, part in enumerate(mu):
+                if part < shape[r] and (r == 0 or mu[r - 1] > part):
+                    nu = mu[:r] + (part + 1,) + mu[r + 1 :]
+                    reached[nu] = reached.get(nu, 0) ^ 1
+            if len(mu) < rows:
+                nu = mu + (1,)
+                reached[nu] = reached.get(nu, 0) ^ 1
+        up.append(keep_odd(reached))
+    if (shape in up[-1]) is not odd_count:
+        raise InvariantViolation(f"GF(2) walk up to {shape} contradicts the hook formula's parity")
+
+    x_exp = 0
+    # Difference array mod 2 of the [k] multiplicities, as in the full program.
+    diff = [0] * (sum(shape) + 4)
+    down = {shape}
+    for below in reversed(up[:-1]):
+        reached = {}
+        for nu in down:
+            last = len(nu) - 1
+            for r, part in enumerate(nu):
+                if r < last and nu[r + 1] == part:
+                    continue
+                mu = nu[:r] + (part - 1,) + nu[r + 1 :] if part > 1 or r < last else nu[:r]
+                reached[mu] = reached.get(mu, 0) ^ 1
+                if mu in below:
+                    # The cell B = nu / mu has content part - 1 - r; the
+                    # cells A of row i < r outside mu have gaps
+                    # content(A) - content(B) - 1 from first_gap upward.
+                    for i in range(r):
+                        cells = shape[i] - mu[i]
+                        if cells:
+                            first_gap = mu[i] - i - (part - r)
+                            x_exp ^= cells & 1
+                            for k in (first_gap, first_gap + 2):
+                                diff[k] ^= 1
+                                diff[k + cells] ^= 1
+        down = keep_odd(reached)
+    if (() in down) is not odd_count:
+        raise InvariantViolation(
+            f"GF(2) walk down from {shape} contradicts the hook formula's parity"
+        )
+    mults = accumulate(diff, xor)
+    return QIntProduct(x_exp, tuple((k, 1) for k, m in enumerate(mults) if k >= 2 and m))
+
+
 @dataclass(frozen=True)
 class HeckeDetResult:
     """Orthogonal determinant data of one even-degree character.
 
-    `det_class` classifies the determinant polynomial at q on first access.
+    `symbolic` is the walk's squarefree product, whose value at q lies in
+    the class; `det_class` classifies it on first access. `f_factored`, the
+    full product, comes from the dynamic program on first access only and
+    is checked against `symbolic`.
     """
 
     shape: tuple[int, ...]
     q: int
     degree: int
-    f_factored: QIntProduct
+    symbolic: QIntProduct
 
-    @property
-    def symbolic(self) -> QIntProduct:
-        """A product whose value at q lies in the class, as in `gl` results."""
-        return self.f_factored
+    @cached_property
+    def f_factored(self) -> QIntProduct:
+        return checked_det_poly(self.shape, self.symbolic)
 
     @cached_property
     def det_class(self) -> SquareClass:
-        return self.f_factored.square_class(self.q)
+        return self.symbolic.square_class(self.q)
 
     def to_json(self) -> dict:
         return {
@@ -321,4 +442,4 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
         raise NotIrrPlusError(
             f"shape {shape} has degree {degree} (odd): determinant class undefined"
         )
-    return HeckeDetResult(shape=shape, q=q, degree=degree, f_factored=det_poly_factored(shape))
+    return HeckeDetResult(shape=shape, q=q, degree=degree, symbolic=det_poly_reduced(shape))

@@ -3,11 +3,10 @@
 Every matrix is stored as its columns: column c is the row-sorted tuple of
 its nonzero (row, value) entries. `mat_mul` is the one product, columns by
 columns, and `transpose` turns a square matrix's columns into its rows.
-Dense lists exist only inside the Bareiss blocks of `bareiss_determinant`
-and as the input of `rational_determinant`, the only code that touches
-Fractions, clearing denominators row by row. Determinants use
-fraction-free Bareiss elimination on each diagonal block of the nonzero
-pattern (a diagonal form costs one pass over its entries). Homogeneous
+Dense lists exist only inside `bareiss_determinant`, which reads the
+columns as the rows of one dense matrix and runs fraction-free Bareiss
+elimination on it, and as the input of `rational_determinant`, the only
+code that touches Fractions, clearing denominators row by row. Homogeneous
 systems are reduced incrementally into an integer row-echelon structure
 whose rows are kept content-free to control entry growth; its callers are
 the tests' reference solve of the invariant form and the benchmark tracer.
@@ -50,53 +49,20 @@ def transpose(a: Columns) -> Columns:
 
 
 def bareiss_determinant(a: Columns) -> int:
-    """Determinant of a square integer matrix given by its columns, block by block.
+    """Determinant of a square integer matrix given by its columns.
 
-    The indices split into the connected components of the nonzero-entry
-    graph (i ~ j when the entry at (i, j) or at (j, i) is nonzero). A
-    simultaneous permutation of rows and columns makes the matrix block
-    diagonal without changing its determinant, so that is the product of
-    the Bareiss determinants of the diagonal blocks. Each block is filled
-    densely reading columns as rows (det A^T = det A). An entry that is
-    not an int, or a row index outside 0..dim-1, raises ValueError.
+    The columns are filled densely as the rows of the transpose
+    (det A^T = det A) and reduced by fraction-free Bareiss elimination,
+    in which every interior division is exact. An entry that is not an
+    int, or a row index outside 0..dim-1, raises ValueError.
     """
-    dim = len(a)
-    label = list(range(dim))
-
-    def root(i):
-        while label[i] != i:
-            label[i] = label[label[i]]
-            i = label[i]
-        return i
-
+    n = len(a)
+    m = [[0] * n for _ in range(n)]
     for c, col in enumerate(a):
         for r, v in col:
-            if type(v) is not int or not 0 <= r < dim:
-                raise ValueError(f"entry {v!r} at ({r!r}, {c}) of a {dim}x{dim} integer matrix")
-            if r != c:
-                label[root(r)] = root(c)
-    blocks: dict[int, list[int]] = {}
-    for i in range(dim):
-        blocks.setdefault(root(i), []).append(i)
-    det = 1
-    for block in blocks.values():
-        where = {i: j for j, i in enumerate(block)}
-        m = [[0] * len(block) for _ in block]
-        for row, c in zip(m, block):
-            for r, v in a[c]:
-                row[where[r]] = v
-        det *= _bareiss(m)
-        if det == 0:
-            break
-    return det
-
-
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of a nonempty square integer matrix (list of lists, overwritten).
-
-    Every interior division in the Bareiss recurrence is exact.
-    """
-    n = len(m)
+            if type(v) is not int or not 0 <= r < n:
+                raise ValueError(f"entry {v!r} at ({r!r}, {c}) of a {n}x{n} integer matrix")
+            m[c][r] = v
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -113,7 +79,7 @@ def _bareiss(m: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def rational_determinant(a: Matrix) -> Fraction:

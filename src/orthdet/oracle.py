@@ -289,21 +289,30 @@ def gram_form(rep: SeminormalRep) -> GramForm:
 def _jucys_murphy_diagonals(rep: SeminormalRep) -> list[tuple[int, ...]]:
     """Per tableau t, the diagonal entries (J_2[t], ..., J_n[t]) of the Jucys-Murphy elements.
 
-    J_1 = 0 and J_(k+1) = (M_k J_k + q^k scale^(2k-1)) M_k, which is
-    q^k scale^(2k) L_(k+1) for L_(k+1) = T_k L_k T_k / q + T_k (Mathas 1999),
-    so J_k e_t = q^k scale^(2(k-1)) [c_t(k)]_q e_t, c_t(k) the content of k.
-    An X with transpose(M_k) X = X M_k for all k satisfies the same for every
-    J_k. Raises InvariantViolation unless each J_k is diagonal and the tuples
-    are pairwise distinct, which forces such an X to be diagonal.
+    J_1 = 0 and J_(k+1) = (M_k J_k + q^k scale) M_k / scale^2, which is
+    q^k L_(k+1) for L_(k+1) = T_k L_k T_k / q + T_k (Mathas 1999), so
+    J_k e_t = q^k [c_t(k)]_q e_t, c_t(k) the content of k. Each division
+    must be exact, so entries stay the size of those values. An X with
+    transpose(M_k) X = X M_k for all k satisfies the same for every J_k.
+    Raises InvariantViolation unless each J_k is diagonal and the tuples are
+    pairwise distinct, which forces such an X to be diagonal.
     """
     where = f"{rep.shape} at q={rep.q}"
+    square = rep.scale**2
     jm: Columns = tuple(() for _ in range(rep.dim))
     labels: list[tuple[int, ...]] = [()] * rep.dim
     for k, m in enumerate(rep.generators, start=1):
-        jm = mat_mul(mat_mul(m, jm), m, rep.q**k * rep.scale ** (2 * k - 1))
-        if any(r != t for t, col in enumerate(jm) for r, _ in col):
+        product = mat_mul(mat_mul(m, jm), m, rep.q**k * rep.scale)
+        if any(r != t for t, col in enumerate(product) for r, _ in col):
             raise InvariantViolation(f"Jucys-Murphy element J_{k + 1} on {where} is not diagonal")
-        labels = [label + (col[0][1] if col else 0,) for label, col in zip(labels, jm)]
+        entries = [col[0][1] if col else 0 for col in product]
+        if any(v % square for v in entries):
+            raise InvariantViolation(
+                f"Jucys-Murphy element J_{k + 1} on {where} is not scale^2 times an integer matrix"
+            )
+        entries = [v // square for v in entries]
+        jm = tuple(((t, v),) if v else () for t, v in enumerate(entries))
+        labels = [label + (v,) for label, v in zip(labels, entries)]
     first: dict[tuple[int, ...], int] = {}
     for t, label in enumerate(labels):
         if (s := first.setdefault(label, t)) != t:

@@ -8,10 +8,17 @@ significant and has to be diagnosable.
 Every family is one entry of a module-level table: a task builder and the
 name of its public determinant function. A single sweep routine refuses an
 n_max that leaves no tasks, maps one worker over the tasks, serially unless
-jobs > 1 asks for a process pool, and assembles the report. The determinant
-checks q on every row and rejects odd-degree characters, which the worker
-skips. Rows keep symbolic determinants: parity is read off their factors,
-and only printed rows are classified, which needs factorization.
+jobs > 1 asks for a process pool, and assembles the report. The pool class
+is read off `concurrent.futures` only then, so the stdlib's lazy attribute
+imports `multiprocessing` only for a pooled sweep and a serial run starts
+without it. The determinant checks q on every row and rejects odd-degree
+characters, which the worker skips.
+
+Rows keep the determinants' symbolic products, which come from the Hecke
+determinant's GF(2) walk: squarefree products of q-integers and a power of
+q. A row's parity is read off their factors through 2-adic valuations, and
+only printed rows are classified, which needs factorization; no row runs
+the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
@@ -22,13 +29,13 @@ digits long.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .errors import NotIrrPlusError, check_int
 from .gl import sign_pair_determinant, unipotent_determinant
-from .hecke import QIntProduct, det_poly_factored, hecke_determinant
+from .hecke import QIntProduct, det_poly_reduced, hecke_determinant
 from .squareclass import Parity, SquareClass, two_adic_valuation
 from .tableaux import check_partition, enumerate_partitions, syt_count
 
@@ -70,8 +77,8 @@ def parity_bridge_check(shape, q: int) -> bool:
         raise ValueError(f"shape {shape} has odd degree: no determinant class")
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
-    factored = det_poly_factored(shape)
-    return factored.parity_at(q) == factored.parity_at(1)
+    reduced = det_poly_reduced(shape)
+    return reduced.parity_at(q) == reduced.parity_at(1)
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
     work = partial(_check, globals()[determinant], q_values)
     workers = min(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(work, tasks))
     else:
         batches = [work(task) for task in tasks]

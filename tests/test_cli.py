@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orthdet import cli, gl, oracle, parker
+from orthdet import cli, gl, hecke, oracle, parker
 from orthdet.cli import main
 from orthdet.hecke import QIntProduct
 from orthdet.squareclass import Parity, SquareClass
@@ -124,6 +124,8 @@ def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
     # cannot divide their difference.
     real = gl.hook_record
     monkeypatch.setattr(gl, "hook_record", lambda shape: (real(shape)[0], 1))
+    # An entry cached by an earlier test would bypass the patched record.
+    gl._degree_and_exponent.cache_clear()
     code, out, err = run(capsys, "det-unipotent", "--shape", "2,1", "--q", "3")
     assert code == 2
     assert out == ""
@@ -159,12 +161,51 @@ def test_verify_parker_is_serial_by_default(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(parker, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parker.futures, "ProcessPoolExecutor", no_pool)
     for family in ("unipotent", "symmetric", "sgnpair"):
         code, out, _ = run(capsys, "verify-parker", "--family", family, "--n-max", "5",
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+
+def test_import_leaves_the_pool_machinery_unloaded():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, orthdet.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["det-hecke", "--shape", "3,1,1", "--q", "5"],
+    ["det-symmetric", "--shape", "3,1,1"],
+    ["det-unipotent", "--shape", "3,1,1", "--q", "3"],
+])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_det_output_checks_the_walk(capsys, monkeypatch, argv, fmt):
+    # x * [5]: an extra x-power the full product of (3, 1, 1) does not have.
+    monkeypatch.setattr(hecke, "_det_poly_reduced", lambda shape: QIntProduct(1, ((5, 1),)))
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation:") and "GF(2) walk of (3, 1, 1)" in err
+
+
+def test_walk_guard_exits_3(capsys, monkeypatch):
+    # (2, 1) passes with its 5 states, (2, 2) needs 6.
+    monkeypatch.setattr(hecke, "MAX_WALK_STATES", 5)
+    hecke._det_poly_reduced.cache_clear()
+    code, out, err = run(capsys, "verify-parker", "--family", "symmetric", "--n-max", "4")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource guard:") and "GF(2) walk passed" in err
 
 
 def test_verify_parker_symmetric_rejects_q(capsys):
@@ -255,6 +296,16 @@ GOLDEN_JSON = [
         ["det-sgnpair", "--lambda", "2", "--mu", "2,2", "--q", "3"],
         "760beee3c213a6b95bbbeee895d2ec80f1facbc871a8c038d9436600ab49e0db",
         id="det-sgnpair-outer-product",
+    ),
+    pytest.param(
+        ["det-hecke", "--shape", "4,3,1", "--q", "5"],
+        "a192a46c260830f0c3dca66e046d4ff5bbdffa349f9f832b7c0b3ab126024e60",
+        id="det-hecke",
+    ),
+    pytest.param(
+        ["det-symmetric", "--shape", "5,3,1"],
+        "d419120f422957f89a7125485daefd9e828cf999ed03ee0da061bb8d76b0f3da",
+        id="det-symmetric",
     ),
     pytest.param(
         ["oracle-check", "--n-max", "5", "--q", "1,3"],

@@ -287,8 +287,35 @@ def test_sign_pair_checks_component_tableau_counts(monkeypatch):
         return hooks, count + 2 * (shape == (2, 1))
 
     monkeypatch.setattr(gl, "hook_record", wrong_count)
+    # Entries cached by earlier tests would bypass the patched record.
+    gl._degree_and_exponent.cache_clear()
+    gl._induction_index.cache_clear()
     with pytest.raises(InvariantViolation, match="does not divide"):
         sign_pair_determinant((2, 1), (1,), 5)
+
+
+def test_warm_caches_still_refuse_bools_and_floats():
+    # True == 1 and 3.0 == 3 would hit the entries of (2, 1) and q = 3 in
+    # the per-(shape, q) caches if they ran before validation.
+    unipotent_degree((2, 1), 3)
+    unipotent_determinant((2, 1), 3)
+    sign_pair_determinant((2, 1), (1,), 3)
+    assert gl._degree_and_exponent.cache_info().currsize > 0
+    assert gl._induction_index.cache_info().currsize > 0
+    calls = [
+        (unipotent_degree, ((2, True), 3)),
+        (unipotent_degree, ((2, 1), 3.0)),
+        (unipotent_q_exponent, ((2, True), 3)),
+        (unipotent_q_exponent, ((2, 1), 3.0)),
+        (unipotent_determinant, ((2, True), 3)),
+        (unipotent_determinant, ((2, 1), 3.0)),
+        (sign_pair_determinant, ((2, True), (1,), 3)),
+        (sign_pair_determinant, ((2, 1), (True,), 3)),
+        (sign_pair_determinant, ((2, 1), (1,), 3.0)),
+    ]
+    for fn, args in calls:
+        with pytest.raises(ValueError):
+            fn(*args)
 
 
 def test_sign_pair_rejects_double_empty():

@@ -4,14 +4,16 @@ from hypothesis import given, strategies as st
 from orthdet import hecke, tableaux
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import (
+    HeckeDetResult,
     QIntProduct,
     det_poly_factored,
+    det_poly_reduced,
     edge_content_gap,
     hecke_determinant,
     tableau_polynomials,
 )
 from orthdet.intpoly import IntPoly, q_int
-from orthdet.squareclass import ONE, SquareClass, class_of_integer, parity_of_integer
+from orthdet.squareclass import ONE, Parity, SquareClass, class_of_integer, parity_of_integer
 from orthdet.tableaux import (
     StandardTableau,
     enumerate_partitions,
@@ -136,6 +138,48 @@ def test_lattice_invariant_checks_the_hook_formula(monkeypatch):
     monkeypatch.setattr(hecke, "syt_count", lambda shape: 3)
     with pytest.raises(InvariantViolation, match="hook formula says 3"):
         det_poly_factored((2, 2))
+
+
+def test_walk_matches_the_reduced_full_product():
+    # Every partition with n <= 14, odd tableau counts included.
+    shapes = _all_partitions(14)
+    assert len(shapes) == 507
+    for shape in shapes:
+        assert det_poly_reduced(shape) == det_poly_factored(shape).reduced(), shape
+    assert det_poly_reduced(()) == QIntProduct.one()
+
+
+def test_walk_guard_counts_visited_states(monkeypatch):
+    # (2, 1) keeps 5 states on its two passes, (2, 2) keeps 6.
+    monkeypatch.setattr(hecke, "MAX_WALK_STATES", 5)
+    hecke._det_poly_reduced.cache_clear()
+    with pytest.raises(ResourceGuardError, match="GF\\(2\\) walk passed 6 states > limit 5"):
+        det_poly_reduced((2, 2))
+    assert det_poly_reduced((2, 1)) == QIntProduct(1, ((3, 1),))
+
+
+def test_walk_admits_shapes_beyond_the_lattice_guard():
+    # (12, 11, ..., 1): 8914800 sub-diagram rows refuse the full product.
+    staircase = tuple(range(12, 0, -1))
+    reduced = det_poly_reduced(staircase)
+    assert reduced == reduced.reduced() and reduced.parity_at(1) is Parity.ODD
+    with pytest.raises(ResourceGuardError, match="sub-diagram rows"):
+        det_poly_factored(staircase)
+
+
+def test_walk_checks_the_hook_formula_parity(monkeypatch):
+    hecke._det_poly_reduced.cache_clear()
+    monkeypatch.setattr(hecke, "syt_count", lambda shape: 3)
+    with pytest.raises(InvariantViolation, match="contradicts the hook formula's parity"):
+        det_poly_reduced((2, 2))
+
+
+def test_full_product_is_checked_against_the_walk():
+    good = hecke_determinant((2, 2), 5)
+    assert good.symbolic == good.f_factored.reduced()
+    wrong = HeckeDetResult(shape=(2, 2), q=5, degree=2, symbolic=QIntProduct(0, ((3, 1),)))
+    with pytest.raises(InvariantViolation, match="GF\\(2\\) walk of \\(2, 2\\)"):
+        wrong.to_json()
 
 
 def test_parity_at_matches_the_value():

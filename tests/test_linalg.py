@@ -81,9 +81,9 @@ permuted_block_matrices = (
 
 
 @given(st.one_of(int_matrices, permuted_block_matrices))
-def test_component_split_matches_cofactor_expansion(rows):
-    # Dense matrices are one component; a block-diagonal matrix under a
-    # simultaneous row and column permutation splits into its blocks.
+def test_bareiss_matches_cofactor_expansion_on_permuted_blocks(rows):
+    # Block-diagonal matrices under a simultaneous row and column
+    # permutation, whose zero patterns force pivot swaps, and dense ones.
     assert bareiss_determinant(columns_of(rows)) == naive_determinant(rows)
 
 

@@ -234,7 +234,7 @@ def test_gram_form_rejects_a_degenerate_form():
 
 
 def test_jucys_murphy_diagonals_are_q_contents():
-    # J_k e_t = q^k scale^(2(k-1)) [c_t(k)]_q e_t, with [c]_q = (q^c - 1)/(q - 1), c at q = 1.
+    # J_k e_t = q^k [c_t(k)]_q e_t, with [c]_q = (q^c - 1)/(q - 1), c at q = 1: no scale.
     for n in range(1, 7):
         for shape in enumerate_partitions(n):
             for q in (1, 3, 5, 9):
@@ -246,7 +246,7 @@ def test_jucys_murphy_diagonals_are_q_contents():
                     for k in range(2, n + 1):
                         c = t.content(k)
                         qc = c if q == 1 else (Fraction(q) ** c - 1) / (q - 1)
-                        expected.append(q**k * rep.scale ** (2 * (k - 1)) * qc)
+                        expected.append(q**k * qc)
                     assert list(label) == expected, (shape, q, t)
 
 
@@ -258,6 +258,15 @@ def test_jucys_murphy_diagonals_refuse_scalar_generators():
     with pytest.raises(InvariantViolation, match="do not separate tableaux 0 and 1") as info:
         oracle._jucys_murphy_diagonals(rep)
     assert "(2, 1) at q=3" in str(info.value)
+
+
+def test_jucys_murphy_diagonals_refuse_an_inexact_division():
+    # Diagonal generators 1 and 2 (scale 16): J_2 = (0 + 3 * 16) M_1 / 16^2 is not integral.
+    rep = build_seminormal((2, 1), 3)
+    diagonal = (((0, 1),), ((1, 2),))
+    rep = dataclasses.replace(rep, generators=(diagonal, diagonal))
+    with pytest.raises(InvariantViolation, match="J_2 on .* is not scale\\^2 times an integer"):
+        oracle._jucys_murphy_diagonals(rep)
 
 
 def test_gram_determinant_examples():

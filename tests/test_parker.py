@@ -1,6 +1,6 @@
 import pytest
 
-from orthdet import hecke, parker, tableaux
+from orthdet import gl, hecke, parker, tableaux
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
@@ -197,6 +197,8 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
     monkeypatch.setattr(tableaux, "hook_lengths", counting_hook_lengths)
     tableaux.hook_record.cache_clear()
     hecke._det_poly_factored.cache_clear()
+    hecke._det_poly_reduced.cache_clear()
+    gl._degree_and_exponent.cache_clear()
     report = verify_parker_unipotent(8, [3, 5, 7])
     assert report.ok and report.checked > len(set(shapes)) > 0
     assert len(shapes) == len(set(shapes))
@@ -208,6 +210,19 @@ def test_parallel_matches_serial(sweep, min_n_max):
     parallel = sweep(6, [3], witness_limit=100, jobs=2)
     assert serial.checked > 0
     assert serial == parallel
+
+
+def test_sweeps_never_run_the_full_product(monkeypatch):
+    # Rows and printed witnesses read the GF(2) walk's product only.
+    monkeypatch.setattr(hecke, "_det_poly_factored", lambda shape: pytest.fail("full product"))
+    hecke._det_poly_reduced.cache_clear()
+    reports = [verify_parker_symmetric(8, witness_limit=100),
+               verify_parker_unipotent(6, [3, 9], witness_limit=100),
+               verify_parker_sign_pairs(5, [5], witness_limit=100)]
+    for report in reports:
+        assert report.ok and report.checked > 0
+        assert [w.to_json() for w in report.witnesses]
+    assert parity_bridge_check((6, 5, 4, 3, 2), 3)
 
 
 def test_report_json():
@@ -237,7 +252,7 @@ def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(parker, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parker.futures, "ProcessPoolExecutor", RecordingPool)
     # Ten tasks at n <= 4, one per partition of 2, 3 and 4; two have even degree.
     assert verify_parker_symmetric(4, jobs=64).checked == 2
     assert workers == [10]
