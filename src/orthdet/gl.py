@@ -5,13 +5,20 @@ Two families are covered exactly:
 * unipotent characters, indexed by partitions of n: the determinant class
   is the shape's determinant polynomial at q times a power of q whose
   exponent comes from the part of the Borel restriction on which the
-  unipotent radical acts without fixed vectors. Degree, tableau count and
-  exponent come in one pass from the shape's cached hook record, and are
-  cached per (shape, q) once both are validated;
+  unipotent radical acts without fixed vectors;
 * characters whose diagonal-torus constituents are order-2 linear
   characters ("sign pairs"): parabolic induction of an outer product of a
   unipotent character with a sign-twisted one, resolved by the parity of
   the induction index and the direct-product power rule.
+
+At odd q, whether a character has even degree, and its symbolic class,
+do not depend on q. So each shape gets one cached q-free record: its
+cyclotomic multiplicities prove, for every q at once, that the q-hook
+degree and the q-power exponent are integers with the parities the record
+keeps (the tableau count's, and the exponent's at q = 3). Rows are built
+from these records once per shape or pair, and only validation and the
+parity at q are left per q. The exact degree and exponent at q are
+computed, and checked against the record, only when a result prints them.
 
 Classes come from the Hecke determinant's GF(2) walk (`det_poly_reduced`);
 the full product of a unipotent character is computed only when `to_json`
@@ -25,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import prod
+from math import comb, prod
 
 from .errors import InvariantViolation, NotIrrPlusError, check_int
 from .hecke import QIntProduct, checked_det_poly, det_poly_reduced
-from .intpoly import gaussian_binomial
+from .intpoly import cyclotomic_at_one, gaussian_binomial
 from .squareclass import SquareClass, factorize
 from .tableaux import check_partition, hook_record
 
@@ -76,10 +83,6 @@ def unipotent_q_exponent(shape, q: int) -> int:
     return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[1]
 
 
-# Cached, so that a sweep computes each shape's degree once per q although
-# sign pairs meet every component many times. Callers validate first: True
-# equals 1, so an unvalidated bool part or q could hit an int's entry.
-@lru_cache(maxsize=None)
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     """Unipotent degree and q-power exponent of a validated shape and q, from its hook record."""
     hooks, count = hook_record(shape)
@@ -89,7 +92,7 @@ def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     if rem:
         raise InvariantViolation(f"q-hook degree of {shape} at q={q} is not an integer")
     # At odd q, q - 1 is even, so this check also makes the degree and the
-    # tableau count agree mod 2; the odd-degree tests rest on it.
+    # tableau count agree mod 2.
     exponent, rem = divmod(degree - count, q - 1)
     if rem:
         raise InvariantViolation(f"q-1 does not divide degree - tableau count for {shape} at q={q}")
@@ -98,25 +101,105 @@ def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     return degree, exponent
 
 
+# Cached for the shape records, which pass only indices from a range.
+_cyclotomic_at_one = lru_cache(maxsize=None)(cyclotomic_at_one)
+
+
+# The q-free records below are cached per shape or pair, so that a sweep
+# proves each shape once for every odd q. Callers validate first: True
+# equals 1, so an unvalidated bool part could hit an int's entry.
+@lru_cache(maxsize=None)
+def _shape_parities(shape: tuple[int, ...]) -> tuple[int, int]:
+    """Degree and q-exponent parities of a validated shape, the same at every odd q.
+
+    As a polynomial in x, the q-hook degree is
+    D(x) = x^weight * prod_{i <= n} (x^i - 1) / prod_hooks (x^h - 1)
+    = x^weight * prod_d Phi_d(x)^m_d, where m_d = floor(n/d) minus the
+    number of hooks divisible by d. If no m_d is negative, D lies in Z[x].
+    If moreover D(1) = prod_d Phi_d(1)^m_d, which is prod p^m_d over the
+    prime powers d = p^k once m_1 = 0, equals the tableau count, then x - 1
+    divides D(x) - count, so E(x) = (D(x) - count) / (x - 1) lies in Z[x].
+    That proves, at every q >= 2, the three checks `_degree_and_exponent`
+    makes at one q: D(q) is an integer, q - 1 divides D(q) - count, and
+    E(q) >= 0, since Phi_d(q) >= Phi_d(1) for q >= 2. At odd q, q - 1 is
+    even, so D(q) = count (mod 2), and E(q) = E(3) (mod 2), which one fully
+    checked evaluation at q = 3 gives. A failure raises InvariantViolation.
+    """
+    hooks, count = hook_record(shape)
+    n = sum(shape)
+    per_length = [0] * (max((n, *hooks)) + 1)
+    for h in hooks:
+        per_length[h] += 1
+    at_one = 1
+    for d in range(1, len(per_length)):
+        m_d = n // d - sum(per_length[d::d])
+        if m_d < 0:
+            raise InvariantViolation(
+                f"q-hook degree of {shape} is not a polynomial: Phi_d has multiplicity "
+                f"{m_d} at d = {d}"
+            )
+        if m_d:
+            at_one *= _cyclotomic_at_one(d) ** m_d
+    if at_one != count:
+        raise InvariantViolation(
+            f"x-1 does not divide degree - tableau count for {shape}: "
+            f"the degree is {at_one} at x = 1, the tableau count {count}"
+        )
+    return count % 2, _degree_and_exponent(shape, 3)[1] % 2
+
+
+def _checked_degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
+    """`_degree_and_exponent` at q, checked against the shape's q-free parities."""
+    degree, exponent = _degree_and_exponent(shape, q)
+    if (degree % 2, exponent % 2) != _shape_parities(shape):
+        raise InvariantViolation(
+            f"degree {degree} and q-exponent {exponent} of {shape} at q={q} contradict "
+            f"the parities {_shape_parities(shape)} of its degree polynomial"
+        )
+    return degree, exponent
+
+
 @dataclass(frozen=True)
 class GlDetResult:
     """Determinant class of a GL character with its multiplicative breakdown.
 
     The value at q of the squarefree product `symbolic` lies in the class.
-    `det_class`, and `breakdown` from the labelled factors `parts`, are
-    classified (factored) on first access only. `symbolic` and `parts`
-    come from the GF(2) walk; a unipotent character's full product
-    `f_factored` comes from the dynamic program on first access and is
-    checked against its "hecke" part.
+    `symbolic` and the labelled factors `parts` are the same at every odd q:
+    they come from the GF(2) walk and the q-free parities of the degree
+    polynomials, and a unipotent character's "q-power" part is
+    q^(exponent mod 2). Everything else is computed on first access only:
+    `det_class`, and `breakdown` from `parts`, are classified (factored);
+    `degree` and `q_exponent` come from the exact formulas at q and are
+    checked against those parities; a unipotent character's full product
+    `f_factored` comes from the dynamic program and is checked against its
+    "hecke" part.
     """
 
     kind: str
     shapes: tuple[tuple[int, ...], ...]
     q: PrimePower
-    degree: int
     symbolic: QIntProduct
     parts: tuple[tuple[str, QIntProduct], ...]
-    q_exponent: int | None = None
+
+    @cached_property
+    def degree(self) -> int:
+        if self.kind == "unipotent":
+            return _checked_degree_and_exponent(self.shapes[0], self.q.q)[0]
+        lam, mu = self.shapes
+        ell, n = sum(lam), sum(lam) + sum(mu)
+        index = gaussian_binomial(n, ell, self.q.q)
+        if index % 2 != comb(n, ell) % 2:
+            raise InvariantViolation(
+                f"[{n} choose {ell}]_q = {index} at q={self.q.q} and C({n}, {ell}) differ mod 2"
+            )
+        degrees = (_checked_degree_and_exponent(shape, self.q.q)[0] for shape in self.shapes)
+        return index * prod(degrees)
+
+    @cached_property
+    def q_exponent(self) -> int | None:
+        if self.kind != "unipotent":
+            return None
+        return _checked_degree_and_exponent(self.shapes[0], self.q.q)[1]
 
     @cached_property
     def f_factored(self) -> QIntProduct | None:
@@ -156,69 +239,59 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
     """Determinant class of an even-degree unipotent character."""
     shape = check_partition(shape)
     pp = as_odd_prime_power(q)
-    degree, exponent = _degree_and_exponent(shape, q)
-    if degree % 2:
-        raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
+    symbolic, parts = _unipotent_row(shape)
+    return GlDetResult(kind="unipotent", shapes=(shape,), q=pp, symbolic=symbolic, parts=parts)
+
+
+@lru_cache(maxsize=None)
+def _unipotent_row(shape: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
+    """`symbolic` and `parts` of a validated shape's unipotent character at every odd q."""
+    degree_parity, exponent_parity = _shape_parities(shape)
+    if degree_parity:
+        raise NotIrrPlusError(f"shape {shape} has odd degree at odd q: not orthogonally stable")
     reduced = det_poly_reduced(shape)
-    q_power = QIntProduct(exponent, ())
-    return GlDetResult(
-        kind="unipotent",
-        shapes=(shape,),
-        q=pp,
-        degree=degree,
-        symbolic=_unipotent_class(reduced, q_power),
-        parts=(("hecke", reduced), ("q-power", q_power)),
-        q_exponent=exponent,
-    )
-
-
-def _unipotent_class(hecke_det: QIntProduct, q_power: QIntProduct) -> QIntProduct:
-    """The squarefree class of a unipotent character: its Hecke determinant times its q-power."""
-    return (hecke_det * q_power).reduced()
+    q_power = QIntProduct(exponent_parity, ())
+    return (reduced * q_power).reduced(), (("hecke", reduced), ("q-power", q_power))
 
 
 def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     """Determinant class of the induced sign-pair character for (lam, mu).
 
-    The parabolic induction index is the Gaussian binomial [n choose l]_q:
-    when even, the determinant class is trivial outright; when odd, the
-    class is inherited from the outer product, i.e. the unipotent class of
-    the even-degree component raised to the other component's degree. The
-    sign twist never changes a determinant class.
+    The parabolic induction index is the Gaussian binomial [n choose l]_q,
+    whose parity at odd q is that of C(n, l): when even, the determinant
+    class is trivial outright; when odd, the class is inherited from the
+    outer product, i.e. the unipotent class of the even-degree component
+    raised to the other component's degree. The sign twist never changes a
+    determinant class.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     pp = as_odd_prime_power(q)
-    ell = sum(lam)
-    n = ell + sum(mu)
-    if n < 1:
+    if not lam and not mu:
         raise ValueError("at least one of the two partitions must be non-empty")
-    deg_lam, exp_lam = _degree_and_exponent(lam, q)
-    deg_mu, exp_mu = _degree_and_exponent(mu, q)
-    index = _induction_index(n, ell, q)
-    degree = index * deg_lam * deg_mu
-    if degree % 2:
-        raise NotIrrPlusError(f"degree {degree} is odd: not orthogonally stable")
-
-    one = QIntProduct.one()
-    if index % 2 == 0:
-        symbolic, parts = one, (("induction", one),)
-    else:
-        # det(lam)^deg(mu) * det(mu)^deg(lam), the class of the outer product;
-        # with an odd index and an even degree, at most one degree is odd.
-        symbolic = one
-        if deg_mu % 2:
-            symbolic = _unipotent_class(det_poly_reduced(lam), QIntProduct(exp_lam, ()))
-        if deg_lam % 2:
-            symbolic = _unipotent_class(det_poly_reduced(mu), QIntProduct(exp_mu, ()))
-        parts = (("induction", one), ("outer-product", symbolic))
-    return GlDetResult(
-        kind="sign-pair", shapes=(lam, mu), q=pp, degree=degree, symbolic=symbolic, parts=parts
-    )
+    symbolic, parts = _sign_pair_row(lam, mu)
+    return GlDetResult(kind="sign-pair", shapes=(lam, mu), q=pp, symbolic=symbolic, parts=parts)
 
 
-# Cached like `_degree_and_exponent`, and called only after validation too.
 @lru_cache(maxsize=None)
-def _induction_index(n: int, ell: int, q: int) -> int:
-    """The parabolic induction index [n choose ell]_q of a sign pair."""
-    return gaussian_binomial(n, ell, q)
+def _sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
+    """`symbolic` and `parts` of a validated sign pair at every odd q."""
+    ell = sum(lam)
+    # [n choose ell]_x lies in Z[x], so at odd q its parity is that of C(n, ell).
+    odd_index = comb(ell + sum(mu), ell) % 2
+    odd_lam, odd_mu = _shape_parities(lam)[0], _shape_parities(mu)[0]
+    if odd_index and odd_lam and odd_mu:
+        raise NotIrrPlusError(
+            f"sign pair {lam} | {mu} has odd degree at odd q: not orthogonally stable"
+        )
+    one = QIntProduct.one()
+    if not odd_index:
+        return one, (("induction", one),)
+    # det(lam)^deg(mu) * det(mu)^deg(lam), the class of the outer product;
+    # with an odd index and an even degree, at most one degree is odd.
+    symbolic = one
+    if odd_mu:
+        symbolic = _unipotent_row(lam)[0]
+    if odd_lam:
+        symbolic = _unipotent_row(mu)[0]
+    return symbolic, (("induction", one), ("outer-product", symbolic))

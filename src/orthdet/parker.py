@@ -16,9 +16,12 @@ characters, which the worker skips.
 
 Rows keep the determinants' symbolic products, which come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power of
-q. A row's parity is read off their factors through 2-adic valuations, and
-only printed rows are classified, which needs factorization; no row runs
-the full determinant polynomial.
+q. At odd q, a GL row's product and whether its degree is even do not
+depend on q, so `gl` builds them once per shape or pair and a sweep over
+many q pays per q only for validation and the parity. A row's parity is
+read off the factors through 2-adic valuations, and only printed rows are
+classified, which needs factorization; no row evaluates a degree at q or
+runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which

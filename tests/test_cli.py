@@ -120,12 +120,13 @@ def test_verify_parker_checks_classes_against_parities(capsys, monkeypatch):
 
 
 def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
-    # A tableau count of 1 for (2,1), against the even degree 12: q - 1 = 2
-    # cannot divide their difference.
+    # A tableau count of 1 for (2,1), against 2, the value at x = 1 of its
+    # degree polynomial: x - 1 cannot divide their difference.
     real = gl.hook_record
     monkeypatch.setattr(gl, "hook_record", lambda shape: (real(shape)[0], 1))
-    # An entry cached by an earlier test would bypass the patched record.
-    gl._degree_and_exponent.cache_clear()
+    # Entries cached by an earlier test would bypass the patched record.
+    gl._shape_parities.cache_clear()
+    gl._unipotent_row.cache_clear()
     code, out, err = run(capsys, "det-unipotent", "--shape", "2,1", "--q", "3")
     assert code == 2
     assert out == ""
@@ -192,7 +193,13 @@ def test_import_leaves_the_pool_machinery_unloaded():
 def test_det_output_checks_the_walk(capsys, monkeypatch, argv, fmt):
     # x * [5]: an extra x-power the full product of (3, 1, 1) does not have.
     monkeypatch.setattr(hecke, "_det_poly_reduced", lambda shape: QIntProduct(1, ((5, 1),)))
-    code, out, err = run(capsys, *argv, "--format", fmt)
+    # A row cached by an earlier test would bypass the patched walk, and a
+    # row cached here would carry the wrong walk into later tests.
+    gl._unipotent_row.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv, "--format", fmt)
+    finally:
+        gl._unipotent_row.cache_clear()
     assert code == 2
     assert out == ""
     assert err.startswith("invariant violation:") and "GF(2) walk of (3, 1, 1)" in err
@@ -342,6 +349,32 @@ GOLDEN_JSON = [
 GOLDEN_JSON += [
     pytest.param(case.values[0] + ["--jobs", "2"], case.values[1], id=f"{case.id}-jobs-2")
     for case in GOLDEN_JSON[:3]
+]
+# Rows built from the q-free shape records, recorded before they existed:
+# the 30 smallest odd prime powers, sign pairs up to q = 997, an odd
+# induction index at q = 997 and an odd q-exponent at q = 243.
+GOLDEN_JSON += [
+    pytest.param(
+        ["verify-parker", "--family", "unipotent", "--n-max", "12", "--q",
+         "3,5,7,9,11,13,17,19,23,25,27,29,31,37,41,43,47,49,53,59,61,67,71,73,79,81,83,89,97,101"],
+        "d3ae59b29e70ab3015e8192035bfd4166fbcdebfb24d0f41bc928d45555490fb",
+        id="unipotent-30-q",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "sgnpair", "--n-max", "9", "--q", "3,5,9,25,27,81,243,997"],
+        "bf30ebebee69b0fcf77bca01a73d619b5f9ee95ab5f5346be8950a49a459dd76",
+        id="sgnpair-8-q",
+    ),
+    pytest.param(
+        ["det-sgnpair", "--lambda", "3,1", "--mu", "2,1", "--q", "997"],
+        "e1e42a15518c78f79136032055e927d85342c5c41ccf8178faad6d6f387b2a1a",
+        id="det-sgnpair-odd-index",
+    ),
+    pytest.param(
+        ["det-unipotent", "--shape", "2,1", "--q", "243"],
+        "3315e33ad2b15f34eefcc005a36b160db14094d0ffb6147c7d861aed95e4ef6e",
+        id="det-unipotent-q-243",
+    ),
 ]
 # The benchmark's sweep scopes.
 GOLDEN_JSON += [

@@ -277,9 +277,15 @@ def test_sign_pair_rejects_odd_total_degree():
         sign_pair_determinant((1,), (), 3)  # degree 1
 
 
+def _clear_shape_records():
+    gl._shape_parities.cache_clear()
+    gl._unipotent_row.cache_clear()
+    gl._sign_pair_row.cache_clear()
+
+
 def test_sign_pair_checks_component_tableau_counts(monkeypatch):
-    # Two more tableaux for (2,1) keep the parity of its count, but q - 1 = 4
-    # does not divide degree - count at q = 5.
+    # Two more tableaux for (2,1) keep the parity of its count, but its
+    # degree polynomial is 2 at x = 1, so x - 1 does not divide degree - count.
     real = gl.hook_record
 
     def wrong_count(shape):
@@ -288,20 +294,32 @@ def test_sign_pair_checks_component_tableau_counts(monkeypatch):
 
     monkeypatch.setattr(gl, "hook_record", wrong_count)
     # Entries cached by earlier tests would bypass the patched record.
-    gl._degree_and_exponent.cache_clear()
-    gl._induction_index.cache_clear()
+    _clear_shape_records()
     with pytest.raises(InvariantViolation, match="does not divide"):
         sign_pair_determinant((2, 1), (1,), 5)
 
 
+def test_shape_record_refuses_a_negative_cyclotomic_multiplicity(monkeypatch):
+    # Hooks (3, 3, 1) for (2, 1): Phi_3 divides the denominator twice and
+    # the numerator (x - 1)(x^2 - 1)(x^3 - 1) once.
+    real = gl.hook_record
+    monkeypatch.setattr(gl, "hook_record",
+                        lambda shape: ((3, 3, 1), 2) if shape == (2, 1) else real(shape))
+    _clear_shape_records()
+    for call in (lambda: unipotent_determinant((2, 1), 3),
+                 lambda: sign_pair_determinant((2, 1), (1,), 5)):
+        with pytest.raises(InvariantViolation, match=r"\(2, 1\).* -1 at d = 3"):
+            call()
+
+
 def test_warm_caches_still_refuse_bools_and_floats():
-    # True == 1 and 3.0 == 3 would hit the entries of (2, 1) and q = 3 in
-    # the per-(shape, q) caches if they ran before validation.
+    # True == 1 would hit the entries of (2, 1) in the q-free shape and pair
+    # caches if they ran before validation; a float q is refused too.
     unipotent_degree((2, 1), 3)
     unipotent_determinant((2, 1), 3)
     sign_pair_determinant((2, 1), (1,), 3)
-    assert gl._degree_and_exponent.cache_info().currsize > 0
-    assert gl._induction_index.cache_info().currsize > 0
+    for cache in (gl._shape_parities, gl._unipotent_row, gl._sign_pair_row):
+        assert cache.cache_info().currsize > 0
     calls = [
         (unipotent_degree, ((2, True), 3)),
         (unipotent_degree, ((2, 1), 3.0)),
@@ -337,3 +355,99 @@ def test_result_json():
     assert data["class"] == {"sign": 1, "squarefree": "1", "parity": "odd"}
     assert data["q"] == 3 and data["p"] == 3
     assert data["q_exponent"] == "1752"
+
+
+# Odd prime powers with both classes of v2(q + 1) mod 2, up to 997.
+RECORD_Q = (3, 5, 7, 9, 11, 25, 27, 49, 81, 121, 243, 997)
+
+
+def _shapes_up_to(n_max):
+    return [shape for n in range(n_max + 1)
+            for shape in (enumerate_partitions(n) if n else [()])]
+
+
+def test_shape_parities_match_the_exact_degrees():
+    for shape in _shapes_up_to(12):
+        parities = gl._shape_parities(shape)
+        for q in RECORD_Q:
+            degree, exponent = gl._degree_and_exponent(shape, q)
+            assert (degree % 2, exponent % 2) == parities, (shape, q)
+
+
+def _reference_sign_pair_symbolic(lam, mu, q):
+    """The class of a sign pair from its degrees and exponents at q; None if the degree is odd."""
+    ell = sum(lam)
+    index = gaussian_binomial(ell + sum(mu), ell, q)
+    (deg_lam, exp_lam), (deg_mu, exp_mu) = (
+        (unipotent_degree(shape, q), unipotent_q_exponent(shape, q)) for shape in (lam, mu)
+    )
+    if index * deg_lam * deg_mu % 2:
+        return None
+    symbolic = hecke.QIntProduct.one()
+    if index % 2 and deg_mu % 2:
+        symbolic = (hecke.det_poly_reduced(lam) * hecke.QIntProduct(exp_lam, ())).reduced()
+    if index % 2 and deg_lam % 2:
+        symbolic = (hecke.det_poly_reduced(mu) * hecke.QIntProduct(exp_mu, ())).reduced()
+    return symbolic
+
+
+def test_sign_pair_rows_match_the_per_q_reference():
+    pairs = [(lam, mu) for lam in _shapes_up_to(9) for mu in _shapes_up_to(9 - sum(lam))
+             if lam or mu]
+    odd = 0
+    for lam, mu in pairs:
+        for q in RECORD_Q:
+            expected = _reference_sign_pair_symbolic(lam, mu, q)
+            if expected is None:
+                odd += 1
+                with pytest.raises(NotIrrPlusError):
+                    sign_pair_determinant(lam, mu, q)
+            else:
+                assert sign_pair_determinant(lam, mu, q).symbolic == expected, (lam, mu, q)
+    assert 0 < odd < len(pairs) * len(RECORD_Q)
+
+
+def test_unipotent_rows_match_the_per_q_reference():
+    for shape in _shapes_up_to(9):
+        for q in RECORD_Q:
+            if syt_count(shape) % 2:
+                with pytest.raises(NotIrrPlusError):
+                    unipotent_determinant(shape, q)
+                continue
+            exponent = unipotent_q_exponent(shape, q)
+            expected = (hecke.det_poly_reduced(shape) * hecke.QIntProduct(exponent, ())).reduced()
+            assert unipotent_determinant(shape, q).symbolic == expected, (shape, q)
+
+
+def test_lazy_degree_and_exponent_are_the_exact_values():
+    for shape in [(3, 1, 1), (2, 2), (2, 1)]:
+        for q in (3, 243):
+            result = unipotent_determinant(shape, q)
+            assert result.degree == unipotent_degree(shape, q)
+            assert result.q_exponent == unipotent_q_exponent(shape, q)
+    result = sign_pair_determinant((3, 1), (2, 1), 997)
+    assert result.degree == (gaussian_binomial(7, 4, 997) * unipotent_degree((3, 1), 997)
+                             * unipotent_degree((2, 1), 997))
+    assert result.q_exponent is None
+
+
+def test_lazy_degree_is_checked_against_the_shape_record(monkeypatch):
+    real = gl._degree_and_exponent
+    result = unipotent_determinant((2, 1), 5)
+    monkeypatch.setattr(gl, "_degree_and_exponent",
+                        lambda shape, q: (real(shape, q)[0], real(shape, q)[1] + 1))
+    with pytest.raises(InvariantViolation, match=r"\(2, 1\) at q=5 contradict"):
+        result.q_exponent
+    monkeypatch.undo()
+    result = sign_pair_determinant((3, 1), (2, 1), 997)
+    monkeypatch.setattr(gl, "gaussian_binomial", lambda n, k, q: 2)
+    with pytest.raises(InvariantViolation, match="differ mod 2"):
+        result.degree
+
+
+def test_odd_degree_messages_name_the_shape_not_the_degree():
+    with pytest.raises(NotIrrPlusError, match=r"shape \(1, 1\) has odd degree") as info:
+        unipotent_determinant((1, 1), 997)
+    assert str(unipotent_degree((1, 1), 997)) not in str(info.value)
+    with pytest.raises(NotIrrPlusError, match=r"sign pair \(1,\) \| \(\) has odd degree"):
+        sign_pair_determinant((1,), (), 3)

@@ -198,10 +198,30 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
     tableaux.hook_record.cache_clear()
     hecke._det_poly_factored.cache_clear()
     hecke._det_poly_reduced.cache_clear()
-    gl._degree_and_exponent.cache_clear()
+    gl._shape_parities.cache_clear()
+    gl._unipotent_row.cache_clear()
     report = verify_parker_unipotent(8, [3, 5, 7])
     assert report.ok and report.checked > len(set(shapes)) > 0
     assert len(shapes) == len(set(shapes))
+
+
+def test_unipotent_sweep_evaluates_degrees_once_per_shape(monkeypatch):
+    # Twenty odd q: rows come from the q-free shape records, so the exact
+    # degree is evaluated once per shape (at q = 3), not once per (shape, q).
+    degree_and_exponent = gl._degree_and_exponent
+    calls = []
+
+    def counting(shape, q):
+        calls.append(shape)
+        return degree_and_exponent(shape, q)
+
+    monkeypatch.setattr(gl, "_degree_and_exponent", counting)
+    gl._shape_parities.cache_clear()
+    gl._unipotent_row.cache_clear()
+    q_values = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59]
+    report = verify_parker_unipotent(8, q_values)
+    assert report.ok and report.checked > len(calls) > 0
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("sweep, min_n_max", SWEEPS)
