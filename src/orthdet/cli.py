@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 argument error (including characters outside
 Irr+), 2 violated mathematical invariant (witness dumped), 3 resource
-guard tripped or a sweep worker process died, 130 interrupted (Ctrl-C),
-with one `interrupted` line on stderr. Identical invocations
-produce byte-identical output; JSON is sorted and carries big integers as
-decimal strings.
+guard tripped, 130 interrupted (Ctrl-C), with one `interrupted` line on
+stderr. Identical invocations produce byte-identical output; JSON is sorted
+and carries big integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent import futures
 
 from . import gl, hecke, oracle, parker
 from .errors import InvariantViolation, ResourceGuardError, check_int
@@ -130,13 +128,13 @@ def _cmd_verify_parker(args) -> int:
     if args.family == "symmetric" and args.q is not None:
         raise ValueError("--q does not apply to --family symmetric (it runs at q = 1)")
     q_values = _parse_int_list("3,5,7" if args.q is None else args.q)
-    options = {"witness_limit": args.witness_limit, "jobs": args.jobs}
+    limit = args.witness_limit
     if args.family == "unipotent":
-        report = parker.verify_parker_unipotent(args.n_max, q_values, **options)
+        report = parker.verify_parker_unipotent(args.n_max, q_values, witness_limit=limit)
     elif args.family == "symmetric":
-        report = parker.verify_parker_symmetric(args.n_max, **options)
+        report = parker.verify_parker_symmetric(args.n_max, witness_limit=limit)
     else:
-        report = parker.verify_parker_sign_pairs(args.n_max, q_values, **options)
+        report = parker.verify_parker_sign_pairs(args.n_max, q_values, witness_limit=limit)
     lines = [
         f"family {report.family}, n <= {report.n_max}, q in {list(report.q_values)}",
         f"checked {report.checked} characters, failures: {len(report.failures)}",
@@ -309,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", help="odd prime powers (default 3,5,7); not with symmetric")
     p.add_argument("--family", choices=("unipotent", "symmetric", "sgnpair"), default="unipotent")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1: serial)")
+    # One value only: orthbench/ passes --jobs 1 (traced runs, record.py, check.py), so the
+    # flag goes together with that harness's pool metric.
+    p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                   help="accepted for compatibility; sweeps are serial")
     p.add_argument("--witness-limit", type=int, default=parker.DEFAULT_WITNESS_LIMIT)
 
     p = add("oracle-check", _cmd_oracle_check, "compare formula classes against a Gram or skew oracle")
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ResourceGuardError, futures.BrokenExecutor) as exc:
+    except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except KeyboardInterrupt:

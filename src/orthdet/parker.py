@@ -5,14 +5,11 @@ via q = 1, and sign pairs) over configurable ranges, recording failures as
 witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
-Every family is one entry of a module-level table: a task builder and the
+Every family is one entry of a module-level table: a row builder and the
 name of its public determinant function. A single sweep routine refuses an
-n_max that leaves no tasks, maps one worker over the tasks, serially unless
-jobs > 1 asks for a process pool, and assembles the report. The pool class
-is read off `concurrent.futures` only then, so the stdlib's lazy attribute
-imports `multiprocessing` only for a pooled sweep and a serial run starts
-without it. The determinant checks q on every row and rejects odd-degree
-characters, which the worker skips.
+n_max that leaves no rows, calls the determinant on every row at every q in
+one serial loop, and assembles the report. The determinant checks q on every
+row and rejects odd-degree characters, which the loop skips.
 
 Rows keep the determinants' symbolic products, which come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power of
@@ -32,9 +29,8 @@ digits long.
 
 from __future__ import annotations
 
-from concurrent import futures
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import NotIrrPlusError, check_int
 from .gl import sign_pair_determinant, unipotent_determinant
@@ -144,61 +140,48 @@ def _shapes_of(n: int) -> list[tuple[int, ...]]:
 
 
 def _all_shapes(n_max: int) -> list[tuple]:
-    return [((shape,),) for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
+    return [(shape,) for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
 
 
-def _sign_pair_tasks(n_max: int) -> list[tuple]:
+def _all_sign_pairs(n_max: int) -> list[tuple]:
     return [
-        tuple((lam, mu) for mu in _shapes_of(n - ell))
-        for n in range(1, n_max + 1) for ell in range(n + 1) for lam in _shapes_of(ell)
+        (lam, mu)
+        for n in range(1, n_max + 1) for ell in range(n + 1)
+        for lam in _shapes_of(ell) for mu in _shapes_of(n - ell)
     ]
 
 
-def _check(determinant, q_values, task) -> list[ParityWitness]:
+# Keyed by report name: (rows, determinant). `rows(n_max)` lists the shape
+# tuples of the sweep: (shape,) for unipotent and symmetric, (lam, mu) for
+# sign pairs. `determinant` names the public function called on each row,
+# looked up in this module at every sweep, not stored, so that a tracer
+# rebinding module attributes sees it.
+_FAMILIES = {
+    "unipotent": (_all_shapes, "unipotent_determinant"),
+    "symmetric": (_all_shapes, "hecke_determinant"),
+    "sign-pair": (_all_sign_pairs, "sign_pair_determinant"),
+}
+
+
+def _sweep(name, n_max, q_values, witness_limit) -> ParityReport:
+    build_rows, determinant_name = _FAMILIES[name]
+    check_int(n_max, "n_max", 1)
+    check_int(witness_limit, "witness_limit", 0)
+    q_values = tuple(q_values)
+    if len(set(q_values)) != len(q_values):
+        raise ValueError(f"q values must be distinct, got {list(q_values)}")
+    shape_rows = build_rows(n_max)
+    if not shape_rows:
+        raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
+    determinant = globals()[determinant_name]
     rows = []
-    for shapes in task:
+    for shapes in shape_rows:
         for q in q_values:
             try:
                 result = determinant(*shapes, q)
             except NotIrrPlusError:
                 continue
             rows.append(ParityWitness(shapes, q, result.symbolic))
-    return rows
-
-
-# Keyed by report name: (tasks, determinant). `tasks(n_max)` lists the work
-# items, tuples of shape tuples: one shape (unipotent, symmetric) or every
-# (lam, mu) of one lam and n (sign pairs). Sweeps are serial unless jobs > 1;
-# that asks for a process pool, which this granularity serves. `determinant`
-# names the public function `_check` calls on each item, looked up in this
-# module at every sweep, not stored, so that a tracer rebinding module
-# attributes sees it.
-_FAMILIES = {
-    "unipotent": (_all_shapes, "unipotent_determinant"),
-    "symmetric": (_all_shapes, "hecke_determinant"),
-    "sign-pair": (_sign_pair_tasks, "sign_pair_determinant"),
-}
-
-
-def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
-    build_tasks, determinant = _FAMILIES[name]
-    check_int(n_max, "n_max", 1)
-    check_int(witness_limit, "witness_limit", 0)
-    check_int(jobs, "jobs", 1)
-    q_values = tuple(q_values)
-    if len(set(q_values)) != len(q_values):
-        raise ValueError(f"q values must be distinct, got {list(q_values)}")
-    tasks = build_tasks(n_max)
-    if not tasks:
-        raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
-    work = partial(_check, globals()[determinant], q_values)
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(work, tasks))
-    else:
-        batches = [work(task) for task in tasks]
-    rows = [row for batch in batches for row in batch]
     return ParityReport(
         family=name,
         n_max=n_max,
@@ -210,25 +193,25 @@ def _sweep(name, n_max, q_values, witness_limit, jobs) -> ParityReport:
 
 
 def verify_parker_unipotent(
-    n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT, jobs: int = 1
+    n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree unipotent determinant classes up to n_max."""
-    return _sweep("unipotent", n_max, q_values, witness_limit, jobs)
+    return _sweep("unipotent", n_max, q_values, witness_limit)
 
 
 def verify_parker_symmetric(
-    n_max: int, *, witness_limit: int = DEFAULT_WITNESS_LIMIT, jobs: int = 1
+    n_max: int, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree symmetric group determinant classes up to n_max."""
-    return _sweep("symmetric", n_max, (1,), witness_limit, jobs)
+    return _sweep("symmetric", n_max, (1,), witness_limit)
 
 
 def verify_parker_sign_pairs(
-    n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT, jobs: int = 1
+    n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree sign-pair determinant classes up to n_max.
 
     Pairs run over (lam, mu) with |lam| + |mu| = n <= n_max, either side
     possibly empty (but not both); odd-degree characters are skipped.
     """
-    return _sweep("sign-pair", n_max, q_values, witness_limit, jobs)
+    return _sweep("sign-pair", n_max, q_values, witness_limit)

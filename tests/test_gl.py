@@ -61,7 +61,6 @@ def test_prime_power_rejections(bad):
     pytest.param(lambda: tableaux.check_partition((2, True)), id="bool-part"),
     pytest.param(lambda: hecke.hecke_determinant((2, 1), True), id="hecke-bool-q"),
     pytest.param(lambda: hecke.QIntProduct(1, ((2, 1),)).parity_at(True), id="parity-at-bool"),
-    pytest.param(lambda: parker.verify_parker_unipotent(3, [3], jobs=True), id="jobs-bool"),
     pytest.param(lambda: parker.lemma_parity_check(True, 3), id="lemma-bool-c"),
     pytest.param(lambda: oracle.verify_trace_pairing(2, True), id="trace-pairing-bool-q"),
     pytest.param(lambda: ONE.contains(True), id="contains-bool"),

@@ -1,6 +1,6 @@
 import pytest
 
-from orthdet import gl, hecke, parker, tableaux
+from orthdet import gl, hecke, tableaux
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
@@ -224,14 +224,6 @@ def test_unipotent_sweep_evaluates_degrees_once_per_shape(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
-@pytest.mark.parametrize("sweep, min_n_max", SWEEPS)
-def test_parallel_matches_serial(sweep, min_n_max):
-    serial = sweep(6, [3], witness_limit=100)
-    parallel = sweep(6, [3], witness_limit=100, jobs=2)
-    assert serial.checked > 0
-    assert serial == parallel
-
-
 def test_sweeps_never_run_the_full_product(monkeypatch):
     # Rows and printed witnesses read the GF(2) walk's product only.
     monkeypatch.setattr(hecke, "_det_poly_factored", lambda shape: pytest.fail("full product"))
@@ -252,38 +244,3 @@ def test_report_json():
     assert data["ok"] is True
     assert data["failures"] == []
     assert data["checked"] == report.checked
-
-
-def test_sweep_starts_no_more_workers_than_tasks(monkeypatch):
-    workers = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its worker count, maps in-process."""
-
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(parker.futures, "ProcessPoolExecutor", RecordingPool)
-    # Ten tasks at n <= 4, one per partition of 2, 3 and 4; two have even degree.
-    assert verify_parker_symmetric(4, jobs=64).checked == 2
-    assert workers == [10]
-    # A single task runs serially.
-    monkeypatch.setitem(parker._FAMILIES, "symmetric",
-                        (lambda n_max: [(((2, 1),),)], "hecke_determinant"))
-    assert verify_parker_symmetric(4, jobs=64).checked == 1
-    assert workers == [10]
-
-
-@pytest.mark.parametrize("jobs", [0, -1, 1.5])
-def test_sweep_rejects_bad_jobs(jobs):
-    with pytest.raises(ValueError, match="jobs"):
-        verify_parker_symmetric(4, jobs=jobs)
