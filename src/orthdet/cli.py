@@ -153,16 +153,16 @@ def _cmd_oracle_check(args) -> int:
     q_values = _parse_int_list(args.q)
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
-    shapes = even_degree_shapes(args.n_max)
-    if not shapes:
-        raise ValueError(f"--n-max {args.n_max} has no even-degree shape to check")
     skew = args.method == "skew"
-    # Formula classes and oracle limits first: refuse an over-limit scope unbuilt.
+    # Formula classes and oracle limits first, n by n: refuse an over-limit
+    # scope unbuilt, before the partitions of any larger n are enumerated.
     scope = []
-    for shape in shapes:
+    for shape in even_degree_shapes(args.n_max):
         for q in q_values:
             scope.append((shape, q, hecke.hecke_determinant(shape, q).det_class))
             oracle.check_limits(shape, skew)
+    if not scope:
+        raise ValueError(f"--n-max {args.n_max} has no even-degree shape to check")
     rows = []
     mismatches = []
     for shape, q, expected in scope:

@@ -20,9 +20,10 @@ from these records once per shape or pair, and only validation and the
 parity at q are left per q. The exact degree and exponent at q are
 computed, and checked against the record, only when a result prints them.
 
-Classes come from the Hecke determinant's GF(2) walk (`det_poly_reduced`);
-the full product of a unipotent character is computed only when `to_json`
-prints its factors, and is checked against the walk then.
+Classes come from the Hecke determinant's lattice walk in GF(2) mode
+(`det_poly_reduced`); the full product of a unipotent character, from the
+same walk in full mode, is computed only when `to_json` prints its factors,
+and is checked against the GF(2) product then.
 
 Characters whose torus constituents have order >= 3 take values in real
 cyclotomic fields; their determinants are out of scope here.
@@ -171,8 +172,8 @@ class GlDetResult:
     `det_class`, and `breakdown` from `parts`, are classified (factored);
     `degree` and `q_exponent` come from the exact formulas at q and are
     checked against those parities; a unipotent character's full product
-    `f_factored` comes from the dynamic program and is checked against its
-    "hecke" part.
+    `f_factored` comes from the lattice walk in full mode and is checked
+    against its "hecke" part.
     """
 
     kind: str

@@ -7,21 +7,22 @@ the shape's determinant polynomial. Its value at q represents the square
 class of the orthogonal determinant of the even-degree Hecke character at
 parameter q, and at q = 1 that of the symmetric group character.
 
-Three routes compute it, each cheaper than the next one down:
+One walk over the Young lattice below the shape computes it, in two
+arithmetics (`_lattice_product`), checked against a third route:
 
-* the GF(2) walk `det_poly_reduced` gives the product with its square
-  factors dropped, which is all a square class or a parity needs. It walks
-  only the sub-diagrams with an odd tableau count (forward) or an odd skew
-  count (backward), so its integers are single bits. Determinant results
-  and Parker sweeps read their classes and parities from it;
-* the dynamic program `det_poly_factored` over the whole Young lattice below
-  the shape gives the full product, the q-analogue of the norm formula for
-  Young's seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras
-  and Schur algebras of the symmetric group, 1999). Its weights are
-  tableau counts. It runs only where the full factors are printed, and
-  `checked_det_poly` then checks that it reduces to the walk's product;
+* `det_poly_factored` weighs each lattice step by tableau counts and gives
+  the full product, the q-analogue of the norm formula for Young's
+  seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras and
+  Schur algebras of the symmetric group, 1999). It runs only where the
+  full factors are printed, and `checked_det_poly` then checks that it
+  reduces to the GF(2) product;
+* `det_poly_reduced` takes the counts mod 2 and keeps only the
+  sub-diagrams with an odd count, giving the product with its square
+  factors dropped, which is all a square class or a parity needs.
+  Determinant results and Parker sweeps read their classes and parities
+  from it;
 * `tableau_polynomials` walks the transposition graph tableau by tableau
-  and stays as the independent reference for the dynamic program.
+  and stays as the independent reference for the lattice walk.
 
 Polynomials are carried in factored form (an x-power and q-integer
 multiplicities), so square classes come from classifying small cyclotomic
@@ -34,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import xor
 
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
 from .intpoly import IntPoly, cyclotomic, q_int
@@ -47,21 +47,19 @@ from .tableaux import (
     syt_count,
 )
 
-# Ceiling on the lattice walk of one shape, counted as sub-diagrams times
-# rows, since every visited sub-diagram is scanned row by row. The walk
-# costs at most about 6 us (two rows, whose tableau counts are the longest
-# integers) and 0.34 KB (one row, one level per cell) per unit, so one
-# shape stays near 6 s and 340 MB; admits every shape with n <= 50.
-MAX_SUBDIAGRAM_ROWS = 1_000_000
-
-# Ceiling on the states the GF(2) walk of one shape visits: sub-diagrams with
-# an odd tableau count on the way up plus those with an odd skew count on the
-# way down, each scanned row by row. On a 2-core VM a state costs about 4 us
-# at n <= 25 (at most 366 states per shape) and 10 us on the 24-row staircase
-# (71151 states in 0.7 s), so one shape stays near 10 s. Each sub-diagram is
-# at most two states, so the walk admits every shape the full program's
-# MAX_SUBDIAGRAM_ROWS admits.
-MAX_WALK_STATES = 1_000_000
+# Ceiling on the lattice walk of one shape, counted as the sub-diagrams it
+# keeps on both passes times the rows of the shape, since each is scanned row
+# by row; the walk stops as soon as the count passes it. Full mode keeps
+# every sub-diagram once on each pass (bar the shape and the empty one), so
+# it admits up to about 10^6 sub-diagrams times rows; GF(2) mode keeps a
+# subset of those states, so it admits every shape full mode admits. On a
+# 2-core VM a unit costs full mode 1.1-1.5 us and at most about 75 B (most on
+# two rows, whose tableau counts are the longest integers), so one shape
+# stays near 3 s and 150 MB; it costs GF(2) mode at most 0.8 us. Full mode
+# admits (6, 4, 3, 2, 1) and every shape with n <= 50, and refuses the
+# (12, ..., 1) staircase; GF(2) mode walks it, and the 24-row staircase with
+# its 1707624 units.
+MAX_SUBDIAGRAM_ROWS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -208,19 +206,19 @@ def tableau_polynomials(shape) -> dict[StandardTableau, QIntProduct]:
 
 def det_poly_factored(shape) -> QIntProduct:
     """The determinant polynomial of a shape, as a factored product."""
-    return _det_poly_factored(check_partition(shape))
+    return _lattice_product(check_partition(shape), False)
 
 
 def det_poly_reduced(shape) -> QIntProduct:
     """The determinant polynomial of a shape without its square factors, from the GF(2) walk."""
-    return _det_poly_reduced(check_partition(shape))
+    return _lattice_product(check_partition(shape), True)
 
 
 def checked_det_poly(shape, reduced: QIntProduct) -> QIntProduct:
     """The full determinant polynomial of a shape, checked to reduce to the walk's `reduced`.
 
-    The dynamic program sums tableau counts where the walk keeps only
-    their parities, so a mismatch falsifies one of them and raises
+    Full mode sums tableau counts where GF(2) mode keeps only their
+    parities, so a mismatch falsifies one of them and raises
     InvariantViolation.
     """
     full = det_poly_factored(shape)
@@ -232,148 +230,83 @@ def checked_det_poly(shape, reduced: QIntProduct) -> QIntProduct:
     return full
 
 
-def _subdiagram_count(shape: tuple[int, ...]) -> int:
-    """Number of partitions mu contained in shape, the empty one included.
-
-    Row by row: ways[v] counts the choices of the rows so far whose last
-    row has length v, and the next row may take any length up to both v
-    and its own part.
-    """
-    if not shape:
-        return 1
-    ways = [1] * (shape[0] + 1)
-    for part in shape[1:]:
-        ways = list(accumulate(reversed(ways)))[::-1][: part + 1]
-    return sum(ways)
-
-
 @lru_cache(maxsize=None)
-def _det_poly_factored(shape: tuple[int, ...]) -> QIntProduct:
-    """Multiply the tableau polynomials of a shape by summing over its Young lattice.
+def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
+    """Multiply the tableau polynomials of a shape by walking its Young lattice.
 
     A standard tableau is a path of sub-diagrams from the empty one to the
     shape, adding the cell of entry k at step k. Its polynomial has one
     factor from_edge(c) for every cell B and every cell A filled after B
     in a row above B, with c = content(A) - content(B) - 1 >= 1. So the
-    step mu -> mu+B contributes the factors of every cell A of shape
-    outside mu+B in a row above B, once for each of the
-    #SYT(mu) * #SYT(shape / (mu+B)) tableaux through it. Sub-diagrams are
-    padded with zero rows to the length of the shape.
+    step mu -> nu = mu+B contributes the factors of every cell A of shape
+    outside nu in a row above B, once for each of the
+    #SYT(mu) * #SYT(shape / nu) tableaux through it.
+
+    The walk goes up from the empty diagram, keeping per level every
+    sub-diagram with its tableau count (the sum of those one cell below
+    it), then comes down from the shape keeping skew counts the same way,
+    and weighs each step down from nu to mu by both counts. In GF(2) mode
+    (`mod2`) the counts are taken mod 2 and sub-diagrams with an even count
+    are dropped, so only steps where both counts are odd contribute, and
+    the product comes out without its square factors. Sub-diagrams are
+    tuples without zero rows. Both ends must agree with the hook formula's
+    count (its parity in GF(2) mode), and every state kept, times the rows
+    of the shape, counts against MAX_SUBDIAGRAM_ROWS.
     """
     rows = len(shape)
-    n = sum(shape)
-    lattice = _subdiagram_count(shape) * rows
-    if lattice > MAX_SUBDIAGRAM_ROWS:
-        raise ResourceGuardError(
-            f"shape {shape}: {lattice} sub-diagram rows > limit {MAX_SUBDIAGRAM_ROWS}"
-        )
+    expected = syt_count(shape) % 2 if mod2 else syt_count(shape)
+    kept_rows = 0
 
-    def steps(mu):
-        for r in range(rows):
-            if mu[r] < shape[r] and (r == 0 or mu[r - 1] > mu[r]):
-                yield r, mu[:r] + (mu[r] + 1,) + mu[r + 1 :]
+    def keep(reached: dict) -> dict:
+        nonlocal kept_rows
+        if mod2:
+            reached = {mu: 1 for mu, count in reached.items() if count % 2}
+        kept_rows += len(reached) * rows
+        if kept_rows > MAX_SUBDIAGRAM_ROWS:
+            raise ResourceGuardError(
+                f"shape {shape}: lattice walk passed {kept_rows} sub-diagram rows "
+                f"> limit {MAX_SUBDIAGRAM_ROWS}"
+            )
+        return reached
 
-    # levels[s] maps every sub-diagram with s cells to its tableau count.
-    levels = [{(0,) * rows: 1}]
-    for _ in range(n):
-        counts: dict[tuple[int, ...], int] = {}
-        for mu, paths in levels[-1].items():
-            for _, nu in steps(mu):
-                counts[nu] = counts.get(nu, 0) + paths
-        levels.append(counts)
-    expected = syt_count(shape)
-    if levels[-1][shape] != expected:
-        raise InvariantViolation(
-            f"lattice below {shape} has {levels[-1][shape]} paths, hook formula says {expected}"
-        )
+    def check_end(count: int, where: str) -> None:
+        if count != expected:
+            walk, claim = ("GF(2)", "parity") if mod2 else ("lattice", "count")
+            raise InvariantViolation(
+                f"{walk} walk {where} {shape} contradicts the hook formula's {claim}: "
+                f"{count} paths, hook formula says {expected}"
+            )
+
+    up = [{(): 1}]
+    for _ in range(sum(shape)):
+        reached: dict[tuple[int, ...], int] = {}
+        for mu, paths in up[-1].items():
+            for r, part in enumerate(mu):
+                if part < shape[r] and (r == 0 or mu[r - 1] > part):
+                    nu = mu[:r] + (part + 1,) + mu[r + 1 :]
+                    reached[nu] = reached.get(nu, 0) + paths
+            if len(mu) < rows:
+                nu = mu + (1,)
+                reached[nu] = reached.get(nu, 0) + paths
+        up.append(keep(reached))
+    check_end(up[-1].get(shape, 0), "up to")
 
     x_exp = 0
     # Difference array of the [k] multiplicities: a row of cells A adds the
     # weight to a run of consecutive gaps c, hence to runs of k = c and k = c+2.
-    diff = [0] * (n + 4)
-    # Skew tableau counts #SYT(shape / nu) of the sub-diagrams one level up.
-    above = {shape: 1}
-    for level in reversed(levels[:-1]):
-        skew_counts = {}
-        for mu, paths in level.items():
-            skew = 0
-            for r, nu in steps(mu):
-                skew += above[nu]
-                weight = paths * above[nu]
-                content_b = mu[r] + 1 - r
-                for i in range(r):
-                    cells = shape[i] - mu[i]
-                    if cells:
-                        first_gap = mu[i] - i - content_b
-                        x_exp += weight * cells
-                        for k in (first_gap, first_gap + 2):
-                            diff[k] += weight
-                            diff[k + cells] -= weight
-            skew_counts[mu] = skew
-        above = skew_counts
-    mults = accumulate(diff)
-    return QIntProduct(x_exp, tuple((k, m) for k, m in enumerate(mults) if k >= 2 and m))
-
-
-@lru_cache(maxsize=None)
-def _det_poly_reduced(shape: tuple[int, ...]) -> QIntProduct:
-    """`_det_poly_factored(shape).reduced()` from the Young lattice mod 2.
-
-    The dynamic program weighs the factors of a step mu -> nu by
-    #SYT(mu) * #SYT(shape / nu), so only steps where both counts are odd
-    change the reduced product. The walk goes up from the empty diagram,
-    keeping per level the sub-diagrams with an odd tableau count: nu has one
-    iff an odd number of them lie one cell below it. It then comes down from
-    the shape, keeping those with an odd skew count the same way, and each
-    step down from nu to an odd mu toggles the parity of the x-power and of
-    the runs of [k] multiplicities that step contributes. Sub-diagrams are
-    tuples without zero rows. Both ends must agree with the parity of the
-    hook formula's count. Every state kept on either pass counts against
-    MAX_WALK_STATES.
-    """
-    rows = len(shape)
-    odd_count = syt_count(shape) % 2 == 1
-    visited = 0
-
-    def keep_odd(reached: dict) -> set:
-        nonlocal visited
-        kept = {mu for mu, odd in reached.items() if odd}
-        visited += len(kept)
-        if visited > MAX_WALK_STATES:
-            raise ResourceGuardError(
-                f"shape {shape}: GF(2) walk passed {visited} states > limit {MAX_WALK_STATES}"
-            )
-        return kept
-
-    up = [{()}]
-    for _ in range(sum(shape)):
-        reached: dict[tuple[int, ...], int] = {}
-        for mu in up[-1]:
-            for r, part in enumerate(mu):
-                if part < shape[r] and (r == 0 or mu[r - 1] > part):
-                    nu = mu[:r] + (part + 1,) + mu[r + 1 :]
-                    reached[nu] = reached.get(nu, 0) ^ 1
-            if len(mu) < rows:
-                nu = mu + (1,)
-                reached[nu] = reached.get(nu, 0) ^ 1
-        up.append(keep_odd(reached))
-    if (shape in up[-1]) is not odd_count:
-        raise InvariantViolation(f"GF(2) walk up to {shape} contradicts the hook formula's parity")
-
-    x_exp = 0
-    # Difference array mod 2 of the [k] multiplicities, as in the full program.
     diff = [0] * (sum(shape) + 4)
-    down = {shape}
+    down = {shape: 1}
     for below in reversed(up[:-1]):
         reached = {}
-        for nu in down:
+        for nu, skew in down.items():
             last = len(nu) - 1
             for r, part in enumerate(nu):
                 if r < last and nu[r + 1] == part:
                     continue
                 mu = nu[:r] + (part - 1,) + nu[r + 1 :] if part > 1 or r < last else nu[:r]
-                reached[mu] = reached.get(mu, 0) ^ 1
-                if mu in below:
+                reached[mu] = reached.get(mu, 0) + skew
+                weight = below.get(mu, 0) * skew
+                if weight:
                     # The cell B = nu / mu has content part - 1 - r; the
                     # cells A of row i < r outside mu have gaps
                     # content(A) - content(B) - 1 from first_gap upward.
@@ -381,17 +314,15 @@ def _det_poly_reduced(shape: tuple[int, ...]) -> QIntProduct:
                         cells = shape[i] - mu[i]
                         if cells:
                             first_gap = mu[i] - i - (part - r)
-                            x_exp ^= cells & 1
+                            x_exp += weight * cells
                             for k in (first_gap, first_gap + 2):
-                                diff[k] ^= 1
-                                diff[k + cells] ^= 1
-        down = keep_odd(reached)
-    if (() in down) is not odd_count:
-        raise InvariantViolation(
-            f"GF(2) walk down from {shape} contradicts the hook formula's parity"
-        )
-    mults = accumulate(diff, xor)
-    return QIntProduct(x_exp, tuple((k, 1) for k, m in enumerate(mults) if k >= 2 and m))
+                                diff[k] += weight
+                                diff[k + cells] -= weight
+        down = keep(reached)
+    check_end(down.get((), 0), "down from")
+    mults = accumulate(diff)
+    product = QIntProduct(x_exp, tuple((k, m) for k, m in enumerate(mults) if k >= 2 and m))
+    return product.reduced() if mod2 else product
 
 
 @dataclass(frozen=True)
@@ -400,8 +331,8 @@ class HeckeDetResult:
 
     `symbolic` is the walk's squarefree product, whose value at q lies in
     the class; `det_class` classifies it on first access. `f_factored`, the
-    full product, comes from the dynamic program on first access only and
-    is checked against `symbolic`.
+    full product, comes from the lattice walk in full mode on first access
+    only and is checked against `symbolic`.
     """
 
     shape: tuple[int, ...]

@@ -13,6 +13,7 @@ Hook lengths and the tableau count of a shape are one cached record
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
@@ -20,10 +21,10 @@ from math import factorial, prod
 from .errors import InvariantViolation, ResourceGuardError, check_int
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
-# reference `hecke.tableau_polynomials` (det_poly_factored walks the Young
-# lattice instead and has its own guard). The graph plus its tableau
-# polynomials cost about 2.6 KB and 0.16 ms per tableau (n = 14, 2-core VM),
-# so one shape stays near 260 MB and 16 s; admits n <= 14.
+# reference `hecke.tableau_polynomials` (the determinant products walk the
+# Young lattice instead, under `hecke.MAX_SUBDIAGRAM_ROWS`). The graph plus
+# its tableau polynomials cost about 2.6 KB and 0.16 ms per tableau (n = 14,
+# 2-core VM), so one shape stays near 260 MB and 16 s; admits n <= 14.
 MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]
@@ -86,10 +87,14 @@ def syt_count(shape) -> int:
     return hook_record(check_partition(shape))[1]
 
 
-def even_degree_shapes(n_max: int) -> list[tuple[int, ...]]:
-    """Partitions of n for 2 <= n <= n_max with an even number of tableaux."""
+def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n for 2 <= n <= n_max with an even number of tableaux.
+
+    Generated n by n, so a caller that stops early never enumerates the
+    partitions of a larger n.
+    """
     shapes = (shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n))
-    return [shape for shape in shapes if syt_count(shape) % 2 == 0]
+    return (shape for shape in shapes if syt_count(shape) % 2 == 0)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from orthdet import cli, gl, hecke, oracle, parker
+from orthdet import cli, gl, hecke, oracle, parker, tableaux
 from orthdet.cli import main
+from orthdet.errors import ResourceGuardError
 from orthdet.hecke import QIntProduct
 from orthdet.squareclass import Parity, SquareClass
 
@@ -196,7 +197,9 @@ def test_import_leaves_the_pool_machinery_unloaded():
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_det_output_checks_the_walk(capsys, monkeypatch, argv, fmt):
     # x * [5]: an extra x-power the full product of (3, 1, 1) does not have.
-    monkeypatch.setattr(hecke, "_det_poly_reduced", lambda shape: QIntProduct(1, ((5, 1),)))
+    walk = hecke._lattice_product
+    monkeypatch.setattr(hecke, "_lattice_product",
+                        lambda shape, mod2: QIntProduct(1, ((5, 1),)) if mod2 else walk(shape, mod2))
     # A row cached by an earlier test would bypass the patched walk, and a
     # row cached here would carry the wrong walk into later tests.
     gl._unipotent_row.cache_clear()
@@ -210,13 +213,13 @@ def test_det_output_checks_the_walk(capsys, monkeypatch, argv, fmt):
 
 
 def test_walk_guard_exits_3(capsys, monkeypatch):
-    # (2, 1) passes with its 5 states, (2, 2) needs 6.
-    monkeypatch.setattr(hecke, "MAX_WALK_STATES", 5)
-    hecke._det_poly_reduced.cache_clear()
+    # (2, 1) passes with its 5 states times 2 rows, (2, 2) needs 6 times 2.
+    monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 10)
+    hecke._lattice_product.cache_clear()
     code, out, err = run(capsys, "verify-parker", "--family", "symmetric", "--n-max", "4")
     assert code == 3
     assert out == ""
-    assert err.startswith("resource guard:") and "GF(2) walk passed" in err
+    assert err.startswith("resource guard:") and "walk passed 12 sub-diagram rows" in err
 
 
 def test_verify_parker_symmetric_rejects_q(capsys):
@@ -399,6 +402,20 @@ GOLDEN_JSON += [
         id="bench-sgnpair",
     ),
 ]
+# The full determinant product, printed as `factors`: 1153152 tableaux for
+# (6, 4, 3, 2, 1), and a unipotent row at q = 9.
+GOLDEN_JSON += [
+    pytest.param(
+        ["det-symmetric", "--shape", "6,4,3,2,1"],
+        "1190a7da6c19a3d9c3b72fc7ebd16e1091b01416293c82f49e9f19c340f7be2a",
+        id="det-symmetric-full-product",
+    ),
+    pytest.param(
+        ["det-unipotent", "--shape", "4,3,2,1", "--q", "9"],
+        "de968452a59aa65efafdfddc0d04717ebd89bb8c0374e707166a55aa9fa51dbb",
+        id="det-unipotent-full-product",
+    ),
+]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_JSON)
@@ -488,6 +505,33 @@ def test_det_symmetric_is_bounded_by_the_lattice_guard(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("resource guard:") and "sub-diagram rows" in err
+
+
+def test_guard_comment_holds_at_the_real_limit(capsys):
+    # The claims of the comment on hecke.MAX_SUBDIAGRAM_ROWS.
+    code, _, _ = run(capsys, "det-symmetric", "--shape", "6,4,3,2,1", "--format", "json")
+    assert code == 0
+    for rows in (12, 24):
+        reduced = hecke.det_poly_reduced(tuple(range(rows, 0, -1)))
+        assert reduced == reduced.reduced()
+    with pytest.raises(ResourceGuardError, match="> limit 2000000"):
+        hecke.det_poly_factored(tuple(range(12, 0, -1)))
+
+
+def test_oracle_check_refuses_before_enumerating_larger_n(capsys, monkeypatch):
+    # (6, 3, 2), with n = 11, is the first shape over the oracle limit.
+    partitions = tableaux.enumerate_partitions
+
+    def bounded(n):
+        if n > 11:
+            pytest.fail(f"partitions of {n} enumerated")
+        return partitions(n)
+
+    monkeypatch.setattr(tableaux, "enumerate_partitions", bounded)
+    code, out, err = run(capsys, "oracle-check", "--n-max", "40", "--q", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "resource guard: shape (6, 3, 2): 990 tableaux > oracle limit 768\n"
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):

@@ -88,7 +88,7 @@ def test_det_poly_examples():
 
 def test_lattice_dp_equals_product_of_tableau_polynomials():
     # The graph walk is the independent reference for the lattice DP.
-    hecke._det_poly_factored.cache_clear()
+    hecke._lattice_product.cache_clear()
     shapes_checked = _all_partitions(10)
     for shape in shapes_checked:
         product = QIntProduct.one()
@@ -100,41 +100,28 @@ def test_lattice_dp_equals_product_of_tableau_polynomials():
 
 
 def test_det_poly_never_builds_the_graph(monkeypatch):
-    hecke._det_poly_factored.cache_clear()
+    hecke._lattice_product.cache_clear()
     monkeypatch.setattr(tableaux, "_build_graph", lambda shape: pytest.fail("graph built"))
     assert det_poly_factored((3, 1, 1)) == QIntProduct(12, ((2, 6), (3, 6), (4, 6), (5, 3)))
     # 1153152 tableaux: far beyond tableaux.MAX_TABLEAUX, a few hundred sub-diagrams.
     assert det_poly_factored((6, 4, 3, 2, 1)).x_exp > 0
 
 
-def test_subdiagram_count_matches_brute_force():
-    for shape in _all_partitions(8):
-        contained = [
-            mu
-            for m in range(1, sum(shape) + 1)
-            for mu in enumerate_partitions(m)
-            if len(mu) <= len(shape) and all(a <= b for a, b in zip(mu, shape))
-        ]
-        assert hecke._subdiagram_count(shape) == len(contained) + 1, shape
-    assert hecke._subdiagram_count(()) == 1
-    assert hecke._subdiagram_count((3, 3)) == 10  # binomial(5, 2) lattice paths
-
-
 def test_lattice_guard(monkeypatch):
     # (12, 11, ..., 1) has 742900 sub-diagrams and 12 rows.
     staircase = tuple(range(12, 0, -1))
-    with pytest.raises(ResourceGuardError, match="8914800 sub-diagram rows"):
+    with pytest.raises(ResourceGuardError, match="2219508 sub-diagram rows > limit 2000000"):
         det_poly_factored(staircase)
-    # (2, 1): 5 sub-diagrams times 2 rows; (2, 2): 6 times 2.
-    monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 11)
-    hecke._det_poly_factored.cache_clear()
+    # Full mode keeps 8 states of (2, 1) times 2 rows, and 10 of (2, 2).
+    monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 16)
+    hecke._lattice_product.cache_clear()
     with pytest.raises(ResourceGuardError):
         det_poly_factored((2, 2))
     assert det_poly_factored((2, 1)) == QIntProduct(1, ((3, 1),))
 
 
 def test_lattice_invariant_checks_the_hook_formula(monkeypatch):
-    hecke._det_poly_factored.cache_clear()
+    hecke._lattice_product.cache_clear()
     monkeypatch.setattr(hecke, "syt_count", lambda shape: 3)
     with pytest.raises(InvariantViolation, match="hook formula says 3"):
         det_poly_factored((2, 2))
@@ -150,10 +137,10 @@ def test_walk_matches_the_reduced_full_product():
 
 
 def test_walk_guard_counts_visited_states(monkeypatch):
-    # (2, 1) keeps 5 states on its two passes, (2, 2) keeps 6.
-    monkeypatch.setattr(hecke, "MAX_WALK_STATES", 5)
-    hecke._det_poly_reduced.cache_clear()
-    with pytest.raises(ResourceGuardError, match="GF\\(2\\) walk passed 6 states > limit 5"):
+    # (2, 1) keeps 5 states on its two passes, (2, 2) keeps 6, times 2 rows.
+    monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 10)
+    hecke._lattice_product.cache_clear()
+    with pytest.raises(ResourceGuardError, match="walk passed 12 sub-diagram rows > limit 10"):
         det_poly_reduced((2, 2))
     assert det_poly_reduced((2, 1)) == QIntProduct(1, ((3, 1),))
 
@@ -167,8 +154,25 @@ def test_walk_admits_shapes_beyond_the_lattice_guard():
         det_poly_factored(staircase)
 
 
+def test_gf2_mode_admits_every_shape_full_mode_admits(monkeypatch):
+    # One guard counts the states either mode keeps, and GF(2) mode keeps
+    # only those of full mode with an odd count.
+    monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 40)
+    hecke._lattice_product.cache_clear()
+    shapes = _all_partitions(8)
+    admitted = []
+    for shape in shapes:
+        try:
+            full = det_poly_factored(shape)
+        except ResourceGuardError:
+            continue
+        admitted.append(shape)
+        assert det_poly_reduced(shape) == full.reduced(), shape
+    assert (6,) in admitted and len(admitted) < len(shapes)
+
+
 def test_walk_checks_the_hook_formula_parity(monkeypatch):
-    hecke._det_poly_reduced.cache_clear()
+    hecke._lattice_product.cache_clear()
     monkeypatch.setattr(hecke, "syt_count", lambda shape: 3)
     with pytest.raises(InvariantViolation, match="contradicts the hook formula's parity"):
         det_poly_reduced((2, 2))

@@ -196,8 +196,7 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
 
     monkeypatch.setattr(tableaux, "hook_lengths", counting_hook_lengths)
     tableaux.hook_record.cache_clear()
-    hecke._det_poly_factored.cache_clear()
-    hecke._det_poly_reduced.cache_clear()
+    hecke._lattice_product.cache_clear()
     gl._shape_parities.cache_clear()
     gl._unipotent_row.cache_clear()
     report = verify_parker_unipotent(8, [3, 5, 7])
@@ -226,8 +225,10 @@ def test_unipotent_sweep_evaluates_degrees_once_per_shape(monkeypatch):
 
 def test_sweeps_never_run_the_full_product(monkeypatch):
     # Rows and printed witnesses read the GF(2) walk's product only.
-    monkeypatch.setattr(hecke, "_det_poly_factored", lambda shape: pytest.fail("full product"))
-    hecke._det_poly_reduced.cache_clear()
+    walk = hecke._lattice_product
+    walk.cache_clear()
+    monkeypatch.setattr(hecke, "_lattice_product",
+                        lambda shape, mod2: walk(shape, mod2) if mod2 else pytest.fail("full product"))
     reports = [verify_parker_symmetric(8, witness_limit=100),
                verify_parker_unipotent(6, [3, 9], witness_limit=100),
                verify_parker_sign_pairs(5, [5], witness_limit=100)]

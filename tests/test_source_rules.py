@@ -7,7 +7,8 @@ denominators in `rational_determinant`. No value is coerced with `int`
 except argument text in `cli` and an integral `Fraction` there. Imports
 sit at module level, and every private module-level function or class is
 named somewhere in the package besides its own definition (no dead
-helpers).
+helpers), as is every private or ALL_CAPS module-level constant (no stale
+guards).
 """
 
 import ast
@@ -133,7 +134,7 @@ def test_imports_only_at_module_level(path):
 def _identifiers(node) -> set[str]:
     names = set()
     for inner in ast.walk(node):
-        if isinstance(inner, ast.Name):
+        if isinstance(inner, ast.Name) and not isinstance(inner.ctx, ast.Store):
             names.add(inner.id)
         elif isinstance(inner, ast.Attribute):
             names.add(inner.attr)
@@ -156,3 +157,29 @@ def test_private_definitions_are_used():
         and not any(node.name in names for j, names in enumerate(named) if j != i)
     ]
     assert not unused, f"unused private definitions: {unused}"
+
+
+def _assigned_names(node) -> list[str]:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    return [inner.id for target in targets for inner in ast.walk(target)
+            if isinstance(inner, ast.Name)]
+
+
+def test_module_constants_are_read():
+    # No leftover guards or caches: a private or ALL_CAPS module-level
+    # assignment is read by some statement of the package other than itself.
+    statements = [(path, node) for path in SOURCES for node in _tree(path).body]
+    named = [_identifiers(node) for _, node in statements]
+    unread = [
+        f"{path.name}:{node.lineno} {name}"
+        for i, (path, node) in enumerate(statements)
+        for name in _assigned_names(node)
+        if (name.isupper() or (name.startswith("_") and not name.startswith("__")))
+        and not any(name in names for j, names in enumerate(named) if j != i)
+    ]
+    assert not unread, f"unread module-level constants: {unread}"
