@@ -39,7 +39,7 @@ from .errors import InvariantViolation, NotIrrPlusError, check_int
 from .hecke import QIntProduct, checked_det_poly, det_poly_reduced
 from .intpoly import cyclotomic_at_one, gaussian_binomial
 from .squareclass import SquareClass, factorize
-from .tableaux import check_partition, hook_record
+from .tableaux import check_even_degree, check_partition, hook_record, syt_count
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def unipotent_q_exponent(shape, q: int) -> int:
 
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     """Unipotent degree and q-power exponent of a validated shape and q, from its hook record."""
-    hooks, count = hook_record(shape)
+    hooks, count = hook_record(shape)[0], syt_count(shape)
     weight = sum(i * part for i, part in enumerate(shape))  # sum of (row - 1) * row length
     numerator = q**weight * prod(q**i - 1 for i in range(1, sum(shape) + 1))
     degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
@@ -126,7 +126,7 @@ def _shape_parities(shape: tuple[int, ...]) -> tuple[int, int]:
     even, so D(q) = count (mod 2), and E(q) = E(3) (mod 2), which one fully
     checked evaluation at q = 3 gives. A failure raises InvariantViolation.
     """
-    hooks, count = hook_record(shape)
+    hooks, count = hook_record(shape)[0], syt_count(shape)
     n = sum(shape)
     per_length = [0] * (max((n, *hooks)) + 1)
     for h in hooks:
@@ -247,11 +247,9 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
 @lru_cache(maxsize=None)
 def _unipotent_row(shape: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
     """`symbolic` and `parts` of a validated shape's unipotent character at every odd q."""
-    degree_parity, exponent_parity = _shape_parities(shape)
-    if degree_parity:
-        raise NotIrrPlusError(f"shape {shape} has odd degree at odd q: not orthogonally stable")
+    check_even_degree(shape)
+    q_power = QIntProduct(_shape_parities(shape)[1], ())
     reduced = det_poly_reduced(shape)
-    q_power = QIntProduct(exponent_parity, ())
     return (reduced * q_power).reduced(), (("hecke", reduced), ("q-power", q_power))
 
 
@@ -280,7 +278,7 @@ def _sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[QIntProdu
     ell = sum(lam)
     # [n choose ell]_x lies in Z[x], so at odd q its parity is that of C(n, ell).
     odd_index = comb(ell + sum(mu), ell) % 2
-    odd_lam, odd_mu = _shape_parities(lam)[0], _shape_parities(mu)[0]
+    odd_lam, odd_mu = hook_record(lam)[1], hook_record(mu)[1]
     if odd_index and odd_lam and odd_mu:
         raise NotIrrPlusError(
             f"sign pair {lam} | {mu} has odd degree at odd q: not orthogonally stable"

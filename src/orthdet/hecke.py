@@ -5,7 +5,9 @@ x * [c+2]_x * [c]_x, where c is the content gap read off the lower tableau;
 multiplying the resulting per-tableau polynomials over the whole shape gives
 the shape's determinant polynomial. Its value at q represents the square
 class of the orthogonal determinant of the even-degree Hecke character at
-parameter q, and at q = 1 that of the symmetric group character.
+parameter q, and at q = 1 that of the symmetric group character;
+`hecke_determinant` refuses an odd-degree shape at the gate of `tableaux`
+before any count or walk.
 
 One walk over the Young lattice below the shape computes it, in two
 arithmetics (`_lattice_product`), checked against a third route:
@@ -36,12 +38,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
+from .errors import InvariantViolation, ResourceGuardError, check_int
 from .intpoly import IntPoly, cyclotomic, q_int
 from .squareclass import ONE, Parity, SquareClass, class_of_integer, two_adic_valuation
 from .tableaux import (
     StandardTableau,
     apply_simple_transposition,
+    check_even_degree,
     check_partition,
     enumerate_syt,
     syt_count,
@@ -49,16 +52,16 @@ from .tableaux import (
 
 # Ceiling on the lattice walk of one shape, counted as the sub-diagrams it
 # keeps on both passes times the rows of the shape, since each is scanned row
-# by row; the walk stops as soon as the count passes it. Full mode keeps
-# every sub-diagram once on each pass (bar the shape and the empty one), so
-# it admits up to about 10^6 sub-diagrams times rows; GF(2) mode keeps a
-# subset of those states, so it admits every shape full mode admits. On a
-# 2-core VM a unit costs full mode 1.1-1.5 us and at most about 75 B (most on
-# two rows, whose tableau counts are the longest integers), so one shape
-# stays near 3 s and 150 MB; it costs GF(2) mode at most 0.8 us. Full mode
-# admits (6, 4, 3, 2, 1) and every shape with n <= 50, and refuses the
-# (12, ..., 1) staircase; GF(2) mode walks it, and the 24-row staircase with
-# its 1707624 units.
+# by row. Full mode keeps every sub-diagram once on each pass (bar the shape
+# and the empty one), so it counts them before walking and admits up to
+# about 10^6 sub-diagrams times rows. GF(2) mode keeps a subset of those
+# states, so it admits every shape full mode admits; it stops as soon as its
+# running count passes the ceiling. On a 2-core VM a unit costs full mode
+# 1.1-1.5 us and at most about 75 B (most on two rows, whose tableau counts
+# are the longest integers), so one shape stays near 3 s and 150 MB; it
+# costs GF(2) mode at most 0.8 us. Full mode admits (6, 4, 3, 2, 1) and every
+# shape with n <= 50, and refuses the (12, ..., 1) staircase; GF(2) mode
+# walks it, and the 24-row staircase with its 1707624 units.
 MAX_SUBDIAGRAM_ROWS = 2_000_000
 
 
@@ -230,6 +233,21 @@ def checked_det_poly(shape, reduced: QIntProduct) -> QIntProduct:
     return full
 
 
+def _subdiagram_count(shape: tuple[int, ...]) -> int:
+    """Number of partitions contained in a validated shape, the empty one included.
+
+    Row by row: ways[v] counts the choices of the rows so far whose last
+    row has length v, and the next row may take any length up to both v
+    and its own part.
+    """
+    if not shape:
+        return 1
+    ways = [1] * (shape[0] + 1)
+    for part in shape[1:]:
+        ways = list(accumulate(reversed(ways)))[::-1][: part + 1]
+    return sum(ways)
+
+
 @lru_cache(maxsize=None)
 def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
     """Multiply the tableau polynomials of a shape by walking its Young lattice.
@@ -251,9 +269,15 @@ def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
     the product comes out without its square factors. Sub-diagrams are
     tuples without zero rows. Both ends must agree with the hook formula's
     count (its parity in GF(2) mode), and every state kept, times the rows
-    of the shape, counts against MAX_SUBDIAGRAM_ROWS.
+    of the shape, counts against MAX_SUBDIAGRAM_ROWS; full mode counts its
+    states before the walk.
     """
     rows = len(shape)
+    if not mod2 and (units := 2 * (_subdiagram_count(shape) - 1) * rows) > MAX_SUBDIAGRAM_ROWS:
+        raise ResourceGuardError(
+            f"shape {shape}: full lattice walk keeps {units} sub-diagram rows "
+            f"> limit {MAX_SUBDIAGRAM_ROWS}"
+        )
     expected = syt_count(shape) % 2 if mod2 else syt_count(shape)
     kept_rows = 0
 
@@ -368,9 +392,6 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
     """
     shape = check_partition(shape)
     check_int(q, "parameter q", 1)
+    check_even_degree(shape)
     degree = syt_count(shape)
-    if degree % 2:
-        raise NotIrrPlusError(
-            f"shape {shape} has degree {degree} (odd): determinant class undefined"
-        )
     return HeckeDetResult(shape=shape, q=q, degree=degree, symbolic=det_poly_reduced(shape))

@@ -9,9 +9,9 @@ Jucys-Murphy elements act diagonally with distinct eigenvalues on the
 tableau basis, so no solve is needed. A second, randomized route
 multiplies out basis-element images along reduced words and returns the
 determinant of a skew element. Both routes share one entry that refuses
-a shape with an odd tableau count before building anything;
-`check_limits` bounds the dimension and the skew route's n! images from
-that count alone. Both determinants are returned as integers and never
+a shape with an odd tableau count at the gate of `tableaux`, before
+counting or building anything; `check_limits` bounds the dimension and
+the skew route's n! images from the count alone. Both determinants are returned as integers and never
 factored here: whether one lies in the formula's square class is a
 perfect-square test (`SquareClass.contains`). Agreement of either route
 with the polynomial formula is the package's central cross-check.
@@ -38,7 +38,6 @@ from math import factorial, gcd, lcm, prod
 
 from .errors import (
     InvariantViolation,
-    NotIrrPlusError,
     ResourceGuardError,
     SkewElementSearchError,
     check_int,
@@ -51,7 +50,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .tableaux import TableauGraph, check_partition, enumerate_syt, syt_count
+from .tableaux import TableauGraph, check_even_degree, check_partition, enumerate_syt, syt_count
 
 # Ceiling on the module dimension, calibrated on the Gram route: on a 2-core
 # VM at q = 3, build plus `gram_form` take 0.18 s at dim 450, (5,3,2), and
@@ -323,11 +322,7 @@ def _jucys_murphy_diagonals(rep: SeminormalRep) -> list[tuple[int, ...]]:
 def _even_rep(shape, q: int, skew: bool = False) -> SeminormalRep:
     """The module of a shape with an even tableau count; odd ones are refused before building."""
     shape = check_partition(shape)
-    dim = syt_count(shape)
-    if dim % 2:
-        raise NotIrrPlusError(
-            f"shape {shape} has odd dimension {dim}: class is not scale-invariant"
-        )
+    check_even_degree(shape)
     if skew:
         check_limits(shape, skew=True)
     return build_seminormal(shape, q)

@@ -5,11 +5,12 @@ via q = 1, and sign pairs) over configurable ranges, recording failures as
 witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
-Every family is one entry of a module-level table: a row builder and the
-name of its public determinant function. A single sweep routine refuses an
-n_max that leaves no rows, calls the determinant on every row at every q in
-one serial loop, and assembles the report. The determinant checks q on every
-row and rejects odd-degree characters, which the loop skips.
+Each public sweep passes its row builder and its public determinant
+function to one sweep routine, which refuses an n_max that leaves no rows,
+calls the determinant on every row at every q in one serial loop, and
+assembles the report. The determinant checks q on every row and rejects
+odd-degree characters at the gate of `tableaux`, a cache hit after a
+shape's first row; the loop skips them.
 
 Rows keep the determinants' symbolic products, which come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power of
@@ -36,7 +37,7 @@ from .errors import NotIrrPlusError, check_int
 from .gl import sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_reduced, hecke_determinant
 from .squareclass import Parity, SquareClass, two_adic_valuation
-from .tableaux import check_partition, enumerate_partitions, syt_count
+from .tableaux import check_even_degree, check_partition, enumerate_partitions
 
 DEFAULT_WITNESS_LIMIT = 8
 
@@ -72,10 +73,9 @@ def _v2_power_less_one(residue: int, q: int, e: int) -> int:
 def parity_bridge_check(shape, q: int) -> bool:
     """Whether the determinant class parity at q matches the one at 1."""
     shape = check_partition(shape)
-    if syt_count(shape) % 2:
-        raise ValueError(f"shape {shape} has odd degree: no determinant class")
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
+    check_even_degree(shape)
     reduced = det_poly_reduced(shape)
     return reduced.parity_at(q) == reduced.parity_at(1)
 
@@ -151,20 +151,12 @@ def _all_sign_pairs(n_max: int) -> list[tuple]:
     ]
 
 
-# Keyed by report name: (rows, determinant). `rows(n_max)` lists the shape
-# tuples of the sweep: (shape,) for unipotent and symmetric, (lam, mu) for
-# sign pairs. `determinant` names the public function called on each row,
-# looked up in this module at every sweep, not stored, so that a tracer
-# rebinding module attributes sees it.
-_FAMILIES = {
-    "unipotent": (_all_shapes, "unipotent_determinant"),
-    "symmetric": (_all_shapes, "hecke_determinant"),
-    "sign-pair": (_all_sign_pairs, "sign_pair_determinant"),
-}
+def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> ParityReport:
+    """The report `name` of `determinant(*shapes, q)` on each row of `build_rows(n_max)`.
 
-
-def _sweep(name, n_max, q_values, witness_limit) -> ParityReport:
-    build_rows, determinant_name = _FAMILIES[name]
+    Rows are shape tuples: (shape,) for unipotent and symmetric, (lam, mu)
+    for sign pairs.
+    """
     check_int(n_max, "n_max", 1)
     check_int(witness_limit, "witness_limit", 0)
     q_values = tuple(q_values)
@@ -173,7 +165,6 @@ def _sweep(name, n_max, q_values, witness_limit) -> ParityReport:
     shape_rows = build_rows(n_max)
     if not shape_rows:
         raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
-    determinant = globals()[determinant_name]
     rows = []
     for shapes in shape_rows:
         for q in q_values:
@@ -196,14 +187,15 @@ def verify_parker_unipotent(
     n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree unipotent determinant classes up to n_max."""
-    return _sweep("unipotent", n_max, q_values, witness_limit)
+    return _sweep("unipotent", _all_shapes, unipotent_determinant, n_max, q_values,
+                  witness_limit)
 
 
 def verify_parker_symmetric(
     n_max: int, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree symmetric group determinant classes up to n_max."""
-    return _sweep("symmetric", n_max, (1,), witness_limit)
+    return _sweep("symmetric", _all_shapes, hecke_determinant, n_max, (1,), witness_limit)
 
 
 def verify_parker_sign_pairs(
@@ -214,4 +206,5 @@ def verify_parker_sign_pairs(
     Pairs run over (lam, mu) with |lam| + |mu| = n <= n_max, either side
     possibly empty (but not both); odd-degree characters are skipped.
     """
-    return _sweep("sign-pair", n_max, q_values, witness_limit)
+    return _sweep("sign-pair", _all_sign_pairs, sign_pair_determinant, n_max, q_values,
+                  witness_limit)

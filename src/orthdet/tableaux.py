@@ -7,8 +7,9 @@ tableau standard; its breadth-first distance from the row-filling tableau
 is the Coxeter length of the permutation carrying one to the other;
 `tableau_word` reads a word of that length off the tableau, with no graph.
 
-Hook lengths and the tableau count of a shape are one cached record
-(`hook_record`), read by `syt_count` and by the unipotent degrees of `gl`.
+Hook lengths of a shape and the parity of its tableau count are one cached
+record (`hook_record`); `check_even_degree`, the one odd-degree gate, reads
+it before any count, degree or lattice walk is paid for.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, prod
 
-from .errors import InvariantViolation, ResourceGuardError, check_int
+from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
 # reference `hecke.tableau_polynomials` (the determinant products walk the
@@ -74,17 +75,26 @@ def hook_lengths(shape) -> dict[Cell, int]:
     }
 
 
-# Unbounded: one small record per shape, read for every unipotent character.
+# Unbounded: one small record per shape, read for every character.
 @lru_cache(maxsize=None)
-def hook_record(shape: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Hook lengths of a validated shape and its tableau count n! / prod(hooks)."""
+def hook_record(shape: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
+    """Hook lengths of a validated shape and whether its tableau count is odd."""
     hooks = tuple(hook_lengths(shape).values())
-    return hooks, factorial(sum(shape)) // prod(hooks)
+    n = sum(shape)
+    # n! / prod(hooks) is odd iff the hooks' 2-adic valuations sum to v2(n!) = n - popcount(n).
+    return hooks, n - n.bit_count() == sum((h & -h).bit_length() - 1 for h in hooks)
+
+
+def check_even_degree(shape: tuple[int, ...]) -> None:
+    """NotIrrPlusError if a validated shape has an odd tableau count, hence odd degree."""
+    if hook_record(shape)[1]:
+        raise NotIrrPlusError(f"shape {shape} has odd degree: no orthogonal determinant")
 
 
 def syt_count(shape) -> int:
     """Number of standard Young tableaux, by the hook length formula."""
-    return hook_record(check_partition(shape))[1]
+    hooks = hook_record(check_partition(shape))[0]
+    return factorial(len(hooks)) // prod(hooks)
 
 
 def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
@@ -94,7 +104,7 @@ def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
     partitions of a larger n.
     """
     shapes = (shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n))
-    return (shape for shape in shapes if syt_count(shape) % 2 == 0)
+    return (shape for shape in shapes if not hook_record(shape)[1])
 
 
 @dataclass(frozen=True)

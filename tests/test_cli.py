@@ -8,10 +8,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from orthdet import cli, gl, hecke, oracle, parker, tableaux
+from orthdet import cli, gl, hecke, oracle, parker, squareclass, tableaux
 from orthdet.cli import main
 from orthdet.errors import ResourceGuardError
 from orthdet.hecke import QIntProduct
+from orthdet.intpoly import gaussian_binomial
 from orthdet.squareclass import Parity, SquareClass
 
 
@@ -123,8 +124,7 @@ def test_verify_parker_checks_classes_against_parities(capsys, monkeypatch):
 def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
     # A tableau count of 1 for (2,1), against 2, the value at x = 1 of its
     # degree polynomial: x - 1 cannot divide their difference.
-    real = gl.hook_record
-    monkeypatch.setattr(gl, "hook_record", lambda shape: (real(shape)[0], 1))
+    monkeypatch.setattr(gl, "syt_count", lambda shape: 1)
     # Entries cached by an earlier test would bypass the patched record.
     gl._shape_parities.cache_clear()
     gl._unipotent_row.cache_clear()
@@ -516,6 +516,47 @@ def test_guard_comment_holds_at_the_real_limit(capsys):
         assert reduced == reduced.reduced()
     with pytest.raises(ResourceGuardError, match="> limit 2000000"):
         hecke.det_poly_factored(tuple(range(12, 0, -1)))
+
+
+# Degrees of 8097 and 16313 digits, past CPython's default limit of 4300 digits
+# for int-to-str conversion; both classes come out without factoring.
+HUGE_DEGREES = {
+    "unipotent-30-30-30": (("det-unipotent", "--shape", "30,30,30", "--q", "997"),
+                           lambda: gl.unipotent_degree((30, 30, 30), 997)),
+    "sgnpair-40-40-48": (("det-sgnpair", "--lambda", "40,40", "--mu", "48", "--q", "997"),
+                         lambda: gaussian_binomial(128, 80, 997)
+                         * gl.unipotent_degree((40, 40), 997)),
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit before CPython 3.10.7")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, degree", HUGE_DEGREES.values(), ids=HUGE_DEGREES)
+def test_degrees_past_the_digit_limit_print_in_full(capsys, argv, degree, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # restored for in-process callers
+    printed = json.loads(out)["degree"] if fmt == "json" else out.splitlines()[1].split()[1]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == str(degree()) and len(printed) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_degrees_past_the_digit_limit_reach_the_class(capsys, monkeypatch):
+    # Their degrees print, so these get to the class; it needs cyclotomic
+    # values at 997 with 36- and 58-digit cofactors that the rho budget cannot
+    # split (exit 3 after 2.5 and 3.6 s on a 2-core VM), so a small budget keeps
+    # this quick.
+    monkeypatch.setattr(squareclass, "_RHO_STEP_BUDGET", 1000)
+    for argv in (("det-unipotent", "--shape", "60,60", "--q", "997"),
+                 ("det-sgnpair", "--lambda", "40,40", "--mu", "40", "--q", "997")):
+        for fmt in ("json", "text"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, out) == (3, "") and "left unfactored" in err, (argv, fmt)
 
 
 def test_oracle_check_refuses_before_enumerating_larger_n(capsys, monkeypatch):

@@ -285,17 +285,12 @@ def _clear_shape_records():
 def test_sign_pair_checks_component_tableau_counts(monkeypatch):
     # Two more tableaux for (2,1) keep the parity of its count, but its
     # degree polynomial is 2 at x = 1, so x - 1 does not divide degree - count.
-    real = gl.hook_record
-
-    def wrong_count(shape):
-        hooks, count = real(shape)
-        return hooks, count + 2 * (shape == (2, 1))
-
-    monkeypatch.setattr(gl, "hook_record", wrong_count)
+    real = gl.syt_count
+    monkeypatch.setattr(gl, "syt_count", lambda shape: real(shape) + 2 * (shape == (2, 1)))
     # Entries cached by earlier tests would bypass the patched record.
     _clear_shape_records()
     with pytest.raises(InvariantViolation, match="does not divide"):
-        sign_pair_determinant((2, 1), (1,), 5)
+        sign_pair_determinant((2, 1), (1, 1, 1, 1), 5)
 
 
 def test_shape_record_refuses_a_negative_cyclotomic_multiplicity(monkeypatch):
@@ -303,10 +298,10 @@ def test_shape_record_refuses_a_negative_cyclotomic_multiplicity(monkeypatch):
     # the numerator (x - 1)(x^2 - 1)(x^3 - 1) once.
     real = gl.hook_record
     monkeypatch.setattr(gl, "hook_record",
-                        lambda shape: ((3, 3, 1), 2) if shape == (2, 1) else real(shape))
+                        lambda shape: ((3, 3, 1), False) if shape == (2, 1) else real(shape))
     _clear_shape_records()
     for call in (lambda: unipotent_determinant((2, 1), 3),
-                 lambda: sign_pair_determinant((2, 1), (1,), 5)):
+                 lambda: sign_pair_determinant((2, 1), (1, 1, 1, 1), 5)):
         with pytest.raises(InvariantViolation, match=r"\(2, 1\).* -1 at d = 3"):
             call()
 

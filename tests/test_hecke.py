@@ -107,10 +107,44 @@ def test_det_poly_never_builds_the_graph(monkeypatch):
     assert det_poly_factored((6, 4, 3, 2, 1)).x_exp > 0
 
 
+def test_subdiagram_count_matches_brute_force():
+    for shape in _all_partitions(8):
+        contained = [
+            mu
+            for m in range(1, sum(shape) + 1)
+            for mu in enumerate_partitions(m)
+            if len(mu) <= len(shape) and all(a <= b for a, b in zip(mu, shape))
+        ]
+        assert hecke._subdiagram_count(shape) == len(contained) + 1, shape
+    assert hecke._subdiagram_count(()) == 1
+    assert hecke._subdiagram_count((3, 3)) == 10  # binomial(5, 2) lattice paths
+
+
+def test_full_mode_precount_is_what_the_walk_keeps(monkeypatch):
+    # 2 * (sub-diagrams - 1) * rows: at that limit the walk runs to the end,
+    # one unit below it full mode refuses before walking.
+    for shape in _all_partitions(7):
+        units = 2 * (hecke._subdiagram_count(shape) - 1) * len(shape)
+        hecke._lattice_product.cache_clear()
+        monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", units)
+        det_poly_factored(shape)
+        hecke._lattice_product.cache_clear()
+        monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", units - 1)
+        with pytest.raises(ResourceGuardError, match=f"full lattice walk keeps {units} "):
+            det_poly_factored(shape)
+
+
+def test_full_mode_refuses_the_staircase_before_walking(monkeypatch):
+    hecke._lattice_product.cache_clear()
+    monkeypatch.setattr(hecke, "syt_count", lambda shape: pytest.fail("walk started"))
+    with pytest.raises(ResourceGuardError, match="keeps 17829576 sub-diagram rows"):
+        det_poly_factored(tuple(range(12, 0, -1)))
+
+
 def test_lattice_guard(monkeypatch):
-    # (12, 11, ..., 1) has 742900 sub-diagrams and 12 rows.
+    # (12, 11, ..., 1) has 742900 sub-diagrams and 12 rows: 2 * 742899 * 12 units.
     staircase = tuple(range(12, 0, -1))
-    with pytest.raises(ResourceGuardError, match="2219508 sub-diagram rows > limit 2000000"):
+    with pytest.raises(ResourceGuardError, match="keeps 17829576 sub-diagram rows > limit 2000000"):
         det_poly_factored(staircase)
     # Full mode keeps 8 states of (2, 1) times 2 rows, and 10 of (2, 2).
     monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 16)

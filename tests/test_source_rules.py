@@ -8,7 +8,7 @@ except argument text in `cli` and an integral `Fraction` there. Imports
 sit at module level, and every private module-level function or class is
 named somewhere in the package besides its own definition (no dead
 helpers), as is every private or ALL_CAPS module-level constant (no stale
-guards).
+guards). No code looks a name up in `globals()`: callers pass functions.
 """
 
 import ast
@@ -129,6 +129,16 @@ def test_imports_only_at_module_level(path):
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not found, f"{path.name}: imports inside (line, body) {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_globals_lookup(path):
+    found = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals"
+    ]
+    assert not found, f"{path.name}: globals() at lines {found}"
 
 
 def _identifiers(node) -> set[str]:
