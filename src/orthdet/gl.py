@@ -12,13 +12,13 @@ Two families are covered exactly:
   the induction index and the direct-product power rule.
 
 At odd q, whether a character has even degree, and its symbolic class,
-do not depend on q. So each shape gets one cached q-free record: its
-cyclotomic multiplicities prove, for every q at once, that the q-hook
-degree and the q-power exponent are integers with the parities the record
-keeps (the tableau count's, and the exponent's at q = 3). Rows are built
-from these records once per shape or pair, and only validation and the
-parity at q are left per q. The exact degree and exponent at q are
-computed, and checked against the record, only when a result prints them.
+do not depend on q. So each shape gets one cached q-free record, its
+degree polynomial: its cyclotomic multiplicities prove, for every q at
+once, that the q-hook degree and the q-power exponent are integers, and
+give the exponent's parity at odd q in closed form. Rows are built from
+these records once per shape or pair, and only validation and the parity
+at q are left per q. The exact degree and exponent at q are evaluated from
+the record, and checked against it, only when a result prints them.
 
 Classes come from the Hecke determinant's lattice walk in GF(2) mode
 (`det_poly_reduced`); the full product of a unipotent character, from the
@@ -37,7 +37,7 @@ from math import comb, prod
 
 from .errors import InvariantViolation, NotIrrPlusError, check_int
 from .hecke import QIntProduct, checked_det_poly, det_poly_reduced
-from .intpoly import cyclotomic_at_one, gaussian_binomial
+from .intpoly import cyclotomic, cyclotomic_at_one, gaussian_binomial
 from .squareclass import SquareClass, factorize
 from .tableaux import check_even_degree, check_partition, hook_record, syt_count
 
@@ -67,10 +67,9 @@ def as_odd_prime_power(q: int) -> PrimePower:
 def unipotent_degree(shape, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) attached to a shape.
 
-    q-hook formula: q^weight * prod_{i=1..n} (q^i - 1) / prod_cells (q^hook - 1),
-    evaluated exactly with the q-power exponent; an inexact division or a
-    failed exponent check falsifies a theorem and aborts. Valid for any
-    integer q >= 2 (primality is not needed for the arithmetic).
+    q-hook formula q^n(shape) * prod_{i=1..n} (q^i - 1) / prod_cells (q^hook - 1),
+    evaluated exactly from the shape's degree polynomial; a failed check
+    falsifies a theorem and aborts. Valid for any integer q >= 2.
     """
     return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[0]
 
@@ -85,16 +84,11 @@ def unipotent_q_exponent(shape, q: int) -> int:
 
 
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """Unipotent degree and q-power exponent of a validated shape and q, from its hook record."""
-    hooks, count = hook_record(shape)[0], syt_count(shape)
-    weight = sum(i * part for i, part in enumerate(shape))  # sum of (row - 1) * row length
-    numerator = q**weight * prod(q**i - 1 for i in range(1, sum(shape) + 1))
-    degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
-    if rem:
-        raise InvariantViolation(f"q-hook degree of {shape} at q={q} is not an integer")
-    # At odd q, q - 1 is even, so this check also makes the degree and the
-    # tableau count agree mod 2.
-    exponent, rem = divmod(degree - count, q - 1)
+    """Unipotent degree and q-exponent of a validated shape at q, from its degree polynomial."""
+    weight, multiplicities, _ = _degree_polynomial(shape)
+    degree = q**weight * prod(cyclotomic(d)(q) ** m_d for d, m_d in multiplicities)
+    # At odd q, q - 1 is even, so this also checks degree = tableau count (mod 2).
+    exponent, rem = divmod(degree - syt_count(shape), q - 1)
     if rem:
         raise InvariantViolation(f"q-1 does not divide degree - tableau count for {shape} at q={q}")
     if exponent < 0:
@@ -110,28 +104,29 @@ _cyclotomic_at_one = lru_cache(maxsize=None)(cyclotomic_at_one)
 # proves each shape once for every odd q. Callers validate first: True
 # equals 1, so an unvalidated bool part could hit an int's entry.
 @lru_cache(maxsize=None)
-def _shape_parities(shape: tuple[int, ...]) -> tuple[int, int]:
-    """Degree and q-exponent parities of a validated shape, the same at every odd q.
+def _degree_polynomial(shape: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """n(shape), the multiplicities ((d, m_d), ...) of its degree polynomial, and e mod 2 at odd q.
 
-    As a polynomial in x, the q-hook degree is
-    D(x) = x^weight * prod_{i <= n} (x^i - 1) / prod_hooks (x^h - 1)
-    = x^weight * prod_d Phi_d(x)^m_d, where m_d = floor(n/d) minus the
-    number of hooks divisible by d. If no m_d is negative, D lies in Z[x].
-    If moreover D(1) = prod_d Phi_d(1)^m_d, which is prod p^m_d over the
-    prime powers d = p^k once m_1 = 0, equals the tableau count, then x - 1
-    divides D(x) - count, so E(x) = (D(x) - count) / (x - 1) lies in Z[x].
-    That proves, at every q >= 2, the three checks `_degree_and_exponent`
-    makes at one q: D(q) is an integer, q - 1 divides D(q) - count, and
-    E(q) >= 0, since Phi_d(q) >= Phi_d(1) for q >= 2. At odd q, q - 1 is
-    even, so D(q) = count (mod 2), and E(q) = E(3) (mod 2), which one fully
-    checked evaluation at q = 3 gives. A failure raises InvariantViolation.
+    As a polynomial in x, with n(shape) = sum (i - 1) * row_i, the q-hook degree is
+    D(x) = x^n(shape) prod_{i <= n} [i]_x / prod_hooks [h]_x = x^n(shape) prod_d Phi_d(x)^m_d,
+    where m_d = floor(n/d) minus the number of hooks divisible by d. If no
+    m_d is negative and D(1) = prod_d Phi_d(1)^m_d equals the tableau count
+    f, then D and E(x) = (D(x) - f) / (x - 1) lie in Z[x]; so at every
+    q >= 2, D(q) is an integer, q - 1 divides D(q) - f, and E(q) >= 0, as
+    Phi_d(q) >= Phi_d(1). A failure raises InvariantViolation.
+
+    The parity of e = E(q) needs no evaluation. As [k]_x has logarithmic
+    derivative (k - 1)/2 at x = 1, E(1) = D'(1) = f * (2 n(shape) + C(n + 1, 2)
+    - sum_hooks h) / 2, which is f * (C(n, 2) + n(shape) - n(shape')) / 2 since
+    the hooks sum to n + n(shape) + n(shape'). As E lies in Z[x] and an odd q
+    is 1 mod 2, E(q) = E(1) (mod 2).
     """
     hooks, count = hook_record(shape)[0], syt_count(shape)
     n = sum(shape)
     per_length = [0] * (max((n, *hooks)) + 1)
     for h in hooks:
         per_length[h] += 1
-    at_one = 1
+    multiplicities = []
     for d in range(1, len(per_length)):
         m_d = n // d - sum(per_length[d::d])
         if m_d < 0:
@@ -140,22 +135,26 @@ def _shape_parities(shape: tuple[int, ...]) -> tuple[int, int]:
                 f"{m_d} at d = {d}"
             )
         if m_d:
-            at_one *= _cyclotomic_at_one(d) ** m_d
+            multiplicities.append((d, m_d))
+    at_one = prod(_cyclotomic_at_one(d) ** m_d for d, m_d in multiplicities)
     if at_one != count:
         raise InvariantViolation(
             f"x-1 does not divide degree - tableau count for {shape}: "
             f"the degree is {at_one} at x = 1, the tableau count {count}"
         )
-    return count % 2, _degree_and_exponent(shape, 3)[1] % 2
+    weight = sum(i * part for i, part in enumerate(shape))
+    odd_exponent = count * (comb(n + 1, 2) + 2 * weight - sum(hooks)) // 2 % 2
+    return weight, tuple(multiplicities), odd_exponent
 
 
 def _checked_degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """`_degree_and_exponent` at q, checked against the shape's q-free parities."""
+    """`_degree_and_exponent` at q, checked against the parities its degree polynomial proves."""
     degree, exponent = _degree_and_exponent(shape, q)
-    if (degree % 2, exponent % 2) != _shape_parities(shape):
+    parities = (hook_record(shape)[1], _degree_polynomial(shape)[2])
+    if (degree % 2, exponent % 2) != parities:
         raise InvariantViolation(
             f"degree {degree} and q-exponent {exponent} of {shape} at q={q} contradict "
-            f"the parities {_shape_parities(shape)} of its degree polynomial"
+            f"the odd-count flag and exponent parity {parities} of its degree polynomial"
         )
     return degree, exponent
 
@@ -248,7 +247,7 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
 def _unipotent_row(shape: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
     """`symbolic` and `parts` of a validated shape's unipotent character at every odd q."""
     check_even_degree(shape)
-    q_power = QIntProduct(_shape_parities(shape)[1], ())
+    q_power = QIntProduct(_degree_polynomial(shape)[2], ())
     reduced = det_poly_reduced(shape)
     return (reduced * q_power).reduced(), (("hecke", reduced), ("q-power", q_power))
 

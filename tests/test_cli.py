@@ -126,7 +126,7 @@ def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
     # degree polynomial: x - 1 cannot divide their difference.
     monkeypatch.setattr(gl, "syt_count", lambda shape: 1)
     # Entries cached by an earlier test would bypass the patched record.
-    gl._shape_parities.cache_clear()
+    gl._degree_polynomial.cache_clear()
     gl._unipotent_row.cache_clear()
     code, out, err = run(capsys, "det-unipotent", "--shape", "2,1", "--q", "3")
     assert code == 2
@@ -382,6 +382,14 @@ GOLDEN_JSON += [
         ["det-unipotent", "--shape", "2,1", "--q", "243"],
         "3315e33ad2b15f34eefcc005a36b160db14094d0ffb6147c7d861aed95e4ef6e",
         id="det-unipotent-q-243",
+    ),
+]
+# A 1504-digit degree, recorded before it came from cyclotomic multiplicities.
+GOLDEN_JSON += [
+    pytest.param(
+        ["det-sgnpair", "--lambda", "1500,1", "--mu", "1", "--q", "3"],
+        "ecbda140347c12dc723b1b7bcae7d99fd887e32cfe39850b970cfcac130bf7ae",
+        id="det-sgnpair-long-hook",
     ),
 ]
 # The benchmark's sweep scopes.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -21,7 +22,7 @@ from orthdet.squareclass import (
     parity_of_integer,
     two_adic_valuation,
 )
-from orthdet.tableaux import enumerate_partitions, hook_lengths, syt_count
+from orthdet.tableaux import enumerate_partitions, hook_lengths, hook_record, syt_count
 
 
 def test_prime_power_examples():
@@ -277,7 +278,7 @@ def test_sign_pair_rejects_odd_total_degree():
 
 
 def _clear_shape_records():
-    gl._shape_parities.cache_clear()
+    gl._degree_polynomial.cache_clear()
     gl._unipotent_row.cache_clear()
     gl._sign_pair_row.cache_clear()
 
@@ -309,10 +310,11 @@ def test_shape_record_refuses_a_negative_cyclotomic_multiplicity(monkeypatch):
 def test_warm_caches_still_refuse_bools_and_floats():
     # True == 1 would hit the entries of (2, 1) in the q-free shape and pair
     # caches if they ran before validation; a float q is refused too.
+    _clear_shape_records()
     unipotent_degree((2, 1), 3)
     unipotent_determinant((2, 1), 3)
     sign_pair_determinant((2, 1), (1,), 3)
-    for cache in (gl._shape_parities, gl._unipotent_row, gl._sign_pair_row):
+    for cache in (gl._degree_polynomial, gl._unipotent_row, gl._sign_pair_row):
         assert cache.cache_info().currsize > 0
     calls = [
         (unipotent_degree, ((2, True), 3)),
@@ -360,12 +362,61 @@ def _shapes_up_to(n_max):
             for shape in (enumerate_partitions(n) if n else [()])]
 
 
+def _hook_quotient(shape, q):
+    """Degree and q-exponent from the q-hook formula as one exact quotient."""
+    hooks = hook_lengths(shape).values()
+    weight = sum(i * part for i, part in enumerate(shape))
+    numerator = q**weight * prod(q**i - 1 for i in range(1, sum(shape) + 1))
+    degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
+    assert rem == 0, (shape, q)
+    exponent, rem = divmod(degree - syt_count(shape), q - 1)
+    assert rem == 0 and exponent >= 0, (shape, q)
+    return degree, exponent
+
+
+def test_degree_of_a_long_hook_is_pinned():
+    # (2000, 1) has degree q * [2000]_q and 2000 tableaux; no quotient of
+    # 4000-digit products is formed.
+    degree = 3 * (3**2000 - 1) // 2
+    assert unipotent_degree((2000, 1), 3) == degree
+    assert unipotent_q_exponent((2000, 1), 3) == (degree - 2000) // 2
+
+
 def test_shape_parities_match_the_exact_degrees():
+    # The hook quotient is the reference for the degree and the exponent at
+    # every q >= 2 (even q stays legal), and for the record's parities at odd q.
     for shape in _shapes_up_to(12):
-        parities = gl._shape_parities(shape)
-        for q in RECORD_Q:
-            degree, exponent = gl._degree_and_exponent(shape, q)
-            assert (degree % 2, exponent % 2) == parities, (shape, q)
+        parities = (hook_record(shape)[1], gl._degree_polynomial(shape)[2])
+        for q in RECORD_Q + (2, 4):
+            degree, exponent = _hook_quotient(shape, q)
+            assert unipotent_degree(shape, q) == degree, (shape, q)
+            assert unipotent_q_exponent(shape, q) == exponent, (shape, q)
+            if q % 2:
+                assert (degree % 2, exponent % 2) == parities, (shape, q)
+
+
+def test_no_row_builds_a_degree(monkeypatch):
+    # Rows, classes and breakdowns read the parities of the degree
+    # polynomials; the exact degree at q is evaluated only when printed.
+    monkeypatch.setattr(gl, "_degree_and_exponent",
+                        lambda shape, q: pytest.fail(f"degree of {shape} at q={q}"))
+    _clear_shape_records()
+    builds = [(unipotent_determinant, (shape,)) for shape in _shapes_up_to(9)]
+    builds += [(sign_pair_determinant, (lam, mu)) for lam in _shapes_up_to(7)
+               for mu in _shapes_up_to(7 - sum(lam)) if lam or mu]
+    built = 0
+    for q in (3, 5, 9):
+        for determinant, shapes in builds:
+            try:
+                result = determinant(*shapes, q)
+            except NotIrrPlusError:
+                continue
+            product = ONE
+            for _, cls in result.breakdown:
+                product = product * cls
+            assert product == result.det_class == result.symbolic.square_class(q)
+            built += 1
+    assert built > len(builds)
 
 
 def _reference_sign_pair_symbolic(lam, mu, q):
