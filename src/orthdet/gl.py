@@ -12,13 +12,13 @@ Two families are covered exactly:
   the induction index and the direct-product power rule.
 
 At odd q, whether a character has even degree, and its symbolic class,
-do not depend on q. So each shape gets one cached q-free record, its
-degree polynomial: its cyclotomic multiplicities prove, for every q at
+do not depend on q. The shape record of `tableaux` proves, for every q at
 once, that the q-hook degree and the q-power exponent are integers, and
-give the exponent's parity at odd q in closed form. Rows are built from
-these records once per shape or pair, and only validation and the parity
-at q are left per q. The exact degree and exponent at q are evaluated from
-the record, and checked against it, only when a result prints them.
+gives the parities of the tableau count and of the exponent at odd q in
+closed form. Rows are built from it once per shape or pair, and only
+validation and the parity at q are left per q. The exact degree and
+exponent at q are evaluated from the record, and checked against it, only
+when a result prints them.
 
 Classes come from the Hecke determinant's lattice walk in GF(2) mode
 (`det_poly_reduced`); the full product of a unipotent character, from the
@@ -37,9 +37,9 @@ from math import comb, prod
 
 from .errors import InvariantViolation, NotIrrPlusError, check_int
 from .hecke import QIntProduct, checked_det_poly, det_poly_reduced
-from .intpoly import cyclotomic, cyclotomic_at_one, gaussian_binomial
-from .squareclass import SquareClass, factorize
-from .tableaux import check_even_degree, check_partition, hook_record, syt_count
+from .intpoly import cyclotomic, gaussian_binomial
+from .squareclass import SquareClass, factorize, two_adic_valuation
+from .tableaux import check_even_degree, check_partition, shape_record, syt_count
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def unipotent_degree(shape, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) attached to a shape.
 
     q-hook formula q^n(shape) * prod_{i=1..n} (q^i - 1) / prod_cells (q^hook - 1),
-    evaluated exactly from the shape's degree polynomial; a failed check
+    evaluated exactly from the shape record's cyclotomic factors; a failed check
     falsifies a theorem and aborts. Valid for any integer q >= 2.
     """
     return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[0]
@@ -84,8 +84,9 @@ def unipotent_q_exponent(shape, q: int) -> int:
 
 
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """Unipotent degree and q-exponent of a validated shape at q, from its degree polynomial."""
-    weight, multiplicities, _ = _degree_polynomial(shape)
+    """Unipotent degree D(q) and q-exponent (D(q) - f) / (q - 1) of a validated shape."""
+    weight = sum(i * part for i, part in enumerate(shape))
+    multiplicities = shape_record(shape).multiplicities
     degree = q**weight * prod(cyclotomic(d)(q) ** m_d for d, m_d in multiplicities)
     # At odd q, q - 1 is even, so this also checks degree = tableau count (mod 2).
     exponent, rem = divmod(degree - syt_count(shape), q - 1)
@@ -96,65 +97,27 @@ def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
     return degree, exponent
 
 
-# Cached for the shape records, which pass only indices from a range.
-_cyclotomic_at_one = lru_cache(maxsize=None)(cyclotomic_at_one)
+def _odd_exponent(shape: tuple[int, ...]) -> int:
+    """e mod 2 of a validated shape at every odd q, with no degree or count formed.
 
-
-# The q-free records below are cached per shape or pair, so that a sweep
-# proves each shape once for every odd q. Callers validate first: True
-# equals 1, so an unvalidated bool part could hit an int's entry.
-@lru_cache(maxsize=None)
-def _degree_polynomial(shape: tuple[int, ...]) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """n(shape), the multiplicities ((d, m_d), ...) of its degree polynomial, and e mod 2 at odd q.
-
-    As a polynomial in x, with n(shape) = sum (i - 1) * row_i, the q-hook degree is
-    D(x) = x^n(shape) prod_{i <= n} [i]_x / prod_hooks [h]_x = x^n(shape) prod_d Phi_d(x)^m_d,
-    where m_d = floor(n/d) minus the number of hooks divisible by d. If no
-    m_d is negative and D(1) = prod_d Phi_d(1)^m_d equals the tableau count
-    f, then D and E(x) = (D(x) - f) / (x - 1) lie in Z[x]; so at every
-    q >= 2, D(q) is an integer, q - 1 divides D(q) - f, and E(q) >= 0, as
-    Phi_d(q) >= Phi_d(1). A failure raises InvariantViolation.
-
-    The parity of e = E(q) needs no evaluation. As [k]_x has logarithmic
-    derivative (k - 1)/2 at x = 1, E(1) = D'(1) = f * (2 n(shape) + C(n + 1, 2)
-    - sum_hooks h) / 2, which is f * (C(n, 2) + n(shape) - n(shape')) / 2 since
-    the hooks sum to n + n(shape) + n(shape'). As E lies in Z[x] and an odd q
-    is 1 mod 2, E(q) = E(1) (mod 2).
+    As [k]_x has logarithmic derivative (k - 1)/2 at x = 1, E(1) = D'(1) = f * y / 2
+    with y = 2 n(shape) + C(n + 1, 2) - sum_hooks h = C(n, 2) + n(shape) - n(shape') >= 0.
+    As E lies in Z[x], E(q) = E(1) (mod 2) at odd q: odd iff y > 0 and v2(f) + v2(y) = 1.
     """
-    hooks, count = hook_record(shape)[0], syt_count(shape)
-    n = sum(shape)
-    per_length = [0] * (max((n, *hooks)) + 1)
-    for h in hooks:
-        per_length[h] += 1
-    multiplicities = []
-    for d in range(1, len(per_length)):
-        m_d = n // d - sum(per_length[d::d])
-        if m_d < 0:
-            raise InvariantViolation(
-                f"q-hook degree of {shape} is not a polynomial: Phi_d has multiplicity "
-                f"{m_d} at d = {d}"
-            )
-        if m_d:
-            multiplicities.append((d, m_d))
-    at_one = prod(_cyclotomic_at_one(d) ** m_d for d, m_d in multiplicities)
-    if at_one != count:
-        raise InvariantViolation(
-            f"x-1 does not divide degree - tableau count for {shape}: "
-            f"the degree is {at_one} at x = 1, the tableau count {count}"
-        )
+    hooks, _, count_v2 = shape_record(shape)
     weight = sum(i * part for i, part in enumerate(shape))
-    odd_exponent = count * (comb(n + 1, 2) + 2 * weight - sum(hooks)) // 2 % 2
-    return weight, tuple(multiplicities), odd_exponent
+    y = comb(len(hooks) + 1, 2) + 2 * weight - sum(hooks)
+    return 1 if y and count_v2 + two_adic_valuation(y) == 1 else 0
 
 
 def _checked_degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """`_degree_and_exponent` at q, checked against the parities its degree polynomial proves."""
+    """`_degree_and_exponent` at q, checked against the parities its shape record proves."""
     degree, exponent = _degree_and_exponent(shape, q)
-    parities = (hook_record(shape)[1], _degree_polynomial(shape)[2])
+    parities = (not shape_record(shape).count_v2, _odd_exponent(shape))
     if (degree % 2, exponent % 2) != parities:
         raise InvariantViolation(
             f"degree {degree} and q-exponent {exponent} of {shape} at q={q} contradict "
-            f"the odd-count flag and exponent parity {parities} of its degree polynomial"
+            f"the odd-count flag and exponent parity {parities} of its shape record"
         )
     return degree, exponent
 
@@ -165,8 +128,8 @@ class GlDetResult:
 
     The value at q of the squarefree product `symbolic` lies in the class.
     `symbolic` and the labelled factors `parts` are the same at every odd q:
-    they come from the GF(2) walk and the q-free parities of the degree
-    polynomials, and a unipotent character's "q-power" part is
+    they come from the GF(2) walk and the q-free parities of the shape
+    records, and a unipotent character's "q-power" part is
     q^(exponent mod 2). Everything else is computed on first access only:
     `det_class`, and `breakdown` from `parts`, are classified (factored);
     `degree` and `q_exponent` come from the exact formulas at q and are
@@ -243,11 +206,12 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
     return GlDetResult(kind="unipotent", shapes=(shape,), q=pp, symbolic=symbolic, parts=parts)
 
 
+# Cached per shape or pair for every odd q; callers validate first.
 @lru_cache(maxsize=None)
 def _unipotent_row(shape: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
     """`symbolic` and `parts` of a validated shape's unipotent character at every odd q."""
     check_even_degree(shape)
-    q_power = QIntProduct(_degree_polynomial(shape)[2], ())
+    q_power = QIntProduct(_odd_exponent(shape), ())
     reduced = det_poly_reduced(shape)
     return (reduced * q_power).reduced(), (("hecke", reduced), ("q-power", q_power))
 
@@ -277,7 +241,7 @@ def _sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[QIntProdu
     ell = sum(lam)
     # [n choose ell]_x lies in Z[x], so at odd q its parity is that of C(n, ell).
     odd_index = comb(ell + sum(mu), ell) % 2
-    odd_lam, odd_mu = hook_record(lam)[1], hook_record(mu)[1]
+    odd_lam, odd_mu = not shape_record(lam).count_v2, not shape_record(mu).count_v2
     if odd_index and odd_lam and odd_mu:
         raise NotIrrPlusError(
             f"sign pair {lam} | {mu} has odd degree at odd q: not orthogonally stable"

@@ -47,6 +47,7 @@ from .tableaux import (
     check_even_degree,
     check_partition,
     enumerate_syt,
+    shape_record,
     syt_count,
 )
 
@@ -268,9 +269,9 @@ def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
     are dropped, so only steps where both counts are odd contribute, and
     the product comes out without its square factors. Sub-diagrams are
     tuples without zero rows. Both ends must agree with the hook formula's
-    count (its parity in GF(2) mode), and every state kept, times the rows
-    of the shape, counts against MAX_SUBDIAGRAM_ROWS; full mode counts its
-    states before the walk.
+    count (in GF(2) mode its parity, from the shape record), and every
+    state kept, times the rows of the shape, counts against
+    MAX_SUBDIAGRAM_ROWS; full mode counts its states before the walk.
     """
     rows = len(shape)
     if not mod2 and (units := 2 * (_subdiagram_count(shape) - 1) * rows) > MAX_SUBDIAGRAM_ROWS:
@@ -278,7 +279,7 @@ def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
             f"shape {shape}: full lattice walk keeps {units} sub-diagram rows "
             f"> limit {MAX_SUBDIAGRAM_ROWS}"
         )
-    expected = syt_count(shape) % 2 if mod2 else syt_count(shape)
+    expected = (0 if shape_record(shape).count_v2 else 1) if mod2 else syt_count(shape)
     kept_rows = 0
 
     def keep(reached: dict) -> dict:
@@ -354,15 +355,18 @@ class HeckeDetResult:
     """Orthogonal determinant data of one even-degree character.
 
     `symbolic` is the walk's squarefree product, whose value at q lies in
-    the class; `det_class` classifies it on first access. `f_factored`, the
-    full product, comes from the lattice walk in full mode on first access
-    only and is checked against `symbolic`.
+    the class. The rest is formed on first access only: `degree` counts the
+    tableaux, `det_class` classifies `symbolic`, and `f_factored`, the full
+    product from the lattice walk in full mode, is checked against it.
     """
 
     shape: tuple[int, ...]
     q: int
-    degree: int
     symbolic: QIntProduct
+
+    @cached_property
+    def degree(self) -> int:
+        return syt_count(self.shape)
 
     @cached_property
     def f_factored(self) -> QIntProduct:
@@ -393,5 +397,4 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
     shape = check_partition(shape)
     check_int(q, "parameter q", 1)
     check_even_degree(shape)
-    degree = syt_count(shape)
-    return HeckeDetResult(shape=shape, q=q, degree=degree, symbolic=det_poly_reduced(shape))
+    return HeckeDetResult(shape=shape, q=q, symbolic=det_poly_reduced(shape))

@@ -7,9 +7,9 @@ tableau standard; its breadth-first distance from the row-filling tableau
 is the Coxeter length of the permutation carrying one to the other;
 `tableau_word` reads a word of that length off the tableau, with no graph.
 
-Hook lengths of a shape and the parity of its tableau count are one cached
-record (`hook_record`); `check_even_degree`, the one odd-degree gate, reads
-it before any count, degree or lattice walk is paid for.
+One cached record per shape (`shape_record`) holds its hooks, the cyclotomic
+multiplicities of its q-hook degree and v2 of its tableau count: `syt_count`,
+the odd-degree gate `check_even_degree` and the degrees of `gl` read it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial, prod
+from math import prod
+from typing import NamedTuple
 
 from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
+from .intpoly import cyclotomic_at_one
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
 # reference `hecke.tableau_polynomials` (the determinant products walk the
@@ -75,26 +77,56 @@ def hook_lengths(shape) -> dict[Cell, int]:
     }
 
 
-# Unbounded: one small record per shape, read for every character.
+class ShapeRecord(NamedTuple):
+    hooks: tuple[int, ...]
+    multiplicities: tuple[tuple[int, int], ...]
+    count_v2: int
+
+
+# Unbounded: one small record per shape, read for every character. Callers
+# validate first: True equals 1, so a bool part could hit an int's entry.
 @lru_cache(maxsize=None)
-def hook_record(shape: tuple[int, ...]) -> tuple[tuple[int, ...], bool]:
-    """Hook lengths of a validated shape and whether its tableau count is odd."""
+def shape_record(shape: tuple[int, ...]) -> ShapeRecord:
+    """Hooks of a validated shape, the multiplicities ((d, m_d), ...) with m_d > 0, and v2(f).
+
+    With n(shape) = sum (i - 1) * row_i, the q-hook degree is D(x) = x^n(shape)
+    prod_{i <= n} [i]_x / prod_hooks [h]_x = x^n(shape) prod_d Phi_d(x)^m_d, where
+    m_d = floor(n/d) - #hooks divisible by d. A negative m_d raises
+    InvariantViolation; with none, D lies in Z[x]. The tableau count
+    f = n! / prod_hooks h is D(1) = prod_d Phi_d(1)^m_d: by Legendre, a prime p
+    divides it sum_k (floor(n/p^k) - #hooks divisible by p^k) = sum_k m_{p^k}
+    times, and Phi_d(1) is p for d = p^k and 1 for other d > 1 (m_1 = 0).
+    So v2(f) = sum_k m_{2^k}, and f is odd iff it is 0.
+    """
     hooks = tuple(hook_lengths(shape).values())
     n = sum(shape)
-    # n! / prod(hooks) is odd iff the hooks' 2-adic valuations sum to v2(n!) = n - popcount(n).
-    return hooks, n - n.bit_count() == sum((h & -h).bit_length() - 1 for h in hooks)
+    per_length = [0] * (n + 1)
+    for h in hooks:
+        per_length[h] += 1
+    multiplicities = []
+    for d in range(1, n + 1):
+        m_d = n // d - sum(per_length[d::d])
+        if m_d < 0:
+            raise InvariantViolation(
+                f"q-hook degree of {shape} is not a polynomial: Phi_d has multiplicity "
+                f"{m_d} at d = {d}"
+            )
+        if m_d:
+            multiplicities.append((d, m_d))
+    count_v2 = sum(m_d for d, m_d in multiplicities if d & (d - 1) == 0)
+    return ShapeRecord(hooks, tuple(multiplicities), count_v2)
 
 
 def check_even_degree(shape: tuple[int, ...]) -> None:
     """NotIrrPlusError if a validated shape has an odd tableau count, hence odd degree."""
-    if hook_record(shape)[1]:
+    if not shape_record(shape).count_v2:
         raise NotIrrPlusError(f"shape {shape} has odd degree: no orthogonal determinant")
 
 
 def syt_count(shape) -> int:
-    """Number of standard Young tableaux, by the hook length formula."""
-    hooks = hook_record(check_partition(shape))[0]
-    return factorial(len(hooks)) // prod(hooks)
+    """Number of standard Young tableaux: the hook formula as prod_d Phi_d(1)^m_d, no n! formed."""
+    record = shape_record(check_partition(shape))
+    return prod(cyclotomic_at_one(d) ** m_d for d, m_d in record.multiplicities)
 
 
 def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
@@ -104,7 +136,7 @@ def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
     partitions of a larger n.
     """
     shapes = (shape for n in range(2, n_max + 1) for shape in enumerate_partitions(n))
-    return (shape for shape in shapes if not hook_record(shape)[1])
+    return (shape for shape in shapes if shape_record(shape).count_v2)
 
 
 @dataclass(frozen=True)

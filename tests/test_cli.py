@@ -122,12 +122,9 @@ def test_verify_parker_checks_classes_against_parities(capsys, monkeypatch):
 
 
 def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
-    # A tableau count of 1 for (2,1), against 2, the value at x = 1 of its
-    # degree polynomial: x - 1 cannot divide their difference.
+    # A tableau count of 1 for (2,1), against its degree 12 at q = 3: q - 1
+    # cannot divide their difference.
     monkeypatch.setattr(gl, "syt_count", lambda shape: 1)
-    # Entries cached by an earlier test would bypass the patched record.
-    gl._degree_polynomial.cache_clear()
-    gl._unipotent_row.cache_clear()
     code, out, err = run(capsys, "det-unipotent", "--shape", "2,1", "--q", "3")
     assert code == 2
     assert out == ""

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -22,7 +22,7 @@ from orthdet.squareclass import (
     parity_of_integer,
     two_adic_valuation,
 )
-from orthdet.tableaux import enumerate_partitions, hook_lengths, hook_record, syt_count
+from orthdet.tableaux import enumerate_partitions, hook_lengths, shape_record, syt_count
 
 
 def test_prime_power_examples():
@@ -278,28 +278,28 @@ def test_sign_pair_rejects_odd_total_degree():
 
 
 def _clear_shape_records():
-    gl._degree_polynomial.cache_clear()
+    tableaux.shape_record.cache_clear()
     gl._unipotent_row.cache_clear()
     gl._sign_pair_row.cache_clear()
 
 
 def test_sign_pair_checks_component_tableau_counts(monkeypatch):
     # Two more tableaux for (2,1) keep the parity of its count, but its
-    # degree polynomial is 2 at x = 1, so x - 1 does not divide degree - count.
+    # degree at q = 5 is 30, so q - 1 = 4 does not divide degree - count.
+    # Only the printed degree forms a count; the row is built from the record.
     real = gl.syt_count
     monkeypatch.setattr(gl, "syt_count", lambda shape: real(shape) + 2 * (shape == (2, 1)))
-    # Entries cached by earlier tests would bypass the patched record.
-    _clear_shape_records()
+    result = sign_pair_determinant((2, 1), (1, 1, 1, 1), 5)
     with pytest.raises(InvariantViolation, match="does not divide"):
-        sign_pair_determinant((2, 1), (1, 1, 1, 1), 5)
+        result.degree
 
 
 def test_shape_record_refuses_a_negative_cyclotomic_multiplicity(monkeypatch):
     # Hooks (3, 3, 1) for (2, 1): Phi_3 divides the denominator twice and
     # the numerator (x - 1)(x^2 - 1)(x^3 - 1) once.
-    real = gl.hook_record
-    monkeypatch.setattr(gl, "hook_record",
-                        lambda shape: ((3, 3, 1), False) if shape == (2, 1) else real(shape))
+    real = tableaux.hook_lengths
+    monkeypatch.setattr(tableaux, "hook_lengths", lambda shape: (
+        {(1, 1): 3, (1, 2): 3, (2, 1): 1} if shape == (2, 1) else real(shape)))
     _clear_shape_records()
     for call in (lambda: unipotent_determinant((2, 1), 3),
                  lambda: sign_pair_determinant((2, 1), (1, 1, 1, 1), 5)):
@@ -314,7 +314,7 @@ def test_warm_caches_still_refuse_bools_and_floats():
     unipotent_degree((2, 1), 3)
     unipotent_determinant((2, 1), 3)
     sign_pair_determinant((2, 1), (1,), 3)
-    for cache in (gl._degree_polynomial, gl._unipotent_row, gl._sign_pair_row):
+    for cache in (tableaux.shape_record, gl._unipotent_row, gl._sign_pair_row):
         assert cache.cache_info().currsize > 0
     calls = [
         (unipotent_degree, ((2, True), 3)),
@@ -369,7 +369,8 @@ def _hook_quotient(shape, q):
     numerator = q**weight * prod(q**i - 1 for i in range(1, sum(shape) + 1))
     degree, rem = divmod(numerator, prod(q**h - 1 for h in hooks))
     assert rem == 0, (shape, q)
-    exponent, rem = divmod(degree - syt_count(shape), q - 1)
+    count = factorial(sum(shape)) // prod(hooks)
+    exponent, rem = divmod(degree - count, q - 1)
     assert rem == 0 and exponent >= 0, (shape, q)
     return degree, exponent
 
@@ -386,7 +387,7 @@ def test_shape_parities_match_the_exact_degrees():
     # The hook quotient is the reference for the degree and the exponent at
     # every q >= 2 (even q stays legal), and for the record's parities at odd q.
     for shape in _shapes_up_to(12):
-        parities = (hook_record(shape)[1], gl._degree_polynomial(shape)[2])
+        parities = (not shape_record(shape).count_v2, gl._odd_exponent(shape))
         for q in RECORD_Q + (2, 4):
             degree, exponent = _hook_quotient(shape, q)
             assert unipotent_degree(shape, q) == degree, (shape, q)
@@ -396,8 +397,8 @@ def test_shape_parities_match_the_exact_degrees():
 
 
 def test_no_row_builds_a_degree(monkeypatch):
-    # Rows, classes and breakdowns read the parities of the degree
-    # polynomials; the exact degree at q is evaluated only when printed.
+    # Rows, classes and breakdowns read the parities of the shape
+    # records; the exact degree at q is evaluated only when printed.
     monkeypatch.setattr(gl, "_degree_and_exponent",
                         lambda shape, q: pytest.fail(f"degree of {shape} at q={q}"))
     _clear_shape_records()

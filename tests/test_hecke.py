@@ -204,8 +204,10 @@ def test_gf2_mode_admits_every_shape_full_mode_admits(monkeypatch):
 
 
 def test_walk_checks_the_hook_formula_parity(monkeypatch):
+    # A record claiming an odd count for (2, 2), which has two tableaux.
     hecke._lattice_product.cache_clear()
-    monkeypatch.setattr(hecke, "syt_count", lambda shape: 3)
+    real = hecke.shape_record
+    monkeypatch.setattr(hecke, "shape_record", lambda shape: real(shape)._replace(count_v2=0))
     with pytest.raises(InvariantViolation, match="contradicts the hook formula's parity"):
         det_poly_reduced((2, 2))
 
@@ -213,7 +215,7 @@ def test_walk_checks_the_hook_formula_parity(monkeypatch):
 def test_full_product_is_checked_against_the_walk():
     good = hecke_determinant((2, 2), 5)
     assert good.symbolic == good.f_factored.reduced()
-    wrong = HeckeDetResult(shape=(2, 2), q=5, degree=2, symbolic=QIntProduct(0, ((3, 1),)))
+    wrong = HeckeDetResult(shape=(2, 2), q=5, symbolic=QIntProduct(0, ((3, 1),)))
     with pytest.raises(InvariantViolation, match="GF\\(2\\) walk of \\(2, 2\\)"):
         wrong.to_json()
 

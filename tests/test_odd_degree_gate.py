@@ -1,16 +1,20 @@
 """The one odd-degree gate, `tableaux.check_even_degree`.
 
-Its parity comes from the hook lengths (Legendre), so every determinant
-entry point refuses an odd-degree shape before any tableau count, degree
-or lattice walk: here all three are patched to fail.
+It reads v2 of the tableau count off the shape record's cyclotomic
+multiplicities, so every determinant entry point refuses an odd-degree
+shape before any tableau count, degree or lattice walk: here all three are
+patched to fail.
 """
+
+import sys
+from math import factorial, prod
 
 import pytest
 
 from orthdet import gl, hecke, oracle, parker, tableaux
 from orthdet.cli import main
 from orthdet.errors import NotIrrPlusError
-from orthdet.tableaux import enumerate_partitions, hook_record, syt_count
+from orthdet.tableaux import check_even_degree, enumerate_partitions, hook_lengths
 
 HUGE_ONE_ROW = [(4000,), (100000,)]
 
@@ -19,7 +23,12 @@ def test_gate_parity_is_the_tableau_count_parity():
     shapes = [shape for n in range(1, 21) for shape in enumerate_partitions(n)] + [()]
     assert len(shapes) == 2714
     for shape in shapes:
-        assert hook_record(shape)[1] == (syt_count(shape) % 2 == 1), shape
+        count = factorial(sum(shape)) // prod(hook_lengths(shape).values())
+        if count % 2:
+            with pytest.raises(NotIrrPlusError):
+                check_even_degree(shape)
+        else:
+            check_even_degree(shape)
 
 
 @pytest.fixture
@@ -27,7 +36,10 @@ def nothing_counted(monkeypatch):
     def forbidden(*args):
         pytest.fail(f"work before the odd-degree refusal: {args[:1]}")
 
-    monkeypatch.setattr(tableaux, "factorial", forbidden)
+    # Every binding of `syt_count` in the package, so that no caller counts.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "orthdet" and hasattr(module, "syt_count"):
+            monkeypatch.setattr(module, "syt_count", forbidden)
     monkeypatch.setattr(gl, "_degree_and_exponent", forbidden)
     monkeypatch.setattr(hecke, "_lattice_product", forbidden)
 

@@ -195,9 +195,8 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
         return hook_lengths(shape)
 
     monkeypatch.setattr(tableaux, "hook_lengths", counting_hook_lengths)
-    tableaux.hook_record.cache_clear()
+    tableaux.shape_record.cache_clear()
     hecke._lattice_product.cache_clear()
-    gl._degree_polynomial.cache_clear()
     gl._unipotent_row.cache_clear()
     report = verify_parker_unipotent(8, [3, 5, 7])
     assert report.ok and report.checked > len(set(shapes)) > 0
@@ -205,7 +204,7 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
 
 
 def test_unipotent_sweep_evaluates_no_degree(monkeypatch):
-    # Twenty odd q: rows come from the q-free degree polynomials, whose
+    # Twenty odd q: rows come from the q-free shape records, whose
     # q-exponent parity is read at x = 1, so no exact degree is evaluated.
     degree_and_exponent = gl._degree_and_exponent
     calls = []
@@ -215,7 +214,7 @@ def test_unipotent_sweep_evaluates_no_degree(monkeypatch):
         return degree_and_exponent(shape, q)
 
     monkeypatch.setattr(gl, "_degree_and_exponent", counting)
-    gl._degree_polynomial.cache_clear()
+    tableaux.shape_record.cache_clear()
     gl._unipotent_row.cache_clear()
     q_values = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59]
     report = verify_parker_unipotent(8, q_values)

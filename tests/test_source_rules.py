@@ -3,7 +3,9 @@
 Every result is exact and the package has no dependencies (`dependencies =
 []`), so its code holds no float arithmetic, imports only the standard
 library and itself, and touches `Fraction` only where `linalg` clears
-denominators in `rational_determinant`. No value is coerced with `int`
+denominators in `rational_determinant`. Only `oracle.check_limits` names
+`factorial`, for the skew route's n!: tableau counts come from the shape
+record, and no count path forms n!. No value is coerced with `int`
 except argument text in `cli` and an integral `Fraction` there. Imports
 sit at module level, and every private module-level function or class is
 named somewhere in the package besides its own definition (no dead
@@ -58,32 +60,43 @@ def test_imports_stay_in_the_standard_library(path):
     assert not found, f"{path.name}: {found}"
 
 
-def _names_fraction(node) -> bool:
+def _names(node, name) -> bool:
     if isinstance(node, ast.Name):
-        return node.id == "Fraction"
+        return node.id == name
     if isinstance(node, ast.Attribute):
-        return node.attr == "Fraction"
+        return node.attr == name
     if isinstance(node, ast.alias):
-        return "Fraction" in (node.name, node.asname)
+        return name in (node.name, node.asname)
     return False
+
+
+def _lines_naming(path, name, home, module, function) -> list:
+    """Lines of `path` naming `name` outside `function` of `home` and its import from `module`."""
+    tree = _tree(path)
+    allowed = set()
+    if path.name == home:
+        for node in tree.body:
+            if (isinstance(node, ast.ImportFrom) and node.module == module) or (
+                isinstance(node, ast.FunctionDef) and node.name == function
+            ):
+                allowed.update(id(inner) for inner in ast.walk(node))
+    return [
+        getattr(node, "lineno", None)
+        for node in ast.walk(tree)
+        if _names(node, name) and id(node) not in allowed
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_fraction_only_in_rational_determinant(path):
-    tree = _tree(path)
-    allowed = set()
-    if path.name == "linalg.py":
-        for node in tree.body:
-            if (isinstance(node, ast.ImportFrom) and node.module == "fractions") or (
-                isinstance(node, ast.FunctionDef) and node.name == "rational_determinant"
-            ):
-                allowed.update(id(inner) for inner in ast.walk(node))
-    found = [
-        getattr(node, "lineno", None)
-        for node in ast.walk(tree)
-        if _names_fraction(node) and id(node) not in allowed
-    ]
+    found = _lines_naming(path, "Fraction", "linalg.py", "fractions", "rational_determinant")
     assert not found, f"{path.name}: Fraction at lines {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_factorial_only_in_check_limits(path):
+    found = _lines_naming(path, "factorial", "oracle.py", "math", "check_limits")
+    assert not found, f"{path.name}: factorial at lines {found}"
 
 
 # (module, function) pairs where `int(...)` may convert: argument text, and

@@ -1,10 +1,11 @@
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orthdet import tableaux
-from orthdet.errors import ResourceGuardError
+from orthdet import gl, hecke, parker, tableaux
+from orthdet.cli import main
+from orthdet.errors import InvariantViolation, ResourceGuardError
 from orthdet.tableaux import (
     StandardTableau,
     apply_simple_transposition,
@@ -14,6 +15,7 @@ from orthdet.tableaux import (
     enumerate_syt,
     hook_lengths,
     row_filling_tableau,
+    shape_record,
     syt_count,
     tableau_word,
 )
@@ -166,6 +168,66 @@ def test_syt_count_matches_enumeration():
     for n in range(1, 9):
         for shape in enumerate_partitions(n):
             assert enumerate_syt(shape).size == syt_count(shape)
+
+
+def test_syt_count_is_the_hook_formula():
+    # n! / prod(hooks) is the reference for the count read off the
+    # cyclotomic multiplicities, and for the record's v2 of it.
+    shapes = [()] + [shape for n in range(1, 21) for shape in enumerate_partitions(n)]
+    assert len(shapes) == 2714
+    for shape in shapes:
+        count = factorial(sum(shape)) // prod(hook_lengths(shape).values())
+        assert syt_count(shape) == count, shape
+        assert shape_record(shape).count_v2 == (count & -count).bit_length() - 1, shape
+
+
+def test_syt_count_of_large_shapes_is_pinned():
+    assert syt_count((100000, 1)) == 100000
+    assert syt_count((2000, 2000)) == comb(4000, 2000) // 2001
+
+
+def _count_off_by_one(monkeypatch, shape, d):
+    """The counts of `tableaux` read a record of `shape` with m_d one too large."""
+    real = tableaux.shape_record
+
+    def record(s):
+        found = real(s)
+        if s != shape:
+            return found
+        multiplicities = tuple((e, m + (e == d)) for e, m in found.multiplicities)
+        return found._replace(multiplicities=multiplicities)
+
+    monkeypatch.setattr(tableaux, "shape_record", record)
+    for cache in (tableaux._build_graph, hecke._lattice_product, gl._unipotent_row):
+        cache.cache_clear()
+
+
+def test_counts_from_the_record_are_checked(monkeypatch, capsys):
+    # (2, 2) has D(x) = x^2 Phi_4(x) and 2 tableaux; m_4 = 2 claims 4. The
+    # gate still passes (v2 stays 1), and every independent check refuses.
+    _count_off_by_one(monkeypatch, (2, 2), 4)
+    assert syt_count((2, 2)) == 4
+    with pytest.raises(InvariantViolation, match="enumerated 2 tableaux .* says 4"):
+        enumerate_syt((2, 2))
+    with pytest.raises(InvariantViolation, match="2 paths, hook formula says 4"):
+        hecke.det_poly_factored((2, 2))
+    result = gl.unipotent_determinant((2, 2), 5)
+    with pytest.raises(InvariantViolation, match="q-1 does not divide"):
+        result.degree
+    for argv in (["det-unipotent", "--shape", "2,2", "--q", "5"], ["syt", "--shape", "2,2"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("invariant violation:"), argv
+
+
+def test_sweeps_form_no_count(monkeypatch):
+    # Sweep rows read the parity of the count from the record: no row
+    # forms a count, for its degree or for the GF(2) walk.
+    monkeypatch.setattr(hecke, "syt_count", lambda shape: pytest.fail(f"counted {shape}"))
+    hecke._lattice_product.cache_clear()
+    gl._unipotent_row.cache_clear()
+    for report in (parker.verify_parker_symmetric(9),
+                   parker.verify_parker_unipotent(9, [3, 5, 9])):
+        assert report.ok and report.checked > 0
 
 
 def test_rsk_mass_identity():
