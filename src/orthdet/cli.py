@@ -158,9 +158,9 @@ def _cmd_oracle_check(args) -> int:
     # scope unbuilt, before the partitions of any larger n are enumerated.
     scope = []
     for shape in even_degree_shapes(args.n_max):
+        oracle.check_limits(shape, skew)
         for q in q_values:
             scope.append((shape, q, hecke.hecke_determinant(shape, q).det_class))
-            oracle.check_limits(shape, skew)
     if not scope:
         raise ValueError(f"--n-max {args.n_max} has no even-degree shape to check")
     rows = []

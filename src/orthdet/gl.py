@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .errors import InvariantViolation, NotIrrPlusError, check_int
-from .hecke import QIntProduct, checked_det_poly, det_poly_reduced
+from .hecke import QIntProduct, det_poly_factored, det_poly_reduced
 from .intpoly import cyclotomic, gaussian_binomial
 from .squareclass import SquareClass, factorize, two_adic_valuation
 from .tableaux import check_even_degree, check_partition, shape_record, syt_count
@@ -68,8 +68,8 @@ def unipotent_degree(shape, q: int) -> int:
     """Degree of the unipotent character of GL_n(q) attached to a shape.
 
     q-hook formula q^n(shape) * prod_{i=1..n} (q^i - 1) / prod_cells (q^hook - 1),
-    evaluated exactly from the shape record's cyclotomic factors; a failed check
-    falsifies a theorem and aborts. Valid for any integer q >= 2.
+    evaluated exactly from the shape record's cyclotomic factors and checked
+    by `_degree_and_exponent`, which aborts on a falsified theorem. Any q >= 2.
     """
     return _degree_and_exponent(check_partition(shape), check_int(q, "q", 2))[0]
 
@@ -84,16 +84,26 @@ def unipotent_q_exponent(shape, q: int) -> int:
 
 
 def _degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """Unipotent degree D(q) and q-exponent (D(q) - f) / (q - 1) of a validated shape."""
+    """Unipotent degree D(q) and q-exponent (D(q) - f) / (q - 1) of a validated shape.
+
+    Checked: q - 1 divides D(q) - f, e >= 0, and at odd q the parities of D(q)
+    and e are the shape record's odd-count flag and `_odd_exponent`.
+    """
     weight = sum(i * part for i, part in enumerate(shape))
-    multiplicities = shape_record(shape).multiplicities
-    degree = q**weight * prod(cyclotomic(d)(q) ** m_d for d, m_d in multiplicities)
-    # At odd q, q - 1 is even, so this also checks degree = tableau count (mod 2).
+    record = shape_record(shape)
+    degree = q**weight * prod(cyclotomic(d)(q) ** m_d for d, m_d in record.multiplicities)
     exponent, rem = divmod(degree - syt_count(shape), q - 1)
     if rem:
         raise InvariantViolation(f"q-1 does not divide degree - tableau count for {shape} at q={q}")
     if exponent < 0:
         raise InvariantViolation(f"negative q-power exponent for {shape} at q={q}")
+    if q % 2:
+        parities = (not record.count_v2, _odd_exponent(shape))
+        if (degree % 2, exponent % 2) != parities:
+            raise InvariantViolation(
+                f"degree {degree} and q-exponent {exponent} of {shape} at q={q} contradict "
+                f"the odd-count flag and exponent parity {parities} of its shape record"
+            )
     return degree, exponent
 
 
@@ -110,18 +120,6 @@ def _odd_exponent(shape: tuple[int, ...]) -> int:
     return 1 if y and count_v2 + two_adic_valuation(y) == 1 else 0
 
 
-def _checked_degree_and_exponent(shape: tuple[int, ...], q: int) -> tuple[int, int]:
-    """`_degree_and_exponent` at q, checked against the parities its shape record proves."""
-    degree, exponent = _degree_and_exponent(shape, q)
-    parities = (not shape_record(shape).count_v2, _odd_exponent(shape))
-    if (degree % 2, exponent % 2) != parities:
-        raise InvariantViolation(
-            f"degree {degree} and q-exponent {exponent} of {shape} at q={q} contradict "
-            f"the odd-count flag and exponent parity {parities} of its shape record"
-        )
-    return degree, exponent
-
-
 @dataclass(frozen=True)
 class GlDetResult:
     """Determinant class of a GL character with its multiplicative breakdown.
@@ -132,10 +130,9 @@ class GlDetResult:
     records, and a unipotent character's "q-power" part is
     q^(exponent mod 2). Everything else is computed on first access only:
     `det_class`, and `breakdown` from `parts`, are classified (factored);
-    `degree` and `q_exponent` come from the exact formulas at q and are
-    checked against those parities; a unipotent character's full product
-    `f_factored` comes from the lattice walk in full mode and is checked
-    against its "hecke" part.
+    `degree` and `q_exponent` come from one evaluation of the exact
+    formulas at q, each of which checks its parity at odd q; a unipotent
+    character's full product `f_factored` is that of `det_poly_factored`.
     """
 
     kind: str
@@ -145,30 +142,26 @@ class GlDetResult:
     parts: tuple[tuple[str, QIntProduct], ...]
 
     @cached_property
-    def degree(self) -> int:
+    def _exact(self) -> tuple[int, int | None]:
+        """(`degree`, `q_exponent`), from one evaluation of each degree at q."""
+        q = self.q.q
         if self.kind == "unipotent":
-            return _checked_degree_and_exponent(self.shapes[0], self.q.q)[0]
+            return _degree_and_exponent(self.shapes[0], q)
         lam, mu = self.shapes
-        ell, n = sum(lam), sum(lam) + sum(mu)
-        index = gaussian_binomial(n, ell, self.q.q)
-        if index % 2 != comb(n, ell) % 2:
-            raise InvariantViolation(
-                f"[{n} choose {ell}]_q = {index} at q={self.q.q} and C({n}, {ell}) differ mod 2"
-            )
-        degrees = (_checked_degree_and_exponent(shape, self.q.q)[0] for shape in self.shapes)
-        return index * prod(degrees)
+        degrees = (_degree_and_exponent(shape, q)[0] for shape in self.shapes)
+        return gaussian_binomial(sum(lam) + sum(mu), sum(lam), q) * prod(degrees), None
 
-    @cached_property
+    @property
+    def degree(self) -> int:
+        return self._exact[0]
+
+    @property
     def q_exponent(self) -> int | None:
-        if self.kind != "unipotent":
-            return None
-        return _checked_degree_and_exponent(self.shapes[0], self.q.q)[1]
+        return self._exact[1]
 
     @cached_property
     def f_factored(self) -> QIntProduct | None:
-        if self.kind != "unipotent":
-            return None
-        return checked_det_poly(self.shapes[0], dict(self.parts)["hecke"])
+        return det_poly_factored(self.shapes[0]) if self.kind == "unipotent" else None
 
     @cached_property
     def det_class(self) -> SquareClass:

@@ -16,8 +16,8 @@ arithmetics (`_lattice_product`), checked against a third route:
   the full product, the q-analogue of the norm formula for Young's
   seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras and
   Schur algebras of the symmetric group, 1999). It runs only where the
-  full factors are printed, and `checked_det_poly` then checks that it
-  reduces to the GF(2) product;
+  full factors are printed, and checks that it reduces to the GF(2)
+  product;
 * `det_poly_reduced` takes the counts mod 2 and keeps only the
   sub-diagrams with an odd count, giving the product with its square
   factors dropped, which is all a square class or a parity needs.
@@ -209,29 +209,25 @@ def tableau_polynomials(shape) -> dict[StandardTableau, QIntProduct]:
 
 
 def det_poly_factored(shape) -> QIntProduct:
-    """The determinant polynomial of a shape, as a factored product."""
-    return _lattice_product(check_partition(shape), False)
+    """The determinant polynomial of a shape, as a factored product.
+
+    The full walk runs first, so its guard refuses before anything is spent.
+    It sums tableau counts where the (cached) GF(2) walk keeps their parities,
+    so a product that does not reduce to the GF(2) one raises InvariantViolation.
+    """
+    shape = check_partition(shape)
+    full = _lattice_product(shape, False)
+    if full.reduced() != (reduced := _lattice_product(shape, True)):
+        raise InvariantViolation(
+            f"GF(2) walk of {shape} gives {reduced!r}, "
+            f"the full product reduces to {full.reduced()!r}"
+        )
+    return full
 
 
 def det_poly_reduced(shape) -> QIntProduct:
     """The determinant polynomial of a shape without its square factors, from the GF(2) walk."""
     return _lattice_product(check_partition(shape), True)
-
-
-def checked_det_poly(shape, reduced: QIntProduct) -> QIntProduct:
-    """The full determinant polynomial of a shape, checked to reduce to the walk's `reduced`.
-
-    Full mode sums tableau counts where GF(2) mode keeps only their
-    parities, so a mismatch falsifies one of them and raises
-    InvariantViolation.
-    """
-    full = det_poly_factored(shape)
-    if full.reduced() != reduced:
-        raise InvariantViolation(
-            f"GF(2) walk of {tuple(shape)} gives {reduced!r}, "
-            f"the full product reduces to {full.reduced()!r}"
-        )
-    return full
 
 
 def _subdiagram_count(shape: tuple[int, ...]) -> int:
@@ -356,8 +352,8 @@ class HeckeDetResult:
 
     `symbolic` is the walk's squarefree product, whose value at q lies in
     the class. The rest is formed on first access only: `degree` counts the
-    tableaux, `det_class` classifies `symbolic`, and `f_factored`, the full
-    product from the lattice walk in full mode, is checked against it.
+    tableaux, `det_class` classifies `symbolic`, and `f_factored` is the full
+    product, which `det_poly_factored` checks against that GF(2) walk.
     """
 
     shape: tuple[int, ...]
@@ -370,7 +366,7 @@ class HeckeDetResult:
 
     @cached_property
     def f_factored(self) -> QIntProduct:
-        return checked_det_poly(self.shape, self.symbolic)
+        return det_poly_factored(self.shape)
 
     @cached_property
     def det_class(self) -> SquareClass:

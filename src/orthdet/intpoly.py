@@ -5,15 +5,16 @@ Horner on ints. Covers q-integers [k]_x = 1 + x + ... + x^(k-1),
 cyclotomic polynomials and Gaussian binomial coefficients. Cyclotomic
 polynomials come from the Moebius product of binomials x^e - 1, one
 linear multiplication or exact division per binomial; the product identity
-prod_{d | n} Phi_d = x^n - 1 is their independent cross-check. A division
-that leaves a remainder, there or in a Gaussian binomial, falsifies a
-theorem and raises InvariantViolation.
+prod_{d | n} Phi_d = x^n - 1 is their independent cross-check. A remainder,
+there or in a Gaussian binomial, or a Gaussian binomial whose parity at odd q
+is not that of C(n, k), falsifies a theorem and raises InvariantViolation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
+from math import comb
 
 from .errors import InvariantViolation, check_int
 from .squareclass import factorize
@@ -170,7 +171,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
     Counts k-dimensional subspaces of an n-dimensional space over a field
     with q elements. Evaluated by iterated exact division; every partial
-    product is itself a q-binomial, so each division must come out even.
+    product is itself a q-binomial, so each division must come out even. As
+    [n choose k]_x lies in Z[x], at odd q the value has the parity of C(n, k).
     """
     if check_int(k, "k", 0) > check_int(n, "n", 0):
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
@@ -180,4 +182,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         value, rem = divmod(value * (q ** (n - k + i) - 1), q**i - 1)
         if rem != 0:
             raise InvariantViolation(f"gaussian_binomial({n},{k},{q}): inexact step i={i}")
+    if q % 2 and value % 2 != comb(n, k) % 2:
+        raise InvariantViolation(f"[{n} choose {k}]_q = {value} at q={q} "
+                                 f"and C({n}, {k}) differ mod 2")
     return value

@@ -11,9 +11,9 @@ multiplies out basis-element images along reduced words and returns the
 determinant of a skew element. Both routes share one entry that refuses
 a shape with an odd tableau count at the gate of `tableaux`, before
 counting or building anything; `check_limits` bounds the dimension and
-the skew route's n! images from the count alone. Both determinants are returned as integers and never
-factored here: whether one lies in the formula's square class is a
-perfect-square test (`SquareClass.contains`). Agreement of either route
+the skew route's n! images from the count alone. Both determinants are
+returned as integers and never factored here: whether one lies in the
+formula's square class is a perfect-square test (`SquareClass.contains`). Agreement of either route
 with the polynomial formula is the package's central cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap

@@ -8,9 +8,9 @@ significant and has to be diagnosable.
 Each public sweep passes its row builder and its public determinant
 function to one sweep routine, which refuses an n_max that leaves no rows,
 calls the determinant on every row at every q in one serial loop, and
-assembles the report. The determinant checks q on every row and rejects
-odd-degree characters at the gate of `tableaux`, a cache hit after a
-shape's first row; the loop skips them.
+assembles the report. The determinant checks q and rejects odd-degree
+characters at the gate of `tableaux`; evenness is q-free, so a refused row
+is skipped at its other q, and the GL sweeps check every q up front.
 
 Rows keep the determinants' symbolic products, which come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power of
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NotIrrPlusError, check_int
-from .gl import sign_pair_determinant, unipotent_determinant
+from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_reduced, hecke_determinant
 from .squareclass import Parity, SquareClass, two_adic_valuation
 from .tableaux import check_even_degree, check_partition, enumerate_partitions
@@ -171,7 +171,7 @@ def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> Par
             try:
                 result = determinant(*shapes, q)
             except NotIrrPlusError:
-                continue
+                break
             rows.append(ParityWitness(shapes, q, result.symbolic))
     return ParityReport(
         family=name,
@@ -187,8 +187,8 @@ def verify_parker_unipotent(
     n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree unipotent determinant classes up to n_max."""
-    return _sweep("unipotent", _all_shapes, unipotent_determinant, n_max, q_values,
-                  witness_limit)
+    return _sweep("unipotent", _all_shapes, unipotent_determinant, n_max,
+                  (as_odd_prime_power(q).q for q in q_values), witness_limit)
 
 
 def verify_parker_symmetric(
@@ -206,5 +206,5 @@ def verify_parker_sign_pairs(
     Pairs run over (lam, mu) with |lam| + |mu| = n <= n_max, either side
     possibly empty (but not both); odd-degree characters are skipped.
     """
-    return _sweep("sign-pair", _all_sign_pairs, sign_pair_determinant, n_max, q_values,
-                  witness_limit)
+    return _sweep("sign-pair", _all_sign_pairs, sign_pair_determinant, n_max,
+                  (as_odd_prime_power(q).q for q in q_values), witness_limit)

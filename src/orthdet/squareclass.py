@@ -288,8 +288,8 @@ def factorize(n: int) -> dict[int, int]:
             continue
         root = math.isqrt(m)
         if root * root == m:
-            # Rho would need about sqrt(root) steps; the skew oracle's
-            # determinants carry large square factors.
+            # Rho would need about sqrt(root) steps; a determinant that the
+            # oracle factors to name a mismatch may carry square factors.
             stack += [root, root]
             continue
         d, steps = _brent_rho(m, rng, budget)

@@ -131,6 +131,22 @@ def test_det_unipotent_checks_degree_parity(capsys, monkeypatch):
     assert err.startswith("invariant violation:") and "does not divide" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_det_unipotent_evaluates_the_degree_once(capsys, monkeypatch, fmt):
+    # `degree` and `q_exponent` are printed from one evaluation of D(q).
+    degree_and_exponent = gl._degree_and_exponent
+    calls = []
+
+    def counting(shape, q):
+        calls.append((shape, q))
+        return degree_and_exponent(shape, q)
+
+    monkeypatch.setattr(gl, "_degree_and_exponent", counting)
+    code, _, _ = run(capsys, "det-unipotent", "--shape", "3,2,1", "--q", "9", "--format", fmt)
+    assert code == 0
+    assert calls == [((3, 2, 1), 9)]
+
+
 def test_det_unipotent_checks_class_against_parity(capsys, monkeypatch):
     monkeypatch.setattr(QIntProduct, "parity_at", lambda self, q: Parity.EVEN)
     code, out, err = run(capsys, "det-unipotent", "--shape", "3,1,1", "--q", "3")

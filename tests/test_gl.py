@@ -1,9 +1,9 @@
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
-from orthdet import gl, hecke, linalg, oracle, parker, tableaux
+from orthdet import gl, hecke, intpoly, linalg, oracle, parker, tableaux
 from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.gl import (
     PrimePower,
@@ -478,17 +478,22 @@ def test_lazy_degree_and_exponent_are_the_exact_values():
 
 
 def test_lazy_degree_is_checked_against_the_shape_record(monkeypatch):
-    real = gl._degree_and_exponent
+    # Each exact value is checked where it is made, at odd q: the degree and
+    # the exponent against the shape record, the induction index against C(n, k).
+    odd_exponent = gl._odd_exponent
     result = unipotent_determinant((2, 1), 5)
-    monkeypatch.setattr(gl, "_degree_and_exponent",
-                        lambda shape, q: (real(shape, q)[0], real(shape, q)[1] + 1))
-    with pytest.raises(InvariantViolation, match=r"\(2, 1\) at q=5 contradict"):
-        result.q_exponent
+    monkeypatch.setattr(gl, "_odd_exponent", lambda shape: 1 - odd_exponent(shape))
+    for value in (lambda: unipotent_degree((2, 1), 5), lambda: result.q_exponent):
+        with pytest.raises(InvariantViolation, match=r"\(2, 1\) at q=5 contradict"):
+            value()
+    assert unipotent_degree((2, 1), 4) == 4 * 5  # no parity claim at even q
     monkeypatch.undo()
     result = sign_pair_determinant((3, 1), (2, 1), 997)
-    monkeypatch.setattr(gl, "gaussian_binomial", lambda n, k, q: 2)
-    with pytest.raises(InvariantViolation, match="differ mod 2"):
-        result.degree
+    monkeypatch.setattr(intpoly, "comb", lambda n, k: comb(n, k) + 1)
+    for value in (lambda: gaussian_binomial(7, 4, 997), lambda: result.degree):
+        with pytest.raises(InvariantViolation, match="differ mod 2"):
+            value()
+    assert gaussian_binomial(7, 4, 4) == gaussian_binomial(7, 3, 4)
 
 
 def test_odd_degree_messages_name_the_shape_not_the_degree():

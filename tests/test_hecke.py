@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from orthdet import hecke, tableaux
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import (
-    HeckeDetResult,
     QIntProduct,
     det_poly_factored,
     det_poly_reduced,
@@ -212,10 +211,17 @@ def test_walk_checks_the_hook_formula_parity(monkeypatch):
         det_poly_reduced((2, 2))
 
 
-def test_full_product_is_checked_against_the_walk():
+def test_full_product_is_checked_against_the_walk(monkeypatch):
     good = hecke_determinant((2, 2), 5)
     assert good.symbolic == good.f_factored.reduced()
-    wrong = HeckeDetResult(shape=(2, 2), q=5, symbolic=QIntProduct(0, ((3, 1),)))
+    # A GF(2) walk that drops the x of (2, 2): its full product reduces to x [3].
+    lattice_product = hecke._lattice_product
+    monkeypatch.setattr(hecke, "_lattice_product", lambda shape, mod2: (
+        QIntProduct(0, ((3, 1),)) if mod2 else lattice_product(shape, mod2)))
+    with pytest.raises(InvariantViolation, match="GF\\(2\\) walk of \\(2, 2\\)"):
+        det_poly_factored((2, 2))
+    wrong = hecke_determinant((2, 2), 5)
+    assert wrong.symbolic == QIntProduct(0, ((3, 1),))
     with pytest.raises(InvariantViolation, match="GF\\(2\\) walk of \\(2, 2\\)"):
         wrong.to_json()
 

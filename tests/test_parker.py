@@ -1,6 +1,7 @@
 import pytest
 
-from orthdet import gl, hecke, tableaux
+from orthdet import gl, hecke, parker, tableaux
+from orthdet.errors import NotIrrPlusError
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
@@ -155,7 +156,8 @@ SWEEPS = [
 def test_sweep_rejects_small_n_max(sweep, min_n_max):
     with pytest.raises(ValueError):
         sweep(min_n_max - 1, [3])
-    assert sweep(min_n_max, [3]).ok
+    report = sweep(min_n_max, [3])
+    assert report.ok and report.checked == 0  # every character of the scope is odd
 
 
 @pytest.mark.parametrize("limit", [0, 3])
@@ -177,13 +179,51 @@ def test_sweep_classifies_only_printed_rows(monkeypatch, sweep, min_n_max, limit
     assert len(calls) == limit
 
 
-@pytest.mark.parametrize("q", [4, 15, 3])
-@pytest.mark.parametrize(
-    "sweep", [verify_parker_unipotent, verify_parker_sign_pairs], ids=["unipotent", "sign-pair"]
-)
-def test_sweep_rejects_bad_q(sweep, q):
+BAD_Q = [
+    pytest.param(sweep, 5, [3, q], id=f"{name}-{q}")
+    for name, sweep in (("unipotent", verify_parker_unipotent),
+                        ("sign-pair", verify_parker_sign_pairs))
+    for q in (4, 15, 3)
+] + [
+    # No even row in the scope: a bad q after the refusals still raises.
+    pytest.param(verify_parker_unipotent, 2, [3, 15], id="unipotent-all-odd"),
+    pytest.param(verify_parker_sign_pairs, 1, [9, 21], id="sign-pair-all-odd"),
+]
+
+
+@pytest.mark.parametrize("sweep, n_max, q_values", BAD_Q)
+def test_sweep_rejects_bad_q(sweep, n_max, q_values):
     with pytest.raises(ValueError):
-        sweep(5, [3, q])
+        sweep(n_max, q_values)
+    assert sweep(n_max, q_values[:1]).ok
+
+
+@pytest.mark.parametrize("sweep, determinant_name", [
+    pytest.param(verify_parker_unipotent, "unipotent_determinant", id="unipotent"),
+    pytest.param(verify_parker_sign_pairs, "sign_pair_determinant", id="sign-pair"),
+])
+def test_sweep_refuses_each_odd_row_once(monkeypatch, sweep, determinant_name):
+    # Evenness does not depend on q, so a refused row is skipped at its other q.
+    determinant = getattr(parker, determinant_name)
+    called, refused = set(), []
+
+    def recording(*args):
+        called.add(args[:-1])
+        try:
+            return determinant(*args)
+        except NotIrrPlusError:
+            refused.append(args[:-1])
+            raise
+
+    monkeypatch.setattr(parker, determinant_name, recording)
+    report = sweep(8, [3, 5, 7])
+    assert report.ok and len(refused) == len(set(refused)) > 0
+    assert report.checked == 3 * (len(called) - len(refused))
+    if sweep is verify_parker_unipotent:
+        assert sorted(refused) == sorted(
+            (shape,) for n in range(2, 9) for shape in tableaux.enumerate_partitions(n)
+            if tableaux.syt_count(shape) % 2
+        )
 
 
 def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
