@@ -15,10 +15,10 @@ At odd q, whether a character has even degree, and its symbolic class,
 do not depend on q. The shape record of `tableaux` proves, for every q at
 once, that the q-hook degree and the q-power exponent are integers, and
 gives the parities of the tableau count and of the exponent at odd q in
-closed form. Rows are built from it once per shape or pair, and only
-validation and the parity at q are left per q. The exact degree and
-exponent at q are evaluated from the record, and checked against it, only
-when a result prints them.
+closed form. Rows are built from it once per shape or pair, so a sweep
+over many q calls a determinant once per row and reads q only for the
+parity. The exact degree and exponent at q are evaluated from the record,
+and checked against it, only when a result prints them.
 
 Classes come from the Hecke determinant's lattice walk in GF(2) mode
 (`det_poly_reduced`); the full product of a unipotent character, from the

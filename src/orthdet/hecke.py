@@ -130,7 +130,9 @@ class QIntProduct:
         The class is even iff the value's 2-adic valuation is odd. At odd q
         (q = 1 included) x^e is odd, [k]_q is odd for odd k, and
         v2([k]_q) = v2(k) + v2(q+1) - 1 for even k (lifting the exponent); at
-        even q every [k]_q is odd and only the x-power counts.
+        even q every [k]_q is odd and only the x-power counts. So an odd q
+        enters only through v2(q+1), the key by which a Parker sweep groups
+        its q values and evaluates one parity per class.
         """
         if check_int(q, "evaluation point", 1) % 2 == 0:
             v2 = self.x_exp * two_adic_valuation(q)

@@ -6,20 +6,23 @@ witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
 Each public sweep passes its row builder and its public determinant
-function to one sweep routine, which refuses an n_max that leaves no rows,
-calls the determinant on every row at every q in one serial loop, and
-assembles the report. The determinant checks q and rejects odd-degree
-characters at the gate of `tableaux`; evenness is q-free, so a refused row
-is skipped at its other q, and the GL sweeps check every q up front.
+function to one sweep routine. The routine refuses an empty q list and an
+n_max that leaves no rows, and the GL sweeps validate every q up front.
+It then calls the determinant once per row, at the first q: that call
+validates the row's shapes and rejects an odd-degree character at the gate
+of `tableaux`, and evenness does not depend on q, so a refused row is
+skipped at every q.
 
 Rows keep the determinants' symbolic products, which come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power of
 q. At odd q, a GL row's product and whether its degree is even do not
-depend on q, so `gl` builds them once per shape or pair and a sweep over
-many q pays per q only for validation and the parity. A row's parity is
-read off the factors through 2-adic valuations, and only printed rows are
-classified, which needs factorization; no row evaluates a degree at q or
-runs the full determinant polynomial.
+depend on q, so `gl` builds them once per shape or pair. A row's parity is
+read off the factors through 2-adic valuations, and at odd q it reads q
+only through v2(q + 1); the sweep groups the q values by that valuation
+and evaluates one parity per row and class. Every (row, q) pair is
+counted, but a witness is built only for a failure or a printed row, and
+only printed rows are classified, which needs factorization; no row
+evaluates a degree at q or runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
@@ -155,31 +158,49 @@ def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> Par
     """The report `name` of `determinant(*shapes, q)` on each row of `build_rows(n_max)`.
 
     Rows are shape tuples: (shape,) for unipotent and symmetric, (lam, mu)
-    for sign pairs.
+    for sign pairs. A row's symbolic product is the same at every odd q, so
+    the determinant runs once per row, at the first q; its parity is
+    evaluated once per class of q with equal v2(q + 1). Failures and the
+    first `witness_limit` witnesses are listed in (row, q) order.
     """
     check_int(n_max, "n_max", 1)
     check_int(witness_limit, "witness_limit", 0)
     q_values = tuple(q_values)
+    if not q_values:
+        raise ValueError(f"the {name} sweep needs at least one value of q")
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
     shape_rows = build_rows(n_max)
     if not shape_rows:
         raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
-    rows = []
+    class_of = {q: two_adic_valuation(q + 1) for q in q_values}
+    representatives = {v2: q for q, v2 in reversed(class_of.items())}  # first q per class
+    checked, failures, witnesses = 0, [], []
     for shapes in shape_rows:
+        try:
+            symbolic = determinant(*shapes, q_values[0]).symbolic
+        except NotIrrPlusError:
+            continue
+        checked += len(q_values)
+        even = {v2 for v2, q in representatives.items()
+                if symbolic.parity_at(q) is not Parity.ODD}
+        if not even and len(witnesses) >= witness_limit:
+            continue
         for q in q_values:
-            try:
-                result = determinant(*shapes, q)
-            except NotIrrPlusError:
-                break
-            rows.append(ParityWitness(shapes, q, result.symbolic))
+            failed, printed = class_of[q] in even, len(witnesses) < witness_limit
+            if failed or printed:
+                row = ParityWitness(shapes, q, symbolic)
+                if failed:
+                    failures.append(row)
+                if printed:
+                    witnesses.append(row)
     return ParityReport(
         family=name,
         n_max=n_max,
         q_values=q_values,
-        checked=len(rows),
-        failures=tuple(row for row in rows if row.parity is not Parity.ODD),
-        witnesses=tuple(rows[:witness_limit]),
+        checked=checked,
+        failures=tuple(failures),
+        witnesses=tuple(witnesses),
     )
 
 

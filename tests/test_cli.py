@@ -423,6 +423,23 @@ GOLDEN_JSON += [
         id="bench-sgnpair",
     ),
 ]
+# Recorded before sweeps grouped q by v2(q + 1): every class from 1 to 7,
+# with every unipotent witness listed and sign-pair witnesses cut mid-row.
+V2_QS = "3,5,7,9,11,13,17,19,23,25,27,29,31,47,127,191,383,997"
+GOLDEN_JSON += [
+    pytest.param(
+        ["verify-parker", "--family", "unipotent", "--n-max", "9", "--q", V2_QS,
+         "--witness-limit", "5000"],
+        "1b8575b871e049ae575068802e5276933db664919377fe7ec0e7f6143a08dba4",
+        id="unipotent-v2-classes",
+    ),
+    pytest.param(
+        ["verify-parker", "--family", "sgnpair", "--n-max", "7", "--q", V2_QS,
+         "--witness-limit", "13"],
+        "f40d7f5b0db20ed787c18a8d7b898f72ca7aede5afdc67da70849e235723f6ff",
+        id="sgnpair-v2-classes",
+    ),
+]
 # The full determinant product, printed as `factors`: 1153152 tableaux for
 # (6, 4, 3, 2, 1), and a unipotent row at q = 9.
 GOLDEN_JSON += [

@@ -1,17 +1,22 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from orthdet import gl, hecke, parker, tableaux
+from orthdet.cli import main
 from orthdet.errors import NotIrrPlusError
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
+    ParityWitness,
     lemma_parity_check,
     parity_bridge_check,
     verify_parker_sign_pairs,
     verify_parker_symmetric,
     verify_parker_unipotent,
 )
-from orthdet.squareclass import Parity, class_of_integer, parity_of_integer
+from orthdet.squareclass import Parity, class_of_integer, parity_of_integer, two_adic_valuation
 
 
 def test_lemma_examples():
@@ -198,6 +203,13 @@ def test_sweep_rejects_bad_q(sweep, n_max, q_values):
     assert sweep(n_max, q_values[:1]).ok
 
 
+@pytest.mark.parametrize("sweep", [verify_parker_unipotent, verify_parker_sign_pairs])
+def test_sweep_rejects_an_empty_q_list(sweep):
+    # A sweep over no q would pass while checking nothing.
+    with pytest.raises(ValueError, match="at least one value of q"):
+        sweep(5, [])
+
+
 @pytest.mark.parametrize("sweep, determinant_name", [
     pytest.param(verify_parker_unipotent, "unipotent_determinant", id="unipotent"),
     pytest.param(verify_parker_sign_pairs, "sign_pair_determinant", id="sign-pair"),
@@ -284,3 +296,124 @@ def test_report_json():
     assert data["ok"] is True
     assert data["failures"] == []
     assert data["checked"] == report.checked
+
+
+# v2(q + 1) = 2, 1, 3, 1, 2, 5, 4, 7, 6, 7, 1: every class from 1 to 7.
+V2_QS = (3, 5, 7, 9, 11, 31, 47, 127, 191, 383, 997)
+
+
+def _per_q_report(name, build_rows, determinant, n_max, q_values, witness_limit):
+    """The report of a loop that runs the determinant and the parity at every (row, q)."""
+    rows = []
+    for shapes in build_rows(n_max):
+        for q in q_values:
+            try:
+                symbolic = determinant(*shapes, q).symbolic
+            except NotIrrPlusError:
+                break
+            rows.append(ParityWitness(shapes, q, symbolic))
+    return ParityReport(
+        family=name,
+        n_max=n_max,
+        q_values=tuple(q_values),
+        checked=len(rows),
+        failures=tuple(row for row in rows if row.symbolic.parity_at(row.q) is not Parity.ODD),
+        witnesses=tuple(rows[:witness_limit]),
+    )
+
+
+FAMILIES = [
+    pytest.param(verify_parker_unipotent, "unipotent", parker._all_shapes,
+                 "unipotent_determinant", 10, V2_QS, id="unipotent"),
+    pytest.param(verify_parker_sign_pairs, "sign-pair", parker._all_sign_pairs,
+                 "sign_pair_determinant", 7, V2_QS, id="sign-pair"),
+    pytest.param(_symmetric, "symmetric", parker._all_shapes,
+                 "hecke_determinant", 10, (1,), id="symmetric"),
+]
+
+
+@pytest.mark.parametrize("sweep, name, build_rows, determinant_name, n_max, q_values", FAMILIES)
+def test_grouped_parity_equals_the_per_q_loop(sweep, name, build_rows, determinant_name,
+                                              n_max, q_values):
+    determinant = getattr(parker, determinant_name)
+    report = sweep(n_max, q_values, witness_limit=30)
+    reference = _per_q_report(name, build_rows, determinant, n_max, q_values, 30)
+    assert report.ok and report.checked > 30
+    assert report == reference
+    assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("sweep, name, build_rows, determinant_name, n_max, q_values", FAMILIES)
+def test_grouped_parity_finds_the_per_q_failures(monkeypatch, sweep, name, build_rows,
+                                                 determinant_name, n_max, q_values):
+    # Every row times [2]_x or [4]_x: even classes at odd or at even
+    # v2(q + 1), so failures fall in every class and in most rows.
+    determinant = getattr(parker, determinant_name)
+
+    def perturbed(*args):
+        k = 2 + 2 * (len(args[0]) % 2)
+        return SimpleNamespace(symbolic=determinant(*args).symbolic * QIntProduct(0, ((k, 1),)))
+
+    monkeypatch.setattr(parker, determinant_name, perturbed)
+    report = sweep(n_max, q_values, witness_limit=50)
+    reference = _per_q_report(name, build_rows, perturbed, n_max, q_values, 50)
+    assert report.failures and report == reference
+    if len(q_values) > 1:
+        assert {two_adic_valuation(w.q + 1) for w in report.failures} == set(range(1, 8))
+
+
+EVEN_ROWS = ((2, 1), (2, 2))
+
+
+def _even_at_odd_v2(monkeypatch, calls=None):
+    """Patch the unipotent rows (2, 1) and (2, 2) to [2]_x, even iff v2(q + 1) is odd."""
+    real = parker.unipotent_determinant
+
+    def patched(shape, q):
+        if calls is not None:
+            calls.append((shape, q))
+        if tuple(shape) in EVEN_ROWS:
+            return SimpleNamespace(symbolic=QIntProduct(0, ((2, 1),)))
+        return real(shape, q)
+
+    monkeypatch.setattr(parker, "unipotent_determinant", patched)
+    return patched
+
+
+def test_a_constructed_even_row_fails_at_odd_v2(monkeypatch, capsys):
+    patched = _even_at_odd_v2(monkeypatch)
+    report = verify_parker_unipotent(6, V2_QS)
+    reference = _per_q_report("unipotent", parker._all_shapes, patched, 6, V2_QS, 8)
+    expected = [((shape,), q) for shape in EVEN_ROWS for q in V2_QS
+                if two_adic_valuation(q + 1) % 2]
+    assert [(w.shapes, w.q) for w in report.failures] == expected
+    assert report == reference
+
+    code = main(["verify-parker", "--n-max", "6", "--q", ",".join(map(str, V2_QS)),
+                 "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"PARITY FAILURE: {json.dumps(w.to_json(), sort_keys=True)}" for w in reference.failures
+    ]
+
+
+def test_sweep_runs_the_determinant_once_per_row(monkeypatch):
+    # Twenty odd q: one determinant call per row, at the first q, and a
+    # witness built only for a failure or a printed row.
+    calls, built = [], []
+    _even_at_odd_v2(monkeypatch, calls)
+
+    def counting_witness(*args):
+        built.append(ParityWitness(*args))
+        return built[-1]
+
+    monkeypatch.setattr(parker, "ParityWitness", counting_witness)
+    q_values = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59]
+    report = verify_parker_unipotent(8, q_values, witness_limit=3)
+    assert calls == [(shape, 3) for (shape,) in parker._all_shapes(8)]
+    assert report.checked > 20 * len(EVEN_ROWS)
+    assert len(report.failures) == 13 * len(EVEN_ROWS)  # v2(q + 1) is odd at 13 of the q
+    assert len(report.witnesses) == 3
+    assert {id(w) for w in built} == {id(w) for w in report.failures + report.witnesses}
+    assert len(built) == 13 * len(EVEN_ROWS) + 1  # (2, 1) at 3 is printed but odd
