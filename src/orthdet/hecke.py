@@ -124,25 +124,26 @@ class QIntProduct:
             raise InvariantViolation(f"class {result} at q={q} contradicts its factors {self!r}")
         return result
 
+    @cached_property
+    def odd_q_bits(self) -> tuple[int, int]:
+        """(a, b) mod 2: a counts the even k, b sums v2(k) - 1 over them (with multiplicity)."""
+        even = [(m, two_adic_valuation(k) - 1) for k, m in self.qint_mults if k % 2 == 0]
+        return sum(m for m, _ in even) % 2, sum(m * v for m, v in even) % 2
+
     def parity_at(self, q: int) -> Parity:
         """Parity of the square class of the value at q >= 1, from the factors alone.
 
-        The class is even iff the value's 2-adic valuation is odd. At odd q
-        (q = 1 included) x^e is odd, [k]_q is odd for odd k, and
-        v2([k]_q) = v2(k) + v2(q+1) - 1 for even k (lifting the exponent); at
-        even q every [k]_q is odd and only the x-power counts. So an odd q
-        enters only through v2(q+1), the key by which a Parker sweep groups
-        its q values and evaluates one parity per class.
+        The class is even iff the value's 2-adic valuation is odd. At even q
+        only the x-power counts, as every [k]_q is odd. At odd q (q = 1
+        included) x^e and [k]_q for odd k are odd, and lifting the exponent
+        gives v2([k]_q) = v2(k) - 1 + v2(q+1) for even k, so the valuation is
+        b + a * v2(q+1) mod 2 with the q-free `odd_q_bits` (a, b).
         """
         if check_int(q, "evaluation point", 1) % 2 == 0:
             v2 = self.x_exp * two_adic_valuation(q)
         else:
-            v2_q_plus_1 = two_adic_valuation(q + 1)
-            v2 = sum(
-                m * (two_adic_valuation(k) + v2_q_plus_1 - 1)
-                for k, m in self.qint_mults
-                if k % 2 == 0
-            )
+            a, b = self.odd_q_bits
+            v2 = b + a * two_adic_valuation(q + 1)
         return Parity.EVEN if v2 % 2 else Parity.ODD
 
     def factors_json(self) -> list[dict]:

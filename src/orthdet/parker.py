@@ -16,13 +16,13 @@ skipped at every q.
 Rows keep the determinants' symbolic products, which come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power of
 q. At odd q, a GL row's product and whether its degree is even do not
-depend on q, so `gl` builds them once per shape or pair. A row's parity is
-read off the factors through 2-adic valuations, and at odd q it reads q
-only through v2(q + 1); the sweep groups the q values by that valuation
-and evaluates one parity per row and class. Every (row, q) pair is
-counted, but a witness is built only for a failure or a printed row, and
-only printed rows are classified, which needs factorization; no row
-evaluates a degree at q or runs the full determinant polynomial.
+depend on q, so `gl` builds them once per shape or pair. A row's parity
+at odd q is fixed by two q-free bits of its product (`odd_q_bits`): a row
+whose bits are (0, 0) is odd at every odd q, and any other row is decided
+q by q by `QIntProduct.parity_at`. Every (row, q) pair is counted, but a
+witness is built only for a failure or a printed row, and only printed
+rows are classified, which needs factorization; no row evaluates a degree
+at q or runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
@@ -158,10 +158,11 @@ def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> Par
     """The report `name` of `determinant(*shapes, q)` on each row of `build_rows(n_max)`.
 
     Rows are shape tuples: (shape,) for unipotent and symmetric, (lam, mu)
-    for sign pairs. A row's symbolic product is the same at every odd q, so
-    the determinant runs once per row, at the first q; its parity is
-    evaluated once per class of q with equal v2(q + 1). Failures and the
-    first `witness_limit` witnesses are listed in (row, q) order.
+    for sign pairs, and every q is odd. A row's symbolic product is the same
+    at every odd q, so the determinant runs once per row, at the first q. A
+    row with bits (0, 0) fails at no q; once the witnesses are full it is
+    only counted. Failures and the first `witness_limit` witnesses are
+    listed in (row, q) order.
     """
     check_int(n_max, "n_max", 1)
     check_int(witness_limit, "witness_limit", 0)
@@ -173,8 +174,6 @@ def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> Par
     shape_rows = build_rows(n_max)
     if not shape_rows:
         raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
-    class_of = {q: two_adic_valuation(q + 1) for q in q_values}
-    representatives = {v2: q for q, v2 in reversed(class_of.items())}  # first q per class
     checked, failures, witnesses = 0, [], []
     for shapes in shape_rows:
         try:
@@ -182,12 +181,11 @@ def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> Par
         except NotIrrPlusError:
             continue
         checked += len(q_values)
-        even = {v2 for v2, q in representatives.items()
-                if symbolic.parity_at(q) is not Parity.ODD}
-        if not even and len(witnesses) >= witness_limit:
+        if symbolic.odd_q_bits == (0, 0) and len(witnesses) >= witness_limit:
             continue
         for q in q_values:
-            failed, printed = class_of[q] in even, len(witnesses) < witness_limit
+            failed = symbolic.parity_at(q) is not Parity.ODD
+            printed = len(witnesses) < witness_limit
             if failed or printed:
                 row = ParityWitness(shapes, q, symbolic)
                 if failed:

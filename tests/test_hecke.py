@@ -12,7 +12,14 @@ from orthdet.hecke import (
     tableau_polynomials,
 )
 from orthdet.intpoly import IntPoly, q_int
-from orthdet.squareclass import ONE, Parity, SquareClass, class_of_integer, parity_of_integer
+from orthdet.squareclass import (
+    ONE,
+    Parity,
+    SquareClass,
+    class_of_integer,
+    parity_of_integer,
+    two_adic_valuation,
+)
 from orthdet.tableaux import (
     StandardTableau,
     enumerate_partitions,
@@ -227,10 +234,18 @@ def test_full_product_is_checked_against_the_walk(monkeypatch):
 
 
 def test_parity_at_matches_the_value():
+    # The odd q have v2(q + 1) = 1, 2, 1, 3, 1, 2, 5, 4, 7, 6; at each the
+    # bits (a, b) say the class is even iff b + a * v2(q + 1) is odd.
     for shape in _all_partitions(10):
         factored = det_poly_factored(shape)
-        for q in (1, 2, 3, 4, 5, 7, 9, 27):
-            assert factored.parity_at(q) is parity_of_integer(factored(q)), (shape, q)
+        a, b = factored.odd_q_bits
+        assert factored.reduced().odd_q_bits == (a, b), shape
+        for q in (1, 2, 3, 4, 5, 7, 9, 27, 31, 47, 127, 191):
+            parity = parity_of_integer(factored(q))
+            assert factored.parity_at(q) is parity, (shape, q)
+            if q % 2:
+                even = (b + a * two_adic_valuation(q + 1)) % 2 == 1
+                assert even is (parity is Parity.EVEN), (shape, q)
     with pytest.raises(ValueError):
         QIntProduct.one().parity_at(0)
 

@@ -365,19 +365,24 @@ def test_grouped_parity_finds_the_per_q_failures(monkeypatch, sweep, name, build
 EVEN_ROWS = ((2, 1), (2, 2))
 
 
-def _even_at_odd_v2(monkeypatch, calls=None):
-    """Patch the unipotent rows (2, 1) and (2, 2) to [2]_x, even iff v2(q + 1) is odd."""
+def _patch_even_rows(monkeypatch, symbolic, calls=None):
+    """Patch the unipotent rows (2, 1) and (2, 2) to the product `symbolic`."""
     real = parker.unipotent_determinant
 
     def patched(shape, q):
         if calls is not None:
             calls.append((shape, q))
         if tuple(shape) in EVEN_ROWS:
-            return SimpleNamespace(symbolic=QIntProduct(0, ((2, 1),)))
+            return SimpleNamespace(symbolic=symbolic)
         return real(shape, q)
 
     monkeypatch.setattr(parker, "unipotent_determinant", patched)
     return patched
+
+
+def _even_at_odd_v2(monkeypatch, calls=None):
+    """Patch the rows (2, 1) and (2, 2) to [2]_x, even iff v2(q + 1) is odd."""
+    return _patch_even_rows(monkeypatch, QIntProduct(0, ((2, 1),)), calls)
 
 
 def test_a_constructed_even_row_fails_at_odd_v2(monkeypatch, capsys):
@@ -396,6 +401,61 @@ def test_a_constructed_even_row_fails_at_odd_v2(monkeypatch, capsys):
     assert err.splitlines() == [
         f"PARITY FAILURE: {json.dumps(w.to_json(), sort_keys=True)}" for w in reference.failures
     ]
+
+
+@pytest.mark.parametrize("mults, bits", [
+    (((2, 1),), (1, 0)),
+    (((4, 1),), (1, 1)),
+    (((2, 1), (4, 1)), (0, 1)),
+    (((2, 2), (4, 3)), (1, 1)),
+    (((3, 1), (5, 1), (6, 1), (12, 1)), (0, 1)),
+    (((8, 2),), (0, 0)),
+])
+def test_odd_q_bits_of_constructed_products(mults, bits):
+    assert QIntProduct(1, mults).odd_q_bits == bits
+
+
+def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(monkeypatch, capsys):
+    # [2]_x [4]_x has a = 0 and b = 1: even at every odd q, q = 1 included.
+    product = QIntProduct(0, ((2, 1), (4, 1)))
+    patched = _patch_even_rows(monkeypatch, product)
+    report = verify_parker_unipotent(6, V2_QS)
+    reference = _per_q_report("unipotent", parker._all_shapes, patched, 6, V2_QS, 8)
+    expected = [((shape,), q) for shape in EVEN_ROWS for q in V2_QS]
+    assert [(w.shapes, w.q) for w in report.failures] == expected
+    assert report == reference
+
+    code = main(["verify-parker", "--n-max", "6", "--q", ",".join(map(str, V2_QS)),
+                 "--format", "json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        f"PARITY FAILURE: {json.dumps(w.to_json(), sort_keys=True)}" for w in reference.failures
+    ]
+
+    real = parker.hecke_determinant
+    monkeypatch.setattr(parker, "hecke_determinant", lambda shape, q: (
+        SimpleNamespace(symbolic=product) if shape in EVEN_ROWS else real(shape, q)))
+    report = verify_parker_symmetric(6)
+    assert [(w.shapes, w.q) for w in report.failures] == [((shape,), 1) for shape in EVEN_ROWS]
+
+
+def test_parker_holds_at_every_odd_q_up_to_18():
+    # A row is odd at every odd q iff its bits are (0, 0). Every sign-pair
+    # row is trivial or a unipotent row, and the unipotent rows are these.
+    shapes = [shape for n in range(2, 19) for shape in tableaux.enumerate_partitions(n)
+              if tableaux.shape_record(shape).count_v2]
+    assert len(shapes) == 1263
+    for shape in shapes:
+        assert hecke.det_poly_reduced(shape).odd_q_bits == (0, 0), shape
+        assert gl._unipotent_row(shape)[0].odd_q_bits == (0, 0), shape
+    unipotent_rows = {gl._unipotent_row(shape)[0] for shape in shapes}
+    for lam, mu in parker._all_sign_pairs(8):
+        try:
+            symbolic = gl._sign_pair_row(lam, mu)[0]
+        except NotIrrPlusError:
+            continue
+        assert symbolic == QIntProduct.one() or symbolic in unipotent_rows, (lam, mu)
 
 
 def test_sweep_runs_the_determinant_once_per_row(monkeypatch):

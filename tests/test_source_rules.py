@@ -11,6 +11,8 @@ sit at module level, and every private module-level function or class is
 named somewhere in the package besides its own definition (no dead
 helpers), as is every private or ALL_CAPS module-level constant (no stale
 guards). No code looks a name up in `globals()`: callers pass functions.
+Only `hecke` takes the 2-adic valuation of q + 1: the parity rule at odd q
+lives in `QIntProduct.parity_at`, and no sweep keeps a copy of it.
 """
 
 import ast
@@ -152,6 +154,26 @@ def test_no_globals_lookup(path):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "globals"
     ]
     assert not found, f"{path.name}: globals() at lines {found}"
+
+
+def _is_plus_one(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+        isinstance(side, ast.Constant) and side.value == 1 for side in (node.left, node.right)
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_v2_of_q_plus_one_only_in_hecke(path):
+    found = [
+        node.lineno
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _names(node.func, "two_adic_valuation")
+        and node.args and _is_plus_one(node.args[0])
+    ]
+    if path.name == "hecke.py":
+        assert len(found) == 1, f"hecke.py: two_adic_valuation(... + 1) at lines {found}"
+    else:
+        assert not found, f"{path.name}: two_adic_valuation(... + 1) at lines {found}"
 
 
 def _identifiers(node) -> set[str]:
