@@ -7,6 +7,10 @@ parameter q, and of symmetric group characters (q = 1). Every formula can
 be cross-checked against an independent Gram-form oracle built from
 explicit seminormal representations, and parity sweeps confirm that all
 computed determinants are odd.
+
+The oracle's names (`determinant_via_gram`, `GramForm`, ...) load
+`orthdet.oracle` on first access, so importing the package for a sweep or
+a formula never builds the oracle's linear algebra.
 """
 
 from .errors import (
@@ -35,16 +39,6 @@ from .hecke import (
     tableau_polynomials,
 )
 from .intpoly import IntPoly, cyclotomic, cyclotomic_at_one, gaussian_binomial, q_int
-from .oracle import (
-    GramForm,
-    SeminormalRep,
-    build_seminormal,
-    determinant_via_gram,
-    determinant_via_skew_element,
-    gram_form,
-    verify_trace_pairing,
-    word_image,
-)
 from .parker import (
     ParityReport,
     ParityWitness,
@@ -74,3 +68,17 @@ from .tableaux import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = (
+    "GramForm", "SeminormalRep", "build_seminormal", "determinant_via_gram",
+    "determinant_via_skew_element", "gram_form", "verify_trace_pairing", "word_image",
+)
+
+
+def __getattr__(name):
+    # PEP 562: called only for names the module does not already hold.
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    return getattr(oracle, name)

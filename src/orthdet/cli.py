@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import gl, hecke, oracle, parker
+from . import gl, hecke, parker
 from .errors import InvariantViolation, ResourceGuardError, check_int
 from .intpoly import cyclotomic, cyclotomic_at_one, IntPoly
 from .squareclass import class_of_integer
@@ -150,6 +150,8 @@ def _cmd_verify_parker(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import oracle
+
     q_values = _parse_int_list(args.q)
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
@@ -230,6 +232,8 @@ def _cmd_syt(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import oracle
+
     # An empty scope would report "ok" having checked nothing.
     check_int(args.cyclotomic_max, "--cyclotomic-max", 1)
     check_int(args.parity_max, "--parity-max", 1)

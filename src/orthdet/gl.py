@@ -31,18 +31,17 @@ cyclotomic fields; their determinants are out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, prod
 
-from .errors import InvariantViolation, NotIrrPlusError, check_int
+from .errors import InvariantViolation, NotIrrPlusError, check_int, record
 from .hecke import QIntProduct, det_poly_factored, det_poly_reduced
 from .intpoly import cyclotomic, gaussian_binomial
 from .squareclass import SquareClass, factorize, two_adic_valuation
 from .tableaux import check_even_degree, check_partition, shape_record, syt_count
 
 
-@dataclass(frozen=True)
+@record
 class PrimePower:
     """q = p^r with p an odd prime."""
 
@@ -120,7 +119,7 @@ def _odd_exponent(shape: tuple[int, ...]) -> int:
     return 1 if y and count_v2 + two_adic_valuation(y) == 1 else 0
 
 
-@dataclass(frozen=True)
+@record
 class GlDetResult:
     """Determinant class of a GL character with its multiplicative breakdown.
 

@@ -34,11 +34,10 @@ values instead of factoring one enormous integer, and parities come from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .errors import InvariantViolation, ResourceGuardError, check_int
+from .errors import InvariantViolation, ResourceGuardError, check_int, record
 from .intpoly import IntPoly, cyclotomic, q_int
 from .squareclass import ONE, Parity, SquareClass, class_of_integer, two_adic_valuation
 from .tableaux import (
@@ -66,7 +65,7 @@ from .tableaux import (
 MAX_SUBDIAGRAM_ROWS = 2_000_000
 
 
-@dataclass(frozen=True)
+@record
 class QIntProduct:
     """A monomial times a product of q-integer polynomials [k]_x.
 
@@ -349,7 +348,7 @@ def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
     return product.reduced() if mod2 else product
 
 
-@dataclass(frozen=True)
+@record
 class HeckeDetResult:
     """Orthogonal determinant data of one even-degree character.
 

@@ -31,7 +31,6 @@ passed to the determinant row by row.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd, lcm, prod
@@ -41,6 +40,7 @@ from .errors import (
     ResourceGuardError,
     SkewElementSearchError,
     check_int,
+    record,
 )
 from .intpoly import q_int
 from .linalg import (
@@ -86,7 +86,7 @@ def _perm_length(a: tuple[int, ...]) -> int:
 
 # --- seminormal representations ---------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SeminormalRep:
     """Generators of one irreducible module on the tableau basis.
 
@@ -234,7 +234,7 @@ def _length_ordered_walk(n: int):
 
 # --- invariant bilinear forms ------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class GramForm:
     """Primitive integer Gram matrix of the invariant symmetric form, as columns."""
 

@@ -33,10 +33,9 @@ digits long.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NotIrrPlusError, check_int
+from .errors import NotIrrPlusError, check_int, record
 from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_reduced, hecke_determinant
 from .squareclass import Parity, SquareClass, two_adic_valuation
@@ -83,7 +82,7 @@ def parity_bridge_check(shape, q: int) -> bool:
     return reduced.parity_at(q) == reduced.parity_at(1)
 
 
-@dataclass(frozen=True)
+@record
 class ParityWitness:
     """One checked character: shapes, parameter and a symbolic determinant.
 
@@ -111,7 +110,7 @@ class ParityWitness:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ParityReport:
     """Outcome of one sweep; the conjecture holds on the scope iff ok."""
 

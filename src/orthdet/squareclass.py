@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FactorizationError, check_int
+from .errors import FactorizationError, check_int, record
 
 TRIAL_DIVISION_BOUND = 10**4
 _RHO_STEP_BUDGET = 10**7
@@ -36,7 +35,7 @@ class Parity(Enum):
     EVEN = "even"
 
 
-@dataclass(frozen=True)
+@record
 class SquareClass:
     """A class a*(Q^x)^2 in canonical form: sign and squarefree part.
 

@@ -15,12 +15,11 @@ the odd-degree gate `check_even_degree` and the degrees of `gl` read it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from typing import NamedTuple
 
-from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int
+from .errors import InvariantViolation, NotIrrPlusError, ResourceGuardError, check_int, record
 from .intpoly import cyclotomic_at_one
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
@@ -139,12 +138,12 @@ def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
     return (shape for shape in shapes if shape_record(shape).count_v2)
 
 
-@dataclass(frozen=True)
+@record
 class StandardTableau:
     """A standard filling of a Young diagram, stored as tuples of rows."""
 
     rows: tuple[tuple[int, ...], ...]
-    _positions: dict = field(init=False, repr=False, compare=False, hash=False)
+    _positions: dict[int, Cell]  # set by __post_init__; private, so not a field
 
     def __post_init__(self):
         shape = check_partition(len(row) for row in self.rows)
@@ -219,7 +218,7 @@ def apply_simple_transposition(k: int, t: StandardTableau) -> StandardTableau | 
     return u
 
 
-@dataclass(frozen=True)
+@record
 class TableauGraph:
     """All standard tableaux of one shape, wired by simple transpositions.
 

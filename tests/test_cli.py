@@ -187,19 +187,47 @@ def test_verify_parker_is_serial_by_default(capsys):
         assert json.loads(out)["ok"] is True
 
 
-def test_import_leaves_the_pool_machinery_unloaded():
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of `code` run by a new interpreter on this checkout's sources."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    code = ("import sys, orthdet.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_leaves_the_pool_machinery_unloaded():
+    code = ("import sys, orthdet.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+def test_sweeps_and_formulas_leave_the_oracle_unloaded():
+    # Start-up cost: a sweep or a `det-*` command loads neither the oracle
+    # (with `linalg`, `fractions`, `decimal`) nor `dataclasses` (with `inspect`).
+    code = """
+import contextlib, io, sys, orthdet.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [orthdet.cli.main(argv.split()) for argv in (
+        "verify-parker --family unipotent --n-max 6 --q 3,5", "det-unipotent --shape 3,1,1 --q 3")]
+heavy = ("dataclasses", "inspect", "fractions", "decimal", "orthdet.oracle", "orthdet.linalg")
+print(codes, [name for name in heavy if name in sys.modules])
+import orthdet
+from orthdet import determinant_via_gram
+print(determinant_via_gram is sys.modules["orthdet.oracle"].determinant_via_gram)
+try:
+    orthdet.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_interpreter(code) == (
+        "[0, 0] []\nTrue\nmodule 'orthdet' has no attribute 'no_such_name'\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from math import lcm
 
@@ -21,6 +20,11 @@ from orthdet.oracle import (
 )
 from orthdet.squareclass import ONE, SquareClass, class_of_integer
 from orthdet.tableaux import apply_simple_transposition, enumerate_partitions, syt_count
+
+
+def _replace(record, **changes):
+    """A copy of a record with the given fields changed, the rest read by `__match_args__`."""
+    return type(record)(**{name: getattr(record, name) for name in record.__match_args__} | changes)
 
 
 def test_one_dimensional_reps():
@@ -68,7 +72,7 @@ def test_two_one_rep_satisfies_relations():
 
 
 def test_quadratic_relation_check_rejects_wrong_q():
-    rep = dataclasses.replace(build_seminormal((3, 1, 1), 3), q=5)
+    rep = _replace(build_seminormal((3, 1, 1), 3), q=5)
     with pytest.raises(InvariantViolation, match="quadratic relation fails"):
         verify_relations(rep)
 
@@ -77,7 +81,7 @@ def test_braid_relation_check_rejects_swapped_generators():
     rep = build_seminormal((3, 1, 1), 3)
     t1, t2, *rest = rep.generators
     with pytest.raises(InvariantViolation, match="braid relation fails"):
-        verify_relations(dataclasses.replace(rep, generators=(t2, t1, *rest)))
+        verify_relations(_replace(rep, generators=(t2, t1, *rest)))
 
 
 def test_rep_dimension_matches_tableau_count():
@@ -193,15 +197,15 @@ def _gram_fails(rep, message):
 def test_gram_form_rejects_an_unreached_tableau():
     rep = build_seminormal((3, 1, 1), 3)
     edges = tuple(edge for edge in rep.graph.edges if edge[1] != 4)
-    graph = dataclasses.replace(rep.graph, edges=edges)
-    _gram_fails(dataclasses.replace(rep, graph=graph), "tableau 4 .* no edge from the root side")
+    graph = _replace(rep.graph, edges=edges)
+    _gram_fails(_replace(rep, graph=graph), "tableau 4 .* no edge from the root side")
 
 
 def test_gram_form_rejects_swapped_generators():
     # The tree edges name s_1 and s_2, whose columns now hold the other partner.
     rep = build_seminormal((3, 1, 1), 3)
     t1, t2, *rest = rep.generators
-    _gram_fails(dataclasses.replace(rep, generators=(t2, t1, *rest)), "nonzero multiple of e_")
+    _gram_fails(_replace(rep, generators=(t2, t1, *rest)), "nonzero multiple of e_")
 
 
 def test_gram_form_rejects_a_two_dimensional_form_space():
@@ -209,7 +213,7 @@ def test_gram_form_rejects_a_two_dimensional_form_space():
     # but every form diagonal in T_2's eigenbasis is invariant.
     rep = build_seminormal((2, 1), 3)
     t2 = rep.generators[1]
-    _gram_fails(dataclasses.replace(rep, generators=(t2, t2)), "J_2 .* is not diagonal")
+    _gram_fails(_replace(rep, generators=(t2, t2)), "J_2 .* is not diagonal")
 
 
 def test_gram_form_rejects_a_perturbed_entry():
@@ -221,7 +225,7 @@ def test_gram_form_rejects_a_perturbed_entry():
     (r, alpha), (p, off) = t2[1]
     assert (r, p) == (1, 2)
     t2 = t2[:1] + (((r, alpha), (p, off + rep.scale)),) + t2[2:]
-    _gram_fails(dataclasses.replace(rep, generators=(t1, t2, *rest)), "not invariant under s_2")
+    _gram_fails(_replace(rep, generators=(t1, t2, *rest)), "not invariant under s_2")
 
 
 def test_gram_form_rejects_a_degenerate_form():
@@ -230,7 +234,7 @@ def test_gram_form_rejects_a_degenerate_form():
     rep = build_seminormal((2, 1), 3)
     diagonal = (((0, 2),), ((1, 3),))
     jordan = (((0, 5), (1, 1)), ((1, 5),))
-    _gram_fails(dataclasses.replace(rep, generators=(diagonal, jordan)), "degenerate")
+    _gram_fails(_replace(rep, generators=(diagonal, jordan)), "degenerate")
 
 
 def test_jucys_murphy_diagonals_are_q_contents():
@@ -254,7 +258,7 @@ def test_jucys_murphy_diagonals_refuse_scalar_generators():
     # Scalar generators give diagonal J_k that cannot tell the two tableaux apart.
     rep = build_seminormal((2, 1), 3)
     scalar = tuple(((c, 3 * rep.scale),) for c in range(rep.dim))
-    rep = dataclasses.replace(rep, generators=(scalar, scalar))
+    rep = _replace(rep, generators=(scalar, scalar))
     with pytest.raises(InvariantViolation, match="do not separate tableaux 0 and 1") as info:
         oracle._jucys_murphy_diagonals(rep)
     assert "(2, 1) at q=3" in str(info.value)
@@ -264,7 +268,7 @@ def test_jucys_murphy_diagonals_refuse_an_inexact_division():
     # Diagonal generators 1 and 2 (scale 16): J_2 = (0 + 3 * 16) M_1 / 16^2 is not integral.
     rep = build_seminormal((2, 1), 3)
     diagonal = (((0, 1),), ((1, 2),))
-    rep = dataclasses.replace(rep, generators=(diagonal, diagonal))
+    rep = _replace(rep, generators=(diagonal, diagonal))
     with pytest.raises(InvariantViolation, match="J_2 on .* is not scale\\^2 times an integer"):
         oracle._jucys_murphy_diagonals(rep)
 

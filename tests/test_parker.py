@@ -333,8 +333,8 @@ FAMILIES = [
 
 
 @pytest.mark.parametrize("sweep, name, build_rows, determinant_name, n_max, q_values", FAMILIES)
-def test_grouped_parity_equals_the_per_q_loop(sweep, name, build_rows, determinant_name,
-                                              n_max, q_values):
+def test_bits_driven_sweep_equals_the_per_q_loop(sweep, name, build_rows, determinant_name,
+                                                 n_max, q_values):
     determinant = getattr(parker, determinant_name)
     report = sweep(n_max, q_values, witness_limit=30)
     reference = _per_q_report(name, build_rows, determinant, n_max, q_values, 30)
@@ -344,8 +344,8 @@ def test_grouped_parity_equals_the_per_q_loop(sweep, name, build_rows, determina
 
 
 @pytest.mark.parametrize("sweep, name, build_rows, determinant_name, n_max, q_values", FAMILIES)
-def test_grouped_parity_finds_the_per_q_failures(monkeypatch, sweep, name, build_rows,
-                                                 determinant_name, n_max, q_values):
+def test_bits_driven_sweep_finds_the_per_q_failures(monkeypatch, sweep, name, build_rows,
+                                                    determinant_name, n_max, q_values):
     # Every row times [2]_x or [4]_x: even classes at odd or at even
     # v2(q + 1), so failures fall in every class and in most rows.
     determinant = getattr(parker, determinant_name)
