@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from . import gl, hecke, parker
 from .errors import InvariantViolation, ResourceGuardError, check_int
-from .intpoly import cyclotomic, cyclotomic_at_one, IntPoly
+from .intpoly import cyclotomic, cyclotomic_at_one
 from .squareclass import class_of_integer
 from .tableaux import (
     check_partition,
@@ -247,9 +248,7 @@ def _cmd_selftest(args) -> int:
     checks.append({"name": "cyclotomic", "scope": f"n <= {args.cyclotomic_max}", "ok": ok})
 
     ok = all(
-        parker.lemma_parity_check(c, q)
-        for c in range(1, args.parity_max + 1)
-        for q in (3, 5, 7, 9, 11, 27, 81)
+        all(parker.lemma_parity_walk(q, 1, args.parity_max)) for q in (3, 5, 7, 9, 11, 27, 81)
     )
     checks.append({"name": "parity-lemma", "scope": f"c <= {args.parity_max}", "ok": ok})
 
@@ -272,11 +271,15 @@ def _cmd_selftest(args) -> int:
 
 
 def _cyclotomic_product_is_exact(n: int) -> bool:
-    product = IntPoly.one()
-    for d in range(1, n + 1):
-        if n % d == 0:
-            product = product * cyclotomic(d)
-    return product == IntPoly.monomial(n) - 1
+    """Whether the product of Phi_d over d | n is x^n - 1, by one evaluation at x = 2^B.
+
+    The difference has coefficients of size at most P + 1 < 2^(B-1), P the
+    product of the factors' L1 norms, so it is 0 iff its value at 2^B is.
+    """
+    factors = [cyclotomic(d) for d in range(1, n + 1) if n % d == 0]
+    bound = prod(sum(map(abs, f.coeffs)) for f in factors) + 1
+    x = 1 << (bound.bit_length() + 1)
+    return prod(f(x) for f in factors) == x**n - 1
 
 
 # --- parser wiring ------------------------------------------------------------

@@ -19,13 +19,14 @@ with the polynomial formula is the package's central cross-check.
 Each generator sends a basis tableau to itself and at most one swap
 partner, so it is stored as its sparse columns (see `linalg`), times one
 common scale that makes every entry an integer; all arithmetic here is on
-ints. Every matrix here is such columns and every product is
-`linalg.mat_mul`: the relation checks (each generator is checked against
-the quadratic, braid and commutation relations as it is built, so a bad
-block formula can never propagate silently), the form's invariance check,
-the Jucys-Murphy elements, word images and the trace-pairing check on the
-regular module. The one dense list is the skew route's running sum,
-passed to the determinant row by row.
+ints. The certificates read each generator's columns into block arrays
+(diagonal entry, swap partner, off-diagonal entry) and check, with 1x1 and
+2x2 arithmetic, the quadratic, braid and commutation relations (as each
+module is built, so a bad block formula can never propagate silently),
+the form's invariance and the Jucys-Murphy recursion. `linalg.mat_mul` is
+left for word images and the trace-pairing check on the regular module.
+The one dense list is the skew route's running sum, passed to the
+determinant row by row.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ from .linalg import (
 from .tableaux import TableauGraph, check_even_degree, check_partition, enumerate_syt, syt_count
 
 # Ceiling on the module dimension, calibrated on the Gram route: on a 2-core
-# VM at q = 3, build plus `gram_form` take 0.18 s at dim 450, (5,3,2), and
-# 0.34 s at dim 768, (4,3,2,1), the largest n = 10 module; all 26 even n = 10
-# shapes take 2.4-2.6 s and 27 MB. Admits all n <= 10. The skew route has
+# VM at q = 3, build plus `gram_form` take 0.16 s at dim 990, (6,3,2), and
+# 0.37-0.39 s at dim 2310, the largest n = 11 modules; all even shapes with
+# n <= 11 take 5.4-9.5 s and 62 MB. Admits all n <= 11. The skew route has
 # its own guard below.
-MAX_DIM = 768
+MAX_DIM = 2310
 
 # Ceiling on the n! * dim^2 word-image entries the skew route stores, each a
 # (row, value) pair. On a 2-core VM the worst n = 7 shape, (4,1,1,1)
@@ -166,27 +167,77 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     return rep
 
 
-def verify_relations(rep: SeminormalRep) -> None:
-    """Quadratic, braid and commutation relations as products of columns; raises on failure.
+def _blocks(rep: SeminormalRep) -> list[tuple[list[int], list[int], list[int]]]:
+    """Each generator's columns read once as block arrays (a, p, b), one entry per tableau.
 
-    For M = scale * T the quadratic one, (M + scale)(M - q scale) = 0, is checked
-    in one product as (M - (q - 1) scale) M = q scale^2; the rest are homogeneous.
+    Column t of M = scale * T_k is a[t] e_t + b[t] e_p[t], with p[t] = t and
+    b[t] = 0 in a 1x1 block. Raises InvariantViolation for any other column
+    and for a partner map p that is not an involution.
     """
-    q, s = rep.q, rep.scale
-    square = tuple(((c, q * s * s),) for c in range(rep.dim))
-    for i, m in enumerate(rep.generators, start=1):
-        if mat_mul(m, m, (1 - q) * s) != square:
+    where = f"{rep.shape} at q={rep.q}"
+    blocks = []
+    for k, columns in enumerate(rep.generators, start=1):
+        a, p, b = [0] * rep.dim, list(range(rep.dim)), [0] * rep.dim
+        for t, column in enumerate(columns):
+            for r, v in column:
+                if r == t:
+                    a[t] = v
+                elif p[t] == t and v:
+                    p[t], b[t] = r, v
+                else:
+                    raise InvariantViolation(
+                        f"column {t} of s_{k} on {where} is not a 1x1 or 2x2 block"
+                    )
+        if bad := [(t, u) for t, u in enumerate(p) if p[u] != t]:
+            raise InvariantViolation(f"s_{k} on {where} pairs tableaux {bad[0]} one way only")
+        blocks.append((a, p, b))
+    return blocks
+
+
+def _triple(x, y, t: int) -> dict[int, int]:
+    """Column t of X Y X for generators' block arrays x and y, as {row: value}, zeros dropped."""
+    ax, px, bx = x
+    ay, py, by = y
+    out: dict[int, int] = {}
+    for s1, c1 in ((t, ax[t]), (px[t], bx[t])):
+        if c1:
+            for s2, c2 in ((s1, ay[s1]), (py[s1], by[s1])):
+                if c2:
+                    for s3, c3 in ((s2, ax[s2]), (px[s2], bx[s2])):
+                        out[s3] = out.get(s3, 0) + c1 * c2 * c3
+    return {r: v for r, v in out.items() if v}
+
+
+def verify_relations(rep: SeminormalRep) -> None:
+    """Quadratic, braid and commutation relations on the generators' blocks; raises on failure.
+
+    For M = scale * T, (M + scale)(M - q scale) = 0 iff each 1x1 block is
+    q scale or -scale and each 2x2 block has trace (q - 1) scale and
+    determinant -q scale^2 (Cayley-Hamilton). The braid relation is compared
+    column by column. For |i - j| >= 2, M_i and M_j commute if p_i and p_j
+    commute and a_i, b_i are constant along p_j (and a_j, b_j along p_i);
+    t, p_i t, p_j t and p_i p_j t must also be distinct, as for tableaux,
+    when both partners exist.
+    """
+    q, s, dim = rep.q, rep.scale, rep.dim
+    blocks = _blocks(rep)
+    for i, (a, p, b) in enumerate(blocks, start=1):
+        if not all(a[t] in (q * s, -s) if u == t else
+                   a[t] + a[u] == (q - 1) * s and a[t] * a[u] - b[t] * b[u] == -q * s * s
+                   for t, u in enumerate(p)):
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
-    for i in range(len(rep.generators) - 1):
-        a, b = rep.generators[i], rep.generators[i + 1]
-        if mat_mul(a, mat_mul(b, a)) != mat_mul(b, mat_mul(a, b)):
+    for i in range(len(blocks) - 1):
+        x, y = blocks[i], blocks[i + 1]
+        if any(_triple(x, y, t) != _triple(y, x, t) for t in range(dim)):
             raise InvariantViolation(
                 f"braid relation fails for s_{i + 1}, s_{i + 2} on {rep.shape} at q={q}"
             )
-    for i in range(len(rep.generators)):
-        for j in range(i + 2, len(rep.generators)):
-            a, b = rep.generators[i], rep.generators[j]
-            if mat_mul(a, b) != mat_mul(b, a):
+    for i, (ai, pi, bi) in enumerate(blocks):
+        for j in range(i + 2, len(blocks)):
+            aj, pj, bj = blocks[j]
+            if any(pi[v] != pj[u] or ai[v] != ai[t] or bi[v] != bi[t] or aj[u] != aj[t]
+                   or bj[u] != bj[t] or (u != t != v and len({t, u, v, pi[v]}) < 4)
+                   for t, u, v in zip(range(dim), pi, pj)):
                 raise InvariantViolation(
                     f"commutation fails for s_{i + 1}, s_{j + 1} on {rep.shape} at q={q}"
                 )
@@ -247,25 +298,26 @@ def gram_form(rep: SeminormalRep) -> GramForm:
 
     For a diagonal X, invariance along the first edge s --s_k--> t into each
     tableau (the breadth-first tree of the graph) reads d_t M[t, s] = d_s M[s, t]
-    for the stored M = scale * T_k, so d_0 = 1 fixes X. It is certified: every
-    X M_i is symmetric and det X != 0. By `_jucys_murphy_diagonals` every
+    for the stored M = scale * T_k, so d_0 = 1 fixes X. It is certified entry
+    by entry: X M_i is symmetric iff d_p(t) M_i[p(t), t] = d_t M_i[t, p(t)] for
+    every t and partner p(t). Each d_t is a ratio of nonzero partner entries
+    (see `_blocks`), so det X != 0. By `_jucys_murphy_diagonals` every
     invariant form is diagonal, hence a multiple of X. The returned matrix is
     the columns of the primitive integer X, whose first entry is positive.
     """
     dim, where = rep.dim, f"{rep.shape} at q={rep.q}"
-    gens = rep.generators
+    blocks = _blocks(rep)
     # d_t = num[t] / den[t], along the first edge s --s_k--> t into t in discovery order.
     num, den = {0: 1}, {0: 1}
     for s, t, k in rep.graph.edges:
         if t not in den and s in den:
-            column = dict(gens[k - 1][s])
-            off, _ = column.pop(t, 0), column.pop(s, 0)
-            if not off or column:
+            _, p, b = blocks[k - 1]
+            if p[s] != t:
                 raise InvariantViolation(
                     f"column {s} of s_{k} on {where} is not a multiple of e_{s} "
                     f"plus a nonzero multiple of e_{t}"
                 )
-            num[t], den[t] = num[s] * dict(gens[k - 1][t]).get(s, 0), den[s] * off
+            num[t], den[t] = num[s] * b[t], den[s] * b[s]
     if len(den) < dim:
         lost = min(set(range(dim)) - set(den))
         raise InvariantViolation(f"tableau {lost} of {where} has no edge from the root side")
@@ -273,45 +325,42 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     diagonal = [num[t] * (common // den[t]) for t in range(dim)]
     g = gcd(*diagonal)
     diagonal = [d // g for d in diagonal]
-    matrix = tuple(((t, d),) if d else () for t, d in enumerate(diagonal))
-    # X is symmetric, so transpose(M) X = X M says exactly that X M is symmetric.
-    for i, m in enumerate(gens, start=1):
-        if (p := mat_mul(matrix, m)) != transpose(p):
+    for i, (_, p, b) in enumerate(blocks, start=1):
+        if any(diagonal[u] * b[t] != diagonal[t] * b[u] for t, u in enumerate(p)):
             raise InvariantViolation(f"diagonal form is not invariant under s_{i} on {where}")
-    det = prod(diagonal)
-    if det == 0:
-        raise InvariantViolation(f"invariant form of {where} is degenerate")
-    _jucys_murphy_diagonals(rep)
-    return GramForm(matrix=matrix, determinant=det)
+    _jucys_murphy_diagonals(rep, blocks)
+    matrix = tuple(((t, d),) for t, d in enumerate(diagonal))
+    return GramForm(matrix=matrix, determinant=prod(diagonal))
 
 
-def _jucys_murphy_diagonals(rep: SeminormalRep) -> list[tuple[int, ...]]:
+def _jucys_murphy_diagonals(rep: SeminormalRep, blocks) -> list[tuple[int, ...]]:
     """Per tableau t, the diagonal entries (J_2[t], ..., J_n[t]) of the Jucys-Murphy elements.
 
-    J_1 = 0 and J_(k+1) = (M_k J_k + q^k scale) M_k / scale^2, which is
-    q^k L_(k+1) for L_(k+1) = T_k L_k T_k / q + T_k (Mathas 1999), so
-    J_k e_t = q^k [c_t(k)]_q e_t, c_t(k) the content of k. Each division
-    must be exact, so entries stay the size of those values. An X with
-    transpose(M_k) X = X M_k for all k satisfies the same for every J_k.
-    Raises InvariantViolation unless each J_k is diagonal and the tuples are
-    pairwise distinct, which forces such an X to be diagonal.
+    J_1 = 0 and J_(k+1) = (M_k J_k + c) M_k / scale^2 for c = q^k scale, which
+    is q^k L_(k+1) for L_(k+1) = T_k L_k T_k / q + T_k (Mathas 1999), so
+    J_k e_t = q^k [c_t(k)]_q e_t, c_t(k) the content of k. For J_k = diag(j)
+    and M_k e_t = a_t e_t + b_t e_u as in `blocks` (see `_blocks`), column t of
+    the product is (a_t (a_t j_t + c) + b_t b_u j_u) e_t + b_t (a_t j_t + a_u j_u + c) e_u.
+    Each division must be exact, so entries stay the size of those values.
+    An X with transpose(M_k) X = X M_k for all k satisfies the same for every
+    J_k. Raises InvariantViolation unless each J_k is diagonal and the tuples
+    are pairwise distinct, which forces such an X to be diagonal.
     """
     where = f"{rep.shape} at q={rep.q}"
     square = rep.scale**2
-    jm: Columns = tuple(() for _ in range(rep.dim))
+    j = [0] * rep.dim
     labels: list[tuple[int, ...]] = [()] * rep.dim
-    for k, m in enumerate(rep.generators, start=1):
-        product = mat_mul(mat_mul(m, jm), m, rep.q**k * rep.scale)
-        if any(r != t for t, col in enumerate(product) for r, _ in col):
+    for k, (a, p, b) in enumerate(blocks, start=1):
+        c = rep.q**k * rep.scale
+        if any(b[t] * (a[t] * j[t] + a[u] * j[u] + c) for t, u in enumerate(p)):
             raise InvariantViolation(f"Jucys-Murphy element J_{k + 1} on {where} is not diagonal")
-        entries = [col[0][1] if col else 0 for col in product]
+        entries = [a[t] * (a[t] * j[t] + c) + b[t] * b[u] * j[u] for t, u in enumerate(p)]
         if any(v % square for v in entries):
             raise InvariantViolation(
                 f"Jucys-Murphy element J_{k + 1} on {where} is not scale^2 times an integer matrix"
             )
-        entries = [v // square for v in entries]
-        jm = tuple(((t, v),) if v else () for t, v in enumerate(entries))
-        labels = [label + (v,) for label, v in zip(labels, entries)]
+        j = [v // square for v in entries]
+        labels = [label + (v,) for label, v in zip(labels, j)]
     first: dict[tuple[int, ...], int] = {}
     for t, label in enumerate(labels):
         if (s := first.setdefault(label, t)) != t:

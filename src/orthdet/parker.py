@@ -25,10 +25,10 @@ rows are classified, which needs factorization; no row evaluates a degree
 at q or runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
-[c]_q [c+2]_q; both sides are read through their 2-adic valuation, which
-for q^e - 1 is read off q^e mod 2^64 (exactly, from q^e - 1 itself, only
-when q^e = 1 mod 2^64), so the check never forms q-integers thousands of
-digits long.
+[c]_q [c+2]_q through their 2-adic valuations. One walk over c keeps a
+running q^c mod 2^64 and reads each v2(q^e - 1) off it once (from q^e - 1
+itself only when q^e = 1 mod 2^64), so it never forms q-integers thousands
+of digits long; `lemma_parity_check` is that walk over a single c.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import cached_property
 from .errors import NotIrrPlusError, check_int, record
 from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
 from .hecke import QIntProduct, det_poly_reduced, hecke_determinant
-from .squareclass import Parity, SquareClass, two_adic_valuation
+from .squareclass import Parity, SquareClass
 from .tableaux import check_even_degree, check_partition, enumerate_partitions
 
 DEFAULT_WITNESS_LIMIT = 8
@@ -49,27 +49,34 @@ def lemma_parity_check(c: int, q: int) -> bool:
 
     True for every valid input is the theorem; a False return is a finding.
     """
-    check_int(c, "c", 1)
+    return lemma_parity_walk(q, c, c)[0]
+
+
+def lemma_parity_walk(q: int, first: int, last: int) -> list[bool]:
+    """`lemma_parity_check(c, q)` for c = first, ..., last, in one walk over the powers of q.
+
+    A class is even iff its 2-adic valuation is odd, and v2 is additive, so
+    the two sides agree iff v2 of c(c+2), [c]_q and [c+2]_q sum to an even
+    number; v2([e]_q) = v2(q^e - 1) - v2(q - 1), and the two v2(q - 1) drop
+    out. Each v2(q^e - 1) is read once, as v2(m) = (m & -m).bit_length() - 1
+    for m = (q^e mod 2^64) - 1, which is q^e - 1 mod 2^64, or m = q^e - 1 if that is 0.
+    """
+    check_int(first, "c", 1)
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
-    # A class is even iff its 2-adic valuation is odd, and v2 is additive, so
-    # the two sides agree iff the valuations of c(c+2), [c]_q and [c+2]_q sum
-    # to an even number. v2([e]_q) = v2(q^e - 1) - v2(q - 1); the two
-    # v2(q - 1) terms sum to an even number and drop out.
-    power = pow(q, c, 1 << 64)
-    total = two_adic_valuation(c * (c + 2)) + _v2_power_less_one(power, q, c)
-    total += _v2_power_less_one(power * q * q % (1 << 64), q, c + 2)
-    return total % 2 == 0
-
-
-def _v2_power_less_one(residue: int, q: int, e: int) -> int:
-    """v2(q^e - 1) for odd q, given residue = q^e mod 2^64.
-
-    q^e - 1 is congruent to residue - 1 mod 2^64, so a nonzero difference
-    has the same valuation (below 64); a zero one falls back to q^e - 1
-    itself, so no bound on the valuation is assumed.
-    """
-    return two_adic_valuation(residue - 1 or q**e - 1)
+    mod = 1 << 64
+    power = pow(q, first, mod)
+    v2_less_one = []  # v2(q^e - 1) for e = first, ..., last + 2
+    for e in range(first, last + 3):
+        m = power - 1 or q**e - 1
+        v2_less_one.append((m & -m).bit_length() - 1)
+        power = power * q % mod
+    holds = []
+    for c in range(first, last + 1):
+        m = c * (c + 2)
+        total = (m & -m).bit_length() - 1 + v2_less_one[c - first] + v2_less_one[c + 2 - first]
+        holds.append(total % 2 == 0)
+    return holds
 
 
 def parity_bridge_check(shape, q: int) -> bool:

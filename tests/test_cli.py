@@ -12,7 +12,7 @@ from orthdet import cli, gl, hecke, oracle, parker, squareclass, tableaux
 from orthdet.cli import main
 from orthdet.errors import ResourceGuardError
 from orthdet.hecke import QIntProduct
-from orthdet.intpoly import gaussian_binomial
+from orthdet.intpoly import IntPoly, cyclotomic, gaussian_binomial
 from orthdet.squareclass import Parity, SquareClass
 
 
@@ -626,11 +626,11 @@ def test_degrees_past_the_digit_limit_reach_the_class(capsys, monkeypatch):
 
 
 def test_oracle_check_refuses_before_enumerating_larger_n(capsys, monkeypatch):
-    # (6, 3, 2), with n = 11, is the first shape over the oracle limit.
+    # (7, 3, 1, 1), with n = 12, is the first shape over the oracle limit.
     partitions = tableaux.enumerate_partitions
 
     def bounded(n):
-        if n > 11:
+        if n > 12:
             pytest.fail(f"partitions of {n} enumerated")
         return partitions(n)
 
@@ -638,7 +638,7 @@ def test_oracle_check_refuses_before_enumerating_larger_n(capsys, monkeypatch):
     code, out, err = run(capsys, "oracle-check", "--n-max", "40", "--q", "3")
     assert code == 3
     assert out == ""
-    assert err == "resource guard: shape (6, 3, 2): 990 tableaux > oracle limit 768\n"
+    assert err == "resource guard: shape (7, 3, 1, 1): 2376 tableaux > oracle limit 2310\n"
 
 
 def test_interrupt_exits_130(capsys, monkeypatch):
@@ -662,6 +662,27 @@ def test_selftest_small_scopes(capsys):
     assert {c["name"] for c in data["checks"]} == {
         "cyclotomic", "parity-lemma", "relations", "trace-pairing"
     }
+
+
+def test_cyclotomic_evaluation_agrees_with_the_product():
+    for n in range(1, 81):
+        product = IntPoly.one()
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = product * cyclotomic(d)
+        assert product == IntPoly.monomial(n) - 1
+        assert cli._cyclotomic_product_is_exact(n), n
+
+
+def test_cyclotomic_evaluation_finds_a_bumped_coefficient(capsys, monkeypatch):
+    # Phi_6 = x^2 - x + 1 with its x coefficient bumped to 0; 6 divides n = 6, 12 and 18.
+    monkeypatch.setattr(cli, "cyclotomic",
+                        lambda d: IntPoly((1, 0, 1)) if d == 6 else cyclotomic(d))
+    assert [n for n in range(1, 19) if not cli._cyclotomic_product_is_exact(n)] == [6, 12, 18]
+    code, out, _ = run(capsys, "selftest", "--cyclotomic-max", "6", "--parity-max", "5",
+                       "--relations-max", "2", "--format", "json")
+    assert code == 2
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["ok"]] == ["cyclotomic"]
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -7,7 +7,7 @@ from orthdet import oracle
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import hecke_determinant
 from orthdet.intpoly import q_int
-from orthdet.linalg import IntegerKernelSolver, bareiss_determinant, identity_matrix
+from orthdet.linalg import IntegerKernelSolver, bareiss_determinant, identity_matrix, mat_mul
 from orthdet.oracle import (
     all_word_images,
     build_seminormal,
@@ -71,17 +71,119 @@ def test_two_one_rep_satisfies_relations():
     assert word_image(rep, [1, 2, 1]) == word_image(rep, [2, 1, 2])
 
 
+def _product_form_relations(rep):
+    """The reference: every relation as whole-matrix products of columns.
+
+    For M = scale * T the quadratic one, (M + scale)(M - q scale) = 0, is checked
+    in one product as (M - (q - 1) scale) M = q scale^2; the rest are homogeneous.
+    """
+    q, s = rep.q, rep.scale
+    square = tuple(((c, q * s * s),) for c in range(rep.dim))
+    for i, m in enumerate(rep.generators, start=1):
+        if mat_mul(m, m, (1 - q) * s) != square:
+            raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
+    for i in range(len(rep.generators) - 1):
+        a, b = rep.generators[i], rep.generators[i + 1]
+        if mat_mul(a, mat_mul(b, a)) != mat_mul(b, mat_mul(a, b)):
+            raise InvariantViolation(
+                f"braid relation fails for s_{i + 1}, s_{i + 2} on {rep.shape} at q={q}"
+            )
+    for i in range(len(rep.generators)):
+        for j in range(i + 2, len(rep.generators)):
+            a, b = rep.generators[i], rep.generators[j]
+            if mat_mul(a, b) != mat_mul(b, a):
+                raise InvariantViolation(
+                    f"commutation fails for s_{i + 1}, s_{j + 1} on {rep.shape} at q={q}"
+                )
+
+
+def test_block_and_product_forms_accept_every_small_module():
+    # build_seminormal runs the block form (`verify_relations`) and raises on a failure.
+    for n in range(1, 8):
+        for shape in enumerate_partitions(n):
+            for q in (1, 3, 5):
+                _product_form_relations(build_seminormal(shape, q))
+
+
+def _with_column(rep, i, t, column):
+    """rep with column t of generator s_i replaced."""
+    generators = [list(columns) for columns in rep.generators]
+    generators[i - 1][t] = tuple(sorted(column))
+    return _replace(rep, generators=tuple(map(tuple, generators)))
+
+
+def _perturbed(rep):
+    # Column 1 of s_2 on (3,1,1) is its own entry plus the partner entry at tableau 2.
+    (r, alpha), (p, off) = rep.generators[1][1]
+    return _with_column(rep, 2, 1, [(r, alpha), (p, off + rep.scale)])
+
+
+def _third_entry(rep):
+    return _with_column(rep, 2, 1, [*rep.generators[1][1], (0, rep.scale)])
+
+
+def _one_sided(rep):
+    # The partner entry of column 1 moves from tableau 2 to tableau 0.
+    (r, alpha), (_, off) = rep.generators[1][1]
+    return _with_column(rep, 2, 1, [(r, alpha), (0, off)])
+
+
+def _conjugated_by_a_sign(rep):
+    # diag(-1 at tableau 2) conjugates s_2 on its block {2, p(2)}. Tableau 2 has no
+    # partner under s_1 or s_3, which therefore commute with the sign, so the
+    # quadratic and braid relations hold; it has one under s_4, so s_2 and s_4
+    # no longer commute.
+    columns = rep.generators[1]
+    (u,) = (r for r, _ in columns[2] if r != 2)
+    for t, other in ((2, u), (u, 2)):
+        rep = _with_column(rep, 2, t, [(r, -v if r == other else v) for r, v in columns[t]])
+    return rep
+
+
+MUTATIONS = {
+    "perturbed-off-diagonal": (_perturbed, "quadratic relation fails for s_2",
+                               "quadratic relation fails for s_2"),
+    "third-entry": (_third_entry, "column 1 of s_2 .* is not a 1x1 or 2x2 block",
+                    "quadratic relation fails for s_2"),
+    "one-sided-partner": (_one_sided, "s_2 .* pairs tableaux \\(1, 0\\) one way only",
+                          "quadratic relation fails for s_2"),
+    "conjugated-pair": (_conjugated_by_a_sign, "commutation fails for s_2, s_4",
+                        "commutation fails for s_2, s_4"),
+}
+
+
+def _both_forms_reject(rep, block_match, product_match):
+    with pytest.raises(InvariantViolation, match=block_match):
+        verify_relations(rep)
+    with pytest.raises(InvariantViolation, match=product_match):
+        _product_form_relations(rep)
+
+
 def test_quadratic_relation_check_rejects_wrong_q():
     rep = _replace(build_seminormal((3, 1, 1), 3), q=5)
-    with pytest.raises(InvariantViolation, match="quadratic relation fails"):
-        verify_relations(rep)
+    _both_forms_reject(rep, "quadratic relation fails", "quadratic relation fails")
 
 
 def test_braid_relation_check_rejects_swapped_generators():
     rep = build_seminormal((3, 1, 1), 3)
     t1, t2, *rest = rep.generators
-    with pytest.raises(InvariantViolation, match="braid relation fails"):
-        verify_relations(_replace(rep, generators=(t2, t1, *rest)))
+    rep = _replace(rep, generators=(t2, t1, *rest))
+    _both_forms_reject(rep, "braid relation fails", "braid relation fails")
+
+
+@pytest.mark.parametrize("mutate, block_match, product_match", MUTATIONS.values(), ids=MUTATIONS)
+def test_block_and_product_forms_reject_each_mutation(mutate, block_match, product_match):
+    _both_forms_reject(mutate(build_seminormal((3, 1, 1), 3)), block_match, product_match)
+
+
+def test_no_certificate_multiplies_matrices(monkeypatch):
+    # The relation, invariance and Jucys-Murphy checks run on the blocks alone.
+    monkeypatch.setattr(oracle, "mat_mul", lambda *args: pytest.fail("mat_mul called"))
+    for n in range(2, 7):
+        for shape in enumerate_partitions(n):
+            if syt_count(shape) % 2 == 0:
+                det = determinant_via_gram(shape, 3)
+                assert hecke_determinant(shape, 3).det_class.contains(det), shape
 
 
 def test_rep_dimension_matches_tableau_count():
@@ -230,11 +332,14 @@ def test_gram_form_rejects_a_perturbed_entry():
 
 def test_gram_form_rejects_a_degenerate_form():
     # A diagonal s_1 and a Jordan block s_2 (whose first column is the tree
-    # edge) leave only diag(1, 0) invariant.
+    # edge) leave only diag(1, 0) invariant. The Jordan block's partner map is
+    # one-sided, so it is refused before any form is built: a form built on
+    # involutive blocks has every diagonal entry nonzero.
     rep = build_seminormal((2, 1), 3)
     diagonal = (((0, 2),), ((1, 3),))
     jordan = (((0, 5), (1, 1)), ((1, 5),))
-    _gram_fails(_replace(rep, generators=(diagonal, jordan)), "degenerate")
+    _gram_fails(_replace(rep, generators=(diagonal, jordan)),
+                "s_2 .* pairs tableaux \\(0, 1\\) one way only")
 
 
 def test_jucys_murphy_diagonals_are_q_contents():
@@ -243,7 +348,7 @@ def test_jucys_murphy_diagonals_are_q_contents():
         for shape in enumerate_partitions(n):
             for q in (1, 3, 5, 9):
                 rep = build_seminormal(shape, q)
-                labels = oracle._jucys_murphy_diagonals(rep)
+                labels = oracle._jucys_murphy_diagonals(rep, oracle._blocks(rep))
                 assert len(labels) == rep.dim
                 for t, label in zip(rep.graph.nodes, labels):
                     expected = []
@@ -260,7 +365,7 @@ def test_jucys_murphy_diagonals_refuse_scalar_generators():
     scalar = tuple(((c, 3 * rep.scale),) for c in range(rep.dim))
     rep = _replace(rep, generators=(scalar, scalar))
     with pytest.raises(InvariantViolation, match="do not separate tableaux 0 and 1") as info:
-        oracle._jucys_murphy_diagonals(rep)
+        oracle._jucys_murphy_diagonals(rep, oracle._blocks(rep))
     assert "(2, 1) at q=3" in str(info.value)
 
 
@@ -270,7 +375,7 @@ def test_jucys_murphy_diagonals_refuse_an_inexact_division():
     diagonal = (((0, 1),), ((1, 2),))
     rep = _replace(rep, generators=(diagonal, diagonal))
     with pytest.raises(InvariantViolation, match="J_2 on .* is not scale\\^2 times an integer"):
-        oracle._jucys_murphy_diagonals(rep)
+        oracle._jucys_murphy_diagonals(rep, oracle._blocks(rep))
 
 
 def test_gram_determinant_examples():
@@ -288,6 +393,11 @@ def test_gram_reaches_the_largest_n9_modules():
 def test_gram_reaches_an_n10_module():
     # dim 450; every n = 10 module is within MAX_DIM.
     assert hecke_determinant((5, 3, 2), 3).det_class.contains(determinant_via_gram((5, 3, 2), 3))
+
+
+def test_gram_reaches_an_n11_module():
+    # dim 990; every n = 11 module is within MAX_DIM.
+    assert hecke_determinant((6, 3, 2), 3).det_class.contains(determinant_via_gram((6, 3, 2), 3))
 
 
 def test_gram_rejects_odd_dimension(monkeypatch):
@@ -372,11 +482,12 @@ def test_build_rejects_bad_q():
 
 
 def test_build_guard_fires_before_enumeration(monkeypatch):
-    # (4,3,2,1) is the largest n = 10 module (dim 768); (4,4,2,1) has dim 1320.
-    assert syt_count((4, 4, 2, 1)) > oracle.MAX_DIM >= syt_count((4, 3, 2, 1))
+    # (5,3,2,1) is a largest n = 11 module (dim 2310); (7,3,1,1), with dim 2376,
+    # is the first even n = 12 shape over the limit.
+    assert syt_count((7, 3, 1, 1)) > oracle.MAX_DIM >= syt_count((5, 3, 2, 1))
     monkeypatch.setattr(oracle, "enumerate_syt", lambda shape: pytest.fail("enumerated"))
     with pytest.raises(ResourceGuardError, match="oracle limit"):
-        build_seminormal((4, 4, 2, 1), 3)
+        build_seminormal((7, 3, 1, 1), 3)
 
 
 def test_skew_guard_fires_before_word_images(monkeypatch):

@@ -11,6 +11,7 @@ from orthdet.parker import (
     ParityReport,
     ParityWitness,
     lemma_parity_check,
+    lemma_parity_walk,
     parity_bridge_check,
     verify_parker_sign_pairs,
     verify_parker_symmetric,
@@ -52,6 +53,24 @@ def test_lemma_falls_back_to_the_exact_power():
     q = 2**64 + 1
     for c in range(1, 41):
         assert lemma_parity_check(c, q) is _lemma_reference(c, q), c
+
+
+def test_lemma_walk_agrees_with_the_point_check():
+    for q in (3, 5, 7, 9, 11, 27, 81):
+        points = [lemma_parity_check(c, q) for c in range(1, 301)]
+        assert lemma_parity_walk(q, 1, 300) == points, q
+        assert lemma_parity_walk(q, 150, 300) == points[149:], q
+
+
+def test_lemma_walk_matches_exact_valuations_past_the_residue():
+    # q^e = 1 mod 2^64 at every step, so each v2(q^e - 1) falls back to the exact power.
+    q = 2**64 + 1
+    expected = [
+        (two_adic_valuation(c * (c + 2)) + two_adic_valuation(q**c - 1)
+         + two_adic_valuation(q ** (c + 2) - 1)) % 2 == 0
+        for c in range(1, 61)
+    ]
+    assert lemma_parity_walk(q, 1, 60) == expected
 
 
 def test_lemma_rejects_bad_arguments():
