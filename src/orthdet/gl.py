@@ -15,10 +15,13 @@ At odd q, whether a character has even degree, and its symbolic class,
 do not depend on q. The shape record of `tableaux` proves, for every q at
 once, that the q-hook degree and the q-power exponent are integers, and
 gives the parities of the tableau count and of the exponent at odd q in
-closed form. Rows are built from it once per shape or pair, so a sweep
-over many q calls a determinant once per row and reads q only for the
-parity. The exact degree and exponent at q are evaluated from the record,
-and checked against it, only when a result prints them.
+closed form. `unipotent_row` builds a shape's q-free product from it once,
+cached on a validated shape; the unipotent and sign-pair sweeps of
+`parker` read it directly, with no result record, and derive every
+sign-pair row from it. The public determinants validate their arguments
+and wrap the same products in a result record. The exact degree and
+exponent at q are evaluated from the record, and checked against it, only
+when a result prints them.
 
 Classes come from the Hecke determinant's lattice walk in GF(2) mode
 (`det_poly_reduced`); the full product of a unipotent character, from the
@@ -35,10 +38,10 @@ from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .errors import InvariantViolation, NotIrrPlusError, check_int, record
-from .hecke import QIntProduct, det_poly_factored, det_poly_reduced
+from .hecke import QIntProduct, det_poly_factored, hecke_row
 from .intpoly import cyclotomic, gaussian_binomial
 from .squareclass import SquareClass, factorize, two_adic_valuation
-from .tableaux import check_even_degree, check_partition, shape_record, syt_count
+from .tableaux import check_partition, shape_record, syt_count
 
 
 @record
@@ -194,18 +197,21 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
     """Determinant class of an even-degree unipotent character."""
     shape = check_partition(shape)
     pp = as_odd_prime_power(q)
-    symbolic, parts = _unipotent_row(shape)
+    symbolic = unipotent_row(shape)
+    parts = (("hecke", hecke_row(shape)), ("q-power", QIntProduct(_odd_exponent(shape), ())))
     return GlDetResult(kind="unipotent", shapes=(shape,), q=pp, symbolic=symbolic, parts=parts)
 
 
-# Cached per shape or pair for every odd q; callers validate first.
+# Cached per shape for every odd q; callers validate first.
 @lru_cache(maxsize=None)
-def _unipotent_row(shape: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
-    """`symbolic` and `parts` of a validated shape's unipotent character at every odd q."""
-    check_even_degree(shape)
-    q_power = QIntProduct(_odd_exponent(shape), ())
-    reduced = det_poly_reduced(shape)
-    return (reduced * q_power).reduced(), (("hecke", reduced), ("q-power", q_power))
+def unipotent_row(shape: tuple[int, ...]) -> QIntProduct:
+    """The product of a validated shape's unipotent character at every odd q.
+
+    The reduced walk times q^(e mod 2), refused at the odd-degree gate. It
+    is the row source of the unipotent and sign-pair sweeps, and the
+    `symbolic` of `unipotent_determinant`.
+    """
+    return (hecke_row(shape) * QIntProduct(_odd_exponent(shape), ())).reduced()
 
 
 def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
@@ -245,7 +251,7 @@ def _sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[QIntProdu
     # with an odd index and an even degree, at most one degree is odd.
     symbolic = one
     if odd_mu:
-        symbolic = _unipotent_row(lam)[0]
+        symbolic = unipotent_row(lam)
     if odd_lam:
-        symbolic = _unipotent_row(mu)[0]
+        symbolic = unipotent_row(mu)
     return symbolic, (("induction", one), ("outer-product", symbolic))

@@ -21,8 +21,17 @@ arithmetics (`_lattice_product`), checked against a third route:
 * `det_poly_reduced` takes the counts mod 2 and keeps only the
   sub-diagrams with an odd count, giving the product with its square
   factors dropped, which is all a square class or a parity needs.
-  Determinant results and Parker sweeps read their classes and parities
-  from it;
+  Determinant results and Parker sweeps (through `hecke_row`) read their
+  classes and parities from it. An even-degree shape and its conjugate
+  share this product, so it is walked once per pair, on the orientation
+  with fewer rows (then the lexicographically smaller one). At q = 1 this is
+  classical: the character of the conjugate is the sign twist, which
+  keeps the invariant form. At every q, the automorphism T_i -> -q T_i^-1
+  of H_n(q) commutes with the anti-involution T_w -> T_(w^-1), so twisting
+  S^shape by it gives S^conjugate with the same invariant form (Mathas
+  1999). `det_poly_factored` walks a shape's own orientation and checks
+  that it reduces to the shared product, so wherever full factors are
+  printed the claim is checked as well;
 * `tableau_polynomials` walks the transposition graph tableau by tableau
   and stays as the independent reference for the lattice walk.
 
@@ -45,23 +54,27 @@ from .tableaux import (
     apply_simple_transposition,
     check_even_degree,
     check_partition,
+    conjugate_partition,
     enumerate_syt,
     shape_record,
     syt_count,
 )
 
 # Ceiling on the lattice walk of one shape, counted as the sub-diagrams it
-# keeps on both passes times the rows of the shape, since each is scanned row
-# by row. Full mode keeps every sub-diagram once on each pass (bar the shape
-# and the empty one), so it counts them before walking and admits up to
-# about 10^6 sub-diagrams times rows. GF(2) mode keeps a subset of those
-# states, so it admits every shape full mode admits; it stops as soon as its
-# running count passes the ceiling. On a 2-core VM a unit costs full mode
-# 1.1-1.5 us and at most about 75 B (most on two rows, whose tableau counts
-# are the longest integers), so one shape stays near 3 s and 150 MB; it
-# costs GF(2) mode at most 0.8 us. Full mode admits (6, 4, 3, 2, 1) and every
-# shape with n <= 50, and refuses the (12, ..., 1) staircase; GF(2) mode
-# walks it, and the 24-row staircase with its 1707624 units.
+# keeps on both passes times the rows of the shape walked, since each is
+# scanned row by row. Full mode walks the shape as given; GF(2) mode walks an
+# even-degree shape on the orientation with fewer rows (`det_poly_reduced`),
+# so a tall shape is counted, and admitted, as its wide conjugate. Full mode
+# keeps every sub-diagram once on each pass (bar the shape and the empty
+# one), so it counts them before walking and admits up to about 10^6
+# sub-diagrams times rows. GF(2) mode keeps a subset of those states, so it
+# admits every shape full mode admits; it stops as soon as its running count
+# passes the ceiling. On a 2-core VM a unit costs full mode 1.1-1.5 us and at
+# most about 75 B (most on two rows, whose tableau counts are the longest
+# integers), so one shape stays near 3 s and 150 MB; it costs GF(2) mode at
+# most 0.8 us. Full mode admits (6, 4, 3, 2, 1) and every shape with n <= 50,
+# and refuses the (12, ..., 1) staircase; GF(2) mode walks it, and the 24-row
+# staircase with its 1707624 units.
 MAX_SUBDIAGRAM_ROWS = 2_000_000
 
 
@@ -213,13 +226,15 @@ def tableau_polynomials(shape) -> dict[StandardTableau, QIntProduct]:
 def det_poly_factored(shape) -> QIntProduct:
     """The determinant polynomial of a shape, as a factored product.
 
-    The full walk runs first, so its guard refuses before anything is spent.
-    It sums tableau counts where the (cached) GF(2) walk keeps their parities,
-    so a product that does not reduce to the GF(2) one raises InvariantViolation.
+    The full walk runs first, on the shape as given, so its guard refuses
+    before anything is spent. It sums tableau counts where the (cached) GF(2)
+    walk keeps their parities, and that walk may have run on the conjugate,
+    so a product that does not reduce to the GF(2) one raises
+    InvariantViolation: a slip in either walk, or in the conjugation claim.
     """
     shape = check_partition(shape)
     full = _lattice_product(shape, False)
-    if full.reduced() != (reduced := _lattice_product(shape, True)):
+    if full.reduced() != (reduced := det_poly_reduced(shape)):
         raise InvariantViolation(
             f"GF(2) walk of {shape} gives {reduced!r}, "
             f"the full product reduces to {full.reduced()!r}"
@@ -228,8 +243,33 @@ def det_poly_factored(shape) -> QIntProduct:
 
 
 def det_poly_reduced(shape) -> QIntProduct:
-    """The determinant polynomial of a shape without its square factors, from the GF(2) walk."""
-    return _lattice_product(check_partition(shape), True)
+    """The determinant polynomial of a shape without its square factors, from the GF(2) walk.
+
+    At even degree the walk is cached on one orientation of the conjugate
+    pair: the one with fewer rows, then the lexicographically smaller. Both
+    orientations have the same reduced product (see the module docstring),
+    and the guard counts the units of the orientation walked. At odd degree
+    they differ ((3, 1) gives x [3], (2, 1, 1) gives x [2] [4]), so such a
+    shape is walked as given.
+    """
+    return _reduced_walk(check_partition(shape))
+
+
+def hecke_row(shape: tuple[int, ...]) -> QIntProduct:
+    """The reduced product of a validated shape, refused at the odd-degree gate.
+
+    The row source of the symmetric sweep and the product of
+    `hecke_determinant`: no validation and no result record.
+    """
+    check_even_degree(shape)
+    return _reduced_walk(shape)
+
+
+def _reduced_walk(shape: tuple[int, ...]) -> QIntProduct:
+    """The GF(2) walk of a validated shape, of an even-degree one on its canonical orientation."""
+    if shape_record(shape).count_v2:
+        shape = min(shape, conjugate_partition(shape), key=lambda side: (len(side), side))
+    return _lattice_product(shape, True)
 
 
 def _subdiagram_count(shape: tuple[int, ...]) -> int:
@@ -394,5 +434,4 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
     """
     shape = check_partition(shape)
     check_int(q, "parameter q", 1)
-    check_even_degree(shape)
-    return HeckeDetResult(shape=shape, q=q, symbolic=det_poly_reduced(shape))
+    return HeckeDetResult(shape=shape, q=q, symbolic=hecke_row(shape))

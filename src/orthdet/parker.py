@@ -5,24 +5,33 @@ via q = 1, and sign pairs) over configurable ranges, recording failures as
 witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
-Each public sweep passes its row builder and its public determinant
-function to one sweep routine. The routine refuses an empty q list and an
-n_max that leaves no rows, and the GL sweeps validate every q up front.
-It then calls the determinant once per row, at the first q: that call
-validates the row's shapes and rejects an odd-degree character at the gate
-of `tableaux`, and evenness does not depend on q, so a refused row is
-skipped at every q.
+Each public sweep feeds one sweep routine with blocks of rows, each block
+with its number of even-degree rows and whether all its distinct products
+are odd at every odd q. The routine refuses an empty q list and an n_max
+that leaves no rows, and the GL sweeps validate every q up front.
 
-Rows keep the determinants' symbolic products, which come from the Hecke
-determinant's GF(2) walk: squarefree products of q-integers and a power of
-q. At odd q, a GL row's product and whether its degree is even do not
-depend on q, so `gl` builds them once per shape or pair. A row's parity
-at odd q is fixed by two q-free bits of its product (`odd_q_bits`): a row
-whose bits are (0, 0) is odd at every odd q, and any other row is decided
-q by q by `QIntProduct.parity_at`. Every (row, q) pair is counted, but a
-witness is built only for a failure or a printed row, and only printed
-rows are classified, which needs factorization; no row evaluates a degree
-at q or runs the full determinant polynomial.
+Rows read cached q-free products of enumerated, hence already valid,
+shapes (`gl.unipotent_row`, `hecke.hecke_row`), which reject an
+odd-degree character at the gate of `tableaux`; no row builds a result
+record or validates a shape again. The products come from the Hecke
+determinant's GF(2) walk: squarefree products of q-integers and a power
+of q. At odd q, a GL row's product and whether its degree is even do not
+depend on q. A row's parity at odd q is fixed by two q-free bits of its
+product (`odd_q_bits`): a row whose bits are (0, 0) is odd at every odd
+q, and any other row is decided q by q by `QIntProduct.parity_at`.
+
+Unipotent and symmetric blocks are single shapes. Sign pairs (lam, mu)
+come in one block per (n, l) with l = |lam|. The induction index has the
+parity of C(n, l): when it is even, every row of the block is trivial;
+when odd, a row is the unipotent row of its even-degree side, trivial
+when both sides are even, and refused when both are odd (the empty shape
+counts as odd). So the sweep does its work per shape, not per pair. Once
+the witnesses are full, a block whose distinct products all have bits
+(0, 0) is only counted; any other block is enumerated row by row, so
+failures and witnesses keep (row, q) order. Every (row, q) pair is
+counted, but a witness is built only for a failure or a printed row, and
+only printed rows are classified, which needs factorization; no row
+evaluates a degree at q or runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q through their 2-adic valuations. One walk over c keeps a
@@ -34,10 +43,12 @@ of digits long; `lemma_parity_check` is that walk over a single c.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
+from math import comb
 
 from .errors import NotIrrPlusError, check_int, record
-from .gl import as_odd_prime_power, sign_pair_determinant, unipotent_determinant
-from .hecke import QIntProduct, det_poly_reduced, hecke_determinant
+from .gl import as_odd_prime_power, unipotent_row
+from .hecke import QIntProduct, det_poly_reduced, hecke_row
 from .squareclass import Parity, SquareClass
 from .tableaux import check_even_degree, check_partition, enumerate_partitions
 
@@ -148,26 +159,75 @@ def _shapes_of(n: int) -> list[tuple[int, ...]]:
     return [()] if n == 0 else enumerate_partitions(n)
 
 
-def _all_shapes(n_max: int) -> list[tuple]:
-    return [(shape,) for n in range(2, n_max + 1) for shape in enumerate_partitions(n)]
+def _shape_blocks(n_max: int, row):
+    """One block per even-degree shape with 2 <= n <= n_max: its row `row(shape)`."""
+    for n in range(2, n_max + 1):
+        for shape in enumerate_partitions(n):
+            try:
+                symbolic = row(shape)
+            except NotIrrPlusError:
+                continue
+            yield 1, symbolic.odd_q_bits == (0, 0), (((shape,), symbolic),)
 
 
-def _all_sign_pairs(n_max: int) -> list[tuple]:
-    return [
-        (lam, mu)
-        for n in range(1, n_max + 1) for ell in range(n + 1)
-        for lam in _shapes_of(ell) for mu in _shapes_of(n - ell)
-    ]
+def _sign_pair_blocks(n_max: int):
+    """One block per (n, l) with 1 <= n <= n_max: the pairs (lam, mu) with |lam| = l.
+
+    Each size's shapes are read once, with their unipotent rows (None at
+    odd degree), the number of odd ones and whether every row's bits are
+    (0, 0). The products of a block are then known without enumerating it:
+    the trivial one, and with an odd index the rows of both sides.
+    """
+    one = QIntProduct.one()
+    sides = []
+    for m in range(n_max + 1):
+        rows = []
+        for shape in _shapes_of(m):
+            try:
+                rows.append((shape, unipotent_row(shape)))
+            except NotIrrPlusError:
+                rows.append((shape, None))
+        odd = sum(row is None for _, row in rows)
+        quiet = all(row.odd_q_bits == (0, 0) for _, row in rows if row is not None)
+        sides.append((rows, odd, quiet))
+    for n in range(1, n_max + 1):
+        for ell in range(n + 1):
+            (lams, odd_lams, quiet_lams), (mus, odd_mus, quiet_mus) = sides[ell], sides[n - ell]
+            pairs = len(lams) * len(mus)
+            # [n choose l]_x lies in Z[x], so at odd q its parity is that of C(n, l).
+            if comb(n, ell) % 2 == 0:
+                yield pairs, True, (((lam, mu), one) for (lam, _), (mu, _) in product(lams, mus))
+            else:
+                yield (pairs - odd_lams * odd_mus, quiet_lams and quiet_mus,
+                       _outer_product_rows(lams, mus, one))
 
 
-def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> ParityReport:
-    """The report `name` of `determinant(*shapes, q)` on each row of `build_rows(n_max)`.
+def _outer_product_rows(lams, mus, one):
+    """The rows of a block with an odd index: the classes of the outer products.
 
-    Rows are shape tuples: (shape,) for unipotent and symmetric, (lam, mu)
-    for sign pairs, and every q is odd. A row's symbolic product is the same
-    at every odd q, so the determinant runs once per row, at the first q. A
-    row with bits (0, 0) fails at no q; once the witnesses are full it is
-    only counted. Failures and the first `witness_limit` witnesses are
+    det(lam)^deg(mu) * det(mu)^deg(lam) is the row of the even side when
+    the other is odd, and trivial when both are even; a pair of odd sides
+    has odd degree and is refused, as `gl.sign_pair_determinant` does.
+    """
+    for lam, lam_row in lams:
+        for mu, mu_row in mus:
+            if lam_row is None:
+                if mu_row is not None:
+                    yield (lam, mu), mu_row
+            else:
+                yield (lam, mu), lam_row if mu_row is None else one
+
+
+def _sweep(name, first_n, blocks, n_max, q_values, witness_limit) -> ParityReport:
+    """The report `name` of the rows of `blocks`, whose rows start at n = first_n.
+
+    `blocks` yields (count, quiet, rows): the number of even-degree rows,
+    whether every distinct product among them has bits (0, 0), and the rows
+    as (shapes, symbolic) pairs in order: (shape,) for unipotent and
+    symmetric, (lam, mu) for sign pairs. Every q is odd, and a row's
+    product is the same at every odd q. Once the witnesses are full, a
+    quiet block is only counted, and so is a row with bits (0, 0), as it
+    fails at no q. Failures and the first `witness_limit` witnesses are
     listed in (row, q) order.
     """
     check_int(n_max, "n_max", 1)
@@ -177,27 +237,25 @@ def _sweep(name, build_rows, determinant, n_max, q_values, witness_limit) -> Par
         raise ValueError(f"the {name} sweep needs at least one value of q")
     if len(set(q_values)) != len(q_values):
         raise ValueError(f"q values must be distinct, got {list(q_values)}")
-    shape_rows = build_rows(n_max)
-    if not shape_rows:
+    if n_max < first_n:
         raise ValueError(f"n_max = {n_max} leaves the {name} sweep nothing to check")
     checked, failures, witnesses = 0, [], []
-    for shapes in shape_rows:
-        try:
-            symbolic = determinant(*shapes, q_values[0]).symbolic
-        except NotIrrPlusError:
+    for count, quiet, rows in blocks:
+        checked += count * len(q_values)
+        if quiet and len(witnesses) >= witness_limit:
             continue
-        checked += len(q_values)
-        if symbolic.odd_q_bits == (0, 0) and len(witnesses) >= witness_limit:
-            continue
-        for q in q_values:
-            failed = symbolic.parity_at(q) is not Parity.ODD
-            printed = len(witnesses) < witness_limit
-            if failed or printed:
-                row = ParityWitness(shapes, q, symbolic)
-                if failed:
-                    failures.append(row)
-                if printed:
-                    witnesses.append(row)
+        for shapes, symbolic in rows:
+            if symbolic.odd_q_bits == (0, 0) and len(witnesses) >= witness_limit:
+                continue
+            for q in q_values:
+                failed = symbolic.parity_at(q) is not Parity.ODD
+                printed = len(witnesses) < witness_limit
+                if failed or printed:
+                    row = ParityWitness(shapes, q, symbolic)
+                    if failed:
+                        failures.append(row)
+                    if printed:
+                        witnesses.append(row)
     return ParityReport(
         family=name,
         n_max=n_max,
@@ -212,7 +270,7 @@ def verify_parker_unipotent(
     n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree unipotent determinant classes up to n_max."""
-    return _sweep("unipotent", _all_shapes, unipotent_determinant, n_max,
+    return _sweep("unipotent", 2, _shape_blocks(n_max, unipotent_row), n_max,
                   (as_odd_prime_power(q).q for q in q_values), witness_limit)
 
 
@@ -220,7 +278,7 @@ def verify_parker_symmetric(
     n_max: int, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree symmetric group determinant classes up to n_max."""
-    return _sweep("symmetric", _all_shapes, hecke_determinant, n_max, (1,), witness_limit)
+    return _sweep("symmetric", 2, _shape_blocks(n_max, hecke_row), n_max, (1,), witness_limit)
 
 
 def verify_parker_sign_pairs(
@@ -231,5 +289,5 @@ def verify_parker_sign_pairs(
     Pairs run over (lam, mu) with |lam| + |mu| = n <= n_max, either side
     possibly empty (but not both); odd-degree characters are skipped.
     """
-    return _sweep("sign-pair", _all_sign_pairs, sign_pair_determinant, n_max,
+    return _sweep("sign-pair", 1, _sign_pair_blocks(n_max), n_max,
                   (as_odd_prime_power(q).q for q in q_values), witness_limit)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -243,11 +242,11 @@ def test_det_output_checks_the_walk(capsys, monkeypatch, argv, fmt):
                         lambda shape, mod2: QIntProduct(1, ((5, 1),)) if mod2 else walk(shape, mod2))
     # A row cached by an earlier test would bypass the patched walk, and a
     # row cached here would carry the wrong walk into later tests.
-    gl._unipotent_row.cache_clear()
+    gl.unipotent_row.cache_clear()
     try:
         code, out, err = run(capsys, *argv, "--format", fmt)
     finally:
-        gl._unipotent_row.cache_clear()
+        gl.unipotent_row.cache_clear()
     assert code == 2
     assert out == ""
     assert err.startswith("invariant violation:") and "GF(2) walk of (3, 1, 1)" in err
@@ -284,15 +283,13 @@ def test_verify_parker_rejects_q_on_the_rows(capsys, jobs):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_parker_reports_a_parity_failure(capsys, monkeypatch, fmt):
-    real = parker.unipotent_determinant
+    real = parker.unipotent_row
 
-    def even_at_21(shape, q):
-        if tuple(shape) != (2, 1):
-            return real(shape, q)
+    def even_at_21(shape):
         # [2]_q, which is 6 at q = 5: an even class.
-        return SimpleNamespace(symbolic=QIntProduct(0, ((2, 1),)))
+        return QIntProduct(0, ((2, 1),)) if shape == (2, 1) else real(shape)
 
-    monkeypatch.setattr(parker, "unipotent_determinant", even_at_21)
+    monkeypatch.setattr(parker, "unipotent_row", even_at_21)
     code, out, err = run(capsys, "verify-parker", "--n-max", "3", "--q", "5", "--format", fmt)
     assert code == 2
     assert err.count("PARITY FAILURE:") == 1

@@ -279,7 +279,7 @@ def test_sign_pair_rejects_odd_total_degree():
 
 def _clear_shape_records():
     tableaux.shape_record.cache_clear()
-    gl._unipotent_row.cache_clear()
+    gl.unipotent_row.cache_clear()
     gl._sign_pair_row.cache_clear()
 
 
@@ -314,7 +314,7 @@ def test_warm_caches_still_refuse_bools_and_floats():
     unipotent_degree((2, 1), 3)
     unipotent_determinant((2, 1), 3)
     sign_pair_determinant((2, 1), (1,), 3)
-    for cache in (tableaux.shape_record, gl._unipotent_row, gl._sign_pair_row):
+    for cache in (tableaux.shape_record, gl.unipotent_row, gl._sign_pair_row):
         assert cache.cache_info().currsize > 0
     calls = [
         (unipotent_degree, ((2, True), 3)),

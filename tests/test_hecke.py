@@ -174,6 +174,33 @@ def test_walk_matches_the_reduced_full_product():
     assert det_poly_reduced(()) == QIntProduct.one()
 
 
+def test_conjugate_shapes_share_one_walk(monkeypatch):
+    # Every even shape with n <= 14 and its conjugate, walked from cold
+    # caches, give one reduced product; det_poly_reduced of either reads
+    # only the walk of the canonical orientation: fewer rows, then the
+    # lexicographically smaller.
+    walk = hecke._lattice_product
+    walked = []
+    monkeypatch.setattr(hecke, "_lattice_product",
+                        lambda shape, mod2: walked.append((shape, mod2)) or walk(shape, mod2))
+    shapes = [shape for shape in _all_partitions(14) if tableaux.shape_record(shape).count_v2]
+    assert len(shapes) == 302
+    pairs = 0
+    for shape in shapes:
+        conjugate = tableaux.conjugate_partition(shape)
+        canonical = min(shape, conjugate, key=lambda side: (len(side), side))
+        pairs += shape != conjugate
+        walk.cache_clear()
+        assert walk(shape, True) == walk(conjugate, True), shape
+        walked.clear()
+        assert det_poly_reduced(shape) == det_poly_reduced(conjugate) == walk(shape, True)
+        assert walked == [(canonical, True)] * 2, shape
+    assert pairs == 280  # 140 conjugate pairs, each met from both sides
+    # At odd degree the orientations differ, and each shape walks its own.
+    assert det_poly_reduced((3, 1)) == QIntProduct(1, ((3, 1),))
+    assert det_poly_reduced((2, 1, 1)) == QIntProduct(1, ((2, 1), (4, 1)))
+
+
 def test_walk_guard_counts_visited_states(monkeypatch):
     # (2, 1) keeps 5 states on its two passes, (2, 2) keeps 6, times 2 rows.
     monkeypatch.setattr(hecke, "MAX_SUBDIAGRAM_ROWS", 10)

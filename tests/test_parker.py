@@ -1,6 +1,4 @@
 import json
-from types import SimpleNamespace
-
 import pytest
 
 from orthdet import gl, hecke, parker, tableaux
@@ -229,32 +227,77 @@ def test_sweep_rejects_an_empty_q_list(sweep):
         sweep(5, [])
 
 
-@pytest.mark.parametrize("sweep, determinant_name", [
-    pytest.param(verify_parker_unipotent, "unipotent_determinant", id="unipotent"),
-    pytest.param(verify_parker_sign_pairs, "sign_pair_determinant", id="sign-pair"),
-])
-def test_sweep_refuses_each_odd_row_once(monkeypatch, sweep, determinant_name):
-    # Evenness does not depend on q, so a refused row is skipped at its other q.
-    determinant = getattr(parker, determinant_name)
-    called, refused = set(), []
+def _shapes_of(n):
+    return [()] if n == 0 else tableaux.enumerate_partitions(n)
 
-    def recording(*args):
-        called.add(args[:-1])
+
+def _all_shapes(n_max):
+    """The rows (shape,) of the unipotent and symmetric sweeps, odd degrees included."""
+    return [(shape,) for n in range(2, n_max + 1) for shape in tableaux.enumerate_partitions(n)]
+
+
+def _all_sign_pairs(n_max):
+    """Every sign pair (lam, mu) with 1 <= |lam| + |mu| <= n_max, in sweep order."""
+    return [
+        (lam, mu)
+        for n in range(1, n_max + 1) for ell in range(n + 1)
+        for lam in _shapes_of(ell) for mu in _shapes_of(n - ell)
+    ]
+
+
+def _even_sign_pair_rows(pairs):
+    """(pair, symbolic) for each pair that `gl` does not refuse, read pair by pair."""
+    rows = []
+    for lam, mu in pairs:
         try:
-            return determinant(*args)
+            rows.append(((lam, mu), gl._sign_pair_row(lam, mu)[0]))
         except NotIrrPlusError:
-            refused.append(args[:-1])
+            continue
+    return rows
+
+
+@pytest.fixture
+def patch_row(monkeypatch):
+    """Patch a row source where both `parker` and the public determinants read it.
+
+    `gl` caches its sign-pair rows, so the cache is cleared around the patch.
+    """
+    def patch(module, name, row):
+        monkeypatch.setattr(module, name, row)
+        monkeypatch.setattr(parker, name, row)
+
+    gl._sign_pair_row.cache_clear()
+    yield patch
+    gl._sign_pair_row.cache_clear()
+
+
+@pytest.mark.parametrize("sweep, first_n", [
+    pytest.param(verify_parker_unipotent, 2, id="unipotent"),
+    pytest.param(verify_parker_sign_pairs, 0, id="sign-pair"),
+])
+def test_sweep_refuses_each_odd_row_once(monkeypatch, sweep, first_n):
+    # The row source is the odd-degree gate, read once per shape: evenness
+    # does not depend on q, so a refused shape is skipped at its other q.
+    real = parker.unipotent_row
+    called, refused = [], []
+
+    def recording(shape):
+        called.append(shape)
+        try:
+            return real(shape)
+        except NotIrrPlusError:
+            refused.append(shape)
             raise
 
-    monkeypatch.setattr(parker, determinant_name, recording)
+    monkeypatch.setattr(parker, "unipotent_row", recording)
     report = sweep(8, [3, 5, 7])
-    assert report.ok and len(refused) == len(set(refused)) > 0
-    assert report.checked == 3 * (len(called) - len(refused))
+    shapes = [shape for n in range(first_n, 9) for shape in _shapes_of(n)]
+    assert report.ok and called == shapes
+    assert refused == [shape for shape in shapes if tableaux.syt_count(shape) % 2]
     if sweep is verify_parker_unipotent:
-        assert sorted(refused) == sorted(
-            (shape,) for n in range(2, 9) for shape in tableaux.enumerate_partitions(n)
-            if tableaux.syt_count(shape) % 2
-        )
+        assert report.checked == 3 * (len(called) - len(refused))
+    else:
+        assert report.checked == 3 * len(_even_sign_pair_rows(_all_sign_pairs(8)))
 
 
 def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
@@ -268,7 +311,7 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
     monkeypatch.setattr(tableaux, "hook_lengths", counting_hook_lengths)
     tableaux.shape_record.cache_clear()
     hecke._lattice_product.cache_clear()
-    gl._unipotent_row.cache_clear()
+    gl.unipotent_row.cache_clear()
     report = verify_parker_unipotent(8, [3, 5, 7])
     assert report.ok and report.checked > len(set(shapes)) > 0
     assert len(shapes) == len(set(shapes))
@@ -286,7 +329,7 @@ def test_unipotent_sweep_evaluates_no_degree(monkeypatch):
 
     monkeypatch.setattr(gl, "_degree_and_exponent", counting)
     tableaux.shape_record.cache_clear()
-    gl._unipotent_row.cache_clear()
+    gl.unipotent_row.cache_clear()
     q_values = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59]
     report = verify_parker_unipotent(8, q_values)
     assert report.ok and report.checked > 0
@@ -342,19 +385,19 @@ def _per_q_report(name, build_rows, determinant, n_max, q_values, witness_limit)
 
 
 FAMILIES = [
-    pytest.param(verify_parker_unipotent, "unipotent", parker._all_shapes,
-                 "unipotent_determinant", 10, V2_QS, id="unipotent"),
-    pytest.param(verify_parker_sign_pairs, "sign-pair", parker._all_sign_pairs,
-                 "sign_pair_determinant", 7, V2_QS, id="sign-pair"),
-    pytest.param(_symmetric, "symmetric", parker._all_shapes,
-                 "hecke_determinant", 10, (1,), id="symmetric"),
+    pytest.param(verify_parker_unipotent, "unipotent", _all_shapes, gl.unipotent_determinant,
+                 (gl, "unipotent_row"), 10, V2_QS, id="unipotent"),
+    pytest.param(verify_parker_sign_pairs, "sign-pair", _all_sign_pairs, gl.sign_pair_determinant,
+                 (gl, "unipotent_row"), 7, V2_QS, id="sign-pair"),
+    pytest.param(_symmetric, "symmetric", _all_shapes, hecke.hecke_determinant,
+                 (hecke, "hecke_row"), 10, (1,), id="symmetric"),
 ]
+FAMILY_ARGS = "sweep, name, build_rows, determinant, row_source, n_max, q_values"
 
 
-@pytest.mark.parametrize("sweep, name, build_rows, determinant_name, n_max, q_values", FAMILIES)
-def test_bits_driven_sweep_equals_the_per_q_loop(sweep, name, build_rows, determinant_name,
-                                                 n_max, q_values):
-    determinant = getattr(parker, determinant_name)
+@pytest.mark.parametrize(FAMILY_ARGS, FAMILIES)
+def test_bits_driven_sweep_equals_the_per_q_loop(sweep, name, build_rows, determinant,
+                                                 row_source, n_max, q_values):
     report = sweep(n_max, q_values, witness_limit=30)
     reference = _per_q_report(name, build_rows, determinant, n_max, q_values, 30)
     assert report.ok and report.checked > 30
@@ -362,20 +405,22 @@ def test_bits_driven_sweep_equals_the_per_q_loop(sweep, name, build_rows, determ
     assert report.to_json() == reference.to_json()
 
 
-@pytest.mark.parametrize("sweep, name, build_rows, determinant_name, n_max, q_values", FAMILIES)
-def test_bits_driven_sweep_finds_the_per_q_failures(monkeypatch, sweep, name, build_rows,
-                                                    determinant_name, n_max, q_values):
-    # Every row times [2]_x or [4]_x: even classes at odd or at even
-    # v2(q + 1), so failures fall in every class and in most rows.
-    determinant = getattr(parker, determinant_name)
+@pytest.mark.parametrize(FAMILY_ARGS, FAMILIES)
+def test_bits_driven_sweep_finds_the_per_q_failures(patch_row, sweep, name, build_rows,
+                                                    determinant, row_source, n_max, q_values):
+    # Every shape's row times [2]_x or [4]_x: even classes at odd or at even
+    # v2(q + 1), so failures fall in every class and in most rows. The
+    # public determinants read the patched row source too.
+    module, row_name = row_source
+    real = getattr(module, row_name)
 
-    def perturbed(*args):
-        k = 2 + 2 * (len(args[0]) % 2)
-        return SimpleNamespace(symbolic=determinant(*args).symbolic * QIntProduct(0, ((k, 1),)))
+    def perturbed(shape):
+        k = 2 + 2 * (len(shape) % 2)
+        return real(shape) * QIntProduct(0, ((k, 1),))
 
-    monkeypatch.setattr(parker, determinant_name, perturbed)
+    patch_row(module, row_name, perturbed)
     report = sweep(n_max, q_values, witness_limit=50)
-    reference = _per_q_report(name, build_rows, perturbed, n_max, q_values, 50)
+    reference = _per_q_report(name, build_rows, determinant, n_max, q_values, 50)
     assert report.failures and report == reference
     if len(q_values) > 1:
         assert {two_adic_valuation(w.q + 1) for w in report.failures} == set(range(1, 8))
@@ -384,30 +429,27 @@ def test_bits_driven_sweep_finds_the_per_q_failures(monkeypatch, sweep, name, bu
 EVEN_ROWS = ((2, 1), (2, 2))
 
 
-def _patch_even_rows(monkeypatch, symbolic, calls=None):
-    """Patch the unipotent rows (2, 1) and (2, 2) to the product `symbolic`."""
-    real = parker.unipotent_determinant
+def _patch_even_rows(patch_row, symbolic, calls=None):
+    """Patch the unipotent rows of (2, 1) and (2, 2) to the product `symbolic`."""
+    real = gl.unipotent_row
 
-    def patched(shape, q):
+    def patched(shape):
         if calls is not None:
-            calls.append((shape, q))
-        if tuple(shape) in EVEN_ROWS:
-            return SimpleNamespace(symbolic=symbolic)
-        return real(shape, q)
+            calls.append(shape)
+        return symbolic if shape in EVEN_ROWS else real(shape)
 
-    monkeypatch.setattr(parker, "unipotent_determinant", patched)
-    return patched
+    patch_row(gl, "unipotent_row", patched)
 
 
-def _even_at_odd_v2(monkeypatch, calls=None):
+def _even_at_odd_v2(patch_row, calls=None):
     """Patch the rows (2, 1) and (2, 2) to [2]_x, even iff v2(q + 1) is odd."""
-    return _patch_even_rows(monkeypatch, QIntProduct(0, ((2, 1),)), calls)
+    _patch_even_rows(patch_row, QIntProduct(0, ((2, 1),)), calls)
 
 
-def test_a_constructed_even_row_fails_at_odd_v2(monkeypatch, capsys):
-    patched = _even_at_odd_v2(monkeypatch)
+def test_a_constructed_even_row_fails_at_odd_v2(patch_row, capsys):
+    _even_at_odd_v2(patch_row)
     report = verify_parker_unipotent(6, V2_QS)
-    reference = _per_q_report("unipotent", parker._all_shapes, patched, 6, V2_QS, 8)
+    reference = _per_q_report("unipotent", _all_shapes, gl.unipotent_determinant, 6, V2_QS, 8)
     expected = [((shape,), q) for shape in EVEN_ROWS for q in V2_QS
                 if two_adic_valuation(q + 1) % 2]
     assert [(w.shapes, w.q) for w in report.failures] == expected
@@ -434,12 +476,12 @@ def test_odd_q_bits_of_constructed_products(mults, bits):
     assert QIntProduct(1, mults).odd_q_bits == bits
 
 
-def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(monkeypatch, capsys):
+def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(patch_row, capsys):
     # [2]_x [4]_x has a = 0 and b = 1: even at every odd q, q = 1 included.
     product = QIntProduct(0, ((2, 1), (4, 1)))
-    patched = _patch_even_rows(monkeypatch, product)
+    _patch_even_rows(patch_row, product)
     report = verify_parker_unipotent(6, V2_QS)
-    reference = _per_q_report("unipotent", parker._all_shapes, patched, 6, V2_QS, 8)
+    reference = _per_q_report("unipotent", _all_shapes, gl.unipotent_determinant, 6, V2_QS, 8)
     expected = [((shape,), q) for shape in EVEN_ROWS for q in V2_QS]
     assert [(w.shapes, w.q) for w in report.failures] == expected
     assert report == reference
@@ -452,11 +494,64 @@ def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(monkeypatch, capsy
         f"PARITY FAILURE: {json.dumps(w.to_json(), sort_keys=True)}" for w in reference.failures
     ]
 
-    real = parker.hecke_determinant
-    monkeypatch.setattr(parker, "hecke_determinant", lambda shape, q: (
-        SimpleNamespace(symbolic=product) if shape in EVEN_ROWS else real(shape, q)))
+    real = hecke.hecke_row
+    patch_row(hecke, "hecke_row", lambda shape: product if shape in EVEN_ROWS else real(shape))
     report = verify_parker_symmetric(6)
     assert [(w.shapes, w.q) for w in report.failures] == [((shape,), 1) for shape in EVEN_ROWS]
+
+
+@pytest.mark.parametrize("limit", [0, 3])
+def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(patch_row, limit):
+    # [2]_x as the row of (2, 2) clears the (0, 0) bits of every block with
+    # (2, 2) on a side: each is enumerated although the witnesses are full,
+    # and its failures come in (row, q) order. With an even index (C(8, 4))
+    # or an even partner the row stays trivial.
+    real = gl.unipotent_row
+    patch_row(gl, "unipotent_row",
+              lambda shape: QIntProduct(0, ((2, 1),)) if shape == (2, 2) else real(shape))
+    report = verify_parker_sign_pairs(8, V2_QS, witness_limit=limit)
+    reference = _per_q_report("sign-pair", _all_sign_pairs, gl.sign_pair_determinant,
+                              8, V2_QS, limit)
+    assert report == reference and len(report.witnesses) == limit
+    failing = {w.shapes for w in report.failures}
+    assert {((), (2, 2)), ((2, 2), ()), ((2, 2), (3,)), ((1, 1, 1), (2, 2))} <= failing
+    assert ((2, 2), (4,)) not in failing and ((2, 2), (2, 1)) not in failing
+    assert {two_adic_valuation(w.q + 1) % 2 for w in report.failures} == {1}
+
+
+def test_sign_pair_blocks_match_the_per_pair_rows():
+    # Each (n, l) block's count, bits and rows, against `gl` pair by pair.
+    keys = [(n, ell) for n in range(1, 13) for ell in range(n + 1)]
+    blocks = list(parker._sign_pair_blocks(12))
+    assert len(blocks) == len(keys)
+    for (n, ell), (count, quiet, rows) in zip(keys, blocks):
+        pairs = [(lam, mu) for lam in _shapes_of(ell) for mu in _shapes_of(n - ell)]
+        expected = _even_sign_pair_rows(pairs)
+        assert list(rows) == expected and count == len(expected), (n, ell)
+        assert quiet is all(symbolic.odd_q_bits == (0, 0) for _, symbolic in expected)
+
+
+def test_sign_pair_sweep_counts_every_even_pair():
+    # Blocks are counted without being enumerated once the witnesses are full.
+    assert verify_parker_sign_pairs(10, [3, 5, 7, 9]).checked == 3872
+    pairs = _all_sign_pairs(16)
+    assert verify_parker_sign_pairs(16, [3]).checked == len(_even_sign_pair_rows(pairs))
+
+
+def test_sweeps_build_no_result_records(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        pytest.fail(f"built a {type(self).__name__}")
+
+    for cls in (gl.GlDetResult, hecke.HeckeDetResult):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    reports = [verify_parker_symmetric(9, witness_limit=20),
+               verify_parker_unipotent(8, [3, 5], witness_limit=20),
+               verify_parker_sign_pairs(7, [3, 5], witness_limit=20)]
+    for report in reports:
+        assert report.ok and report.checked > 20
+        assert len([w.to_json() for w in report.witnesses]) == 20
+    with pytest.raises(pytest.fail.Exception, match="built a GlDetResult"):
+        gl.unipotent_determinant((2, 1), 3)
 
 
 def test_parker_holds_at_every_odd_q_up_to_18():
@@ -467,21 +562,17 @@ def test_parker_holds_at_every_odd_q_up_to_18():
     assert len(shapes) == 1263
     for shape in shapes:
         assert hecke.det_poly_reduced(shape).odd_q_bits == (0, 0), shape
-        assert gl._unipotent_row(shape)[0].odd_q_bits == (0, 0), shape
-    unipotent_rows = {gl._unipotent_row(shape)[0] for shape in shapes}
-    for lam, mu in parker._all_sign_pairs(8):
-        try:
-            symbolic = gl._sign_pair_row(lam, mu)[0]
-        except NotIrrPlusError:
-            continue
+        assert gl.unipotent_row(shape).odd_q_bits == (0, 0), shape
+    unipotent_rows = {gl.unipotent_row(shape) for shape in shapes}
+    for (lam, mu), symbolic in _even_sign_pair_rows(_all_sign_pairs(8)):
         assert symbolic == QIntProduct.one() or symbolic in unipotent_rows, (lam, mu)
 
 
-def test_sweep_runs_the_determinant_once_per_row(monkeypatch):
-    # Twenty odd q: one determinant call per row, at the first q, and a
-    # witness built only for a failure or a printed row.
+def test_sweep_runs_the_determinant_once_per_row(patch_row, monkeypatch):
+    # Twenty odd q: one row-source call per shape, and a witness built only
+    # for a failure or a printed row.
     calls, built = [], []
-    _even_at_odd_v2(monkeypatch, calls)
+    _even_at_odd_v2(patch_row, calls)
 
     def counting_witness(*args):
         built.append(ParityWitness(*args))
@@ -490,9 +581,9 @@ def test_sweep_runs_the_determinant_once_per_row(monkeypatch):
     monkeypatch.setattr(parker, "ParityWitness", counting_witness)
     q_values = [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59]
     report = verify_parker_unipotent(8, q_values, witness_limit=3)
-    assert calls == [(shape, 3) for (shape,) in parker._all_shapes(8)]
+    assert calls == [shape for (shape,) in _all_shapes(8)]
     assert report.checked > 20 * len(EVEN_ROWS)
     assert len(report.failures) == 13 * len(EVEN_ROWS)  # v2(q + 1) is odd at 13 of the q
     assert len(report.witnesses) == 3
-    assert {id(w) for w in built} == {id(w) for w in report.failures + report.witnesses}
+    assert {id(w) for w in report.failures + report.witnesses} == {id(w) for w in built}
     assert len(built) == 13 * len(EVEN_ROWS) + 1  # (2, 1) at 3 is printed but odd

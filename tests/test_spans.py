@@ -33,7 +33,10 @@ def test_every_traced_target_resolves():
     assert spans.TARGETS and missing == []
 
 
-def test_sweeps_show_their_determinant_functions():
+def test_sweeps_bypass_the_traced_determinants():
+    # Sweep rows come from the cached row sources `gl.unipotent_row` and
+    # `hecke.hecke_row`, which no target wraps: the sweeps show as their
+    # own spans, and the determinant spans stay empty.
     tracer = _spans().Tracer()
     tracer.install()
     try:
@@ -43,5 +46,7 @@ def test_sweeps_show_their_determinant_functions():
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"gl.unipotent_determinant", "gl.sign_pair_determinant",
-            "hecke.hecke_determinant"} <= names
+    assert {"parker.verify_parker_unipotent", "parker.verify_parker_symmetric",
+            "parker.verify_parker_sign_pairs"} <= names
+    assert not names & {"gl.unipotent_determinant", "gl.sign_pair_determinant",
+                        "hecke.hecke_determinant"}

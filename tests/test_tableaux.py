@@ -198,7 +198,7 @@ def _count_off_by_one(monkeypatch, shape, d):
         return found._replace(multiplicities=multiplicities)
 
     monkeypatch.setattr(tableaux, "shape_record", record)
-    for cache in (tableaux._build_graph, hecke._lattice_product, gl._unipotent_row):
+    for cache in (tableaux._build_graph, hecke._lattice_product, gl.unipotent_row):
         cache.cache_clear()
 
 
@@ -224,7 +224,7 @@ def test_sweeps_form_no_count(monkeypatch):
     # forms a count, for its degree or for the GF(2) walk.
     monkeypatch.setattr(hecke, "syt_count", lambda shape: pytest.fail(f"counted {shape}"))
     hecke._lattice_product.cache_clear()
-    gl._unipotent_row.cache_clear()
+    gl.unipotent_row.cache_clear()
     for report in (parker.verify_parker_symmetric(9),
                    parker.verify_parker_unipotent(9, [3, 5, 9])):
         assert report.ok and report.checked > 0
