@@ -16,12 +16,13 @@ do not depend on q. The shape record of `tableaux` proves, for every q at
 once, that the q-hook degree and the q-power exponent are integers, and
 gives the parities of the tableau count and of the exponent at odd q in
 closed form. `unipotent_row` builds a shape's q-free product from it once,
-cached on a validated shape; the unipotent and sign-pair sweeps of
-`parker` read it directly, with no result record, and derive every
-sign-pair row from it. The public determinants validate their arguments
-and wrap the same products in a result record. The exact degree and
-exponent at q are evaluated from the record, and checked against it, only
-when a result prints them.
+cached on a validated shape. `sign_pair_row` is the one copy of the
+sign-pair rule: the index parity, the outer-product power rule and the
+refusal of a pair of odd sides, on the cached unipotent rows. The sweeps
+of `parker` read both row sources directly, with no result record; the
+public determinants validate their arguments and wrap the same products
+in a result record. The exact degree and exponent at q are evaluated from
+the record, and checked against it, only when a result prints them.
 
 Classes come from the Hecke determinant's lattice walk in GF(2) mode
 (`det_poly_reduced`); the full product of a unipotent character, from the
@@ -217,41 +218,43 @@ def unipotent_row(shape: tuple[int, ...]) -> QIntProduct:
 def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     """Determinant class of the induced sign-pair character for (lam, mu).
 
-    The parabolic induction index is the Gaussian binomial [n choose l]_q,
-    whose parity at odd q is that of C(n, l): when even, the determinant
-    class is trivial outright; when odd, the class is inherited from the
-    outer product, i.e. the unipotent class of the even-degree component
-    raised to the other component's degree. The sign twist never changes a
-    determinant class.
+    `symbolic` is `sign_pair_row`; `parts` are the induction index, trivial
+    in class, and with an odd index the outer product. The sign twist never
+    changes a determinant class.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     pp = as_odd_prime_power(q)
     if not lam and not mu:
         raise ValueError("at least one of the two partitions must be non-empty")
-    symbolic, parts = _sign_pair_row(lam, mu)
+    symbolic = sign_pair_row(lam, mu)
+    parts = (("induction", QIntProduct.one()),)
+    if comb(sum(lam) + sum(mu), sum(lam)) % 2:
+        parts += (("outer-product", symbolic),)
     return GlDetResult(kind="sign-pair", shapes=(lam, mu), q=pp, symbolic=symbolic, parts=parts)
 
 
-@lru_cache(maxsize=None)
-def _sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[QIntProduct, tuple]:
-    """`symbolic` and `parts` of a validated sign pair at every odd q."""
+def sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> QIntProduct:
+    """The product of a validated sign pair at every odd q, refused at odd degree.
+
+    The parabolic induction index is the Gaussian binomial [n choose l]_x,
+    which lies in Z[x], so at odd q its parity is that of C(n, l): when
+    even, the class is trivial outright. When odd, it is the class of the
+    outer product, det(lam)^deg(mu) * det(mu)^deg(lam): the unipotent row
+    of the even side when the other is odd, trivial when both are even,
+    and a pair of odd sides has odd degree. The row source of the
+    sign-pair sweep and the `symbolic` of `sign_pair_determinant`.
+    """
     ell = sum(lam)
-    # [n choose ell]_x lies in Z[x], so at odd q its parity is that of C(n, ell).
-    odd_index = comb(ell + sum(mu), ell) % 2
+    if comb(ell + sum(mu), ell) % 2 == 0:
+        return QIntProduct.one()
     odd_lam, odd_mu = not shape_record(lam).count_v2, not shape_record(mu).count_v2
-    if odd_index and odd_lam and odd_mu:
+    if odd_lam and odd_mu:
         raise NotIrrPlusError(
             f"sign pair {lam} | {mu} has odd degree at odd q: not orthogonally stable"
         )
-    one = QIntProduct.one()
-    if not odd_index:
-        return one, (("induction", one),)
-    # det(lam)^deg(mu) * det(mu)^deg(lam), the class of the outer product;
-    # with an odd index and an even degree, at most one degree is odd.
-    symbolic = one
     if odd_mu:
-        symbolic = unipotent_row(lam)
+        return unipotent_row(lam)
     if odd_lam:
-        symbolic = unipotent_row(mu)
-    return symbolic, (("induction", one), ("outer-product", symbolic))
+        return unipotent_row(mu)
+    return QIntProduct.one()

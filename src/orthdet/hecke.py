@@ -252,24 +252,20 @@ def det_poly_reduced(shape) -> QIntProduct:
     they differ ((3, 1) gives x [3], (2, 1, 1) gives x [2] [4]), so such a
     shape is walked as given.
     """
-    return _reduced_walk(check_partition(shape))
-
-
-def hecke_row(shape: tuple[int, ...]) -> QIntProduct:
-    """The reduced product of a validated shape, refused at the odd-degree gate.
-
-    The row source of the symmetric sweep and the product of
-    `hecke_determinant`: no validation and no result record.
-    """
-    check_even_degree(shape)
-    return _reduced_walk(shape)
-
-
-def _reduced_walk(shape: tuple[int, ...]) -> QIntProduct:
-    """The GF(2) walk of a validated shape, of an even-degree one on its canonical orientation."""
+    shape = check_partition(shape)
     if shape_record(shape).count_v2:
         shape = min(shape, conjugate_partition(shape), key=lambda side: (len(side), side))
     return _lattice_product(shape, True)
+
+
+def hecke_row(shape: tuple[int, ...]) -> QIntProduct:
+    """`det_poly_reduced` of a validated shape, refused at the odd-degree gate.
+
+    The row source of the symmetric sweep and the product of
+    `hecke_determinant` and `parker.parity_bridge_check`: no result record.
+    """
+    check_even_degree(shape)
+    return det_poly_reduced(shape)
 
 
 def _subdiagram_count(shape: tuple[int, ...]) -> int:

@@ -17,16 +17,17 @@ formula's square class is a perfect-square test (`SquareClass.contains`). Agreem
 with the polynomial formula is the package's central cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
-partner, so it is stored as its sparse columns (see `linalg`), times one
-common scale that makes every entry an integer; all arithmetic here is on
-ints. The certificates read each generator's columns into block arrays
-(diagonal entry, swap partner, off-diagonal entry) and check, with 1x1 and
-2x2 arithmetic, the quadratic, braid and commutation relations (as each
+partner, so it is stored once, as block arrays (diagonal entry, swap
+partner, off-diagonal entry) written from the tableau graph's edges, times
+one common scale that makes every entry an integer; all arithmetic here is
+on ints. The certificates read the arrays and check, with 1x1 and 2x2
+arithmetic, the quadratic, braid and commutation relations (as each
 module is built, so a bad block formula can never propagate silently),
-the form's invariance and the Jucys-Murphy recursion. `linalg.mat_mul` is
-left for word images and the trace-pairing check on the regular module.
-The one dense list is the skew route's running sum, passed to the
-determinant row by row.
+the form's invariance and the Jucys-Murphy recursion. Word images turn
+each generator into its sparse columns (see `linalg`) and multiply them
+with `linalg.mat_mul`, the one product, as does the trace-pairing check
+on the regular module. The one dense list is the skew route's running
+sum, passed to the determinant row by row.
 """
 
 from __future__ import annotations
@@ -87,20 +88,25 @@ def _perm_length(a: tuple[int, ...]) -> int:
 
 # --- seminormal representations ---------------------------------------------
 
+Blocks = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
 @record
 class SeminormalRep:
     """Generators of one irreducible module on the tableau basis.
 
-    Generator i is stored as the integer columns (see `linalg`) of scale * T_i,
-    scale = lcm([k]_q^2 for 2 <= k <= n-1): column b holds the entries at
-    tableau b and at its swap partner, if any; `word_image(rep, [i])` returns them.
+    Generator i is M = scale * T_i, scale = lcm([k]_q^2 for 2 <= k <= n-1),
+    stored only as its block arrays (a, p, b), one entry per tableau: column
+    t of M is a[t] e_t + b[t] e_p[t], with p[t] = t and b[t] = 0 in a 1x1
+    block. Every certificate reads these arrays; `word_image(rep, [i])`
+    returns M as columns.
     """
 
     shape: tuple[int, ...]
     q: int
     scale: int
     graph: TableauGraph
-    generators: tuple[Columns, ...]
+    generators: tuple[Blocks, ...]
 
     @property
     def dim(self) -> int:
@@ -144,54 +150,49 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     n = sum(shape)
     qint = {k: q_int(k)(q) for k in range(1, n + 1)}
     scale = lcm(*(qint[k] ** 2 for k in range(2, n)))
+    a = [[0] * graph.size for _ in range(1, n)]
+    p = [list(range(graph.size)) for _ in range(1, n)]
+    b = [[0] * graph.size for _ in range(1, n)]
     # The 2x2 blocks: s_k moves lo up one step to hi, so k lies above k+1 in lo.
-    blocks = {}
     for lo, hi, k in graph.edges:
         t = graph.nodes[lo]
         e = t.content(k) - t.content(k + 1)
         if e < 2:
             raise InvariantViolation(f"axial distance {e} on the edge s_{k} from {t!r}")
         down = scale * q * qint[e - 1] * qint[e + 1] // qint[e] ** 2
-        blocks[k, lo] = ((lo, -scale // qint[e]), (hi, down))
-        blocks[k, hi] = ((lo, scale), (hi, scale * q**e // qint[e]))
-    generators = tuple(
-        tuple(
-            blocks.get((k, idx))
-            or ((idx, q * scale if t.position(k)[0] == t.position(k + 1)[0] else -scale),)
-            for idx, t in enumerate(graph.nodes)
-        )
-        for k in range(1, n)
-    )
+        ak, pk, bk = a[k - 1], p[k - 1], b[k - 1]
+        ak[lo], pk[lo], bk[lo] = -scale // qint[e], hi, down
+        ak[hi], pk[hi], bk[hi] = scale * q**e // qint[e], lo, scale
+    # The 1x1 blocks: k and k+1 in one row or in one column.
+    for k, (ak, pk) in enumerate(zip(a, p), start=1):
+        for idx, t in enumerate(graph.nodes):
+            if pk[idx] == idx:
+                ak[idx] = q * scale if t.position(k)[0] == t.position(k + 1)[0] else -scale
+    generators = tuple(tuple(map(tuple, arrays)) for arrays in zip(a, p, b))
     rep = SeminormalRep(shape=shape, q=q, scale=scale, graph=graph, generators=generators)
     verify_relations(rep)
     return rep
 
 
-def _blocks(rep: SeminormalRep) -> list[tuple[list[int], list[int], list[int]]]:
-    """Each generator's columns read once as block arrays (a, p, b), one entry per tableau.
+def _blocks(rep: SeminormalRep) -> tuple[Blocks, ...]:
+    """The generators' block arrays, once each is checked to pair tableaux both ways.
 
-    Column t of M = scale * T_k is a[t] e_t + b[t] e_p[t], with p[t] = t and
-    b[t] = 0 in a 1x1 block. Raises InvariantViolation for any other column
-    and for a partner map p that is not an involution.
+    As every certificate assumes, each partner map p must be an involution
+    with b[t] != 0 exactly where p[t] != t; InvariantViolation otherwise.
     """
-    where = f"{rep.shape} at q={rep.q}"
-    blocks = []
-    for k, columns in enumerate(rep.generators, start=1):
-        a, p, b = [0] * rep.dim, list(range(rep.dim)), [0] * rep.dim
-        for t, column in enumerate(columns):
-            for r, v in column:
-                if r == t:
-                    a[t] = v
-                elif p[t] == t and v:
-                    p[t], b[t] = r, v
-                else:
-                    raise InvariantViolation(
-                        f"column {t} of s_{k} on {where} is not a 1x1 or 2x2 block"
-                    )
-        if bad := [(t, u) for t, u in enumerate(p) if p[u] != t]:
-            raise InvariantViolation(f"s_{k} on {where} pairs tableaux {bad[0]} one way only")
-        blocks.append((a, p, b))
-    return blocks
+    for k, (_, p, b) in enumerate(rep.generators, start=1):
+        if bad := [(t, u) for t, u in enumerate(p) if p[u] != t or (b[t] != 0) != (u != t)]:
+            raise InvariantViolation(
+                f"s_{k} on {rep.shape} at q={rep.q} pairs tableaux {bad[0]} one way only"
+            )
+    return rep.generators
+
+
+def _columns(generator: Blocks) -> Columns:
+    """A generator's block arrays as its columns: a[t] at row t and b[t] at row p[t]."""
+    a, p, b = generator
+    return tuple(((t, a[t]),) if u == t else tuple(sorted(((t, a[t]), (u, b[t]))))
+                 for t, u in enumerate(p))
 
 
 def _triple(x, y, t: int) -> dict[int, int]:
@@ -244,12 +245,15 @@ def verify_relations(rep: SeminormalRep) -> None:
 
 
 def word_image(rep: SeminormalRep, word) -> Columns:
-    """The generators' product along a word as columns: scale^len(word) times its image."""
+    """The generators' product along a word as columns: scale^len(word) times its image.
+
+    Each generator's block arrays become columns (`_columns`) for `linalg.mat_mul`.
+    """
     image = identity_matrix(rep.dim)
     for k in word:
         if check_int(k, "generator index", 1) > rep.n - 1:
             raise ValueError(f"generator index {k} out of range 1..{rep.n - 1}")
-        image = mat_mul(image, rep.generators[k - 1])
+        image = mat_mul(image, _columns(rep.generators[k - 1]))
     return image
 
 
@@ -261,9 +265,10 @@ def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Columns]:
     with one `mat_mul` per group element.
     """
     identity, chain = _length_ordered_walk(rep.n)
+    generators = [_columns(generator) for generator in rep.generators]
     images: dict[tuple[int, ...], Columns] = {identity: identity_matrix(rep.dim)}
     for shorter, w, k in chain:
-        images[w] = mat_mul(images[shorter], rep.generators[k - 1])
+        images[w] = mat_mul(images[shorter], generators[k - 1])
     return images
 
 
@@ -339,7 +344,7 @@ def _jucys_murphy_diagonals(rep: SeminormalRep, blocks) -> list[tuple[int, ...]]
     J_1 = 0 and J_(k+1) = (M_k J_k + c) M_k / scale^2 for c = q^k scale, which
     is q^k L_(k+1) for L_(k+1) = T_k L_k T_k / q + T_k (Mathas 1999), so
     J_k e_t = q^k [c_t(k)]_q e_t, c_t(k) the content of k. For J_k = diag(j)
-    and M_k e_t = a_t e_t + b_t e_u as in `blocks` (see `_blocks`), column t of
+    and M_k e_t = a_t e_t + b_t e_u as in `SeminormalRep`, column t of
     the product is (a_t (a_t j_t + c) + b_t b_u j_u) e_t + b_t (a_t j_t + a_u j_u + c) e_u.
     Each division must be exact, so entries stay the size of those values.
     An X with transpose(M_k) X = X M_k for all k satisfies the same for every

@@ -10,10 +10,10 @@ with its number of even-degree rows and whether all its distinct products
 are odd at every odd q. The routine refuses an empty q list and an n_max
 that leaves no rows, and the GL sweeps validate every q up front.
 
-Rows read cached q-free products of enumerated, hence already valid,
-shapes (`gl.unipotent_row`, `hecke.hecke_row`), which reject an
-odd-degree character at the gate of `tableaux`; no row builds a result
-record or validates a shape again. The products come from the Hecke
+Rows read the q-free products of enumerated, hence already valid,
+shapes from the row sources `gl.unipotent_row`, `gl.sign_pair_row` and
+`hecke.hecke_row`, which reject an odd-degree character and read cached
+walks; no row builds a result record. The products come from the Hecke
 determinant's GF(2) walk: squarefree products of q-integers and a power
 of q. At odd q, a GL row's product and whether its degree is even do not
 depend on q. A row's parity at odd q is fixed by two q-free bits of its
@@ -21,17 +21,19 @@ product (`odd_q_bits`): a row whose bits are (0, 0) is odd at every odd
 q, and any other row is decided q by q by `QIntProduct.parity_at`.
 
 Unipotent and symmetric blocks are single shapes. Sign pairs (lam, mu)
-come in one block per (n, l) with l = |lam|. The induction index has the
-parity of C(n, l): when it is even, every row of the block is trivial;
-when odd, a row is the unipotent row of its even-degree side, trivial
-when both sides are even, and refused when both are odd (the empty shape
-counts as odd). So the sweep does its work per shape, not per pair. Once
-the witnesses are full, a block whose distinct products all have bits
-(0, 0) is only counted; any other block is enumerated row by row, so
-failures and witnesses keep (row, q) order. Every (row, q) pair is
-counted, but a witness is built only for a failure or a printed row, and
-only printed rows are classified, which needs factorization; no row
-evaluates a degree at q or runs the full determinant polynomial.
+come in one block per (n, l) with l = |lam|, and each row is
+`gl.sign_pair_row`, the one copy of the sign-pair rule. The induction
+index has the parity of C(n, l): when it is even, every row of the block
+is trivial; when odd, a row is the unipotent row of its even-degree side,
+trivial when both sides are even, and refused when both are odd (the
+empty shape counts as odd). So a block's count and bits come from the
+shapes of its two sizes, not from its pairs. Once the witnesses are
+full, a block whose distinct products all have bits (0, 0) is only
+counted; any other block is enumerated row by row, so failures and
+witnesses keep (row, q) order. Every (row, q) pair is counted, but a
+witness is built only for a failure or a printed row, and only printed
+rows are classified, which needs factorization; no row evaluates a
+degree at q or runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q through their 2-adic valuations. One walk over c keeps a
@@ -47,10 +49,10 @@ from itertools import product
 from math import comb
 
 from .errors import NotIrrPlusError, check_int, record
-from .gl import as_odd_prime_power, unipotent_row
-from .hecke import QIntProduct, det_poly_reduced, hecke_row
+from .gl import as_odd_prime_power, sign_pair_row, unipotent_row
+from .hecke import QIntProduct, hecke_row
 from .squareclass import Parity, SquareClass
-from .tableaux import check_even_degree, check_partition, enumerate_partitions
+from .tableaux import check_partition, enumerate_partitions
 
 DEFAULT_WITNESS_LIMIT = 8
 
@@ -95,8 +97,7 @@ def parity_bridge_check(shape, q: int) -> bool:
     shape = check_partition(shape)
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
-    check_even_degree(shape)
-    reduced = det_poly_reduced(shape)
+    reduced = hecke_row(shape)
     return reduced.parity_at(q) == reduced.parity_at(1)
 
 
@@ -175,10 +176,10 @@ def _sign_pair_blocks(n_max: int):
 
     Each size's shapes are read once, with their unipotent rows (None at
     odd degree), the number of odd ones and whether every row's bits are
-    (0, 0). The products of a block are then known without enumerating it:
-    the trivial one, and with an odd index the rows of both sides.
+    (0, 0). A block's count and bits are then known without enumerating
+    it, since its products are the trivial one and, with an odd index, the
+    rows of both sides. Its rows, read lazily, are `gl.sign_pair_row`.
     """
-    one = QIntProduct.one()
     sides = []
     for m in range(n_max + 1):
         rows = []
@@ -193,29 +194,14 @@ def _sign_pair_blocks(n_max: int):
     for n in range(1, n_max + 1):
         for ell in range(n + 1):
             (lams, odd_lams, quiet_lams), (mus, odd_mus, quiet_mus) = sides[ell], sides[n - ell]
-            pairs = len(lams) * len(mus)
-            # [n choose l]_x lies in Z[x], so at odd q its parity is that of C(n, l).
-            if comb(n, ell) % 2 == 0:
-                yield pairs, True, (((lam, mu), one) for (lam, _), (mu, _) in product(lams, mus))
-            else:
-                yield (pairs - odd_lams * odd_mus, quiet_lams and quiet_mus,
-                       _outer_product_rows(lams, mus, one))
-
-
-def _outer_product_rows(lams, mus, one):
-    """The rows of a block with an odd index: the classes of the outer products.
-
-    det(lam)^deg(mu) * det(mu)^deg(lam) is the row of the even side when
-    the other is odd, and trivial when both are even; a pair of odd sides
-    has odd degree and is refused, as `gl.sign_pair_determinant` does.
-    """
-    for lam, lam_row in lams:
-        for mu, mu_row in mus:
-            if lam_row is None:
-                if mu_row is not None:
-                    yield (lam, mu), mu_row
-            else:
-                yield (lam, mu), lam_row if mu_row is None else one
+            pairs, count, quiet = product(lams, mus), len(lams) * len(mus), True
+            # [n choose l]_x lies in Z[x], so at odd q its parity is that of C(n, l);
+            # with an odd index, a pair of odd sides has odd degree and is refused.
+            if comb(n, ell) % 2:
+                pairs = (pair for pair in pairs if any(row is not None for _, row in pair))
+                count, quiet = count - odd_lams * odd_mus, quiet_lams and quiet_mus
+            rows = (((lam, mu), sign_pair_row(lam, mu)) for (lam, _), (mu, _) in pairs)
+            yield count, quiet, rows
 
 
 def _sweep(name, first_n, blocks, n_max, q_values, witness_limit) -> ParityReport:

@@ -280,7 +280,6 @@ def test_sign_pair_rejects_odd_total_degree():
 def _clear_shape_records():
     tableaux.shape_record.cache_clear()
     gl.unipotent_row.cache_clear()
-    gl._sign_pair_row.cache_clear()
 
 
 def test_sign_pair_checks_component_tableau_counts(monkeypatch):
@@ -308,13 +307,13 @@ def test_shape_record_refuses_a_negative_cyclotomic_multiplicity(monkeypatch):
 
 
 def test_warm_caches_still_refuse_bools_and_floats():
-    # True == 1 would hit the entries of (2, 1) in the q-free shape and pair
-    # caches if they ran before validation; a float q is refused too.
+    # True == 1 would hit the entries of (2, 1) in the q-free shape caches
+    # if they ran before validation; a float q is refused too.
     _clear_shape_records()
     unipotent_degree((2, 1), 3)
     unipotent_determinant((2, 1), 3)
     sign_pair_determinant((2, 1), (1,), 3)
-    for cache in (tableaux.shape_record, gl.unipotent_row, gl._sign_pair_row):
+    for cache in (tableaux.shape_record, gl.unipotent_row):
         assert cache.cache_info().currsize > 0
     calls = [
         (unipotent_degree, ((2, True), 3)),

@@ -57,9 +57,9 @@ def test_generators_are_scaled_integer_columns():
             for q in (1, 3, 5):
                 rep = build_seminormal(shape, q)
                 assert rep.scale == lcm(*(q_int(k)(q) ** 2 for k in range(2, n)))
-                for i, columns in enumerate(rep.generators, start=1):
-                    for idx, column in enumerate(columns):
-                        assert all(type(v) is int for _, v in column)
+                for i, (a, p, b) in enumerate(rep.generators, start=1):
+                    assert all(type(v) is int for v in a + p + b)
+                    for idx, column in enumerate(word_image(rep, [i])):
                         expected = _seminormal_column(rep, i, idx)
                         assert dict(column) == {r: rep.scale * v for r, v in expected.items()}
 
@@ -79,18 +79,19 @@ def _product_form_relations(rep):
     """
     q, s = rep.q, rep.scale
     square = tuple(((c, q * s * s),) for c in range(rep.dim))
-    for i, m in enumerate(rep.generators, start=1):
+    generators = [word_image(rep, [i]) for i in range(1, rep.n)]
+    for i, m in enumerate(generators, start=1):
         if mat_mul(m, m, (1 - q) * s) != square:
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
-    for i in range(len(rep.generators) - 1):
-        a, b = rep.generators[i], rep.generators[i + 1]
+    for i in range(len(generators) - 1):
+        a, b = generators[i], generators[i + 1]
         if mat_mul(a, mat_mul(b, a)) != mat_mul(b, mat_mul(a, b)):
             raise InvariantViolation(
                 f"braid relation fails for s_{i + 1}, s_{i + 2} on {rep.shape} at q={q}"
             )
-    for i in range(len(rep.generators)):
-        for j in range(i + 2, len(rep.generators)):
-            a, b = rep.generators[i], rep.generators[j]
+    for i in range(len(generators)):
+        for j in range(i + 2, len(generators)):
+            a, b = generators[i], generators[j]
             if mat_mul(a, b) != mat_mul(b, a):
                 raise InvariantViolation(
                     f"commutation fails for s_{i + 1}, s_{j + 1} on {rep.shape} at q={q}"
@@ -105,27 +106,31 @@ def test_block_and_product_forms_accept_every_small_module():
                 _product_form_relations(build_seminormal(shape, q))
 
 
-def _with_column(rep, i, t, column):
-    """rep with column t of generator s_i replaced."""
-    generators = [list(columns) for columns in rep.generators]
-    generators[i - 1][t] = tuple(sorted(column))
-    return _replace(rep, generators=tuple(map(tuple, generators)))
+def _with_entries(rep, i, t, **entries):
+    """rep with the block arrays a, p, b of generator s_i changed at tableau t."""
+    arrays = dict(zip("apb", map(list, rep.generators[i - 1])))
+    for name, value in entries.items():
+        arrays[name][t] = value
+    generators = list(rep.generators)
+    generators[i - 1] = tuple(tuple(arrays[name]) for name in "apb")
+    return _replace(rep, generators=tuple(generators))
 
 
 def _perturbed(rep):
-    # Column 1 of s_2 on (3,1,1) is its own entry plus the partner entry at tableau 2.
-    (r, alpha), (p, off) = rep.generators[1][1]
-    return _with_column(rep, 2, 1, [(r, alpha), (p, off + rep.scale)])
-
-
-def _third_entry(rep):
-    return _with_column(rep, 2, 1, [*rep.generators[1][1], (0, rep.scale)])
+    # Tableau 1 of (3,1,1) has partner 2 under s_2; its off-diagonal entry grows by one scale.
+    _, p, b = rep.generators[1]
+    assert p[1] == 2
+    return _with_entries(rep, 2, 1, b=b[1] + rep.scale)
 
 
 def _one_sided(rep):
-    # The partner entry of column 1 moves from tableau 2 to tableau 0.
-    (r, alpha), (_, off) = rep.generators[1][1]
-    return _with_column(rep, 2, 1, [(r, alpha), (0, off)])
+    # The partner of tableau 1 under s_2 moves from tableau 2 to tableau 0.
+    return _with_entries(rep, 2, 1, p=0)
+
+
+def _zero_partner_entry(rep):
+    # Tableau 1 keeps partner 2 under s_2, but its column no longer reaches it.
+    return _with_entries(rep, 2, 1, b=0)
 
 
 def _conjugated_by_a_sign(rep):
@@ -133,20 +138,18 @@ def _conjugated_by_a_sign(rep):
     # partner under s_1 or s_3, which therefore commute with the sign, so the
     # quadratic and braid relations hold; it has one under s_4, so s_2 and s_4
     # no longer commute.
-    columns = rep.generators[1]
-    (u,) = (r for r, _ in columns[2] if r != 2)
-    for t, other in ((2, u), (u, 2)):
-        rep = _with_column(rep, 2, t, [(r, -v if r == other else v) for r, v in columns[t]])
-    return rep
+    _, p, b = rep.generators[1]
+    u = p[2]
+    return _with_entries(_with_entries(rep, 2, 2, b=-b[2]), 2, u, b=-b[u])
 
 
 MUTATIONS = {
     "perturbed-off-diagonal": (_perturbed, "quadratic relation fails for s_2",
                                "quadratic relation fails for s_2"),
-    "third-entry": (_third_entry, "column 1 of s_2 .* is not a 1x1 or 2x2 block",
-                    "quadratic relation fails for s_2"),
     "one-sided-partner": (_one_sided, "s_2 .* pairs tableaux \\(1, 0\\) one way only",
                           "quadratic relation fails for s_2"),
+    "zero-partner-entry": (_zero_partner_entry, "s_2 .* pairs tableaux \\(1, 2\\) one way only",
+                           "quadratic relation fails for s_2"),
     "conjugated-pair": (_conjugated_by_a_sign, "commutation fails for s_2, s_4",
                         "commutation fails for s_2, s_4"),
 }
@@ -258,7 +261,8 @@ def _symmetric_solve_reference(rep):
         for b in range(a, dim):
             var_of[(a, b)] = len(var_of)
     solver = IntegerKernelSolver(len(var_of))
-    for columns in rep.generators:
+    for i in range(1, rep.n):
+        columns = word_image(rep, [i])
         for a in range(dim):
             for b in range(a + 1, dim):
                 # (M^T X - X M)[a,b] = sum_c M[c,a] X[c,b] - sum_c X[a,c] M[c,b]
@@ -304,7 +308,7 @@ def test_gram_form_rejects_an_unreached_tableau():
 
 
 def test_gram_form_rejects_swapped_generators():
-    # The tree edges name s_1 and s_2, whose columns now hold the other partner.
+    # The tree edges name s_1 and s_2, whose arrays now hold the other partner.
     rep = build_seminormal((3, 1, 1), 3)
     t1, t2, *rest = rep.generators
     _gram_fails(_replace(rep, generators=(t2, t1, *rest)), "nonzero multiple of e_")
@@ -322,12 +326,7 @@ def test_gram_form_rejects_a_perturbed_entry():
     # The off-diagonal entry of s_2 at tableaux 1 and 2 of (3,1,1) grows by
     # one scale; the form the equations single out is then not invariant.
     # (A diagonal entry would not do: the form knows nothing of the relations.)
-    rep = build_seminormal((3, 1, 1), 3)
-    t1, t2, *rest = rep.generators
-    (r, alpha), (p, off) = t2[1]
-    assert (r, p) == (1, 2)
-    t2 = t2[:1] + (((r, alpha), (p, off + rep.scale)),) + t2[2:]
-    _gram_fails(_replace(rep, generators=(t1, t2, *rest)), "not invariant under s_2")
+    _gram_fails(_perturbed(build_seminormal((3, 1, 1), 3)), "not invariant under s_2")
 
 
 def test_gram_form_rejects_a_degenerate_form():
@@ -336,8 +335,8 @@ def test_gram_form_rejects_a_degenerate_form():
     # one-sided, so it is refused before any form is built: a form built on
     # involutive blocks has every diagonal entry nonzero.
     rep = build_seminormal((2, 1), 3)
-    diagonal = (((0, 2),), ((1, 3),))
-    jordan = (((0, 5), (1, 1)), ((1, 5),))
+    diagonal = ((2, 3), (0, 1), (0, 0))
+    jordan = ((5, 5), (1, 1), (1, 0))
     _gram_fails(_replace(rep, generators=(diagonal, jordan)),
                 "s_2 .* pairs tableaux \\(0, 1\\) one way only")
 
@@ -362,7 +361,7 @@ def test_jucys_murphy_diagonals_are_q_contents():
 def test_jucys_murphy_diagonals_refuse_scalar_generators():
     # Scalar generators give diagonal J_k that cannot tell the two tableaux apart.
     rep = build_seminormal((2, 1), 3)
-    scalar = tuple(((c, 3 * rep.scale),) for c in range(rep.dim))
+    scalar = ((3 * rep.scale,) * rep.dim, tuple(range(rep.dim)), (0,) * rep.dim)
     rep = _replace(rep, generators=(scalar, scalar))
     with pytest.raises(InvariantViolation, match="do not separate tableaux 0 and 1") as info:
         oracle._jucys_murphy_diagonals(rep, oracle._blocks(rep))
@@ -372,7 +371,7 @@ def test_jucys_murphy_diagonals_refuse_scalar_generators():
 def test_jucys_murphy_diagonals_refuse_an_inexact_division():
     # Diagonal generators 1 and 2 (scale 16): J_2 = (0 + 3 * 16) M_1 / 16^2 is not integral.
     rep = build_seminormal((2, 1), 3)
-    diagonal = (((0, 1),), ((1, 2),))
+    diagonal = ((1, 2), (0, 1), (0, 0))
     rep = _replace(rep, generators=(diagonal, diagonal))
     with pytest.raises(InvariantViolation, match="J_2 on .* is not scale\\^2 times an integer"):
         oracle._jucys_murphy_diagonals(rep, oracle._blocks(rep))

@@ -250,7 +250,7 @@ def _even_sign_pair_rows(pairs):
     rows = []
     for lam, mu in pairs:
         try:
-            rows.append(((lam, mu), gl._sign_pair_row(lam, mu)[0]))
+            rows.append(((lam, mu), gl.sign_pair_row(lam, mu)))
         except NotIrrPlusError:
             continue
     return rows
@@ -258,17 +258,12 @@ def _even_sign_pair_rows(pairs):
 
 @pytest.fixture
 def patch_row(monkeypatch):
-    """Patch a row source where both `parker` and the public determinants read it.
-
-    `gl` caches its sign-pair rows, so the cache is cleared around the patch.
-    """
+    """Patch a row source where both `parker` and the public determinants read it."""
     def patch(module, name, row):
         monkeypatch.setattr(module, name, row)
         monkeypatch.setattr(parker, name, row)
 
-    gl._sign_pair_row.cache_clear()
-    yield patch
-    gl._sign_pair_row.cache_clear()
+    return patch
 
 
 @pytest.mark.parametrize("sweep, first_n", [
@@ -520,7 +515,7 @@ def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(patch_row, lim
 
 
 def test_sign_pair_blocks_match_the_per_pair_rows():
-    # Each (n, l) block's count, bits and rows, against `gl` pair by pair.
+    # Each (n, l) block's count, bits and rows, against `gl.sign_pair_row` pair by pair.
     keys = [(n, ell) for n in range(1, 13) for ell in range(n + 1)]
     blocks = list(parker._sign_pair_blocks(12))
     assert len(blocks) == len(keys)
@@ -529,6 +524,28 @@ def test_sign_pair_blocks_match_the_per_pair_rows():
         expected = _even_sign_pair_rows(pairs)
         assert list(rows) == expected and count == len(expected), (n, ell)
         assert quiet is all(symbolic.odd_q_bits == (0, 0) for _, symbolic in expected)
+
+
+@pytest.mark.parametrize("pair", [
+    pytest.param(((2, 1), (1,)), id="even-index"),
+    pytest.param(((2, 2), (1,)), id="odd-index"),
+])
+def test_a_sign_pair_row_times_two_fails_on_that_pair_alone(patch_row, pair):
+    # [2]_x times the row of one pair, read from `gl.sign_pair_row` by the
+    # sweep and by the determinant: the sweep fails on that pair alone, at
+    # the q with v2(q + 1) odd, in (row, q) order. C(4, 3) is even, so the
+    # first row is trivial; C(5, 4) is odd and (1,) is odd, so the second
+    # is the unipotent row of (2, 2).
+    real = gl.sign_pair_row
+    patch_row(gl, "sign_pair_row", lambda lam, mu: (
+        (real(lam, mu) * QIntProduct(0, ((2, 1),))).reduced() if (lam, mu) == pair
+        else real(lam, mu)))
+    report = verify_parker_sign_pairs(7, V2_QS, witness_limit=10**6)
+    expected = [(pair, q) for q in V2_QS if two_adic_valuation(q + 1) % 2]
+    assert [(w.shapes, w.q) for w in report.failures] == expected
+    reference = _per_q_report("sign-pair", _all_sign_pairs, gl.sign_pair_determinant,
+                              7, V2_QS, 10**6)
+    assert report == reference
 
 
 def test_sign_pair_sweep_counts_every_even_pair():

@@ -51,7 +51,7 @@ RECORDS = [
     ("TableauGraph", lambda: enumerate_syt((2, 1)), GRAPH_21),
     ("SeminormalRep", lambda: build_seminormal((2, 1), 3),
      f"SeminormalRep(shape=(2, 1), q=3, scale=16, graph={GRAPH_21}, "
-     "generators=((((0, 48),), ((1, -16),)), (((0, -4), (1, 39)), ((0, 16), (1, 36)))))"),
+     "generators=(((48, -16), (0, 1), (0, 0)), ((-4, 36), (1, 0), (39, 16))))"),
     ("GramForm", lambda: gram_form(build_seminormal((2, 1), 3)),
      "GramForm(matrix=(((0, 39),), ((1, 16),)), determinant=624)"),
 ]

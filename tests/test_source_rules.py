@@ -15,7 +15,9 @@ its own definition (no dead helpers), as is every private or ALL_CAPS
 module-level constant (no stale guards). No code looks a name up in
 `globals()`: callers pass functions.
 Only `hecke` takes the 2-adic valuation of q + 1: the parity rule at odd q
-lives in `QIntProduct.parity_at`, and no sweep keeps a copy of it.
+lives in `QIntProduct.parity_at`, and no sweep keeps a copy of it. Only
+`tableaux.check_even_degree` (the odd-degree gate) and `gl.sign_pair_row`
+(the sign-pair refusal) build a `NotIrrPlusError`, so each rule has one copy.
 """
 
 import ast
@@ -214,6 +216,18 @@ def test_v2_of_q_plus_one_only_in_hecke(path):
         assert len(found) == 1, f"hecke.py: two_adic_valuation(... + 1) at lines {found}"
     else:
         assert not found, f"{path.name}: two_adic_valuation(... + 1) at lines {found}"
+
+
+def test_not_irr_plus_error_has_two_sources():
+    # Each call is listed under the module-level function or class it sits in.
+    found = sorted(
+        (path.name, getattr(node, "name", None))
+        for path in SOURCES
+        for node in _tree(path).body
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and _names(inner.func, "NotIrrPlusError")
+    )
+    assert found == [("gl.py", "sign_pair_row"), ("tableaux.py", "check_even_degree")]
 
 
 def _identifiers(node) -> set[str]:
