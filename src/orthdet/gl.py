@@ -18,16 +18,18 @@ gives the parities of the tableau count and of the exponent at odd q in
 closed form. `unipotent_row` builds a shape's q-free product from it once,
 cached on a validated shape. `sign_pair_row` is the one copy of the
 sign-pair rule: the index parity, the outer-product power rule and the
-refusal of a pair of odd sides, on the cached unipotent rows. The sweeps
-of `parker` read both row sources directly, with no result record; the
-public determinants validate their arguments and wrap the same products
-in a result record. The exact degree and exponent at q are evaluated from
-the record, and checked against it, only when a result prints them.
+refusal of a pair of odd sides, on the rows of its two sides. The public
+determinants validate their arguments and wrap these products in a result
+record. The exact degree and exponent at q are evaluated from the record,
+and checked against it, only when a result prints them.
 
 Classes come from the Hecke determinant's lattice walk in GF(2) mode
 (`det_poly_reduced`); the full product of a unipotent character, from the
 same walk in full mode, is computed only when `to_json` prints its factors,
-and is checked against the GF(2) product then.
+and is checked against the GF(2) product then. The sweeps of `parker` read
+neither: their rows take the q-free bits of `hecke.beta_row`, with the
+sign-pair rule of `sign_pair_row` applied to its masks, and only a printed
+or failing row reads `unipotent_row` or `sign_pair_row` for its class.
 
 Characters whose torus constituents have order >= 3 take values in real
 cyclotomic fields; their determinants are out of scope here.
@@ -209,10 +211,15 @@ def unipotent_row(shape: tuple[int, ...]) -> QIntProduct:
     """The product of a validated shape's unipotent character at every odd q.
 
     The reduced walk times q^(e mod 2), refused at the odd-degree gate. It
-    is the row source of the unipotent and sign-pair sweeps, and the
-    `symbolic` of `unipotent_determinant`.
+    is the `symbolic` of `unipotent_determinant`, and the class source of
+    the printed and failing rows of the unipotent sweep.
     """
     return (hecke_row(shape) * QIntProduct(_odd_exponent(shape), ())).reduced()
+
+
+def _unipotent_side(shape: tuple[int, ...]) -> QIntProduct | None:
+    """The unipotent row of a validated side of a sign pair, None at odd degree."""
+    return unipotent_row(shape) if shape_record(shape).count_v2 else None
 
 
 def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
@@ -234,27 +241,33 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     return GlDetResult(kind="sign-pair", shapes=(lam, mu), q=pp, symbolic=symbolic, parts=parts)
 
 
-def sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...]) -> QIntProduct:
-    """The product of a validated sign pair at every odd q, refused at odd degree.
+def sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...], side=_unipotent_side,
+                  one=QIntProduct.one()):
+    """The row of a validated sign pair at every odd q, refused at odd degree.
 
     The parabolic induction index is the Gaussian binomial [n choose l]_x,
     which lies in Z[x], so at odd q its parity is that of C(n, l): when
-    even, the class is trivial outright. When odd, it is the class of the
-    outer product, det(lam)^deg(mu) * det(mu)^deg(lam): the unipotent row
-    of the even side when the other is odd, trivial when both are even,
-    and a pair of odd sides has odd degree. The row source of the
-    sign-pair sweep and the `symbolic` of `sign_pair_determinant`.
+    even, the row is the trivial `one` outright. When odd, it is the class
+    of the outer product, det(lam)^deg(mu) * det(mu)^deg(lam): the row of
+    the even side when the other is odd, trivial when both are even, and a
+    pair of odd sides has odd degree.
+
+    `side(shape)` is the row of a side, None at odd degree (the empty shape
+    included). By default rows are the unipotent rows, and the result is
+    the `symbolic` of `sign_pair_determinant` and the class source of the
+    printed and failing rows of the sign-pair sweep; that sweep passes the
+    masks of `hecke.beta_row`, with `one` = 0.
     """
     ell = sum(lam)
     if comb(ell + sum(mu), ell) % 2 == 0:
-        return QIntProduct.one()
-    odd_lam, odd_mu = not shape_record(lam).count_v2, not shape_record(mu).count_v2
-    if odd_lam and odd_mu:
+        return one
+    row_lam, row_mu = side(lam), side(mu)
+    if row_lam is None and row_mu is None:
         raise NotIrrPlusError(
             f"sign pair {lam} | {mu} has odd degree at odd q: not orthogonally stable"
         )
-    if odd_mu:
-        return unipotent_row(lam)
-    if odd_lam:
-        return unipotent_row(mu)
-    return QIntProduct.one()
+    if row_mu is None:
+        return row_lam
+    if row_lam is None:
+        return row_mu
+    return one

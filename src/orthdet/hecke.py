@@ -9,42 +9,52 @@ parameter q, and at q = 1 that of the symmetric group character;
 `hecke_determinant` refuses an odd-degree shape at the gate of `tableaux`
 before any count or walk.
 
-One walk over the Young lattice below the shape computes it, in two
-arithmetics (`_lattice_product`), checked against a third route:
+Four routes compute it, each for its own callers:
 
-* `det_poly_factored` weighs each lattice step by tableau counts and gives
-  the full product, the q-analogue of the norm formula for Young's
-  seminormal basis (Hoefsmit 1974; Mathas, Iwahori-Hecke algebras and
-  Schur algebras of the symmetric group, 1999). It runs only where the
-  full factors are printed, and checks that it reduces to the GF(2)
-  product;
-* `det_poly_reduced` takes the counts mod 2 and keeps only the
-  sub-diagrams with an odd count, giving the product with its square
-  factors dropped, which is all a square class or a parity needs.
-  Determinant results and Parker sweeps (through `hecke_row`) read their
-  classes and parities from it. An even-degree shape and its conjugate
-  share this product, so it is walked once per pair, on the orientation
-  with fewer rows (then the lexicographically smaller one). At q = 1 this is
-  classical: the character of the conjugate is the sign twist, which
-  keeps the invariant form. At every q, the automorphism T_i -> -q T_i^-1
-  of H_n(q) commutes with the anti-involution T_w -> T_(w^-1), so twisting
-  S^shape by it gives S^conjugate with the same invariant form (Mathas
-  1999). `det_poly_factored` walks a shape's own orientation and checks
-  that it reduces to the shared product, so wherever full factors are
-  printed the claim is checked as well;
+* `beta_row` serves the sweep rows of `parker`. It reads the q-integers of
+  odd multiplicity, and v2 of the tableau count, off the shape's
+  beta-numbers: the Gram determinant of the Specht module S^shape of
+  H_n(q) has a closed form (James-Mathas 1997, the q-analogue of the
+  Jantzen-Schaper formula), a product over pairs of rows and hook lengths
+  with exponents +-#SYT of nearby shapes. Mod squares only the parities of
+  those counts matter, and Legendre's formula gives them in O(1) per term.
+  It gives no x-power, which a parity at odd q does not need;
+* `det_poly_reduced`, one walk over the Young lattice below the shape
+  (`_lattice_product`) in GF(2) mode, gives the product with its square
+  factors dropped, x-power included. It serves `hecke_determinant`, the
+  public determinants of `gl`, and the printed and failing rows of the
+  sweeps, which classify at q, so need the x-power; every such row checks
+  that its walk has the bits of its formula row. An even-degree shape and
+  its conjugate share this product, so it is walked once per pair, on the
+  orientation with fewer rows (then the lexicographically smaller one).
+  At q = 1 this is classical: the character of the conjugate is the sign
+  twist, which keeps the invariant form. At every q, the automorphism
+  T_i -> -q T_i^-1 of H_n(q) commutes with the anti-involution
+  T_w -> T_(w^-1), so twisting S^shape by it gives S^conjugate with the
+  same invariant form (Mathas 1999). The formula runs on the shape as
+  given, so a printed row checks the claim as well;
+* `det_poly_factored`, the same walk in full mode, weighs each lattice step
+  by tableau counts and gives the full product, the q-analogue of the norm
+  formula for Young's seminormal basis (Hoefsmit 1974; Mathas,
+  Iwahori-Hecke algebras and Schur algebras of the symmetric group, 1999).
+  It runs only where the full factors are printed, and checks that it
+  reduces to the GF(2) product and, at even degree, to the formula's set;
 * `tableau_polynomials` walks the transposition graph tableau by tableau
-  and stays as the independent reference for the lattice walk.
+  and stays as the independent reference for the other three.
 
 Polynomials are carried in factored form (an x-power and q-integer
 multiplicities), so square classes come from classifying small cyclotomic
 values instead of factoring one enormous integer, and parities come from
-2-adic valuations of the factors without evaluating anything.
+2-adic valuations of the factors without evaluating anything. A set of
+q-integers [k]_x, k >= 2, is a bitmask with bit k set; at odd q its
+parity is fixed by two popcounts of the mask (`mask_bits`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from operator import add
 
 from .errors import InvariantViolation, ResourceGuardError, check_int, record
 from .intpoly import IntPoly, cyclotomic, q_int
@@ -62,19 +72,21 @@ from .tableaux import (
 
 # Ceiling on the lattice walk of one shape, counted as the sub-diagrams it
 # keeps on both passes times the rows of the shape walked, since each is
-# scanned row by row. Full mode walks the shape as given; GF(2) mode walks an
+# scanned row by row. Sweep rows read `beta_row` and walk nothing, so the walk
+# runs only for printed and failing sweep rows and for the public determinants
+# (`det-*`). Full mode walks the shape as given; GF(2) mode walks an
 # even-degree shape on the orientation with fewer rows (`det_poly_reduced`),
 # so a tall shape is counted, and admitted, as its wide conjugate. Full mode
-# keeps every sub-diagram once on each pass (bar the shape and the empty
-# one), so it counts them before walking and admits up to about 10^6
-# sub-diagrams times rows. GF(2) mode keeps a subset of those states, so it
-# admits every shape full mode admits; it stops as soon as its running count
-# passes the ceiling. On a 2-core VM a unit costs full mode 1.1-1.5 us and at
-# most about 75 B (most on two rows, whose tableau counts are the longest
-# integers), so one shape stays near 3 s and 150 MB; it costs GF(2) mode at
-# most 0.8 us. Full mode admits (6, 4, 3, 2, 1) and every shape with n <= 50,
-# and refuses the (12, ..., 1) staircase; GF(2) mode walks it, and the 24-row
-# staircase with its 1707624 units.
+# keeps every sub-diagram once on each pass (bar the shape and the empty one),
+# so it counts them before walking and admits up to about 10^6 sub-diagrams
+# times rows. GF(2) mode keeps a subset of those states, so it admits every
+# shape full mode admits; it stops as soon as its running count passes the
+# ceiling. On a 2-core VM a unit costs full mode 1.1-1.5 us and at most about
+# 75 B (most on two rows, whose tableau counts are the longest integers), so
+# one shape stays near 3 s and 150 MB; it costs GF(2) mode at most 0.8 us.
+# Full mode admits (6, 4, 3, 2, 1) and every shape with n <= 50, and refuses
+# the (12, ..., 1) staircase; GF(2) mode walks it, and the 24-row staircase
+# with its 1707624 units.
 MAX_SUBDIAGRAM_ROWS = 2_000_000
 
 
@@ -136,27 +148,26 @@ class QIntProduct:
             raise InvariantViolation(f"class {result} at q={q} contradicts its factors {self!r}")
         return result
 
+    @property
+    def odd_mask(self) -> int:
+        """The bitmask of the [k] with odd multiplicity: bit k set for each."""
+        return sum(1 << k for k, m in self.qint_mults if m % 2)
+
     @cached_property
     def odd_q_bits(self) -> tuple[int, int]:
-        """(a, b) mod 2: a counts the even k, b sums v2(k) - 1 over them (with multiplicity)."""
-        even = [(m, two_adic_valuation(k) - 1) for k, m in self.qint_mults if k % 2 == 0]
-        return sum(m for m, _ in even) % 2, sum(m * v for m, v in even) % 2
+        """`mask_bits` of `odd_mask`: the q-free bits of `parity_at`."""
+        return mask_bits(self.odd_mask)
 
     def parity_at(self, q: int) -> Parity:
         """Parity of the square class of the value at q >= 1, from the factors alone.
 
         The class is even iff the value's 2-adic valuation is odd. At even q
-        only the x-power counts, as every [k]_q is odd. At odd q (q = 1
-        included) x^e and [k]_q for odd k are odd, and lifting the exponent
-        gives v2([k]_q) = v2(k) - 1 + v2(q+1) for even k, so the valuation is
-        b + a * v2(q+1) mod 2 with the q-free `odd_q_bits` (a, b).
+        only the x-power counts, as every [k]_q is odd; at odd q the
+        `odd_q_bits` decide (`odd_q_parity`).
         """
-        if check_int(q, "evaluation point", 1) % 2 == 0:
-            v2 = self.x_exp * two_adic_valuation(q)
-        else:
-            a, b = self.odd_q_bits
-            v2 = b + a * two_adic_valuation(q + 1)
-        return Parity.EVEN if v2 % 2 else Parity.ODD
+        if check_int(q, "evaluation point", 1) % 2:
+            return odd_q_parity(self.odd_q_bits, q)
+        return Parity.EVEN if self.x_exp * two_adic_valuation(q) % 2 else Parity.ODD
 
     def factors_json(self) -> list[dict]:
         factors: list[dict] = []
@@ -172,6 +183,40 @@ class QIntProduct:
         for k, m in self.qint_mults:
             parts.append(f"[{k}]" if m == 1 else f"[{k}]^{m}")
         return f"QIntProduct({' '.join(parts) or '1'})"
+
+
+def mask_bits(mask: int) -> tuple[int, int]:
+    """The bits (a, b) of the product of the [k]_x with bit k set in `mask`.
+
+    a counts the even k, and b sums v2(k) - 1 over them, both mod 2: two
+    popcounts, of the even k and of the k with v2(k) even and >= 2.
+    """
+    evens, quarters = _bit_masks(mask.bit_length())
+    return (mask & evens).bit_count() % 2, (mask & quarters).bit_count() % 2
+
+
+@lru_cache(maxsize=None)
+def _bit_masks(width: int) -> tuple[int, int]:
+    """The masks of `mask_bits` below bit `width`."""
+    evens = sum(1 << k for k in range(2, width, 2))
+    quarters = sum(1 << k for k in range(4, width, 4) if two_adic_valuation(k) % 2 == 0)
+    return evens, quarters
+
+
+def odd_q_parity(bits: tuple[int, int], q: int) -> Parity:
+    """Parity of the class at odd q (q = 1 included) of a product with `odd_q_bits` bits.
+
+    x^e and [k]_q for odd k are odd, and lifting the exponent gives
+    v2([k]_q) = v2(k) - 1 + v2(q+1) for even k, so the value's 2-adic
+    valuation is b + a * v2(q+1) mod 2, and the class is even iff it is odd.
+    """
+    a, b = bits
+    return Parity.EVEN if (b + a * two_adic_valuation(q + 1)) % 2 else Parity.ODD
+
+
+def _mask_indices(mask: int) -> list[int]:
+    """The k with bit k set in `mask`, ascending."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +276,8 @@ def det_poly_factored(shape) -> QIntProduct:
     walk keeps their parities, and that walk may have run on the conjugate,
     so a product that does not reduce to the GF(2) one raises
     InvariantViolation: a slip in either walk, or in the conjugation claim.
+    At even degree the GF(2) product's q-integers must also be the set of
+    `beta_row`, which shares no code with the walks.
     """
     shape = check_partition(shape)
     full = _lattice_product(shape, False)
@@ -238,6 +285,12 @@ def det_poly_factored(shape) -> QIntProduct:
         raise InvariantViolation(
             f"GF(2) walk of {shape} gives {reduced!r}, "
             f"the full product reduces to {full.reduced()!r}"
+        )
+    count_v2, mask = beta_row(shape)
+    if count_v2 and mask != reduced.odd_mask:
+        raise InvariantViolation(
+            f"beta-number formula of {shape} gives the q-integers {_mask_indices(mask)}, "
+            f"the GF(2) walk {_mask_indices(reduced.odd_mask)}"
         )
     return full
 
@@ -261,11 +314,94 @@ def det_poly_reduced(shape) -> QIntProduct:
 def hecke_row(shape: tuple[int, ...]) -> QIntProduct:
     """`det_poly_reduced` of a validated shape, refused at the odd-degree gate.
 
-    The row source of the symmetric sweep and the product of
-    `hecke_determinant` and `parker.parity_bridge_check`: no result record.
+    The product of `hecke_determinant` and `parker.parity_bridge_check`,
+    and the class source of the printed and failing rows of the symmetric
+    sweep: no result record.
     """
     check_even_degree(shape)
     return det_poly_reduced(shape)
+
+
+def beta_row(shape: tuple[int, ...]) -> tuple[int, int]:
+    """v2 of a validated shape's tableau count, and the mask of its determinant product.
+
+    The mask has bit k set for each [k]_x, k >= 2, of odd multiplicity in
+    the determinant product: the q-integers of `det_poly_reduced`, read off
+    the beta-numbers B_i = shape_i + r - i of the r rows, with no walk. It
+    is 0 at odd degree, where it is not computed. The row source of the
+    sweeps.
+
+    The Gram determinant of S^shape is a product over rows a < b and
+    1 <= h <= B_b, with g = B_b - h and t = B_a + h both outside B, of
+    ([B_a - g]_x / [h]_x)^(+-#SYT(nu)), nu the shape of the beta-set
+    B - {B_a, B_b} + {t, g} (James-Mathas 1997; Mathas 1999, chapter 5).
+    Mod squares a term counts iff #SYT(nu) is odd, and the [k] with k >= 2
+    are independent mod squares ([k] is the first to hold Phi_k), so
+    XOR-ing both indices of every odd term into the mask leaves the
+    product with its squares dropped; [1] = 1 drops out.
+
+    A beta-set b of size n has n! prod_{i<j} (b_i - b_j) / prod b_i!
+    tableaux, so by Legendre v2(#SYT) = v2(n!) + sum_{i<j} v2(b_i - b_j) -
+    sum v2(b_i!), with v2(m!) = m - popcount(m). On B itself that is the
+    odd-degree gate. On nu it is B's value less the terms of B_a and B_b
+    plus those of t and g, read off near[x] = sum_c v2|B_c - x|, so each
+    term costs O(1).
+    """
+    beta, size, near, count_v2 = _beta_gate(shape)
+    if not count_v2:
+        return 0, 0
+    v2, v2_fact = _valuation_tables(size)
+    # v2(#SYT(nu)) = 0 iff free[t] + free[g] + v2(t - g) - 2 v2(h) - 2 v2(B_a - g)
+    # equals the pair's target: near[t] and near[g] also hold the terms of
+    # rows a and b, v2(h) and v2(B_a - g) each.
+    free = [value - f for value, f in zip(near, v2_fact)]
+    members = set(beta)
+    mask = 0
+    for a, high in enumerate(beta):
+        for low in beta[a + 1 :]:
+            delta = high - low
+            target = near[high] + near[low] - v2[delta] - v2_fact[high] - v2_fact[low] - count_v2
+            sums = list(map(add, map(add, free[high + 1 : high + low + 1], free[low - 1 :: -1]),
+                            _pair_terms(delta, size)))
+            if target in sums:
+                for h, value in enumerate(sums, 1):
+                    if value == target and high + h not in members and low - h not in members:
+                        mask ^= 1 << (delta + h) | 1 << h
+    return count_v2, mask & ~2
+
+
+def _beta_gate(shape: tuple[int, ...]) -> tuple[list[int], int, list[int], int]:
+    """The beta-numbers B of a validated shape, a table size, near[x] and v2(#SYT).
+
+    near[x] = sum_c v2|B_c - x| for 0 <= x <= B_1 + B_2, above every t and g
+    of `beta_row`, whose terms need tables of v2 below `size`. A shape
+    with fewer than two rows has one tableau, and no terms.
+    """
+    rows, n = len(shape), sum(shape)
+    if rows < 2:
+        return [], 0, [], 0
+    beta = [part + rows - 1 - i for i, part in enumerate(shape)]
+    top = beta[0] + beta[1] + 1
+    size = 1 << max(top, n + 1).bit_length()
+    v2, v2_fact = _valuation_tables(size)
+    near = list(map(sum, zip(*(v2[y:0:-1] + v2[: top - y] for y in beta))))
+    count_v2 = v2_fact[n] + sum(near[y] for y in beta) // 2 - sum(v2_fact[y] for y in beta)
+    return beta, size, near, count_v2
+
+
+@lru_cache(maxsize=None)
+def _valuation_tables(size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """v2(m), read as 0 at m = 0, and v2(m!) = m - popcount(m), for 0 <= m < size."""
+    v2 = (0,) + tuple(two_adic_valuation(m) for m in range(1, size))
+    return v2, tuple(m - m.bit_count() for m in range(size))
+
+
+@lru_cache(maxsize=None)
+def _pair_terms(delta: int, size: int) -> list[int]:
+    """v2(delta + 2h) - 2 v2(delta + h) - 2 v2(h) for h = 1, 2, ... while delta + 2h < size."""
+    v2 = _valuation_tables(size)[0]
+    return [v2[delta + 2 * h] - 2 * v2[delta + h] - 2 * v2[h]
+            for h in range(1, (size - delta + 1) // 2)]
 
 
 def _subdiagram_count(shape: tuple[int, ...]) -> int:

@@ -10,30 +10,35 @@ with its number of even-degree rows and whether all its distinct products
 are odd at every odd q. The routine refuses an empty q list and an n_max
 that leaves no rows, and the GL sweeps validate every q up front.
 
-Rows read the q-free products of enumerated, hence already valid,
-shapes from the row sources `gl.unipotent_row`, `gl.sign_pair_row` and
-`hecke.hecke_row`, which reject an odd-degree character and read cached
-walks; no row builds a result record. The products come from the Hecke
-determinant's GF(2) walk: squarefree products of q-integers and a power
-of q. At odd q, a GL row's product and whether its degree is even do not
-depend on q. A row's parity at odd q is fixed by two q-free bits of its
-product (`odd_q_bits`): a row whose bits are (0, 0) is odd at every odd
-q, and any other row is decided q by q by `QIntProduct.parity_at`.
+Rows read the q-free bits of enumerated, hence already valid, shapes
+from `hecke.beta_row`, the Gram determinant's closed form in
+beta-numbers: v2 of the tableau count, which skips an odd-degree shape,
+and the mask of the q-integers of odd multiplicity in the determinant
+product. No row walks the Young lattice, reads a shape record or builds a
+result record. At odd q, a GL row's product up to its power of q, and
+whether its degree is even, do not depend on q, and neither does a
+unipotent row's mask, which is its Hecke row's. A row's parity at odd q is
+fixed by two q-free bits of its mask (`hecke.mask_bits`): a row whose bits
+are (0, 0) is odd at every odd q, and any other row is decided q by q by
+`hecke.odd_q_parity`.
 
 Unipotent and symmetric blocks are single shapes. Sign pairs (lam, mu)
 come in one block per (n, l) with l = |lam|, and each row is
-`gl.sign_pair_row`, the one copy of the sign-pair rule. The induction
-index has the parity of C(n, l): when it is even, every row of the block
-is trivial; when odd, a row is the unipotent row of its even-degree side,
-trivial when both sides are even, and refused when both are odd (the
-empty shape counts as odd). So a block's count and bits come from the
-shapes of its two sizes, not from its pairs. Once the witnesses are
-full, a block whose distinct products all have bits (0, 0) is only
-counted; any other block is enumerated row by row, so failures and
+`gl.sign_pair_row` on the masks of its sides, the one copy of the
+sign-pair rule. The induction index has the parity of C(n, l): when it is
+even, every row of the block is trivial; when odd, a row is the row of
+its even-degree side, trivial when both sides are even, and refused when
+both are odd (the empty shape counts as odd). So a block's count and bits
+come from the shapes of its two sizes, not from its pairs. Once the
+witnesses are full, a block whose distinct products all have bits (0, 0)
+is only counted; any other block is enumerated row by row, so failures and
 witnesses keep (row, q) order. Every (row, q) pair is counted, but a
-witness is built only for a failure or a printed row, and only printed
-rows are classified, which needs factorization; no row evaluates a
-degree at q or runs the full determinant polynomial.
+witness is built only for a failure or a printed row. Only a witness
+reads its product's x-power, from the lattice walk of the family's class
+source (`hecke.hecke_row`, `gl.unipotent_row` or `gl.sign_pair_row`),
+checked against the formula's bits, and only a printed row is classified,
+which needs factorization; no row evaluates a degree at q or runs the full
+determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q through their 2-adic valuations. One walk over c keeps a
@@ -48,9 +53,9 @@ from functools import cached_property
 from itertools import product
 from math import comb
 
-from .errors import NotIrrPlusError, check_int, record
+from .errors import InvariantViolation, check_int, record
 from .gl import as_odd_prime_power, sign_pair_row, unipotent_row
-from .hecke import QIntProduct, hecke_row
+from .hecke import QIntProduct, beta_row, hecke_row, mask_bits, odd_q_parity
 from .squareclass import Parity, SquareClass
 from .tableaux import check_partition, enumerate_partitions
 
@@ -103,19 +108,32 @@ def parity_bridge_check(shape, q: int) -> bool:
 
 @record
 class ParityWitness:
-    """One checked character: shapes, parameter and a symbolic determinant.
+    """One checked character: shapes, parameter, the formula's bits and a class source.
 
-    The parity is read off the factors of `symbolic`; the class is computed
-    on first access only, and `square_class` checks that it has that parity.
+    The parity is read off the bits. The product `symbolic` is read from
+    `source(*shapes)` on first access only, and must have the same bits;
+    the class is computed from it on first access only, and `square_class`
+    checks that it has that parity.
     """
 
     shapes: tuple[tuple[int, ...], ...]
     q: int
-    symbolic: QIntProduct
+    bits: tuple[int, int]
+    source: object
 
     @property
     def parity(self) -> Parity:
-        return self.symbolic.parity_at(self.q)
+        return odd_q_parity(self.bits, self.q)
+
+    @cached_property
+    def symbolic(self) -> QIntProduct:
+        symbolic = self.source(*self.shapes)
+        if symbolic.odd_q_bits != self.bits:
+            raise InvariantViolation(
+                f"{self.shapes}: the beta-number formula gives the bits {self.bits}, "
+                f"the walk-based product {symbolic!r} has {symbolic.odd_q_bits}"
+            )
+        return symbolic
 
     @cached_property
     def det_class(self) -> SquareClass:
@@ -127,6 +145,10 @@ class ParityWitness:
             "q": self.q,
             "class": self.det_class.to_json(),
         }
+
+    def __repr__(self) -> str:
+        return (f"ParityWitness(shapes={self.shapes!r}, q={self.q!r}, bits={self.bits!r}, "
+                f"source={getattr(self.source, '__name__', self.source)})")
 
 
 @record
@@ -160,37 +182,36 @@ def _shapes_of(n: int) -> list[tuple[int, ...]]:
     return [()] if n == 0 else enumerate_partitions(n)
 
 
-def _shape_blocks(n_max: int, row):
-    """One block per even-degree shape with 2 <= n <= n_max: its row `row(shape)`."""
+def _shape_blocks(n_max: int):
+    """One block per even-degree shape with 2 <= n <= n_max: its bits from `beta_row`."""
     for n in range(2, n_max + 1):
         for shape in enumerate_partitions(n):
-            try:
-                symbolic = row(shape)
-            except NotIrrPlusError:
-                continue
-            yield 1, symbolic.odd_q_bits == (0, 0), (((shape,), symbolic),)
+            count_v2, mask = beta_row(shape)
+            if count_v2:
+                bits = mask_bits(mask)
+                yield 1, bits == (0, 0), (((shape,), bits),)
 
 
 def _sign_pair_blocks(n_max: int):
     """One block per (n, l) with 1 <= n <= n_max: the pairs (lam, mu) with |lam| = l.
 
-    Each size's shapes are read once, with their unipotent rows (None at
-    odd degree), the number of odd ones and whether every row's bits are
+    Each size's shapes are read once, with their masks (None at odd
+    degree), the number of odd ones and whether every mask's bits are
     (0, 0). A block's count and bits are then known without enumerating
     it, since its products are the trivial one and, with an odd index, the
-    rows of both sides. Its rows, read lazily, are `gl.sign_pair_row`.
+    rows of both sides. Its rows, read lazily, are the bits of
+    `gl.sign_pair_row` on the masks.
     """
-    sides = []
+    masks, sides = {}, []
     for m in range(n_max + 1):
-        rows = []
-        for shape in _shapes_of(m):
-            try:
-                rows.append((shape, unipotent_row(shape)))
-            except NotIrrPlusError:
-                rows.append((shape, None))
-        odd = sum(row is None for _, row in rows)
-        quiet = all(row.odd_q_bits == (0, 0) for _, row in rows if row is not None)
-        sides.append((rows, odd, quiet))
+        shapes = _shapes_of(m)
+        for shape in shapes:
+            count_v2, mask = beta_row(shape)
+            masks[shape] = mask if count_v2 else None
+        odd = sum(masks[shape] is None for shape in shapes)
+        quiet = all(mask_bits(masks[shape]) == (0, 0)
+                    for shape in shapes if masks[shape] is not None)
+        sides.append((shapes, odd, quiet))
     for n in range(1, n_max + 1):
         for ell in range(n + 1):
             (lams, odd_lams, quiet_lams), (mus, odd_mus, quiet_mus) = sides[ell], sides[n - ell]
@@ -198,23 +219,25 @@ def _sign_pair_blocks(n_max: int):
             # [n choose l]_x lies in Z[x], so at odd q its parity is that of C(n, l);
             # with an odd index, a pair of odd sides has odd degree and is refused.
             if comb(n, ell) % 2:
-                pairs = (pair for pair in pairs if any(row is not None for _, row in pair))
+                pairs = (pair for pair in pairs
+                         if any(masks[side] is not None for side in pair))
                 count, quiet = count - odd_lams * odd_mus, quiet_lams and quiet_mus
-            rows = (((lam, mu), sign_pair_row(lam, mu)) for (lam, _), (mu, _) in pairs)
+            rows = (((lam, mu), mask_bits(sign_pair_row(lam, mu, masks.__getitem__, 0)))
+                    for lam, mu in pairs)
             yield count, quiet, rows
 
 
-def _sweep(name, first_n, blocks, n_max, q_values, witness_limit) -> ParityReport:
+def _sweep(name, first_n, blocks, source, n_max, q_values, witness_limit) -> ParityReport:
     """The report `name` of the rows of `blocks`, whose rows start at n = first_n.
 
     `blocks` yields (count, quiet, rows): the number of even-degree rows,
     whether every distinct product among them has bits (0, 0), and the rows
-    as (shapes, symbolic) pairs in order: (shape,) for unipotent and
-    symmetric, (lam, mu) for sign pairs. Every q is odd, and a row's
-    product is the same at every odd q. Once the witnesses are full, a
-    quiet block is only counted, and so is a row with bits (0, 0), as it
-    fails at no q. Failures and the first `witness_limit` witnesses are
-    listed in (row, q) order.
+    as (shapes, bits) pairs in order: (shape,) for unipotent and
+    symmetric, (lam, mu) for sign pairs. Every q is odd, and a row's bits
+    are the same at every odd q. Once the witnesses are full, a quiet block
+    is only counted, and so is a row with bits (0, 0), as it fails at no q.
+    Failures and the first `witness_limit` witnesses are listed in (row, q)
+    order, and read their classes from `source`.
     """
     check_int(n_max, "n_max", 1)
     check_int(witness_limit, "witness_limit", 0)
@@ -230,14 +253,14 @@ def _sweep(name, first_n, blocks, n_max, q_values, witness_limit) -> ParityRepor
         checked += count * len(q_values)
         if quiet and len(witnesses) >= witness_limit:
             continue
-        for shapes, symbolic in rows:
-            if symbolic.odd_q_bits == (0, 0) and len(witnesses) >= witness_limit:
+        for shapes, bits in rows:
+            if bits == (0, 0) and len(witnesses) >= witness_limit:
                 continue
             for q in q_values:
-                failed = symbolic.parity_at(q) is not Parity.ODD
+                failed = odd_q_parity(bits, q) is not Parity.ODD
                 printed = len(witnesses) < witness_limit
                 if failed or printed:
-                    row = ParityWitness(shapes, q, symbolic)
+                    row = ParityWitness(shapes, q, bits, source)
                     if failed:
                         failures.append(row)
                     if printed:
@@ -256,7 +279,7 @@ def verify_parker_unipotent(
     n_max: int, q_values, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree unipotent determinant classes up to n_max."""
-    return _sweep("unipotent", 2, _shape_blocks(n_max, unipotent_row), n_max,
+    return _sweep("unipotent", 2, _shape_blocks(n_max), unipotent_row, n_max,
                   (as_odd_prime_power(q).q for q in q_values), witness_limit)
 
 
@@ -264,7 +287,7 @@ def verify_parker_symmetric(
     n_max: int, *, witness_limit: int = DEFAULT_WITNESS_LIMIT
 ) -> ParityReport:
     """Check all even-degree symmetric group determinant classes up to n_max."""
-    return _sweep("symmetric", 2, _shape_blocks(n_max, hecke_row), n_max, (1,), witness_limit)
+    return _sweep("symmetric", 2, _shape_blocks(n_max), hecke_row, n_max, (1,), witness_limit)
 
 
 def verify_parker_sign_pairs(
@@ -275,5 +298,5 @@ def verify_parker_sign_pairs(
     Pairs run over (lam, mu) with |lam| + |mu| = n <= n_max, either side
     possibly empty (but not both); odd-degree characters are skipped.
     """
-    return _sweep("sign-pair", 1, _sign_pair_blocks(n_max), n_max,
+    return _sweep("sign-pair", 1, _sign_pair_blocks(n_max), sign_pair_row, n_max,
                   (as_odd_prime_power(q).q for q in q_values), witness_limit)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -283,12 +284,17 @@ def test_verify_parker_rejects_q_on_the_rows(capsys, jobs):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_parker_reports_a_parity_failure(capsys, monkeypatch, fmt):
-    real = parker.unipotent_row
+    # [2]_q, which is 6 at q = 5: an even class. The sweep reads the
+    # formula's mask {2}, the printed failure the walk's product [2].
+    real_formula, real = parker.beta_row, parker.unipotent_row
+
+    def formula_even_at_21(shape):
+        return (1, 1 << 2) if shape == (2, 1) else real_formula(shape)
 
     def even_at_21(shape):
-        # [2]_q, which is 6 at q = 5: an even class.
         return QIntProduct(0, ((2, 1),)) if shape == (2, 1) else real(shape)
 
+    monkeypatch.setattr(parker, "beta_row", formula_even_at_21)
     monkeypatch.setattr(parker, "unipotent_row", even_at_21)
     code, out, err = run(capsys, "verify-parker", "--n-max", "3", "--q", "5", "--format", fmt)
     assert code == 2
@@ -726,15 +732,45 @@ def test_missing_subcommand_exits_one(capsys):
     assert exc.value.code == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(capsys):
+    # Both process entries go through `cli.run`, and print what `main`
+    # prints in process, with its exit code: a result, a sweep, an
+    # odd-degree refusal and a bad q.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "orthdet", "det-symmetric", "--shape", "2,1", "--format", "json"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["class"]["squarefree"] == "3"
+    for argv in (["det-symmetric", "--shape", "2,1", "--format", "json"],
+                 ["verify-parker", "--family", "sgnpair", "--n-max", "5", "--q", "3,5"],
+                 ["det-unipotent", "--shape", "1,1", "--q", "3"],
+                 ["verify-parker", "--n-max", "4", "--q", "3,15"]):
+        expected = run(capsys, *argv)
+        for module in ("orthdet", "orthdet.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                cwd=root, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == expected, (module, argv)
+        if argv[0] == "det-symmetric":
+            assert json.loads(expected[1])["class"]["squarefree"] == "3"
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    # `main` in process leaves the collector as it found it; `run` freezes
+    # the import-time heap of a process of its own.
+    frozen = gc.get_freeze_count()
+    assert main(["verify-parker", "--n-max", "6", "--q", "3"]) == 0
+    assert main(["selftest", "--cyclotomic-max", "5", "--parity-max", "5",
+                 "--relations-max", "2"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+    code = """
+import contextlib, gc, io, sys, orthdet.cli
+sys.argv = ["orthdet", "det-symmetric", "--shape", "2,1"]
+before = gc.get_freeze_count()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = orthdet.cli.run()
+print(code, before, gc.get_freeze_count() > 1000)
+"""
+    assert _fresh_interpreter(code) == "0 0 True\n"

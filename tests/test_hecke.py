@@ -25,6 +25,7 @@ from orthdet.tableaux import (
     enumerate_partitions,
     enumerate_syt,
     row_filling_tableau,
+    shape_record,
 )
 
 
@@ -93,15 +94,21 @@ def test_det_poly_examples():
 
 
 def test_lattice_dp_equals_product_of_tableau_polynomials():
-    # The graph walk is the independent reference for the lattice DP.
+    # The graph walk is the independent reference for the lattice DP, and
+    # for the beta-number formula on the 77 even shapes.
     hecke._lattice_product.cache_clear()
     shapes_checked = _all_partitions(10)
+    even = 0
     for shape in shapes_checked:
         product = QIntProduct.one()
         for poly in tableau_polynomials(shape).values():
             product = product * poly
         assert det_poly_factored(shape) == product, shape
-    assert len(shapes_checked) == 138
+        count_v2, mask = hecke.beta_row(shape)
+        if count_v2:
+            assert mask == product.odd_mask, shape
+            even += 1
+    assert len(shapes_checked) == 138 and even == 77
     assert det_poly_factored(()) == QIntProduct.one()
 
 
@@ -258,6 +265,83 @@ def test_full_product_is_checked_against_the_walk(monkeypatch):
     assert wrong.symbolic == QIntProduct(0, ((3, 1),))
     with pytest.raises(InvariantViolation, match="GF\\(2\\) walk of \\(2, 2\\)"):
         wrong.to_json()
+
+
+def _partition_counts(n_max):
+    """p(0), ..., p(n_max) by Euler's pentagonal recurrence, with no partition enumerated."""
+    counts = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        j = 1
+        while (pentagonal := j * (3 * j - 1) // 2) <= n:
+            sign = 1 if j % 2 else -1
+            counts[n] += sign * counts[n - pentagonal]
+            if pentagonal + j <= n:
+                counts[n] += sign * counts[n - pentagonal - j]
+            j += 1
+    return counts
+
+
+def test_formula_gate_matches_the_records_and_macdonalds_count():
+    # For every n <= 30, v2 of the tableau count from the beta-numbers (the
+    # gate of `beta_row`) is the hook record's, and the even-degree shapes
+    # number p(n) - 2^(k_1 + k_2 + ...) for n = 2^k_1 + 2^k_2 + ... (Macdonald 1971).
+    counts = _partition_counts(30)
+    assert counts[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and counts[30] == 5604
+    for n in range(1, 31):
+        even = 0
+        for shape in enumerate_partitions(n):
+            count_v2 = hecke._beta_gate(shape)[3]
+            assert count_v2 == shape_record(shape).count_v2, shape
+            even += count_v2 > 0
+        odd = 2 ** sum(k for k in range(n.bit_length()) if n >> k & 1)
+        assert even == counts[n] - odd, n
+    assert [hecke.beta_row(shape)[0] for shape in enumerate_partitions(12)] == [
+        shape_record(shape).count_v2 for shape in enumerate_partitions(12)]
+
+
+def test_formula_matches_the_reduced_walk():
+    # On every even shape with n <= 14: the walk of the orientation that
+    # `det_poly_reduced` shares with the conjugate, and that of the shape as given.
+    checked = 0
+    for shape in _all_partitions(14):
+        count_v2, mask = hecke.beta_row(shape)
+        if count_v2:
+            assert mask == det_poly_reduced(shape).odd_mask, shape
+            assert mask == hecke._lattice_product(shape, True).odd_mask, shape
+            checked += 1
+    assert checked == 302
+
+
+def test_formula_examples():
+    # (2, 1) has x [3] and (3, 1, 1) has [5]. The odd-degree shapes, the
+    # empty one, (5), and (3, 1) and (2, 1, 1) (whose walks differ), get
+    # v2 = 0 and no mask.
+    assert hecke.beta_row(()) == hecke.beta_row((5,)) == (0, 0)
+    assert hecke.beta_row((2, 1)) == (1, 1 << 3)
+    assert hecke.beta_row((3, 1, 1)) == (1, 1 << 5)
+    assert hecke.beta_row((3, 1)) == hecke.beta_row((2, 1, 1)) == (0, 0)
+    assert hecke.beta_row((2, 2)) == (1, det_poly_reduced((2, 2)).odd_mask)
+    assert hecke.mask_bits(0) == (0, 0)
+    assert hecke.mask_bits(1 << 2 | 1 << 4) == (0, 1)
+    assert hecke.mask_bits(1 << 4 | 1 << 16 | 1 << 12) == (1, 1)
+    for q in (1, 3, 5, 7, 9, 31, 127):
+        for mults in (((2, 1),), ((4, 1),), ((2, 1), (4, 1)), ((6, 1), (8, 1))):
+            product = QIntProduct(0, mults)
+            assert hecke.odd_q_parity(product.odd_q_bits, q) is product.parity_at(q)
+
+
+def test_full_product_is_checked_against_the_formula(monkeypatch):
+    # A formula that adds [2] to (2, 2): the factors of `det-*` refuse it.
+    formula = hecke.beta_row
+    monkeypatch.setattr(hecke, "beta_row", lambda shape: (
+        (1, formula(shape)[1] ^ 1 << 2) if shape == (2, 2) else formula(shape)))
+    det_poly_factored((2, 1))
+    with pytest.raises(InvariantViolation, match=r"formula of \(2, 2\) gives the q-integers "
+                                                 r"\[2, 3\], the GF\(2\) walk \[3\]"):
+        det_poly_factored((2, 2))
+    with pytest.raises(InvariantViolation, match="beta-number formula of"):
+        hecke_determinant((2, 2), 5).to_json()
+    assert det_poly_factored((2, 1, 1)) == det_poly_factored((2, 1, 1))  # odd: not compared
 
 
 def test_parity_at_matches_the_value():

@@ -3,7 +3,7 @@ import pytest
 
 from orthdet import gl, hecke, parker, tableaux
 from orthdet.cli import main
-from orthdet.errors import NotIrrPlusError
+from orthdet.errors import InvariantViolation, NotIrrPlusError
 from orthdet.hecke import QIntProduct, det_poly_factored
 from orthdet.parker import (
     ParityReport,
@@ -266,25 +266,56 @@ def patch_row(monkeypatch):
     return patch
 
 
+def _product(mask):
+    """The squarefree product of the [k] in a bitmask."""
+    return QIntProduct(0, tuple((k, 1) for k in range(mask.bit_length()) if mask >> k & 1))
+
+
+@pytest.fixture
+def change_rows(patch_row):
+    """Change the products of chosen rows, in the formula and in a walk-based class source.
+
+    `change(shape, product)` gives a shape's new product, or `product`
+    itself. The sweeps read the changed masks of `hecke.beta_row`; their
+    printed and failing rows, and the public determinants of the per-q
+    reference, read the changed walk products of `module.name`, so the
+    two agree and every failure can be printed. `calls` records every
+    formula call.
+    """
+    def patch(module, name, change, calls=None):
+        formula, walk = hecke.beta_row, getattr(module, name)
+
+        def changed_formula(shape):
+            if calls is not None:
+                calls.append(shape)
+            count_v2, mask = formula(shape)
+            return count_v2, change(shape, _product(mask)).odd_mask if count_v2 else mask
+
+        patch_row(hecke, "beta_row", changed_formula)
+        patch_row(module, name, lambda shape: change(shape, walk(shape)))
+
+    return patch
+
+
 @pytest.mark.parametrize("sweep, first_n", [
     pytest.param(verify_parker_unipotent, 2, id="unipotent"),
     pytest.param(verify_parker_sign_pairs, 0, id="sign-pair"),
 ])
 def test_sweep_refuses_each_odd_row_once(monkeypatch, sweep, first_n):
-    # The row source is the odd-degree gate, read once per shape: evenness
-    # does not depend on q, so a refused shape is skipped at its other q.
-    real = parker.unipotent_row
+    # The formula is the odd-degree gate, read once per shape: evenness
+    # does not depend on q, so an odd shape is skipped, without raising, at
+    # every q.
+    real = parker.beta_row
     called, refused = [], []
 
     def recording(shape):
         called.append(shape)
-        try:
-            return real(shape)
-        except NotIrrPlusError:
+        count_v2, mask = real(shape)
+        if not count_v2:
             refused.append(shape)
-            raise
+        return count_v2, mask
 
-    monkeypatch.setattr(parker, "unipotent_row", recording)
+    monkeypatch.setattr(parker, "beta_row", recording)
     report = sweep(8, [3, 5, 7])
     shapes = [shape for n in range(first_n, 9) for shape in _shapes_of(n)]
     assert report.ok and called == shapes
@@ -307,9 +338,11 @@ def test_unipotent_sweep_computes_hooks_once_per_shape(monkeypatch):
     tableaux.shape_record.cache_clear()
     hecke._lattice_product.cache_clear()
     gl.unipotent_row.cache_clear()
+    # Rows read the formula, so only the printed rows' classes read hooks.
     report = verify_parker_unipotent(8, [3, 5, 7])
-    assert report.ok and report.checked > len(set(shapes)) > 0
-    assert len(shapes) == len(set(shapes))
+    assert report.ok and report.checked > 0 and shapes == []
+    report.to_json()
+    assert len(shapes) == len(set(shapes)) > 0
 
 
 def test_unipotent_sweep_evaluates_no_degree(monkeypatch):
@@ -346,6 +379,45 @@ def test_sweeps_never_run_the_full_product(monkeypatch):
     assert parity_bridge_check((6, 5, 4, 3, 2), 3)
 
 
+def test_sweep_rows_neither_walk_nor_read_shape_records(monkeypatch):
+    # Rows read the formula; only the printed rows walk (GF(2) mode, on the
+    # orientation `det_poly_reduced` shares with the conjugate, cached so
+    # that (4, 1) serves (2, 1, 1, 1) as well) and read records.
+    walk = hecke._lattice_product
+    walk.cache_clear()
+    walked = []
+
+    def counting(shape, mod2):
+        walked.append((shape, mod2))
+        return walk(shape, mod2)
+
+    monkeypatch.setattr(hecke, "_lattice_product", counting)
+    records = tableaux.shape_record.cache_info()
+    report = verify_parker_symmetric(14)
+    assert report.ok and report.checked > 100 and len(report.witnesses) == 8
+    assert walked == [] and tableaux.shape_record.cache_info() == records
+    report.to_json()
+    printed = [min(shape, tableaux.conjugate_partition(shape), key=lambda side: (len(side), side))
+               for (shape,) in (w.shapes for w in report.witnesses)]
+    assert walked == [(shape, True) for shape in printed]
+
+
+def test_a_formula_row_the_walk_contradicts_is_refused(monkeypatch, capsys):
+    # [2]_x in the formula's row of (2, 1) alone: the sweep fails there, and
+    # printing the failure compares the formula's bits with the walk's.
+    formula = parker.beta_row
+    monkeypatch.setattr(parker, "beta_row", lambda shape: (
+        (1, formula(shape)[1] ^ 1 << 2) if shape == (2, 1) else formula(shape)))
+    report = verify_parker_unipotent(4, [3, 5])
+    assert [(w.shapes, w.q, w.bits) for w in report.failures] == [(((2, 1),), 5, (1, 0))]
+    with pytest.raises(InvariantViolation, match=r"\(\(2, 1\),\): the beta-number formula "
+                                                 r"gives the bits \(1, 0\), the walk-based"):
+        report.to_json()
+    assert main(["verify-parker", "--n-max", "4", "--q", "3,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invariant violation:") and "(1, 0)" in err
+
+
 def test_report_json():
     report = verify_parker_unipotent(4, [3])
     data = report.to_json()
@@ -359,8 +431,18 @@ def test_report_json():
 V2_QS = (3, 5, 7, 9, 11, 31, 47, 127, 191, 383, 997)
 
 
+# The walk-based class source of each family's witnesses.
+CLASS_SOURCES = {"unipotent": "unipotent_row", "sign-pair": "sign_pair_row",
+                 "symmetric": "hecke_row"}
+
+
 def _per_q_report(name, build_rows, determinant, n_max, q_values, witness_limit):
-    """The report of a loop that runs the determinant and the parity at every (row, q)."""
+    """The report of a loop that runs the determinant and the parity at every (row, q).
+
+    Its witnesses carry the bits of the walk's products, where the sweep's
+    carry those of the formula.
+    """
+    source = getattr(parker, CLASS_SOURCES[name])
     rows = []
     for shapes in build_rows(n_max):
         for q in q_values:
@@ -368,14 +450,15 @@ def _per_q_report(name, build_rows, determinant, n_max, q_values, witness_limit)
                 symbolic = determinant(*shapes, q).symbolic
             except NotIrrPlusError:
                 break
-            rows.append(ParityWitness(shapes, q, symbolic))
+            rows.append((ParityWitness(shapes, q, symbolic.odd_q_bits, source), symbolic))
     return ParityReport(
         family=name,
         n_max=n_max,
         q_values=tuple(q_values),
         checked=len(rows),
-        failures=tuple(row for row in rows if row.symbolic.parity_at(row.q) is not Parity.ODD),
-        witnesses=tuple(rows[:witness_limit]),
+        failures=tuple(row for row, symbolic in rows
+                       if symbolic.parity_at(row.q) is not Parity.ODD),
+        witnesses=tuple(row for row, _ in rows[:witness_limit]),
     )
 
 
@@ -401,22 +484,21 @@ def test_bits_driven_sweep_equals_the_per_q_loop(sweep, name, build_rows, determ
 
 
 @pytest.mark.parametrize(FAMILY_ARGS, FAMILIES)
-def test_bits_driven_sweep_finds_the_per_q_failures(patch_row, sweep, name, build_rows,
+def test_bits_driven_sweep_finds_the_per_q_failures(change_rows, sweep, name, build_rows,
                                                     determinant, row_source, n_max, q_values):
     # Every shape's row times [2]_x or [4]_x: even classes at odd or at even
     # v2(q + 1), so failures fall in every class and in most rows. The
-    # public determinants read the patched row source too.
-    module, row_name = row_source
-    real = getattr(module, row_name)
-
-    def perturbed(shape):
+    # sweep reads the changed formula, the public determinants the changed
+    # walk-based row source.
+    def perturbed(shape, product):
         k = 2 + 2 * (len(shape) % 2)
-        return real(shape) * QIntProduct(0, ((k, 1),))
+        return product * QIntProduct(0, ((k, 1),))
 
-    patch_row(module, row_name, perturbed)
+    change_rows(*row_source, perturbed)
     report = sweep(n_max, q_values, witness_limit=50)
     reference = _per_q_report(name, build_rows, determinant, n_max, q_values, 50)
     assert report.failures and report == reference
+    assert report.to_json() == reference.to_json()
     if len(q_values) > 1:
         assert {two_adic_valuation(w.q + 1) for w in report.failures} == set(range(1, 8))
 
@@ -424,25 +506,19 @@ def test_bits_driven_sweep_finds_the_per_q_failures(patch_row, sweep, name, buil
 EVEN_ROWS = ((2, 1), (2, 2))
 
 
-def _patch_even_rows(patch_row, symbolic, calls=None):
+def _patch_even_rows(change_rows, symbolic, calls=None):
     """Patch the unipotent rows of (2, 1) and (2, 2) to the product `symbolic`."""
-    real = gl.unipotent_row
-
-    def patched(shape):
-        if calls is not None:
-            calls.append(shape)
-        return symbolic if shape in EVEN_ROWS else real(shape)
-
-    patch_row(gl, "unipotent_row", patched)
+    change_rows(gl, "unipotent_row",
+                lambda shape, product: symbolic if shape in EVEN_ROWS else product, calls)
 
 
-def _even_at_odd_v2(patch_row, calls=None):
+def _even_at_odd_v2(change_rows, calls=None):
     """Patch the rows (2, 1) and (2, 2) to [2]_x, even iff v2(q + 1) is odd."""
-    _patch_even_rows(patch_row, QIntProduct(0, ((2, 1),)), calls)
+    _patch_even_rows(change_rows, QIntProduct(0, ((2, 1),)), calls)
 
 
-def test_a_constructed_even_row_fails_at_odd_v2(patch_row, capsys):
-    _even_at_odd_v2(patch_row)
+def test_a_constructed_even_row_fails_at_odd_v2(change_rows, capsys):
+    _even_at_odd_v2(change_rows)
     report = verify_parker_unipotent(6, V2_QS)
     reference = _per_q_report("unipotent", _all_shapes, gl.unipotent_determinant, 6, V2_QS, 8)
     expected = [((shape,), q) for shape in EVEN_ROWS for q in V2_QS
@@ -471,10 +547,10 @@ def test_odd_q_bits_of_constructed_products(mults, bits):
     assert QIntProduct(1, mults).odd_q_bits == bits
 
 
-def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(patch_row, capsys):
+def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(change_rows, patch_row, capsys):
     # [2]_x [4]_x has a = 0 and b = 1: even at every odd q, q = 1 included.
     product = QIntProduct(0, ((2, 1), (4, 1)))
-    _patch_even_rows(patch_row, product)
+    _patch_even_rows(change_rows, product)
     report = verify_parker_unipotent(6, V2_QS)
     reference = _per_q_report("unipotent", _all_shapes, gl.unipotent_determinant, 6, V2_QS, 8)
     expected = [((shape,), q) for shape in EVEN_ROWS for q in V2_QS]
@@ -489,21 +565,22 @@ def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(patch_row, capsys)
         f"PARITY FAILURE: {json.dumps(w.to_json(), sort_keys=True)}" for w in reference.failures
     ]
 
+    # The formula is changed already; the symmetric rows' classes read `hecke_row`.
     real = hecke.hecke_row
     patch_row(hecke, "hecke_row", lambda shape: product if shape in EVEN_ROWS else real(shape))
     report = verify_parker_symmetric(6)
     assert [(w.shapes, w.q) for w in report.failures] == [((shape,), 1) for shape in EVEN_ROWS]
+    assert [w.det_class.parity for w in report.failures] == [Parity.EVEN] * len(EVEN_ROWS)
 
 
 @pytest.mark.parametrize("limit", [0, 3])
-def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(patch_row, limit):
+def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(change_rows, limit):
     # [2]_x as the row of (2, 2) clears the (0, 0) bits of every block with
     # (2, 2) on a side: each is enumerated although the witnesses are full,
     # and its failures come in (row, q) order. With an even index (C(8, 4))
     # or an even partner the row stays trivial.
-    real = gl.unipotent_row
-    patch_row(gl, "unipotent_row",
-              lambda shape: QIntProduct(0, ((2, 1),)) if shape == (2, 2) else real(shape))
+    change_rows(gl, "unipotent_row",
+                lambda shape, product: QIntProduct(0, ((2, 1),)) if shape == (2, 2) else product)
     report = verify_parker_sign_pairs(8, V2_QS, witness_limit=limit)
     reference = _per_q_report("sign-pair", _all_sign_pairs, gl.sign_pair_determinant,
                               8, V2_QS, limit)
@@ -515,15 +592,16 @@ def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(patch_row, lim
 
 
 def test_sign_pair_blocks_match_the_per_pair_rows():
-    # Each (n, l) block's count, bits and rows, against `gl.sign_pair_row` pair by pair.
+    # Each (n, l) block's count, bits and rows, from the formula's masks,
+    # against the walk's products of `gl.sign_pair_row` pair by pair.
     keys = [(n, ell) for n in range(1, 13) for ell in range(n + 1)]
     blocks = list(parker._sign_pair_blocks(12))
     assert len(blocks) == len(keys)
     for (n, ell), (count, quiet, rows) in zip(keys, blocks):
         pairs = [(lam, mu) for lam in _shapes_of(ell) for mu in _shapes_of(n - ell)]
-        expected = _even_sign_pair_rows(pairs)
+        expected = [(pair, symbolic.odd_q_bits) for pair, symbolic in _even_sign_pair_rows(pairs)]
         assert list(rows) == expected and count == len(expected), (n, ell)
-        assert quiet is all(symbolic.odd_q_bits == (0, 0) for _, symbolic in expected)
+        assert quiet is all(bits == (0, 0) for _, bits in expected)
 
 
 @pytest.mark.parametrize("pair", [
@@ -532,14 +610,20 @@ def test_sign_pair_blocks_match_the_per_pair_rows():
 ])
 def test_a_sign_pair_row_times_two_fails_on_that_pair_alone(patch_row, pair):
     # [2]_x times the row of one pair, read from `gl.sign_pair_row` by the
-    # sweep and by the determinant: the sweep fails on that pair alone, at
-    # the q with v2(q + 1) odd, in (row, q) order. C(4, 3) is even, so the
-    # first row is trivial; C(5, 4) is odd and (1,) is odd, so the second
-    # is the unipotent row of (2, 2).
+    # sweep (on the formula's masks) and by the determinant (on the walk's
+    # products): the sweep fails on that pair alone, at the q with
+    # v2(q + 1) odd, in (row, q) order. C(4, 3) is even, so the first row
+    # is trivial; C(5, 4) is odd and (1,) is odd, so the second is the
+    # unipotent row of (2, 2).
     real = gl.sign_pair_row
-    patch_row(gl, "sign_pair_row", lambda lam, mu: (
-        (real(lam, mu) * QIntProduct(0, ((2, 1),))).reduced() if (lam, mu) == pair
-        else real(lam, mu)))
+
+    def perturbed(lam, mu, *sides):
+        row = real(lam, mu, *sides)
+        if (lam, mu) != pair:
+            return row
+        return row ^ 1 << 2 if sides else (row * QIntProduct(0, ((2, 1),))).reduced()
+
+    patch_row(gl, "sign_pair_row", perturbed)
     report = verify_parker_sign_pairs(7, V2_QS, witness_limit=10**6)
     expected = [(pair, q) for q in V2_QS if two_adic_valuation(q + 1) % 2]
     assert [(w.shapes, w.q) for w in report.failures] == expected
@@ -585,11 +669,11 @@ def test_parker_holds_at_every_odd_q_up_to_18():
         assert symbolic == QIntProduct.one() or symbolic in unipotent_rows, (lam, mu)
 
 
-def test_sweep_runs_the_determinant_once_per_row(patch_row, monkeypatch):
-    # Twenty odd q: one row-source call per shape, and a witness built only
+def test_sweep_runs_the_determinant_once_per_row(change_rows, monkeypatch):
+    # Twenty odd q: one formula call per shape, and a witness built only
     # for a failure or a printed row.
     calls, built = [], []
-    _even_at_odd_v2(patch_row, calls)
+    _even_at_odd_v2(change_rows, calls)
 
     def counting_witness(*args):
         built.append(ParityWitness(*args))

@@ -3,7 +3,9 @@
 Every result type is an immutable record: equal only to a record of its own
 class with equal fields, hashable (so usable as a cache or dict key),
 refusing assignment, and printed exactly as a frozen dataclass would print
-it. The reprs below are pinned, since error messages and stderr carry them.
+it, unless the class defines its own repr (a parity witness names its class
+source, a function, instead of printing the function object). The reprs
+below are pinned, since error messages and stderr carry them.
 """
 
 from functools import lru_cache
@@ -43,9 +45,9 @@ RECORDS = [
      "HeckeDetResult(shape=(2, 1), q=3, symbolic=QIntProduct(x [3]))"),
     ("ParityReport", lambda: verify_parker_unipotent(3, (3,), witness_limit=1),
      "ParityReport(family='unipotent', n_max=3, q_values=(3,), checked=1, failures=(), "
-     "witnesses=(ParityWitness(shapes=((2, 1),), q=3, symbolic=QIntProduct([3])),))"),
+     "witnesses=(ParityWitness(shapes=((2, 1),), q=3, bits=(0, 0), source=unipotent_row),))"),
     ("ParityWitness", lambda: verify_parker_unipotent(3, (3,), witness_limit=1).witnesses[0],
-     "ParityWitness(shapes=((2, 1),), q=3, symbolic=QIntProduct([3]))"),
+     "ParityWitness(shapes=((2, 1),), q=3, bits=(0, 0), source=unipotent_row)"),
     ("SquareClass", lambda: SquareClass(-1, 6), "SquareClass(-6)"),
     ("StandardTableau", lambda: row_filling_tableau((2, 1)), "StandardTableau([[1, 2], [3]])"),
     ("TableauGraph", lambda: enumerate_syt((2, 1)), GRAPH_21),

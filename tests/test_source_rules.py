@@ -15,7 +15,9 @@ its own definition (no dead helpers), as is every private or ALL_CAPS
 module-level constant (no stale guards). No code looks a name up in
 `globals()`: callers pass functions.
 Only `hecke` takes the 2-adic valuation of q + 1: the parity rule at odd q
-lives in `QIntProduct.parity_at`, and no sweep keeps a copy of it. Only
+lives in `hecke.odd_q_parity`, and no sweep keeps a copy of it. Only
+`cli.run`, the process entry, freezes the collector's heap: `main` has no
+process-level side effect, since tests and tracers call it in process. Only
 `tableaux.check_even_degree` (the odd-degree gate) and `gl.sign_pair_row`
 (the sign-pair refusal) build a `NotIrrPlusError`, so each rule has one copy.
 """
@@ -282,3 +284,14 @@ def test_module_constants_are_read():
         and not any(name in names for j, names in enumerate(named) if j != i)
     ]
     assert not unread, f"unread module-level constants: {unread}"
+
+
+def test_gc_freeze_only_in_the_process_entry():
+    found = sorted(
+        (path.name, getattr(node, "name", None))
+        for path in SOURCES
+        for node in _tree(path).body
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Call) and _names(inner.func, "freeze")
+    )
+    assert found == [("cli.py", "run")]

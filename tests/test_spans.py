@@ -34,9 +34,10 @@ def test_every_traced_target_resolves():
 
 
 def test_sweeps_bypass_the_traced_determinants():
-    # Sweep rows come from the row sources `gl.unipotent_row`,
-    # `gl.sign_pair_row` and `hecke.hecke_row`, which no target wraps: the
-    # sweeps show as their own spans, and the determinant spans stay empty.
+    # Sweep rows come from `hecke.beta_row`, and printed rows read their
+    # classes from `gl.unipotent_row`, `gl.sign_pair_row` and
+    # `hecke.hecke_row`; no target wraps them: the sweeps show as their own
+    # spans, and the determinant spans stay empty.
     tracer = _spans().Tracer()
     tracer.install()
     try:
