@@ -26,13 +26,12 @@ def identity_matrix(n: int) -> Columns:
     return tuple(((c, 1),) for c in range(n))
 
 
-def mat_mul(a: Columns, b: Columns, shift: int = 0) -> Columns:
-    """The columns of (A + shift) B for A and B given by their columns, zeros dropped."""
+def mat_mul(a: Columns, b: Columns) -> Columns:
+    """The columns of A B for A and B given by their columns, zeros dropped."""
     out = []
     for col in b:
         acc: dict[int, int] = {}
         for k, v in col:
-            acc[k] = acc.get(k, 0) + shift * v
             for r, w in a[k]:
                 acc[r] = acc.get(r, 0) + w * v
         out.append(tuple(sorted((r, v) for r, v in acc.items() if v)))

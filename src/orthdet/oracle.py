@@ -18,16 +18,17 @@ with the polynomial formula is the package's central cross-check.
 
 Each generator sends a basis tableau to itself and at most one swap
 partner, so it is stored once, as block arrays (diagonal entry, swap
-partner, off-diagonal entry) written from the tableau graph's edges, times
-one common scale that makes every entry an integer; all arithmetic here is
-on ints. The certificates read the arrays and check, with 1x1 and 2x2
-arithmetic, the quadratic, braid and commutation relations (as each
-module is built, so a bad block formula can never propagate silently),
-the form's invariance and the Jucys-Murphy recursion. Word images turn
-each generator into its sparse columns (see `linalg`) and multiply them
-with `linalg.mat_mul`, the one product, as does the trace-pairing check
-on the regular module. The one dense list is the skew route's running
-sum, passed to the determinant row by row.
+partner, off-diagonal entry) read from the tableau graph's edges and
+content vectors, times one common scale that makes every entry an integer;
+all arithmetic here is on ints, and no tableau object is built. The
+certificates read the arrays and check, with 1x1 and 2x2 arithmetic, the
+quadratic, braid and commutation relations (as each module is built, so a
+bad block formula can never propagate silently), the form's invariance
+and the Jucys-Murphy recursion. Word images turn each generator into its
+sparse columns (see `linalg`) and multiply them with `linalg.mat_mul`, the
+one product, as does the trace-pairing check on the regular module. The
+one dense list is the skew route's running sum, passed to the determinant
+row by row.
 """
 
 from __future__ import annotations
@@ -132,14 +133,14 @@ def check_limits(shape, skew: bool = False) -> None:
 def build_seminormal(shape, q: int) -> SeminormalRep:
     """Construct the generator matrices for a shape at integer q >= 1.
 
-    Entry k and k+1 in the same row of a basis tableau give eigenvalue q,
-    in the same column eigenvalue -1; otherwise the generator mixes the
-    tableau with its swap partner, the other end of its edge in
-    `graph.edges`, through a 2x2 block of trace q - 1 and determinant -q:
-    at axial distance d > 0 the diagonal entry is q^d/[d] and the
-    off-diagonal entry 1; at -d it is -1/[d] and q[d-1][d+1]/[d]^2, since
-    [d]^2 - q^(d-1) = [d-1][d+1]. At q = 1 this is Young's seminormal
-    form. Entries are stored times `scale`, so all are integers.
+    Blocks are read from the content vectors (c_k the content of entry k):
+    c_(k+1) = c_k + 1 (k, k+1 in one row) gives eigenvalue q, c_k - 1 (one
+    column) -1; otherwise the generator mixes the tableau with its swap
+    partner, the other end of its edge in `graph.edges`, through a 2x2 block
+    of trace q - 1 and determinant -q: at axial distance d = c_k - c_(k+1) > 0
+    the diagonal entry is q^d/[d] and the off-diagonal entry 1; at -d it is
+    -1/[d] and q[d-1][d+1]/[d]^2, since [d]^2 - q^(d-1) = [d-1][d+1]. At
+    q = 1 this is Young's seminormal form, stored times `scale` in integers.
     A module over `check_limits` raises ResourceGuardError before any
     tableau is enumerated.
     """
@@ -155,19 +156,19 @@ def build_seminormal(shape, q: int) -> SeminormalRep:
     b = [[0] * graph.size for _ in range(1, n)]
     # The 2x2 blocks: s_k moves lo up one step to hi, so k lies above k+1 in lo.
     for lo, hi, k in graph.edges:
-        t = graph.nodes[lo]
-        e = t.content(k) - t.content(k + 1)
+        c = graph.contents[lo]
+        e = c[k - 1] - c[k]
         if e < 2:
-            raise InvariantViolation(f"axial distance {e} on the edge s_{k} from {t!r}")
+            raise InvariantViolation(f"axial distance {e} on the edge s_{k} from contents {c}")
         down = scale * q * qint[e - 1] * qint[e + 1] // qint[e] ** 2
         ak, pk, bk = a[k - 1], p[k - 1], b[k - 1]
         ak[lo], pk[lo], bk[lo] = -scale // qint[e], hi, down
         ak[hi], pk[hi], bk[hi] = scale * q**e // qint[e], lo, scale
-    # The 1x1 blocks: k and k+1 in one row or in one column.
+    # The 1x1 blocks: k and k+1 in one row (c_(k+1) = c_k + 1) or in one column.
     for k, (ak, pk) in enumerate(zip(a, p), start=1):
-        for idx, t in enumerate(graph.nodes):
+        for idx, c in enumerate(graph.contents):
             if pk[idx] == idx:
-                ak[idx] = q * scale if t.position(k)[0] == t.position(k + 1)[0] else -scale
+                ak[idx] = q * scale if c[k] == c[k - 1] + 1 else -scale
     generators = tuple(tuple(map(tuple, arrays)) for arrays in zip(a, p, b))
     rep = SeminormalRep(shape=shape, q=q, scale=scale, graph=graph, generators=generators)
     verify_relations(rep)

@@ -2,10 +2,12 @@
 
 Partitions are plain tuples of weakly decreasing positive ints. Cells are
 1-based (row, col) pairs. The transposition graph on standard tableaux of a
-shape connects t and s_k.t whenever the entry swap (k, k+1) keeps the
-tableau standard; its breadth-first distance from the row-filling tableau
-is the Coxeter length of the permutation carrying one to the other;
-`tableau_word` reads a word of that length off the tableau, with no graph.
+shape, each held as its content vector (col - row of each entry), connects
+t and s_k.t whenever the contents of k and k+1 differ by at least 2, that is
+when the entry swap keeps t standard; its breadth-first distance from the
+row-filling tableau is the Coxeter length of the permutation carrying one
+to the other; `tableau_word` reads a word of that length off the tableau,
+with no graph. Only tableaux shown are built as `StandardTableau` objects.
 
 One cached record per shape (`shape_record`) holds its hooks, the cyclotomic
 multiplicities of its q-hook degree and v2 of its tableau count: `syt_count`,
@@ -15,7 +17,7 @@ the odd-degree gate `check_even_degree` and the degrees of `gl` read it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import NamedTuple
 
@@ -24,9 +26,9 @@ from .intpoly import cyclotomic_at_one
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
 # reference `hecke.tableau_polynomials` (the determinant products walk the
-# Young lattice instead, under `hecke.MAX_SUBDIAGRAM_ROWS`). The graph plus
-# its tableau polynomials cost about 2.6 KB and 0.16 ms per tableau (n = 14,
-# 2-core VM), so one shape stays near 260 MB and 16 s; admits n <= 14.
+# Young lattice instead, under `hecke.MAX_SUBDIAGRAM_ROWS`). Per tableau at
+# n = 14 (2-core VM), the graph costs 0.7 KB and 8 us, and with its tableau
+# polynomials 3.6 KB and 0.10 ms: one shape stays near 360 MB and 10 s; admits n <= 14.
 MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]
@@ -199,8 +201,7 @@ def apply_simple_transposition(k: int, t: StandardTableau) -> StandardTableau | 
     """Swap entries k and k+1; None when the result would not be standard.
 
     The swap breaks standardness exactly when k and k+1 share a row or a
-    column (where they are necessarily adjacent); otherwise no entry lies
-    between them, so the result is standard and is built without revalidating.
+    column (where they are necessarily adjacent).
     """
     n = t.n
     if not 1 <= k <= n - 1:
@@ -210,33 +211,41 @@ def apply_simple_transposition(k: int, t: StandardTableau) -> StandardTableau | 
         return None
     rows = [list(row) for row in t.rows]
     rows[i1 - 1][j1 - 1], rows[i2 - 1][j2 - 1] = k + 1, k
-    positions = dict(t._positions)
-    positions[k], positions[k + 1] = (i2, j2), (i1, j1)
-    u = object.__new__(StandardTableau)
-    object.__setattr__(u, "rows", tuple(tuple(row) for row in rows))
-    object.__setattr__(u, "_positions", positions)
-    return u
+    return StandardTableau(tuple(map(tuple, rows)))
 
 
 @record
 class TableauGraph:
     """All standard tableaux of one shape, wired by simple transpositions.
 
-    nodes[0] is the row-filling tableau; nodes are in breadth-first
-    discovery order (generator index ascending within a node), which is the
-    package-wide canonical basis order. Each edge (lo, hi, k) stores node
-    indices with distance(hi) = distance(lo) + 1 and s_k applied to either
-    endpoint giving the other.
+    contents[i][k-1] is the content (col - row) of entry k in tableau i; it
+    fixes the tableau, which `nodes` builds on first access. Tableaux are in
+    breadth-first discovery order from the row-filling one (generator index
+    ascending within a tableau), the package-wide canonical basis order.
+    Each edge (lo, hi, k) stores indices with distance(hi) = distance(lo) + 1
+    and s_k applied to either endpoint giving the other.
     """
 
     shape: tuple[int, ...]
-    nodes: tuple[StandardTableau, ...]
+    contents: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, int], ...]
     distances: tuple[int, ...]
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.contents)
+
+    @cached_property
+    def nodes(self) -> tuple[StandardTableau, ...]:
+        """The tableaux: entry k fills the next cell of diagonal c, row max(0, -c) + filled[c]."""
+        tableaux = []
+        for contents in self.contents:
+            rows, filled = [[] for _ in self.shape], dict.fromkeys(contents, 0)
+            for k, c in enumerate(contents, start=1):
+                rows[max(0, -c) + filled[c]].append(k)
+                filled[c] += 1
+            tableaux.append(StandardTableau(tuple(map(tuple, rows))))
+        return tuple(tableaux)
 
 
 def enumerate_syt(shape) -> TableauGraph:
@@ -256,24 +265,21 @@ def enumerate_syt(shape) -> TableauGraph:
 # graphs; `oracle-check` and `selftest` rebuild one shape at several q.
 @lru_cache(maxsize=32)
 def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
-    root = row_filling_tableau(shape)
-    n = sum(shape)
-    nodes = [root]
+    root = tuple(j - i for i, part in enumerate(shape) for j in range(part))
+    contents = [root]
     index = {root: 0}
     dist = [0]
     edges: list[tuple[int, int, int]] = []
-    head = 0
-    while head < len(nodes):
-        t = nodes[head]
+    for head, c in enumerate(contents):  # breadth-first: the list grows as it is read
         d = dist[head]
-        for k in range(1, n):
-            u = apply_simple_transposition(k, t)
-            if u is None:
+        for k in range(1, len(root)):
+            if -2 < c[k - 1] - c[k] < 2:
                 continue
+            u = c[:k - 1] + (c[k], c[k - 1]) + c[k + 1:]
             at = index.get(u)
             if at is None:
-                index[u] = at = len(nodes)
-                nodes.append(u)
+                index[u] = at = len(contents)
+                contents.append(u)
                 dist.append(d + 1)
                 edges.append((head, at, k))
             elif dist[at] == d + 1:
@@ -283,18 +289,12 @@ def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
                     f"transposition graph of {shape} is not graded: "
                     f"edge s_{k} joins distances {d} and {dist[at]}"
                 )
-        head += 1
     expected = syt_count(shape)
-    if len(nodes) != expected:
+    if len(contents) != expected:
         raise InvariantViolation(
-            f"enumerated {len(nodes)} tableaux of shape {shape}, hook formula says {expected}"
+            f"enumerated {len(contents)} tableaux of shape {shape}, hook formula says {expected}"
         )
-    return TableauGraph(
-        shape=shape,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        distances=tuple(dist),
-    )
+    return TableauGraph(shape, tuple(contents), tuple(edges), tuple(dist))
 
 
 def tableau_word(t: StandardTableau) -> tuple[int, ...]:

@@ -132,10 +132,11 @@ def test_matrix_helpers():
 
     for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (4, 2, 3), (3, 3, 2), (5, 5, 5)]:
         x, y = random_rows(rows, inner), random_rows(inner, cols)
-        # The shift adds to the diagonal, so it needs a square left factor.
+        # Square left factors also go in with a shifted diagonal, as in the
+        # quadratic-relation reference of tests/test_oracle.py.
         for shift in (0, -2, 3) if rows == inner else (0,):
             shifted = [[v + shift * (i == k) for k, v in enumerate(row)] for i, row in enumerate(x)]
-            assert mat_mul(columns_of(x), columns_of(y), shift) == columns_of(
+            assert mat_mul(columns_of(shifted), columns_of(y)) == columns_of(
                 dense_product(shifted, y)
             )
     for n in (1, 2, 5):

@@ -3,7 +3,8 @@ from math import lcm
 
 import pytest
 
-from orthdet import oracle
+from orthdet import oracle, tableaux
+from orthdet.cli import main
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import hecke_determinant
 from orthdet.intpoly import q_int
@@ -19,7 +20,12 @@ from orthdet.oracle import (
     word_image,
 )
 from orthdet.squareclass import ONE, SquareClass, class_of_integer
-from orthdet.tableaux import apply_simple_transposition, enumerate_partitions, syt_count
+from orthdet.tableaux import (
+    TableauGraph,
+    apply_simple_transposition,
+    enumerate_partitions,
+    syt_count,
+)
 
 
 def _replace(record, **changes):
@@ -71,6 +77,16 @@ def test_two_one_rep_satisfies_relations():
     assert word_image(rep, [1, 2, 1]) == word_image(rep, [2, 1, 2])
 
 
+def _shifted(m, shift):
+    """The columns of M + shift for a square M given by its columns."""
+    out = []
+    for c, col in enumerate(m):
+        entries = dict(col)
+        entries[c] = entries.get(c, 0) + shift
+        out.append(tuple(sorted((r, v) for r, v in entries.items() if v)))
+    return tuple(out)
+
+
 def _product_form_relations(rep):
     """The reference: every relation as whole-matrix products of columns.
 
@@ -81,7 +97,7 @@ def _product_form_relations(rep):
     square = tuple(((c, q * s * s),) for c in range(rep.dim))
     generators = [word_image(rep, [i]) for i in range(1, rep.n)]
     for i, m in enumerate(generators, start=1):
-        if mat_mul(m, m, (1 - q) * s) != square:
+        if mat_mul(_shifted(m, (1 - q) * s), m) != square:
             raise InvariantViolation(f"quadratic relation fails for s_{i} on {rep.shape} at q={q}")
     for i in range(len(generators) - 1):
         a, b = generators[i], generators[i + 1]
@@ -187,6 +203,20 @@ def test_no_certificate_multiplies_matrices(monkeypatch):
             if syt_count(shape) % 2 == 0:
                 det = determinant_via_gram(shape, 3)
                 assert hecke_determinant(shape, 3).det_class.contains(det), shape
+
+
+def test_oracle_path_builds_no_tableau(monkeypatch, capsys):
+    # The blocks are read from content vectors: no route reads `TableauGraph.nodes`.
+    tableaux._build_graph.cache_clear()
+    monkeypatch.setattr(TableauGraph, "nodes", property(lambda graph: pytest.fail("nodes read")))
+    for q in (1, 3):
+        assert build_seminormal((3, 2, 1), q).dim == 16
+    expected = hecke_determinant((3, 2, 1), 3).det_class
+    assert expected.contains(determinant_via_gram((3, 2, 1), 3))
+    assert expected.contains(determinant_via_skew_element((3, 2, 1), 3))
+    assert main(["oracle-check", "--n-max", "6"]) == 0
+    assert main(["selftest"]) == 0
+    capsys.readouterr()
 
 
 def test_rep_dimension_matches_tableau_count():

@@ -26,8 +26,8 @@ from orthdet.tableaux import (
 )
 
 GRAPH_21 = (
-    "TableauGraph(shape=(2, 1), nodes=(StandardTableau([[1, 2], [3]]), "
-    "StandardTableau([[1, 3], [2]])), edges=((0, 1, 2),), distances=(0, 1))"
+    "TableauGraph(shape=(2, 1), contents=((0, 1, -1), (0, -1, 1)), "
+    "edges=((0, 1, 2),), distances=(0, 1))"
 )
 
 # (name, builder, repr of the record it builds).
@@ -140,8 +140,8 @@ def test_post_init_still_validates():
 
 
 def test_positions_are_private_and_no_field():
-    # A swapped tableau is built without __post_init__; its positions still
-    # match, and they take no part in equality, hashing or the repr.
+    # A swapped tableau's positions match those of the same rows built
+    # directly, and they take no part in equality, hashing or the repr.
     assert StandardTableau.__match_args__ == ("rows",)
     t = row_filling_tableau((2, 1))
     u = apply_simple_transposition(2, t)

@@ -20,6 +20,9 @@ lives in `hecke.odd_q_parity`, and no sweep keeps a copy of it. Only
 process-level side effect, since tests and tracers call it in process. Only
 `tableaux.check_even_degree` (the odd-degree gate) and `gl.sign_pair_row`
 (the sign-pair refusal) build a `NotIrrPlusError`, so each rule has one copy.
+`oracle` names no tableau object or accessor (`nodes`, `StandardTableau`,
+`position`, `content`): it reads content vectors and edges, so the tableau
+format stays behind `tableaux`.
 """
 
 import ast
@@ -295,3 +298,14 @@ def test_gc_freeze_only_in_the_process_entry():
         if isinstance(inner, ast.Call) and _names(inner.func, "freeze")
     )
     assert found == [("cli.py", "run")]
+
+
+def test_oracle_reads_no_tableau_objects():
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    found = sorted(
+        (node.lineno, name)
+        for node in ast.walk(_tree(path))
+        for name in ("nodes", "StandardTableau", "position", "content")
+        if _names(node, name)
+    )
+    assert not found, f"oracle.py names tableau objects at (line, name) {found}"

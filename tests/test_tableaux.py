@@ -134,8 +134,8 @@ def test_s1_is_never_standard(shape):
 
 
 def test_swaps_equal_validated_tableaux():
-    # Swaps skip validation; rebuilding each one through the validating
-    # constructor must give the same rows and positions.
+    # Rebuilding each swap through the constructor gives the same rows and
+    # positions.
     for n in range(1, 8):
         for shape in enumerate_partitions(n):
             for t in enumerate_syt(shape).nodes:
@@ -234,6 +234,44 @@ def test_rsk_mass_identity():
     for n in range(1, 9):
         total = sum(enumerate_syt(shape).size ** 2 for shape in enumerate_partitions(n))
         assert total == factorial(n)
+
+
+def _tableau_search(shape):
+    """The breadth-first search over StandardTableau objects, the reference for `enumerate_syt`.
+
+    Returns the tableaux in discovery order, the edges and the distances.
+    """
+    root = row_filling_tableau(shape)
+    nodes, index, dist, edges = [root], {root: 0}, [0], []
+    head = 0
+    while head < len(nodes):
+        for k in range(1, sum(shape)):
+            u = apply_simple_transposition(k, nodes[head])
+            if u is None:
+                continue
+            at = index.get(u)
+            if at is None:
+                index[u] = at = len(nodes)
+                nodes.append(u)
+                dist.append(dist[head] + 1)
+                edges.append((head, at, k))
+            elif dist[at] == dist[head] + 1:
+                edges.append((head, at, k))
+        head += 1
+    return nodes, tuple(edges), tuple(dist)
+
+
+def test_content_graph_matches_the_tableau_search():
+    # Swapping contents that differ by at least 2 walks the same graph as
+    # swapping entries of tableaux, and `nodes` rebuilds every tableau.
+    for n in range(1, 10):
+        for shape in enumerate_partitions(n):
+            nodes, edges, distances = _tableau_search(shape)
+            graph = enumerate_syt(shape)
+            assert [t.rows for t in graph.nodes] == [t.rows for t in nodes], shape
+            assert graph.edges == edges and graph.distances == distances, shape
+            for t, contents in zip(graph.nodes, graph.contents):
+                assert tuple(t.content(k) for k in range(1, n + 1)) == contents, (shape, t)
 
 
 def test_edges_change_distance_by_one():
