@@ -25,28 +25,17 @@ from orthdet import (
 )
 
 
-def dense(columns):
-    """The rows of a matrix stored as sparse (row, value) columns."""
-    rows = [[0] * len(columns) for _ in columns]
-    for c, column in enumerate(columns):
-        for r, v in column:
-            rows[r][c] = v
-    return rows
-
-
 shape, q = (2, 1), 3
 rep = build_seminormal(shape, q)
 print(f"seminormal generators for {shape} at q={q} (relations verified),")
 print(f"stored as integer matrices scale * T_i with scale = {rep.scale}:")
 for i in range(1, rep.n):
     print(f"  {rep.scale} * T_{i}:")
-    for row in dense(word_image(rep, [i])):
+    for row in word_image(rep, [i]):
         print("    [" + "  ".join(str(x) for x in row) + "]")
 
 form = gram_form(rep)
-print(f"\ninvariant Gram matrix (primitive integer):")
-for row in dense(form.matrix):
-    print("  " + str(row))
+print(f"\ninvariant Gram matrix (primitive integer, diagonal): {list(form.diagonal)}")
 print(f"determinant {form.determinant}")
 
 print("\nclass comparison across shapes and parameters:")

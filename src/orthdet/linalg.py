@@ -1,15 +1,13 @@
 """Exact linear algebra kernels: no floats anywhere.
 
-Every matrix is stored as its columns: column c is the row-sorted tuple of
-its nonzero (row, value) entries. `mat_mul` is the one product, columns by
-columns, and `transpose` turns a square matrix's columns into its rows.
-Dense lists exist only inside `bareiss_determinant`, which reads the
-columns as the rows of one dense matrix and runs fraction-free Bareiss
-elimination on it, and as the input of `rational_determinant`, the only
-code that touches Fractions, clearing denominators row by row. Homogeneous
-systems are reduced incrementally into an integer row-echelon structure
-whose rows are kept content-free to control entry growth; its callers are
-the tests' reference solve of the invariant form and the benchmark tracer.
+Every matrix is a sequence of dense rows of equal length. `mat_mul` is the
+plain row-by-column product, kept as a reference for tests. `bareiss_determinant`
+runs fraction-free Bareiss elimination on a copy of the rows, and
+`rational_determinant`, the only code that touches Fractions, clears
+denominators row by row before calling it. Homogeneous systems are reduced
+incrementally into an integer row-echelon structure whose rows are kept
+content-free to control entry growth; its callers are the tests' reference
+solve of the invariant form and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -17,51 +15,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
-Matrix = tuple[tuple, ...]
-Columns = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def identity_matrix(n: int) -> Columns:
-    return tuple(((c, 1),) for c in range(n))
+Matrix = list[list]
 
 
-def mat_mul(a: Columns, b: Columns) -> Columns:
-    """The columns of A B for A and B given by their columns, zeros dropped."""
-    out = []
-    for col in b:
-        acc: dict[int, int] = {}
-        for k, v in col:
-            for r, w in a[k]:
-                acc[r] = acc.get(r, 0) + w * v
-        out.append(tuple(sorted((r, v) for r, v in acc.items() if v)))
-    return tuple(out)
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The rows of A B for A and B given by their rows."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
-def transpose(a: Columns) -> Columns:
-    """The columns of the transpose of a square matrix given by its columns."""
-    out: list[list[tuple[int, int]]] = [[] for _ in a]
-    for c, col in enumerate(a):
-        for r, v in col:
-            out[r].append((c, v))
-    return tuple(map(tuple, out))
+def bareiss_determinant(a: Matrix) -> int:
+    """Determinant of a square integer matrix given by its rows.
 
-
-def bareiss_determinant(a: Columns) -> int:
-    """Determinant of a square integer matrix given by its columns.
-
-    The columns are filled densely as the rows of the transpose
-    (det A^T = det A) and reduced by fraction-free Bareiss elimination,
-    in which every interior division is exact. An entry that is not an
-    int, or a row index outside 0..dim-1, raises ValueError.
+    A copy of the rows is reduced by fraction-free Bareiss elimination, in
+    which every interior division is exact. A row of the wrong length, or an
+    entry that is not an int, raises ValueError.
     """
     n = len(a)
-    m = [[0] * n for _ in range(n)]
-    for c, col in enumerate(a):
-        for r, v in col:
-            if type(v) is not int or not 0 <= r < n:
-                raise ValueError(f"entry {v!r} at ({r!r}, {c}) of a {n}x{n} integer matrix")
-            m[c][r] = v
+    m = [list(row) for row in a]
+    for r, row in enumerate(m):
+        if len(row) != n or any(type(v) is not int for v in row):
+            raise ValueError(f"row {r} of a {n}x{n} integer matrix is {row!r}")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -84,13 +60,13 @@ def bareiss_determinant(a: Columns) -> int:
 def rational_determinant(a: Matrix) -> Fraction:
     """Determinant of a matrix with Fraction (or int) entries, exactly."""
     scale = 1
-    transposed = []  # the columns of the transpose, whose determinant is the same
+    rows = []
     for row in a:
         row = [Fraction(x) for x in row]
         den = reduce(lcm, (x.denominator for x in row), 1)
         scale *= den
-        transposed.append(tuple((c, int(x * den)) for c, x in enumerate(row) if x))
-    return Fraction(bareiss_determinant(tuple(transposed)), scale)
+        rows.append([int(x * den) for x in row])
+    return Fraction(bareiss_determinant(rows), scale)
 
 
 class IntegerKernelSolver:

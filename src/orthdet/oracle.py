@@ -7,8 +7,8 @@ bilinear form. The form is built diagonal along the tableau graph and
 certified invariant, nondegenerate and unique up to scale: the
 Jucys-Murphy elements act diagonally with distinct eigenvalues on the
 tableau basis, so no solve is needed. A second, randomized route
-multiplies out basis-element images along reduced words and returns the
-determinant of a skew element. Both routes share one entry that refuses
+builds the image of every basis element along a reduced word and returns
+the determinant of a skew element. Both routes share one entry that refuses
 a shape with an odd tableau count at the gate of `tableaux`, before
 counting or building anything; `check_limits` bounds the dimension and
 the skew route's n! images from the count alone. Both determinants are
@@ -24,11 +24,12 @@ all arithmetic here is on ints, and no tableau object is built. The
 certificates read the arrays and check, with 1x1 and 2x2 arithmetic, the
 quadratic, braid and commutation relations (as each module is built, so a
 bad block formula can never propagate silently), the form's invariance
-and the Jucys-Murphy recursion. Word images turn each generator into its
-sparse columns (see `linalg`) and multiply them with `linalg.mat_mul`, the
-one product, as does the trace-pairing check on the regular module. The
-one dense list is the skew route's running sum, passed to the determinant
-row by row.
+and the Jucys-Murphy recursion. Every other matrix is a list of dense
+integer rows (see `linalg`), and every generator reaches one through a
+single kernel, `_act`, which returns x M for a row x in two terms per
+entry: word images apply it to each row of the previous image, the
+trace-pairing check to one row of the regular module, and the skew
+route's sum of images goes to `bareiss_determinant` as it is.
 """
 
 from __future__ import annotations
@@ -46,13 +47,7 @@ from .errors import (
     record,
 )
 from .intpoly import q_int
-from .linalg import (
-    Columns,
-    bareiss_determinant,
-    identity_matrix,
-    mat_mul,
-    transpose,
-)
+from .linalg import Matrix, bareiss_determinant
 from .tableaux import TableauGraph, check_even_degree, check_partition, enumerate_syt, syt_count
 
 # Ceiling on the module dimension, calibrated on the Gram route: on a 2-core
@@ -62,10 +57,10 @@ from .tableaux import TableauGraph, check_even_degree, check_partition, enumerat
 # its own guard below.
 MAX_DIM = 2310
 
-# Ceiling on the n! * dim^2 word-image entries the skew route stores, each a
-# (row, value) pair. On a 2-core VM the worst n = 7 shape, (4,1,1,1)
-# (2,016,000 entries), takes 3.0-3.3 s and 272 MB peak RSS at q = 9; the
-# smallest even n = 8 one, (4,4) (7,902,720), takes 12 s and 1.2 GB at q = 3.
+# Ceiling on the n! * dim^2 ints that the skew route's dense word images hold.
+# On a 2-core VM the worst n = 7 shape, (4,1,1,1) (2,016,000 ints), takes
+# 2.1 s and 206 MB peak RSS at q = 9; the smallest even n = 8 one, (4,4)
+# (7,902,720), takes 6.6 s and 924 MB at q = 3 but 13 s and 1.45 GB at q = 9.
 # Admits every n <= 7.
 MAX_SKEW_ENTRIES = 4_000_000
 
@@ -100,7 +95,7 @@ class SeminormalRep:
     stored only as its block arrays (a, p, b), one entry per tableau: column
     t of M is a[t] e_t + b[t] e_p[t], with p[t] = t and b[t] = 0 in a 1x1
     block. Every certificate reads these arrays; `word_image(rep, [i])`
-    returns M as columns.
+    returns M as dense rows.
     """
 
     shape: tuple[int, ...]
@@ -189,13 +184,6 @@ def _blocks(rep: SeminormalRep) -> tuple[Blocks, ...]:
     return rep.generators
 
 
-def _columns(generator: Blocks) -> Columns:
-    """A generator's block arrays as its columns: a[t] at row t and b[t] at row p[t]."""
-    a, p, b = generator
-    return tuple(((t, a[t]),) if u == t else tuple(sorted(((t, a[t]), (u, b[t]))))
-                 for t, u in enumerate(p))
-
-
 def _triple(x, y, t: int) -> dict[int, int]:
     """Column t of X Y X for generators' block arrays x and y, as {row: value}, zeros dropped."""
     ax, px, bx = x
@@ -245,31 +233,41 @@ def verify_relations(rep: SeminormalRep) -> None:
                 )
 
 
-def word_image(rep: SeminormalRep, word) -> Columns:
-    """The generators' product along a word as columns: scale^len(word) times its image.
+def _act(generator: Blocks, x) -> list[int]:
+    """x M for a row x and a generator M given by its block arrays.
 
-    Each generator's block arrays become columns (`_columns`) for `linalg.mat_mul`.
+    Column t of M is a[t] e_t + b[t] e_p[t], so entry t is a[t] x[t] + b[t] x[p[t]].
     """
-    image = identity_matrix(rep.dim)
+    a, p, b = generator
+    return [at * xt + bt * x[pt] for at, xt, pt, bt in zip(a, x, p, b)]
+
+
+def word_image(rep: SeminormalRep, word) -> Matrix:
+    """The generators' product along a word as dense rows: scale^len(word) times its image.
+
+    Each generator acts on every row of the product so far (`_act`).
+    """
+    image = [[1 if r == c else 0 for c in range(rep.dim)] for r in range(rep.dim)]
     for k in word:
         if check_int(k, "generator index", 1) > rep.n - 1:
             raise ValueError(f"generator index {k} out of range 1..{rep.n - 1}")
-        image = mat_mul(image, _columns(rep.generators[k - 1]))
+        generator = rep.generators[k - 1]
+        image = [_act(generator, row) for row in image]
     return image
 
 
-def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Columns]:
-    """Integer images scale^length(w) * T_w of every basis element, as columns.
+def all_word_images(rep: SeminormalRep) -> dict[tuple[int, ...], Matrix]:
+    """Integer images scale^length(w) * T_w of every basis element, as dense rows.
 
     Peeling a right descent writes T_w = T_w' * T_s with a shorter w', so
-    images are filled in along one reduced word each, by increasing length
-    with one `mat_mul` per group element.
+    images are filled in along one reduced word each, by increasing length,
+    T_s acting on each row of the image of w' (`_act`).
     """
     identity, chain = _length_ordered_walk(rep.n)
-    generators = [_columns(generator) for generator in rep.generators]
-    images: dict[tuple[int, ...], Columns] = {identity: identity_matrix(rep.dim)}
+    images = {identity: word_image(rep, ())}
     for shorter, w, k in chain:
-        images[w] = mat_mul(images[shorter], generators[k - 1])
+        generator = rep.generators[k - 1]
+        images[w] = [_act(generator, row) for row in images[shorter]]
     return images
 
 
@@ -293,14 +291,14 @@ def _length_ordered_walk(n: int):
 
 @record
 class GramForm:
-    """Primitive integer Gram matrix of the invariant symmetric form, as columns."""
+    """The invariant symmetric form's primitive integer Gram matrix, which is diagonal."""
 
-    matrix: Columns
+    diagonal: tuple[int, ...]
     determinant: int
 
 
 def gram_form(rep: SeminormalRep) -> GramForm:
-    """The invariant form X (transpose(T_i) X = X T_i for all i), built diagonal and certified.
+    """The invariant form X (T_i^T X = X T_i for all i), built diagonal and certified.
 
     For a diagonal X, invariance along the first edge s --s_k--> t into each
     tableau (the breadth-first tree of the graph) reads d_t M[t, s] = d_s M[s, t]
@@ -308,8 +306,8 @@ def gram_form(rep: SeminormalRep) -> GramForm:
     by entry: X M_i is symmetric iff d_p(t) M_i[p(t), t] = d_t M_i[t, p(t)] for
     every t and partner p(t). Each d_t is a ratio of nonzero partner entries
     (see `_blocks`), so det X != 0. By `_jucys_murphy_diagonals` every
-    invariant form is diagonal, hence a multiple of X. The returned matrix is
-    the columns of the primitive integer X, whose first entry is positive.
+    invariant form is diagonal, hence a multiple of X. The returned diagonal
+    is that of the primitive integer X, whose first entry is positive.
     """
     dim, where = rep.dim, f"{rep.shape} at q={rep.q}"
     blocks = _blocks(rep)
@@ -335,8 +333,7 @@ def gram_form(rep: SeminormalRep) -> GramForm:
         if any(diagonal[u] * b[t] != diagonal[t] * b[u] for t, u in enumerate(p)):
             raise InvariantViolation(f"diagonal form is not invariant under s_{i} on {where}")
     _jucys_murphy_diagonals(rep, blocks)
-    matrix = tuple(((t, d),) for t, d in enumerate(diagonal))
-    return GramForm(matrix=matrix, determinant=prod(diagonal))
+    return GramForm(diagonal=tuple(diagonal), determinant=prod(diagonal))
 
 
 def _jucys_murphy_diagonals(rep: SeminormalRep, blocks) -> list[tuple[int, ...]]:
@@ -348,7 +345,7 @@ def _jucys_murphy_diagonals(rep: SeminormalRep, blocks) -> list[tuple[int, ...]]
     and M_k e_t = a_t e_t + b_t e_u as in `SeminormalRep`, column t of
     the product is (a_t (a_t j_t + c) + b_t b_u j_u) e_t + b_t (a_t j_t + a_u j_u + c) e_u.
     Each division must be exact, so entries stay the size of those values.
-    An X with transpose(M_k) X = X M_k for all k satisfies the same for every
+    An X with M_k^T X = X M_k for all k satisfies the same for every
     J_k. Raises InvariantViolation unless each J_k is diagonal and the tuples
     are pairwise distinct, which forces such an X to be diagonal.
     """
@@ -424,15 +421,9 @@ def determinant_via_skew_element(shape, q: int, seed: int = 0) -> int:
             if c == 0:
                 continue
             c *= weight
-            for s, (col, colinv) in enumerate(zip(images[w], images[winv])):
-                for r, v in col:
-                    total[r][s] += c * v
-                for r, v in colinv:
-                    total[r][s] -= c * v
-        # Row r of the sum is column r of its transpose, which has the same determinant.
-        det = bareiss_determinant(
-            tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in total)
-        )
+            total = [[s + c * (x - y) for s, x, y in zip(*rows)]
+                     for rows in zip(total, images[w], images[winv])]
+        det = bareiss_determinant(total)
         if det != 0:
             return det
     raise SkewElementSearchError(
@@ -457,29 +448,25 @@ def verify_trace_pairing(n: int, q: int) -> bool:
     perms = [identity] + [w for _, w, _ in chain]
     index = {w: i for i, w in enumerate(perms)}
 
-    # Left multiplication by T_(s_k) has column i holding T_k T_(perms[i]): T_(s_k w)
-    # if the length goes up, else q T_(s_k w) + (q - 1) T_w. transposed[k - 1] is its transpose.
-    transposed = []
+    # Left multiplication by T_k as block arrays: column i holds T_k T_(perms[i]), which is
+    # T_(s_k w) if the length goes up, else q T_(s_k w) + (q - 1) T_w.
+    left = []
     for k in range(1, n):
-        columns = []
-        for i, w in enumerate(perms):
-            j = index[tuple(k + 1 if v == k else (k if v == k + 1 else v) for v in w)]
-            if w.index(k) < w.index(k + 1):
-                columns.append(((j, 1),))
-            else:
-                columns.append(tuple(sorted((r, v) for r, v in ((j, q), (i, q - 1)) if v)))
-        transposed.append(transpose(tuple(columns)))
+        up = [w.index(k) < w.index(k + 1) for w in perms]
+        partner = [index[tuple(k + 1 if v == k else (k if v == k + 1 else v) for v in w)]
+                   for w in perms]
+        left.append(([0 if u else q - 1 for u in up], partner, [1 if u else q for u in up]))
 
-    # traces[i] = tau(T_(perms[i]) -) as a column: entry j is tau(T_(perms[i]) T_(perms[j])),
-    # the identity row of the left-regular image of T_(perms[i]).
-    traces = [((0, 1),)]
+    # traces[i] is the identity row of the left-regular image of T_(perms[i]): entry j is
+    # tau(T_(perms[i]) T_(perms[j])). The row of T_w = T_w' T_k is that of w' times T_k.
+    traces = [[1] + [0] * (len(perms) - 1)]
     for shorter, _, k in chain:
-        traces.append(mat_mul(transposed[k - 1], (traces[index[shorter]],))[0])
+        traces.append(_act(left[k - 1], traces[index[shorter]]))
 
     for w, trace in zip(perms, traces):
         winv, expected = _perm_inverse(w), q ** _perm_length(w)
-        if trace != ((index[winv], expected),):
-            nonzero = {perms[j]: v for j, v in trace}
+        if trace != [expected if j == index[winv] else 0 for j in range(len(perms))]:
+            nonzero = {perms[j]: v for j, v in enumerate(trace) if v}
             raise InvariantViolation(
                 f"trace pairing fails at n={n}, q={q}: tau(T_w T_w') for w={w} is {nonzero} "
                 f"over its nonzero w', expected {expected} at w'={winv} only"

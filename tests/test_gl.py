@@ -78,9 +78,9 @@ def test_prime_power_rejections(bad):
     pytest.param(lambda: two_adic_valuation(2.0), id="valuation-float"),
     pytest.param(lambda: oracle.word_image(oracle.build_seminormal((2, 1), 3), (True,)),
                  id="word-image-bool-index"),
-    pytest.param(lambda: linalg.bareiss_determinant((((0, Fraction(1, 2)),),)),
+    pytest.param(lambda: linalg.bareiss_determinant(((Fraction(1, 2),),)),
                  id="bareiss-fraction-entry"),
-    pytest.param(lambda: linalg.bareiss_determinant((((0, True),), ((1, True),))),
+    pytest.param(lambda: linalg.bareiss_determinant(((True, 0), (0, True))),
                  id="bareiss-bool-entry"),
     pytest.param(lambda: oracle.determinant_via_skew_element((2, 2), 3, seed=1.5),
                  id="skew-float-seed"),

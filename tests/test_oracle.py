@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import pytest
@@ -8,7 +9,7 @@ from orthdet.cli import main
 from orthdet.errors import InvariantViolation, NotIrrPlusError, ResourceGuardError
 from orthdet.hecke import hecke_determinant
 from orthdet.intpoly import q_int
-from orthdet.linalg import IntegerKernelSolver, bareiss_determinant, identity_matrix, mat_mul
+from orthdet.linalg import IntegerKernelSolver, bareiss_determinant, mat_mul
 from orthdet.oracle import (
     all_word_images,
     build_seminormal,
@@ -35,9 +36,9 @@ def _replace(record, **changes):
 
 def test_one_dimensional_reps():
     rep = build_seminormal((4,), 3)
-    assert all(word_image(rep, [i]) == (((0, 3 * rep.scale),),) for i in range(1, rep.n))
+    assert all(word_image(rep, [i]) == [[3 * rep.scale]] for i in range(1, rep.n))
     rep = build_seminormal((1, 1, 1, 1), 5)
-    assert all(word_image(rep, [i]) == (((0, -rep.scale),),) for i in range(1, rep.n))
+    assert all(word_image(rep, [i]) == [[-rep.scale]] for i in range(1, rep.n))
 
 
 def _seminormal_column(rep, i, idx):
@@ -65,9 +66,12 @@ def test_generators_are_scaled_integer_columns():
                 assert rep.scale == lcm(*(q_int(k)(q) ** 2 for k in range(2, n)))
                 for i, (a, p, b) in enumerate(rep.generators, start=1):
                     assert all(type(v) is int for v in a + p + b)
-                    for idx, column in enumerate(word_image(rep, [i])):
+                    image = word_image(rep, [i])
+                    assert all(type(v) is int for row in image for v in row)
+                    for idx in range(rep.dim):
                         expected = _seminormal_column(rep, i, idx)
-                        assert dict(column) == {r: rep.scale * v for r, v in expected.items()}
+                        column = {r: row[idx] for r, row in enumerate(image) if row[idx]}
+                        assert column == {r: rep.scale * v for r, v in expected.items()}
 
 
 def test_two_one_rep_satisfies_relations():
@@ -78,23 +82,18 @@ def test_two_one_rep_satisfies_relations():
 
 
 def _shifted(m, shift):
-    """The columns of M + shift for a square M given by its columns."""
-    out = []
-    for c, col in enumerate(m):
-        entries = dict(col)
-        entries[c] = entries.get(c, 0) + shift
-        out.append(tuple(sorted((r, v) for r, v in entries.items() if v)))
-    return tuple(out)
+    """The rows of M + shift for a square M given by its rows."""
+    return [[v + shift * (r == c) for c, v in enumerate(row)] for r, row in enumerate(m)]
 
 
 def _product_form_relations(rep):
-    """The reference: every relation as whole-matrix products of columns.
+    """The reference: every relation as whole-matrix products of dense rows.
 
     For M = scale * T the quadratic one, (M + scale)(M - q scale) = 0, is checked
     in one product as (M - (q - 1) scale) M = q scale^2; the rest are homogeneous.
     """
     q, s = rep.q, rep.scale
-    square = tuple(((c, q * s * s),) for c in range(rep.dim))
+    square = _shifted([[0] * rep.dim for _ in range(rep.dim)], q * s * s)
     generators = [word_image(rep, [i]) for i in range(1, rep.n)]
     for i, m in enumerate(generators, start=1):
         if mat_mul(_shifted(m, (1 - q) * s), m) != square:
@@ -196,8 +195,9 @@ def test_block_and_product_forms_reject_each_mutation(mutate, block_match, produ
 
 
 def test_no_certificate_multiplies_matrices(monkeypatch):
-    # The relation, invariance and Jucys-Murphy checks run on the blocks alone.
-    monkeypatch.setattr(oracle, "mat_mul", lambda *args: pytest.fail("mat_mul called"))
+    # The relation, invariance and Jucys-Murphy checks run on the blocks alone:
+    # no generator acts on a row. (`oracle` holds no product; see test_source_rules.)
+    monkeypatch.setattr(oracle, "_act", lambda *args: pytest.fail("a generator acted on a row"))
     for n in range(2, 7):
         for shape in enumerate_partitions(n):
             if syt_count(shape) % 2 == 0:
@@ -233,18 +233,19 @@ def test_generator_eigenvalue_multiplicities():
             rep = build_seminormal(shape, q)
             for i in range(1, rep.n):
                 m = word_image(rep, [i])
-                trace = Fraction(sum(v for c, col in enumerate(m) for r, v in col if r == c),
-                                 rep.scale)
+                trace = Fraction(sum(row[c] for c, row in enumerate(m)), rep.scale)
                 a = Fraction(trace + rep.dim, q + 1)
                 assert a.denominator == 1
                 assert 0 <= a <= rep.dim
 
 
+def _identity(dim):
+    return [[int(r == c) for c in range(dim)] for r in range(dim)]
+
+
 def test_word_image_identity_and_braid():
     rep = build_seminormal((2, 2), 7)
-    assert word_image(rep, []) == identity_matrix(rep.dim) == tuple(
-        ((b, 1),) for b in range(rep.dim)
-    )
+    assert word_image(rep, []) == _identity(rep.dim)
     assert word_image(rep, [1, 2, 1]) == word_image(rep, [2, 1, 2])
     with pytest.raises(ValueError):
         word_image(rep, [5])
@@ -260,31 +261,79 @@ def _reduced_word(perm):
     return tuple(reversed(word))
 
 
+def _product_along(word, matrices, dim):
+    """The product of matrices[k] over k in word, left to right, by `linalg.mat_mul`."""
+    product = _identity(dim)
+    for k in word:
+        product = mat_mul(product, matrices[k])
+    return product
+
+
 def test_all_word_images_match_reduced_words():
-    rep = build_seminormal((2, 1, 1), 3)
-    images = all_word_images(rep)
-    assert len(images) == 24
-    for w, matrix in images.items():
-        assert matrix == word_image(rep, _reduced_word(w))
+    # The reference shares no kernel with the oracle: scale * T_i comes from
+    # the seminormal formulas as exact Fractions, multiplied by `mat_mul`.
+    for shape, q in [((2, 1, 1), 3), ((3, 1), 1), ((2, 2), 5)]:
+        rep = build_seminormal(shape, q)
+        generators = {
+            i: [[rep.scale * _seminormal_column(rep, i, c).get(r, 0) for c in range(rep.dim)]
+                for r in range(rep.dim)]
+            for i in range(1, rep.n)
+        }
+        images = all_word_images(rep)
+        assert len(images) == 24
+        for w, matrix in images.items():
+            assert matrix == _product_along(_reduced_word(w), generators, rep.dim), (shape, q, w)
+            assert all(type(v) is int for row in matrix for v in row)
+
+
+def _inversions(w):
+    return sum(a > b for i, a in enumerate(w) for b in w[i + 1:])
+
+
+def test_trace_table_of_the_regular_module():
+    # tau(T_w T_v), the identity coefficient, is q^l(w) if v = w^-1 and 0 otherwise.
+    # Here it is read off products of left-regular matrices built from the
+    # Hecke relations, independently of `verify_trace_pairing`.
+    n, q = 3, 3
+    perms = sorted(permutations(range(1, n + 1)), key=lambda w: (_inversions(w), w))
+    index = {w: i for i, w in enumerate(perms)}
+    left = {}
+    for k in range(1, n):
+        # Column j holds T_k T_w for w = perms[j]: T_(s_k w), plus (q - 1) T_w and a
+        # factor q on T_(s_k w) when s_k w is shorter.
+        m = [[0] * len(perms) for _ in perms]
+        for j, w in enumerate(perms):
+            sw = tuple(k + 1 if v == k else k if v == k + 1 else v for v in w)
+            if _inversions(sw) > _inversions(w):
+                m[index[sw]][j] = 1
+            else:
+                m[index[sw]][j], m[j][j] = q, q - 1
+        left[k] = m
+    regular = {w: _product_along(_reduced_word(w), left, len(perms)) for w in perms}
+    for w in perms:
+        for v in perms:
+            inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+            expected = q ** _inversions(w) if v == inverse else 0
+            assert mat_mul(regular[w], regular[v])[0][0] == expected, (w, v)
+    assert verify_trace_pairing(n, q)
 
 
 def test_gram_form_trivial_rep():
     form = gram_form(build_seminormal((3,), 5))
-    assert form.matrix == (((0, 1),),)
+    assert form.diagonal == (1,)
     assert form.determinant == 1
 
 
 def test_gram_form_two_one_at_three():
     form = gram_form(build_seminormal((2, 1), 3))
     assert class_of_integer(form.determinant) == SquareClass(1, 39)
-    # the solved form is diagonal in the seminormal basis
-    assert dict(form.matrix[1]).get(0, 0) == dict(form.matrix[0]).get(1, 0) == 0
+    assert form.diagonal == (39, 16)
 
 
 def _symmetric_solve_reference(rep):
-    """The slow reference: solve transpose(M_i) X = X M_i on the dim(dim+1)/2 entries
+    """The slow reference: solve M_i^T X = X M_i on the dim(dim+1)/2 entries
     X[a][b], a <= b, of a symmetric X; the primitive solution, its first nonzero
-    upper-triangle entry (row-major) positive, as columns."""
+    upper-triangle entry (row-major) positive, as dense rows."""
     dim = rep.dim
     var_of = {}
     for a in range(dim):
@@ -292,24 +341,23 @@ def _symmetric_solve_reference(rep):
             var_of[(a, b)] = len(var_of)
     solver = IntegerKernelSolver(len(var_of))
     for i in range(1, rep.n):
-        columns = word_image(rep, [i])
+        m = word_image(rep, [i])
         for a in range(dim):
             for b in range(a + 1, dim):
                 # (M^T X - X M)[a,b] = sum_c M[c,a] X[c,b] - sum_c X[a,c] M[c,b]
                 row = {}
-                for c, val in columns[a]:
+                for c in range(dim):
                     v = var_of[(c, b) if c <= b else (b, c)]
-                    row[v] = row.get(v, 0) + val
-                for c, val in columns[b]:
+                    row[v] = row.get(v, 0) + m[c][a]
                     v = var_of[(a, c) if a <= c else (c, a)]
-                    row[v] = row.get(v, 0) - val
+                    row[v] = row.get(v, 0) - m[c][b]
                 solver.add_equation(row)
     assert solver.corank == 1, (rep.shape, rep.q)
     vec = solver.kernel_vector()
     x = [[0] * dim for _ in range(dim)]
     for (a, b), v in var_of.items():
         x[a][b] = x[b][a] = vec[v]
-    return tuple(tuple((r, row[c]) for r, row in enumerate(x) if row[c]) for c in range(dim))
+    return x
 
 
 def test_gram_form_matches_the_symmetric_solve():
@@ -320,8 +368,10 @@ def test_gram_form_matches_the_symmetric_solve():
             for q in (1, 3, 5):
                 rep = build_seminormal(shape, q)
                 form = gram_form(rep)
-                assert form.matrix == _symmetric_solve_reference(rep), (shape, q)
-                assert form.determinant == bareiss_determinant(form.matrix)
+                reference = _symmetric_solve_reference(rep)
+                assert reference == [[d * (r == c) for c in range(rep.dim)]
+                                     for r, d in enumerate(form.diagonal)], (shape, q)
+                assert form.determinant == bareiss_determinant(reference)
 
 
 def _gram_fails(rep, message):

@@ -55,7 +55,7 @@ RECORDS = [
      f"SeminormalRep(shape=(2, 1), q=3, scale=16, graph={GRAPH_21}, "
      "generators=(((48, -16), (0, 1), (0, 0)), ((-4, 36), (1, 0), (39, 16))))"),
     ("GramForm", lambda: gram_form(build_seminormal((2, 1), 3)),
-     "GramForm(matrix=(((0, 39),), ((1, 16),)), determinant=624)"),
+     "GramForm(diagonal=(39, 16), determinant=624)"),
 ]
 
 

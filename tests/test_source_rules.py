@@ -22,7 +22,9 @@ process-level side effect, since tests and tracers call it in process. Only
 (the sign-pair refusal) build a `NotIrrPlusError`, so each rule has one copy.
 `oracle` names no tableau object or accessor (`nodes`, `StandardTableau`,
 `position`, `content`): it reads content vectors and edges, so the tableau
-format stays behind `tableaux`.
+format stays behind `tableaux`. `oracle` has one matrix format, dense integer
+rows: it imports only `Matrix` and `bareiss_determinant` from `linalg` and
+names no `mat_mul`, so every generator acts through its own two-term kernel.
 """
 
 import ast
@@ -309,3 +311,17 @@ def test_oracle_reads_no_tableau_objects():
         if _names(node, name)
     )
     assert not found, f"oracle.py names tableau objects at (line, name) {found}"
+
+
+def test_oracle_uses_one_matrix_format():
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    tree = _tree(path)
+    imported = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg"
+        for alias in node.names
+    )
+    assert imported == ["Matrix", "bareiss_determinant"]
+    found = [getattr(node, "lineno", None) for node in ast.walk(tree) if _names(node, "mat_mul")]
+    assert not found, f"oracle.py names mat_mul at lines {found}"
