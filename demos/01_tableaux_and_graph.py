@@ -1,17 +1,18 @@
 """Standard Young tableaux and their transposition graph.
 
 Walks through the combinatorial layer: partitions, hooks, the row-filling
-tableau, and the graph whose edges swap adjacent entries. The (3,1,1)
-graph printed here has six nodes joined by the generators s_2, s_3, s_4.
-Each tableau's reduced word is read off its own entries, without the
-graph; its length is the tableau's distance from the root.
+tableau, and the graph whose edges swap adjacent entries. The package holds
+each tableau as its content vector (col - row of each entry); the rows
+printed here are built from it. The (3,1,1) graph printed here has six
+nodes joined by the generators s_2, s_3, s_4. Each tableau's reduced word
+is read off its own content vector, without the graph; its length is the
+tableau's distance from the root.
 """
 
 from orthdet import (
     enumerate_partitions,
     enumerate_syt,
     hook_lengths,
-    row_filling_tableau,
     syt_count,
     tableau_word,
 )
@@ -22,14 +23,14 @@ for shape in enumerate_partitions(5):
           f"tableaux {syt_count(shape)}")
 
 shape = (3, 1, 1)
-print(f"\nrow-filling tableau of {shape}: {row_filling_tableau(shape).to_lists()}")
-
 graph = enumerate_syt(shape)
+print(f"\nrow-filling tableau of {shape}: {graph.nodes[0]}")
+
 print(f"\nthe {graph.size} standard tableaux of {shape} (breadth-first order):")
-for idx, t in enumerate(graph.nodes):
-    word = tableau_word(t)
-    print(f"  node {idx}: {str(t.to_lists()):<25} distance {graph.distances[idx]}, "
-          f"word {list(word)}")
+for idx, (t, contents) in enumerate(zip(graph.nodes, graph.contents)):
+    word = tableau_word(contents)
+    print(f"  node {idx}: {str(t):<25} contents {contents}, "
+          f"distance {graph.distances[idx]}, word {list(word)}")
 
 print("\nedges (lower node, upper node, generator):")
 for lo, hi, k in graph.edges:

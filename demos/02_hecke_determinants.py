@@ -1,15 +1,14 @@
 """Determinant polynomials of Hecke and symmetric group characters.
 
-Each upward edge of the tableau graph contributes x [c+2]_x [c]_x, where c
-is the content gap in the lower tableau. The product over all tableaux is
-the shape's determinant polynomial; evaluating it at q (or at 1 for the
-symmetric group) and reducing modulo squares gives the orthogonal
-determinant class.
+Each upward edge s_k of the tableau graph contributes x [c+2]_x [c]_x,
+where c = c_k - c_(k+1) - 1 is the content gap read off the lower
+tableau's content vector. The product over all tableaux is the shape's
+determinant polynomial; evaluating it at q (or at 1 for the symmetric
+group) and reducing modulo squares gives the orthogonal determinant class.
 """
 
 from orthdet import (
     det_poly_factored,
-    edge_content_gap,
     enumerate_syt,
     hecke_determinant,
     tableau_polynomials,
@@ -19,12 +18,12 @@ shape = (3, 1, 1)
 graph = enumerate_syt(shape)
 
 print(f"per-tableau polynomials for {shape}:")
-for t, poly in tableau_polynomials(shape).items():
-    print(f"  {str(t.to_lists()):<30} {poly!r}")
+for t, poly in zip(graph.nodes, tableau_polynomials(shape)):
+    print(f"  {str(t):<30} {poly!r}")
 
 print("\nedge factors (lower tableau, generator, content gap):")
 for lo, hi, k in graph.edges:
-    c = edge_content_gap(graph.nodes[lo], k)
+    c = graph.contents[lo][k - 1] - graph.contents[lo][k] - 1
     print(f"  node {lo} --s_{k}--> node {hi}: c = {c}, factor x[{c + 2}][{c}]")
 
 factored = det_poly_factored(shape)

@@ -34,7 +34,6 @@ from .hecke import (
     QIntProduct,
     det_poly_factored,
     det_poly_reduced,
-    edge_content_gap,
     hecke_determinant,
     tableau_polynomials,
 )
@@ -55,14 +54,11 @@ from .squareclass import (
     parity_of_integer,
 )
 from .tableaux import (
-    StandardTableau,
     TableauGraph,
-    apply_simple_transposition,
     check_partition,
     enumerate_partitions,
     enumerate_syt,
     hook_lengths,
-    row_filling_tableau,
     syt_count,
     tableau_word,
 )

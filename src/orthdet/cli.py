@@ -216,13 +216,10 @@ def _cmd_syt(args) -> int:
     if not shape:
         raise ValueError("syt needs a non-empty shape")
     graph = enumerate_syt(shape)
-    payload = {
-        "shape": list(shape),
-        "count": graph.size,
-        "tableaux": [t.to_lists() for t in graph.nodes],
-    }
+    tableaux = [[list(row) for row in t] for t in graph.nodes]
+    payload = {"shape": list(shape), "count": graph.size, "tableaux": tableaux}
     lines = [f"shape {shape}: {graph.size} standard tableaux"]
-    lines += [f"  {t.to_lists()}" for t in graph.nodes]
+    lines += [f"  {t}" for t in tableaux]
     if args.graph:
         payload["edges"] = [
             {"from": lo, "to": hi, "s": k} for lo, hi, k in graph.edges
@@ -376,9 +373,8 @@ def run() -> int:
     being reaped, `verify-parker --family unipotent --n-max 10` took 10.7 ms
     and `selftest` 11.6 ms, and 3.3 and 4.1 ms with the heap frozen
     (medians of 15, CPython 3.11, 2-core VM). Objects made later stay
-    collectable, which matters, since `enumerate_partitions` leaves a
-    reference cycle on every call. `main` itself has no process-level side
-    effect, for in-process callers.
+    collectable. `main` itself has no process-level side effect, for
+    in-process callers.
     """
     gc.freeze()
     return main()

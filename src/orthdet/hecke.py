@@ -1,11 +1,12 @@
 """Tableau polynomials and determinant classes of type-A Hecke characters.
 
-Each upward edge of the transposition graph contributes a factor
-x * [c+2]_x * [c]_x, where c is the content gap read off the lower tableau;
-multiplying the resulting per-tableau polynomials over the whole shape gives
-the shape's determinant polynomial. Its value at q represents the square
-class of the orthogonal determinant of the even-degree Hecke character at
-parameter q, and at q = 1 that of the symmetric group character;
+Each upward edge (lo, hi, k) of the transposition graph contributes a
+factor x * [c+2]_x * [c]_x, where c = c_k - c_(k+1) - 1 is the content gap
+read off the content vector of the lower tableau (no tableau is built);
+multiplying the resulting per-tableau polynomials over the whole shape
+gives the shape's determinant polynomial. Its value at q represents the
+square class of the orthogonal determinant of the even-degree Hecke
+character at parameter q, and at q = 1 that of the symmetric group character;
 `hecke_determinant` refuses an odd-degree shape at the gate of `tableaux`
 before any count or walk.
 
@@ -39,8 +40,9 @@ Four routes compute it, each for its own callers:
   Iwahori-Hecke algebras and Schur algebras of the symmetric group, 1999).
   It runs only where the full factors are printed, and checks that it
   reduces to the GF(2) product and, at even degree, to the formula's set;
-* `tableau_polynomials` walks the transposition graph tableau by tableau
-  and stays as the independent reference for the other three.
+* `tableau_polynomials` walks the transposition graph tableau by tableau,
+  on content vectors alone, and stays as the independent reference for the
+  other three.
 
 Polynomials are carried in factored form (an x-power and q-integer
 multiplicities), so square classes come from classifying small cyclotomic
@@ -60,8 +62,6 @@ from .errors import InvariantViolation, ResourceGuardError, check_int, record
 from .intpoly import IntPoly, cyclotomic, q_int
 from .squareclass import ONE, Parity, SquareClass, class_of_integer, two_adic_valuation
 from .tableaux import (
-    StandardTableau,
-    apply_simple_transposition,
     check_even_degree,
     check_partition,
     conjugate_partition,
@@ -229,43 +229,30 @@ def _q_int_class(k: int, q: int) -> SquareClass:
     return result
 
 
-def edge_content_gap(t: StandardTableau, k: int) -> int:
-    """The content gap c >= 1 of the upward edge s_k applied to t.
-
-    c is (content of k) - (content of k+1) - 1 in t; defined only when the
-    swap is standard and moves up the order (otherwise c would be <= -3,
-    and we refuse).
-    """
-    if apply_simple_transposition(k, t) is None:
-        raise ValueError(f"s_{k} does not keep {t!r} standard")
-    c = t.content(k) - t.content(k + 1) - 1
-    if c < 1:
-        raise ValueError(f"s_{k} moves {t!r} down the order (gap {c})")
-    return c
-
-
-def tableau_polynomials(shape) -> dict[StandardTableau, QIntProduct]:
+def tableau_polynomials(shape) -> tuple[QIntProduct, ...]:
     """Propagate the edge factors over the whole transposition graph.
 
     Returns every tableau's polynomial, in the node order of
-    `enumerate_syt(shape)`. Whenever a tableau is reachable along several
-    upward edges, all of them must agree on its polynomial; a disagreement
-    would falsify the theory and raises InvariantViolation.
+    `enumerate_syt(shape)`. An upward edge (lo, hi, k) has the content gap
+    c = c_k - c_(k+1) - 1 >= 1, read off the lower tableau's content vector.
+    Whenever a tableau is reachable along several upward edges, all of them
+    must agree on its polynomial; a disagreement would falsify the theory
+    and raises InvariantViolation.
     """
     graph = enumerate_syt(shape)
     polys: list[QIntProduct | None] = [None] * graph.size
     polys[0] = QIntProduct.one()
     for lo, hi, k in graph.edges:
-        c = edge_content_gap(graph.nodes[lo], k)
-        candidate = polys[lo] * QIntProduct.from_edge(c)
+        contents = graph.contents[lo]
+        candidate = polys[lo] * QIntProduct.from_edge(contents[k - 1] - contents[k] - 1)
         if polys[hi] is None:
             polys[hi] = candidate
         elif polys[hi] != candidate:
             raise InvariantViolation(
-                f"tableau polynomial of {graph.nodes[hi]!r} is path-dependent: "
-                f"{polys[hi].expand()!r} vs {candidate.expand()!r}"
+                f"tableau polynomial of {shape} at contents {graph.contents[hi]} is "
+                f"path-dependent: {polys[hi].expand()!r} vs {candidate.expand()!r}"
             )
-    return dict(zip(graph.nodes, polys))
+    return tuple(polys)
 
 
 def det_poly_factored(shape) -> QIntProduct:

@@ -1,13 +1,15 @@
 """Partitions, hooks, standard Young tableaux and their transposition graph.
 
 Partitions are plain tuples of weakly decreasing positive ints. Cells are
-1-based (row, col) pairs. The transposition graph on standard tableaux of a
-shape, each held as its content vector (col - row of each entry), connects
-t and s_k.t whenever the contents of k and k+1 differ by at least 2, that is
-when the entry swap keeps t standard; its breadth-first distance from the
-row-filling tableau is the Coxeter length of the permutation carrying one
-to the other; `tableau_word` reads a word of that length off the tableau,
-with no graph. Only tableaux shown are built as `StandardTableau` objects.
+1-based (row, col) pairs. A standard tableau is held only as its content
+vector, whose entry k - 1 is the content col - row of entry k. Rows are
+built from it, by `tableau_rows`, only to print a tableau
+(`TableauGraph.nodes`) or to read its word. The transposition graph on the
+tableaux of a shape connects t and s_k.t whenever the contents of k and k+1
+differ by at least 2, that is when the entry swap keeps t standard; its
+breadth-first distance from the row-filling tableau is the Coxeter length
+of the permutation carrying one to the other; `tableau_word` reads a word
+of that length off a content vector, with no graph.
 
 One cached record per shape (`shape_record`) holds its hooks, the cyclotomic
 multiplicities of its q-hook degree and v2 of its tableau count: `syt_count`,
@@ -26,9 +28,11 @@ from .intpoly import cyclotomic_at_one
 
 # Ceiling on the tableaux of one graph, built for `syt`, the oracle and the
 # reference `hecke.tableau_polynomials` (the determinant products walk the
-# Young lattice instead, under `hecke.MAX_SUBDIAGRAM_ROWS`). Per tableau at
-# n = 14 (2-core VM), the graph costs 0.7 KB and 8 us, and with its tableau
-# polynomials 3.6 KB and 0.10 ms: one shape stays near 360 MB and 10 s; admits n <= 14.
+# Young lattice instead, under `hecke.MAX_SUBDIAGRAM_ROWS`). Per tableau of
+# (6,4,2,1,1), n = 14 (2-core VM, CPython 3.11), the graph costs 0.64 KB and
+# 8 us, the rows `syt` prints 0.34 KB and 8 us more, and the graph with its
+# tableau polynomials 1.4 KB and 0.035-0.050 ms: one shape stays near 140 MB
+# and 5 s; admits n <= 14.
 MAX_TABLEAUX = 100_000
 
 Cell = tuple[int, int]
@@ -47,17 +51,19 @@ def check_partition(parts) -> tuple[int, ...]:
 def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
     """All partitions of n, lexicographically decreasing: (n) first."""
     check_int(n, "n", 1)
-
-    def extend(remaining: int, cap: int, prefix: tuple[int, ...], out: list):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            extend(remaining - part, part, prefix + (part,), out)
-
     result: list[tuple[int, ...]] = []
-    extend(n, n, (), result)
+    _extend_partitions(n, n, (), result)
     return result
+
+
+def _extend_partitions(remaining: int, cap: int, prefix: tuple[int, ...], out: list) -> None:
+    # Module-level, not a closure: a nested function that calls itself is a
+    # reference cycle, left for the collector on every call.
+    if remaining == 0:
+        out.append(prefix)
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        _extend_partitions(remaining - part, part, prefix + (part,), out)
 
 
 def conjugate_partition(shape) -> tuple[int, ...]:
@@ -140,90 +146,40 @@ def even_degree_shapes(n_max: int) -> Iterator[tuple[int, ...]]:
     return (shape for shape in shapes if shape_record(shape).count_v2)
 
 
-@record
-class StandardTableau:
-    """A standard filling of a Young diagram, stored as tuples of rows."""
+def tableau_rows(contents) -> tuple[tuple[int, ...], ...]:
+    """The rows of the standard tableau in which entry k has content contents[k-1].
 
-    rows: tuple[tuple[int, ...], ...]
-    _positions: dict[int, Cell]  # set by __post_init__; private, so not a field
-
-    def __post_init__(self):
-        shape = check_partition(len(row) for row in self.rows)
-        n = sum(shape)
-        positions: dict[int, Cell] = {}
-        for i, row in enumerate(self.rows, start=1):
-            for j, value in enumerate(row, start=1):
-                if j > 1 and row[j - 2] >= value:
-                    raise ValueError(f"row {i} not increasing in {self.rows}")
-                if i > 1 and self.rows[i - 2][j - 1] >= value:
-                    raise ValueError(f"column {j} not increasing in {self.rows}")
-                positions[value] = (i, j)
-        if set(positions) != set(range(1, n + 1)):
-            raise ValueError(f"entries must be exactly 1..{n}, got {sorted(positions)}")
-        object.__setattr__(self, "_positions", positions)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self._positions)
-
-    def position(self, value: int) -> Cell:
-        """1-based (row, col) of an entry."""
-        return self._positions[value]
-
-    def content(self, value: int) -> int:
-        """Diagonal index col - row of an entry's cell."""
-        i, j = self._positions[value]
-        return j - i
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
-
-    def __repr__(self) -> str:
-        return f"StandardTableau({self.to_lists()})"
-
-
-def row_filling_tableau(shape) -> StandardTableau:
-    """The minimal tableau: 1..a1 in row one, then a1+1.. in row two, etc."""
-    shape = check_partition(shape)
-    rows = []
-    next_entry = 1
-    for part in shape:
-        rows.append(tuple(range(next_entry, next_entry + part)))
-        next_entry += part
-    return StandardTableau(tuple(rows))
-
-
-def apply_simple_transposition(k: int, t: StandardTableau) -> StandardTableau | None:
-    """Swap entries k and k+1; None when the result would not be standard.
-
-    The swap breaks standardness exactly when k and k+1 share a row or a
-    column (where they are necessarily adjacent).
+    After each entry the filled cells of a standard tableau form a Young
+    diagram, whose cells on diagonal c run down from row max(0, -c). So
+    entry k goes to row i = max(0, -c) + (the entries already on diagonal c),
+    column i + c (0-based). ValueError unless the cell's left and upper
+    neighbours are filled already, or lie off the diagram: the helper
+    accepts exactly the content vectors of standard tableaux.
     """
-    n = t.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"transposition index must be in 1..{n - 1}, got {k}")
-    (i1, j1), (i2, j2) = t.position(k), t.position(k + 1)
-    if i1 == i2 or j1 == j2:
-        return None
-    rows = [list(row) for row in t.rows]
-    rows[i1 - 1][j1 - 1], rows[i2 - 1][j2 - 1] = k + 1, k
-    return StandardTableau(tuple(map(tuple, rows)))
+    rows: list[list[int]] = []
+    filled: dict[int, int] = {}
+    for k, c in enumerate(contents, start=1):
+        i = max(0, -c) + filled.get(c, 0)
+        if i == len(rows):
+            rows.append([])
+        if i > len(rows) or len(rows[i]) != i + c or (i and len(rows[i - 1]) <= i + c):
+            raise ValueError(f"entry {k} of content {c} extends no standard tableau of rows {rows}")
+        rows[i].append(k)
+        filled[c] = filled.get(c, 0) + 1
+    return tuple(map(tuple, rows))
 
 
 @record
 class TableauGraph:
     """All standard tableaux of one shape, wired by simple transpositions.
 
-    contents[i][k-1] is the content (col - row) of entry k in tableau i; it
-    fixes the tableau, which `nodes` builds on first access. Tableaux are in
-    breadth-first discovery order from the row-filling one (generator index
-    ascending within a tableau), the package-wide canonical basis order.
-    Each edge (lo, hi, k) stores indices with distance(hi) = distance(lo) + 1
-    and s_k applied to either endpoint giving the other.
+    contents[i][k-1] is the content (col - row) of entry k in tableau i, the
+    one format in which the package holds a tableau; `nodes` builds the rows
+    only to print them. Tableaux are in breadth-first discovery order from
+    the row-filling one (generator index ascending within a tableau), the
+    package-wide canonical basis order. Each edge (lo, hi, k) stores indices
+    with distance(hi) = distance(lo) + 1 and s_k, which swaps the contents
+    of k and k+1, applied to either endpoint giving the other.
     """
 
     shape: tuple[int, ...]
@@ -236,16 +192,9 @@ class TableauGraph:
         return len(self.contents)
 
     @cached_property
-    def nodes(self) -> tuple[StandardTableau, ...]:
-        """The tableaux: entry k fills the next cell of diagonal c, row max(0, -c) + filled[c]."""
-        tableaux = []
-        for contents in self.contents:
-            rows, filled = [[] for _ in self.shape], dict.fromkeys(contents, 0)
-            for k, c in enumerate(contents, start=1):
-                rows[max(0, -c) + filled[c]].append(k)
-                filled[c] += 1
-            tableaux.append(StandardTableau(tuple(map(tuple, rows))))
-        return tuple(tableaux)
+    def nodes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The tableaux as tuples of rows, built from `contents` on first access to print them."""
+        return tuple(map(tableau_rows, self.contents))
 
 
 def enumerate_syt(shape) -> TableauGraph:
@@ -297,18 +246,22 @@ def _build_graph(shape: tuple[int, ...]) -> TableauGraph:
     return TableauGraph(shape, tuple(contents), tuple(edges), tuple(dist))
 
 
-def tableau_word(t: StandardTableau) -> tuple[int, ...]:
-    """A reduced word for the permutation w with t = w . t_shape.
+def tableau_word(contents) -> tuple[int, ...]:
+    """A reduced word for the permutation w with t = w . t_shape, t the tableau of a content vector.
 
     Applying s_(word[-1]) first and s_(word[0]) last to the row-filling
-    tableau yields t. While some entry k lies in a lower row than k+1, swap the
+    tableau yields t. The rows of the entries come from `tableau_rows`, with
+    no graph. While some entry k lies in a lower row than k+1, swap the
     smallest such pair (that keeps the tableau standard and removes one
     inversion) and record k; the rows then ascend as in the row-filling
     tableau, so the word is reduced and its length is the graph distance.
     """
-    rows = [t.position(value)[0] for value in range(1, t.n + 1)]
+    rows = [0] * len(contents)
+    for i, row in enumerate(tableau_rows(contents)):
+        for k in row:
+            rows[k - 1] = i
     word = []
-    while descents := [k for k in range(1, t.n) if rows[k - 1] > rows[k]]:
+    while descents := [k for k in range(1, len(rows)) if rows[k - 1] > rows[k]]:
         k = descents[0]
         rows[k - 1], rows[k] = rows[k], rows[k - 1]
         word.append(k)

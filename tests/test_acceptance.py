@@ -16,7 +16,6 @@ from orthdet.gl import (
 from orthdet.hecke import (
     QIntProduct,
     det_poly_factored,
-    edge_content_gap,
     hecke_determinant,
     tableau_polynomials,
 )
@@ -34,7 +33,6 @@ from orthdet.parker import (
 )
 from orthdet.squareclass import SquareClass
 from orthdet.tableaux import (
-    StandardTableau,
     enumerate_partitions,
     enumerate_syt,
     hook_lengths,
@@ -75,7 +73,7 @@ def _naive_squarefree_part(n):
 
 def test_criterion_1_worked_example_reproduction():
     def body():
-        t = StandardTableau(((1, 2, 4), (3,), (5,)))
+        t = enumerate_syt((3, 1, 1)).nodes.index(((1, 2, 4), (3,), (5,)))
         x = IntPoly.monomial(1)
         a_t = tableau_polynomials((3, 1, 1))[t]
         assert a_t.expand() == x * (x + 1) ** 2 * (IntPoly.monomial(2) + 1)
@@ -198,9 +196,12 @@ def test_criterion_7_well_definedness():
                 graph = enumerate_syt(shape)
                 incoming = [0] * graph.size
                 for lo, hi, k in graph.edges:
-                    lower = graph.nodes[lo]
-                    c = edge_content_gap(lower, k)
-                    assert polys[lower] * QIntProduct.from_edge(c) == polys[graph.nodes[hi]]
+                    # the content gap of k and k+1, read off the lower tableau's rows
+                    content = {
+                        v: j - i for i, row in enumerate(graph.nodes[lo]) for j, v in enumerate(row)
+                    }
+                    c = content[k] - content[k + 1] - 1
+                    assert polys[lo] * QIntProduct.from_edge(c) == polys[hi]
                     incoming[hi] += 1
                 merges += sum(1 for count in incoming if count > 1)
         assert merges > 0

@@ -7,7 +7,6 @@ from orthdet.hecke import (
     QIntProduct,
     det_poly_factored,
     det_poly_reduced,
-    edge_content_gap,
     hecke_determinant,
     tableau_polynomials,
 )
@@ -21,11 +20,10 @@ from orthdet.squareclass import (
     two_adic_valuation,
 )
 from orthdet.tableaux import (
-    StandardTableau,
     enumerate_partitions,
     enumerate_syt,
-    row_filling_tableau,
     shape_record,
+    tableau_rows,
 )
 
 
@@ -39,40 +37,59 @@ def shapes(draw, max_n=6):
     return draw(st.sampled_from(enumerate_partitions(n)))
 
 
+def _gap(rows, k):
+    """c_k - c_(k+1) - 1, read off the (row, col) cells of k and k+1 in a tableau's rows."""
+    content = {value: j - i for i, row in enumerate(rows) for j, value in enumerate(row)}
+    return content[k] - content[k + 1] - 1
+
+
 def test_edge_content_gap_examples():
-    assert edge_content_gap(row_filling_tableau((3, 1, 1)), 3) == 2
-    assert edge_content_gap(row_filling_tableau((2, 1)), 2) == 1
-    assert edge_content_gap(row_filling_tableau((2, 2)), 2) == 1
+    # One edge above the root, a tableau's polynomial is the factor x [c+2] [c].
+    for shape, k, gap in [((3, 1, 1), 3, 2), ((2, 1), 2, 1), ((2, 2), 2, 1)]:
+        graph = enumerate_syt(shape)
+        assert graph.edges[0] == (0, 1, k) and _gap(graph.nodes[0], k) == gap
+        assert tableau_polynomials(shape)[1] == QIntProduct.from_edge(gap), shape
 
 
 def test_edge_content_gap_rejects_non_standard_swap():
+    # s_1 swaps two entries of one row: the swapped contents are no tableau,
+    # and their gap -2 gives no edge factor.
+    root = enumerate_syt((3, 1, 1)).contents[0]
     with pytest.raises(ValueError):
-        edge_content_gap(row_filling_tableau((3, 1, 1)), 1)
+        tableau_rows((root[1], root[0]) + root[2:])
+    with pytest.raises(ValueError, match="content gap"):
+        QIntProduct.from_edge(root[0] - root[1] - 1)
 
 
 def test_edge_content_gap_rejects_downward_edge():
-    upper = StandardTableau(((1, 2, 4), (3,), (5,)))
-    with pytest.raises(ValueError):
-        edge_content_gap(upper, 3)
+    # Read off the upper end of the s_3 edge of (3, 1, 1), the gap is -4,
+    # which gives no edge factor: the polynomials read the lower end.
+    graph = enumerate_syt((3, 1, 1))
+    assert graph.edges[0] == (0, 1, 3)
+    upper = graph.contents[1]
+    assert upper[2] - upper[3] - 1 == -4
+    with pytest.raises(ValueError, match="content gap"):
+        QIntProduct.from_edge(upper[2] - upper[3] - 1)
 
 
 @given(shapes())
 def test_every_graph_edge_has_positive_gap_upward_only(shape):
+    # Read off the upper end, the gap of an edge is -c - 2 <= -3.
     graph = enumerate_syt(shape)
     for lo, hi, k in graph.edges:
-        assert edge_content_gap(graph.nodes[lo], k) >= 1
-        with pytest.raises(ValueError):
-            edge_content_gap(graph.nodes[hi], k)
+        assert _gap(graph.nodes[lo], k) >= 1
+        assert _gap(graph.nodes[hi], k) == -_gap(graph.nodes[lo], k) - 2
 
 
 def test_tableau_polynomial_root_is_one():
     polys = tableau_polynomials((3, 2, 1))
-    assert polys[enumerate_syt((3, 2, 1)).nodes[0]] == QIntProduct.one()
+    assert len(polys) == enumerate_syt((3, 2, 1)).size == 16
+    assert polys[0] == QIntProduct.one()
 
 
 def test_tableau_polynomial_paper_case():
-    t = StandardTableau(((1, 2, 4), (3,), (5,)))
-    a_t = tableau_polynomials((3, 1, 1))[t]
+    at = enumerate_syt((3, 1, 1)).nodes.index(((1, 2, 4), (3,), (5,)))
+    a_t = tableau_polynomials((3, 1, 1))[at]
     assert a_t == QIntProduct(1, ((2, 1), (4, 1)))
     # x (x+1)^2 (x^2+1), multiplied out independently
     x = IntPoly.monomial(1)
@@ -80,8 +97,7 @@ def test_tableau_polynomial_paper_case():
 
 
 def test_tableau_polynomial_two_one():
-    non_root = enumerate_syt((2, 1)).nodes[1]
-    assert tableau_polynomials((2, 1))[non_root].expand() == IntPoly.monomial(1) * q_int(3)
+    assert tableau_polynomials((2, 1))[1].expand() == IntPoly.monomial(1) * q_int(3)
 
 
 def test_det_poly_examples():
@@ -101,7 +117,7 @@ def test_lattice_dp_equals_product_of_tableau_polynomials():
     even = 0
     for shape in shapes_checked:
         product = QIntProduct.one()
-        for poly in tableau_polynomials(shape).values():
+        for poly in tableau_polynomials(shape):
             product = product * poly
         assert det_poly_factored(shape) == product, shape
         count_v2, mask = hecke.beta_row(shape)
@@ -376,9 +392,8 @@ def test_well_definedness_rewalk():
             graph = enumerate_syt(shape)
             incoming = [0] * graph.size
             for lo, hi, k in graph.edges:
-                lower = graph.nodes[lo]
-                c = edge_content_gap(lower, k)
-                assert polys[lower] * QIntProduct.from_edge(c) == polys[graph.nodes[hi]]
+                c = _gap(graph.nodes[lo], k)
+                assert polys[lo] * QIntProduct.from_edge(c) == polys[hi]
                 incoming[hi] += 1
             multi_incoming += sum(1 for count in incoming if count > 1)
     assert multi_incoming > 0  # the check above actually exercised merges

@@ -21,12 +21,7 @@ from orthdet.oracle import (
     word_image,
 )
 from orthdet.squareclass import ONE, SquareClass, class_of_integer
-from orthdet.tableaux import (
-    TableauGraph,
-    apply_simple_transposition,
-    enumerate_partitions,
-    syt_count,
-)
+from orthdet.tableaux import TableauGraph, enumerate_partitions, syt_count
 
 
 def _replace(record, **changes):
@@ -41,10 +36,22 @@ def test_one_dimensional_reps():
     assert all(word_image(rep, [i]) == [[-rep.scale]] for i in range(1, rep.n))
 
 
+def _positions(rows):
+    """The 0-based (row, col) of every entry of a tableau given by its rows."""
+    return {value: (r, c) for r, row in enumerate(rows) for c, value in enumerate(row)}
+
+
+def _swap(rows, k):
+    """The rows with entries k and k+1 swapped."""
+    swapped = {k: k + 1, k + 1: k}
+    return tuple(tuple(swapped.get(value, value) for value in row) for row in rows)
+
+
 def _seminormal_column(rep, i, idx):
-    """Column idx of T_i as exact Fractions, from the seminormal formulas."""
+    """Column idx of T_i as exact Fractions, from the seminormal formulas on the tableau's rows."""
     q, t = rep.q, rep.graph.nodes[idx]
-    (r1, c1), (r2, c2) = t.position(i), t.position(i + 1)
+    at = _positions(t)
+    (r1, c1), (r2, c2) = at[i], at[i + 1]
     if r1 == r2:
         return {idx: Fraction(q)}
     if c1 == c2:
@@ -53,9 +60,9 @@ def _seminormal_column(rep, i, idx):
     def diag(d):
         return Fraction(q**d, q_int(d)(q)) if d > 0 else Fraction(-1, q_int(-d)(q))
 
-    d = t.content(i + 1) - t.content(i)
+    d = (c2 - r2) - (c1 - r1)
     off = Fraction(1) if d > 0 else diag(d) * diag(-d) + q
-    return {idx: diag(d), rep.graph.nodes.index(apply_simple_transposition(i, t)): off}
+    return {idx: diag(d), rep.graph.nodes.index(_swap(t, i)): off}
 
 
 def test_generators_are_scaled_integer_columns():
@@ -430,9 +437,10 @@ def test_jucys_murphy_diagonals_are_q_contents():
                 labels = oracle._jucys_murphy_diagonals(rep, oracle._blocks(rep))
                 assert len(labels) == rep.dim
                 for t, label in zip(rep.graph.nodes, labels):
+                    at = _positions(t)
                     expected = []
                     for k in range(2, n + 1):
-                        c = t.content(k)
+                        c = at[k][1] - at[k][0]
                         qc = c if q == 1 else (Fraction(q) ** c - 1) / (q - 1)
                         expected.append(q**k * qc)
                     assert list(label) == expected, (shape, q, t)

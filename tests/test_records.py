@@ -18,12 +18,7 @@ from orthdet.hecke import QIntProduct, hecke_determinant
 from orthdet.oracle import build_seminormal, gram_form
 from orthdet.parker import verify_parker_unipotent
 from orthdet.squareclass import SquareClass
-from orthdet.tableaux import (
-    StandardTableau,
-    apply_simple_transposition,
-    enumerate_syt,
-    row_filling_tableau,
-)
+from orthdet.tableaux import enumerate_syt
 
 GRAPH_21 = (
     "TableauGraph(shape=(2, 1), contents=((0, 1, -1), (0, -1, 1)), "
@@ -49,7 +44,6 @@ RECORDS = [
     ("ParityWitness", lambda: verify_parker_unipotent(3, (3,), witness_limit=1).witnesses[0],
      "ParityWitness(shapes=((2, 1),), q=3, bits=(0, 0), source=unipotent_row)"),
     ("SquareClass", lambda: SquareClass(-1, 6), "SquareClass(-6)"),
-    ("StandardTableau", lambda: row_filling_tableau((2, 1)), "StandardTableau([[1, 2], [3]])"),
     ("TableauGraph", lambda: enumerate_syt((2, 1)), GRAPH_21),
     ("SeminormalRep", lambda: build_seminormal((2, 1), 3),
      f"SeminormalRep(shape=(2, 1), q=3, scale=16, graph={GRAPH_21}, "
@@ -133,22 +127,17 @@ def test_post_init_still_validates():
         SquareClass(2, 1)
     with pytest.raises(ValueError, match="squarefree part must be positive"):
         SquareClass(1, 0)
-    with pytest.raises(ValueError, match="column 1 not increasing"):
-        StandardTableau(((1, 2), (0,)))
-    with pytest.raises(ValueError, match="entries must be exactly"):
-        StandardTableau(((1, 3), (4,)))
 
 
 def test_positions_are_private_and_no_field():
-    # A swapped tableau's positions match those of the same rows built
-    # directly, and they take no part in equality, hashing or the repr.
-    assert StandardTableau.__match_args__ == ("rows",)
-    t = row_filling_tableau((2, 1))
-    u = apply_simple_transposition(2, t)
-    built = StandardTableau(((1, 3), (2,)))
-    assert u == built and hash(u) == hash(built)
-    assert u._positions == built._positions == {1: (1, 1), 3: (1, 2), 2: (2, 1)}
-    assert u.position(3) == (1, 2) and u.content(2) == -1
+    # A graph's rows, built from its contents on first access, are no
+    # field: they take no part in equality, hashing or the repr.
+    graph = enumerate_syt((2, 1))
+    assert graph.__match_args__ == ("shape", "contents", "edges", "distances")
+    assert graph.nodes == (((1, 2), (3,)), ((1, 3), (2,)))
+    fresh = type(graph)(*_fields(graph))
+    assert "nodes" not in vars(fresh)
+    assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == GRAPH_21
 
 
 def test_cached_properties_are_computed_once(monkeypatch):

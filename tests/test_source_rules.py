@@ -25,6 +25,10 @@ process-level side effect, since tests and tracers call it in process. Only
 format stays behind `tableaux`. `oracle` has one matrix format, dense integer
 rows: it imports only `Matrix` and `bareiss_determinant` from `linalg` and
 names no `mat_mul`, so every generator acts through its own two-term kernel.
+A tableau has one format, its content vector: no module names
+`StandardTableau`, `apply_simple_transposition`, `row_filling_tableau`,
+`edge_content_gap` or `position`, and `hecke` names no `nodes`, so the
+reference `tableau_polynomials` reads its gaps off the content vectors.
 """
 
 import ast
@@ -325,3 +329,16 @@ def test_oracle_uses_one_matrix_format():
     assert imported == ["Matrix", "bareiss_determinant"]
     found = [getattr(node, "lineno", None) for node in ast.walk(tree) if _names(node, "mat_mul")]
     assert not found, f"oracle.py names mat_mul at lines {found}"
+
+
+def test_one_tableau_format():
+    gone = ("StandardTableau", "apply_simple_transposition", "row_filling_tableau",
+            "edge_content_gap", "position")
+    found = sorted(
+        (path.name, node.lineno, name)
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        for name in gone + ("nodes",) * (path.name == "hecke.py")
+        if _names(node, name)
+    )
+    assert not found, f"tableau objects named at (module, line, name) {found}"

@@ -1,3 +1,5 @@
+import gc
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -7,16 +9,14 @@ from orthdet import gl, hecke, parker, tableaux
 from orthdet.cli import main
 from orthdet.errors import InvariantViolation, ResourceGuardError
 from orthdet.tableaux import (
-    StandardTableau,
-    apply_simple_transposition,
     check_partition,
     conjugate_partition,
     enumerate_partitions,
     enumerate_syt,
     hook_lengths,
-    row_filling_tableau,
     shape_record,
     syt_count,
+    tableau_rows,
     tableau_word,
 )
 
@@ -58,6 +58,19 @@ def test_enumerate_partitions_counts_match_brute_force():
         assert len(enumerate_partitions(n)) == brute_force_partition_count(n)
 
 
+def test_enumerate_partitions_leaves_no_cycle():
+    # With the collector off, garbage that only it can free would stay
+    # behind: a self-calling closure is such a reference cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 12):
+            enumerate_partitions(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_enumerate_partitions_rejects_nonpositive():
     with pytest.raises(ValueError):
         enumerate_partitions(0)
@@ -80,79 +93,119 @@ def test_hook_lengths_examples():
     assert hook_lengths((2, 2)) == {(1, 1): 3, (1, 2): 2, (2, 1): 2, (2, 2): 1}
 
 
+def _row_filling(shape):
+    """The row-filling tableau of a shape, as rows: 1..a1 in row one, and so on."""
+    entries = iter(range(1, sum(shape) + 1))
+    return tuple(tuple(next(entries) for _ in range(part)) for part in shape)
+
+
+def _positions(rows):
+    """The 0-based (row, col) of every entry of a tableau given by its rows."""
+    return {value: (i, j) for i, row in enumerate(rows) for j, value in enumerate(row)}
+
+
+def _contents(rows):
+    """The content vector (col - row of entries 1..n) of a tableau given by its rows."""
+    at = _positions(rows)
+    return tuple(j - i for i, j in (at[value] for value in range(1, len(at) + 1)))
+
+
+def _swap(rows, k):
+    """The rows with entries k and k+1 swapped; None where they share a row or a column."""
+    at = _positions(rows)
+    (i1, j1), (i2, j2) = at[k], at[k + 1]
+    if i1 == i2 or j1 == j2:
+        return None
+    swapped = {k: k + 1, k + 1: k}
+    return tuple(tuple(swapped.get(value, value) for value in row) for row in rows)
+
+
 def test_row_filling_examples():
-    assert row_filling_tableau((4, 3, 2)).rows == ((1, 2, 3, 4), (5, 6, 7), (8, 9))
-    assert row_filling_tableau((6,)).rows == ((1, 2, 3, 4, 5, 6),)
-    assert row_filling_tableau((1, 1, 1)).rows == ((1,), (2,), (3,))
+    assert enumerate_syt((4, 3, 2)).nodes[0] == ((1, 2, 3, 4), (5, 6, 7), (8, 9))
+    assert enumerate_syt((6,)).nodes[0] == ((1, 2, 3, 4, 5, 6),)
+    assert enumerate_syt((1, 1, 1)).nodes[0] == ((1,), (2,), (3,))
+    assert _row_filling((4, 3, 2)) == ((1, 2, 3, 4), (5, 6, 7), (8, 9))
 
 
 def test_tableau_validation():
-    with pytest.raises(ValueError):
-        StandardTableau(((2, 1),))  # row not increasing
-    with pytest.raises(ValueError):
-        StandardTableau(((1, 2), (4, 3)))  # second row not increasing
-    with pytest.raises(ValueError):
-        StandardTableau(((2, 3), (1,)))  # column not increasing
-    with pytest.raises(ValueError):
-        StandardTableau(((1, 2), (2,)))  # duplicate entry
-    with pytest.raises(ValueError):
-        StandardTableau(((1, 5), (2,)))  # entries not 1..n
+    # The placement refuses a content vector that is not standard: the cell
+    # of some entry lacks its left neighbour, or (0, -1, 0) its upper one.
+    assert tableau_rows((0, 1, -1)) == ((1, 2), (3,))
+    assert tableau_rows(()) == ()
+    for contents in [(1,), (0, 0), (0, 2), (0, -2), (0, 1, 0), (0, -1, 0), (0, 1, -1, 1)]:
+        with pytest.raises(ValueError, match="extends no standard tableau"):
+            tableau_rows(contents)
+
+
+def test_placement_accepts_exactly_the_standard_content_vectors():
+    # Every vector in (-n, n)^n for n <= 5, against the tableaux found by
+    # the search over rows: accepted iff standard, and placed in its rows.
+    for n in range(1, 6):
+        standard = {
+            _contents(t): t for shape in enumerate_partitions(n) for t in _tableau_search(shape)[0]
+        }
+        accepted = 0
+        for contents in product(range(1 - n, n), repeat=n):
+            try:
+                rows = tableau_rows(contents)
+            except ValueError:
+                assert contents not in standard, contents
+                continue
+            assert standard[contents] == rows, contents
+            accepted += 1
+        assert accepted == len(standard) == sum(map(syt_count, enumerate_partitions(n)))
 
 
 def test_tableau_accessors():
-    t = row_filling_tableau((3, 1, 1))
-    assert t.shape == (3, 1, 1)
-    assert t.n == 5
-    assert t.position(4) == (2, 1)
-    assert t.content(3) == 2
-    assert t.content(4) == -1
-    assert t.to_lists() == [[1, 2, 3], [4], [5]]
+    # A graph holds content vectors; `nodes` builds the rows once.
+    graph = enumerate_syt((3, 1, 1))
+    assert graph.contents[0] == (0, 1, 2, -1, -2)
+    assert graph.nodes[0] == ((1, 2, 3), (4,), (5,))
+    assert graph.nodes is graph.nodes
+    assert [_contents(t) for t in graph.nodes] == list(graph.contents)
 
 
 def test_apply_transposition_examples():
-    t = row_filling_tableau((3, 1, 1))
-    assert apply_simple_transposition(3, t).rows == ((1, 2, 4), (3,), (5,))
-    # 1 and 2 always share a row or column, so s_1 never keeps standardness
-    assert apply_simple_transposition(1, t) is None
-    t22 = row_filling_tableau((2, 2))
-    assert apply_simple_transposition(2, t22).rows == ((1, 3), (2, 4))
-
-
-def test_apply_transposition_rejects_bad_index():
-    t = row_filling_tableau((2, 1))
-    with pytest.raises(ValueError):
-        apply_simple_transposition(0, t)
-    with pytest.raises(ValueError):
-        apply_simple_transposition(3, t)
+    # From the row-filling tableau of (3, 1, 1) only s_3 applies: s_1 and
+    # s_2 swap entries in one row, s_4 entries in one column.
+    graph = enumerate_syt((3, 1, 1))
+    assert [(hi, k) for lo, hi, k in graph.edges if lo == 0] == [(1, 3)]
+    assert graph.contents[1] == (0, 1, -1, 2, -2)
+    assert graph.nodes[1] == ((1, 2, 4), (3,), (5,))
+    assert enumerate_syt((2, 2)).nodes[1] == ((1, 3), (2, 4))
 
 
 @given(shapes())
 def test_s1_is_never_standard(shape):
-    for t in enumerate_syt(shape).nodes:
-        if t.n >= 2:
-            assert apply_simple_transposition(1, t) is None
+    # 1 and 2 always share a row or a column: their contents differ by one.
+    graph = enumerate_syt(shape)
+    assert all(k != 1 for _, _, k in graph.edges)
+    assert all(abs(c[0] - c[1]) == 1 for c in graph.contents if len(c) >= 2)
 
 
 def test_swaps_equal_validated_tableaux():
-    # Rebuilding each swap through the constructor gives the same rows and
-    # positions.
+    # Every edge swaps entries k and k+1 in the rows of its lower end and
+    # contents k and k+1 in its content vector.
     for n in range(1, 8):
         for shape in enumerate_partitions(n):
-            for t in enumerate_syt(shape).nodes:
-                for k in range(1, n):
-                    u = apply_simple_transposition(k, t)
-                    if u is not None:
-                        v = StandardTableau(u.rows)
-                        assert u.rows == v.rows and u._positions == v._positions
+            graph = enumerate_syt(shape)
+            for lo, hi, k in graph.edges:
+                assert _swap(graph.nodes[lo], k) == graph.nodes[hi]
+                c = graph.contents[lo]
+                assert c[:k - 1] + (c[k], c[k - 1]) + c[k + 1:] == graph.contents[hi]
 
 
 @given(shapes())
 def test_transposition_is_involution_where_defined(shape):
-    for t in enumerate_syt(shape).nodes:
-        for k in range(1, t.n):
-            u = apply_simple_transposition(k, t)
+    # The tableaux are closed under every swap that keeps them standard,
+    # and each such swap undoes itself.
+    graph = enumerate_syt(shape)
+    nodes = set(graph.nodes)
+    for t in graph.nodes:
+        for k in range(1, sum(shape)):
+            u = _swap(t, k)
             if u is not None:
-                assert apply_simple_transposition(k, u) == t
+                assert u in nodes and _swap(u, k) == t
 
 
 def test_enumerate_syt_examples():
@@ -237,16 +290,17 @@ def test_rsk_mass_identity():
 
 
 def _tableau_search(shape):
-    """The breadth-first search over StandardTableau objects, the reference for `enumerate_syt`.
+    """The breadth-first search over rows, the reference for `enumerate_syt`.
 
-    Returns the tableaux in discovery order, the edges and the distances.
+    Returns the tableaux (as rows) in discovery order, the edges and the
+    distances. It reads no content vector.
     """
-    root = row_filling_tableau(shape)
+    root = _row_filling(shape)
     nodes, index, dist, edges = [root], {root: 0}, [0], []
     head = 0
     while head < len(nodes):
         for k in range(1, sum(shape)):
-            u = apply_simple_transposition(k, nodes[head])
+            u = _swap(nodes[head], k)
             if u is None:
                 continue
             at = index.get(u)
@@ -268,10 +322,9 @@ def test_content_graph_matches_the_tableau_search():
         for shape in enumerate_partitions(n):
             nodes, edges, distances = _tableau_search(shape)
             graph = enumerate_syt(shape)
-            assert [t.rows for t in graph.nodes] == [t.rows for t in nodes], shape
+            assert list(graph.nodes) == nodes, shape
             assert graph.edges == edges and graph.distances == distances, shape
-            for t, contents in zip(graph.nodes, graph.contents):
-                assert tuple(t.content(k) for k in range(1, n + 1)) == contents, (shape, t)
+            assert list(graph.contents) == [_contents(t) for t in nodes], shape
 
 
 def test_edges_change_distance_by_one():
@@ -285,10 +338,8 @@ def test_edges_change_distance_by_one():
 
 def _permutation_of(t, root):
     """w with w . root = t, as a value map tuple."""
-    perm = [0] * t.n
-    for value in range(1, t.n + 1):
-        perm[value - 1] = t.rows[root.position(value)[0] - 1][root.position(value)[1] - 1]
-    return tuple(perm)
+    at = _positions(root)
+    return tuple(t[at[value][0]][at[value][1]] for value in range(1, len(at) + 1))
 
 
 def _inversions(perm):
@@ -307,41 +358,39 @@ def test_distance_equals_coxeter_length():
 
 
 def test_tableau_word_examples():
-    root = row_filling_tableau((3, 1, 1))
-    assert tableau_word(root) == ()
-    t134 = StandardTableau(((1, 3, 4), (2,), (5,)))
-    assert tableau_word(StandardTableau(((1, 2, 4), (3,), (5,)))) == (3,)
-    word = tableau_word(t134)
+    assert tableau_word((0, 1, 2, -1, -2)) == ()  # the row-filling tableau of (3, 1, 1)
+    assert tableau_word((0, 1, -1, 2, -2)) == (3,)  # ((1, 2, 4), (3,), (5,))
+    word = tableau_word((0, -1, 1, 2, -2))  # ((1, 3, 4), (2,), (5,))
     assert len(word) == 2 and set(word) == {2, 3}
+    with pytest.raises(ValueError, match="extends no standard tableau"):
+        tableau_word((0, -1, 0))
 
 
 @given(shapes())
 def test_tableau_word_reconstructs_tableau(shape):
     graph = enumerate_syt(shape)
-    for idx, t in enumerate(graph.nodes):
-        word = tableau_word(t)
-        assert len(word) == graph.distances[idx]  # reduced
-        current = graph.nodes[0]
+    for contents, t, distance in zip(graph.contents, graph.nodes, graph.distances):
+        word = tableau_word(contents)
+        assert len(word) == distance  # reduced
+        current = _row_filling(shape)
         for k in reversed(word):
-            current = apply_simple_transposition(k, current)
+            current = _swap(current, k)
             assert current is not None
         assert current == t
 
 
 def test_tableau_word_needs_no_graph(monkeypatch):
     # (6,4,3,2,1) has 1153152 tableaux, past MAX_TABLEAUX; the word of its
-    # column-filling tableau is read off the entries and still rebuilds it.
+    # column-filling tableau is read off its contents and still rebuilds it.
     shape = (6, 4, 3, 2, 1)
     assert syt_count(shape) > tableaux.MAX_TABLEAUX
     monkeypatch.setattr(tableaux, "enumerate_syt", lambda shape: pytest.fail("enumerated"))
     monkeypatch.setattr(tableaux, "_build_graph", lambda shape: pytest.fail("graph built"))
-    columns = row_filling_tableau(conjugate_partition(shape)).rows
-    t = StandardTableau(tuple(
-        tuple(column[i] for column in columns if i < len(column)) for i in range(len(shape))
-    ))
-    current = row_filling_tableau(shape)
-    for k in reversed(tableau_word(t)):
-        current = apply_simple_transposition(k, current)
+    columns = _row_filling(conjugate_partition(shape))
+    t = tuple(tuple(column[i] for column in columns if i < len(column)) for i in range(len(shape)))
+    current = _row_filling(shape)
+    for k in reversed(tableau_word(_contents(t))):
+        current = _swap(current, k)
         assert current is not None
     assert current == t
 
