@@ -8,6 +8,7 @@ group) and reducing modulo squares gives the orthogonal determinant class.
 """
 
 from orthdet import (
+    QIntProduct,
     det_poly_factored,
     enumerate_syt,
     hecke_determinant,
@@ -28,7 +29,7 @@ for lo, hi, k in graph.edges:
 
 factored = det_poly_factored(shape)
 print(f"\ndeterminant polynomial (factored): {factored!r}")
-print(f"reduced modulo squares:            {factored.reduced()!r}")
+print(f"reduced modulo squares:            {QIntProduct.from_mask(factored.mask)!r}")
 
 print("\ndeterminant classes:")
 for q in (1, 3, 5, 7, 9):

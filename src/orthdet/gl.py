@@ -15,21 +15,22 @@ At odd q, whether a character has even degree, and its symbolic class,
 do not depend on q. The shape record of `tableaux` proves, for every q at
 once, that the q-hook degree and the q-power exponent are integers, and
 gives the parities of the tableau count and of the exponent at odd q in
-closed form. `unipotent_row` builds a shape's q-free product from it once,
-cached on a validated shape. `sign_pair_row` is the one copy of the
-sign-pair rule: the index parity, the outer-product power rule and the
-refusal of a pair of odd sides, on the rows of its two sides. The public
-determinants validate their arguments and wrap these products in a result
-record. The exact degree and exponent at q are evaluated from the record,
-and checked against it, only when a result prints them.
+closed form. A row is a mask of `hecke` (bit 1 the power of x = q, bit
+k >= 2 an odd [k]_q). `unipotent_row` is a shape's Hecke mask with the
+exponent's parity added to bit 1, cached on a validated shape;
+`sign_pair_row` is the one copy of the sign-pair rule (the index parity,
+the outer-product power rule and the refusal of a pair of odd sides), on
+the masks of its two sides. The public determinants validate their
+arguments and build products from these masks for a result record. The
+exact degree and exponent at q are evaluated from the record, and checked
+against it, only when a result prints them.
 
-Classes come from the Hecke determinant's lattice walk in GF(2) mode
-(`det_poly_reduced`); the full product of a unipotent character, from the
-same walk in full mode, is computed only when `to_json` prints its factors,
-and is checked against the GF(2) product then. The sweeps of `parker` read
-neither: their rows take the q-free bits of `hecke.beta_row`, with the
-sign-pair rule of `sign_pair_row` applied to its masks, and only a printed
-or failing row reads `unipotent_row` or `sign_pair_row` for its class.
+Masks come from the GF(2) walk of `hecke.det_poly_reduced`; the full
+product of a unipotent character, from the same walk in full mode, is
+computed only when `to_json` prints its factors, and checked against the
+mask then. The sweeps of `parker` read neither: their rows are the masks
+of `hecke.beta_row`, put through `sign_pair_row` for sign pairs, and only
+a printed or failing row reads `unipotent_row` or `sign_pair_row`.
 
 Characters whose torus constituents have order >= 3 take values in real
 cyclotomic fields; their determinants are out of scope here.
@@ -131,8 +132,8 @@ class GlDetResult:
 
     The value at q of the squarefree product `symbolic` lies in the class.
     `symbolic` and the labelled factors `parts` are the same at every odd q:
-    they come from the GF(2) walk and the q-free parities of the shape
-    records, and a unipotent character's "q-power" part is
+    the products of masks of the GF(2) walk and of the shape records'
+    q-free parities, and a unipotent character's "q-power" part is
     q^(exponent mod 2). Everything else is computed on first access only:
     `det_class`, and `breakdown` from `parts`, are classified (factored);
     `degree` and `q_exponent` come from one evaluation of the exact
@@ -200,24 +201,25 @@ def unipotent_determinant(shape, q: int) -> GlDetResult:
     """Determinant class of an even-degree unipotent character."""
     shape = check_partition(shape)
     pp = as_odd_prime_power(q)
-    symbolic = unipotent_row(shape)
-    parts = (("hecke", hecke_row(shape)), ("q-power", QIntProduct(_odd_exponent(shape), ())))
+    symbolic = QIntProduct.from_mask(unipotent_row(shape))
+    parts = (("hecke", QIntProduct.from_mask(hecke_row(shape))),
+             ("q-power", QIntProduct(_odd_exponent(shape), ())))
     return GlDetResult(kind="unipotent", shapes=(shape,), q=pp, symbolic=symbolic, parts=parts)
 
 
 # Cached per shape for every odd q; callers validate first.
 @lru_cache(maxsize=None)
-def unipotent_row(shape: tuple[int, ...]) -> QIntProduct:
-    """The product of a validated shape's unipotent character at every odd q.
+def unipotent_row(shape: tuple[int, ...]) -> int:
+    """The mask of a validated shape's unipotent character at every odd q.
 
-    The reduced walk times q^(e mod 2), refused at the odd-degree gate. It
-    is the `symbolic` of `unipotent_determinant`, and the class source of
-    the printed and failing rows of the unipotent sweep.
+    The Hecke mask times q^(e mod 2) (bit 1), refused at the odd-degree
+    gate: the mask of the `symbolic` of `unipotent_determinant`, and the
+    class source of the printed and failing rows of the unipotent sweep.
     """
-    return (hecke_row(shape) * QIntProduct(_odd_exponent(shape), ())).reduced()
+    return hecke_row(shape) ^ _odd_exponent(shape) << 1
 
 
-def _unipotent_side(shape: tuple[int, ...]) -> QIntProduct | None:
+def _unipotent_side(shape: tuple[int, ...]) -> int | None:
     """The unipotent row of a validated side of a sign pair, None at odd degree."""
     return unipotent_row(shape) if shape_record(shape).count_v2 else None
 
@@ -234,33 +236,32 @@ def sign_pair_determinant(lam, mu, q: int) -> GlDetResult:
     pp = as_odd_prime_power(q)
     if not lam and not mu:
         raise ValueError("at least one of the two partitions must be non-empty")
-    symbolic = sign_pair_row(lam, mu)
+    symbolic = QIntProduct.from_mask(sign_pair_row(lam, mu))
     parts = (("induction", QIntProduct.one()),)
     if comb(sum(lam) + sum(mu), sum(lam)) % 2:
         parts += (("outer-product", symbolic),)
     return GlDetResult(kind="sign-pair", shapes=(lam, mu), q=pp, symbolic=symbolic, parts=parts)
 
 
-def sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...], side=_unipotent_side,
-                  one=QIntProduct.one()):
-    """The row of a validated sign pair at every odd q, refused at odd degree.
+def sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...], side=_unipotent_side) -> int:
+    """The mask of a validated sign pair at every odd q, refused at odd degree.
 
     The parabolic induction index is the Gaussian binomial [n choose l]_x,
     which lies in Z[x], so at odd q its parity is that of C(n, l): when
-    even, the row is the trivial `one` outright. When odd, it is the class
-    of the outer product, det(lam)^deg(mu) * det(mu)^deg(lam): the row of
-    the even side when the other is odd, trivial when both are even, and a
-    pair of odd sides has odd degree.
+    even, the row is trivial (0) outright. When odd, it is the class of the
+    outer product, det(lam)^deg(mu) * det(mu)^deg(lam): the mask of the even
+    side when the other is odd, trivial when both are even, and a pair of
+    odd sides has odd degree.
 
-    `side(shape)` is the row of a side, None at odd degree (the empty shape
-    included). By default rows are the unipotent rows, and the result is
-    the `symbolic` of `sign_pair_determinant` and the class source of the
-    printed and failing rows of the sign-pair sweep; that sweep passes the
-    masks of `hecke.beta_row`, with `one` = 0.
+    `side(shape)` is the mask of a side, None at odd degree (the empty shape
+    included). By default sides are the unipotent rows, and the result is
+    the mask of the `symbolic` of `sign_pair_determinant` and the class
+    source of the printed and failing rows of the sign-pair sweep; that
+    sweep passes the masks of `hecke.beta_row`.
     """
     ell = sum(lam)
     if comb(ell + sum(mu), ell) % 2 == 0:
-        return one
+        return 0
     row_lam, row_mu = side(lam), side(mu)
     if row_lam is None and row_mu is None:
         raise NotIrrPlusError(
@@ -270,4 +271,4 @@ def sign_pair_row(lam: tuple[int, ...], mu: tuple[int, ...], side=_unipotent_sid
         return row_lam
     if row_lam is None:
         return row_mu
-    return one
+    return 0

@@ -3,53 +3,54 @@
 Each upward edge (lo, hi, k) of the transposition graph contributes a
 factor x * [c+2]_x * [c]_x, where c = c_k - c_(k+1) - 1 is the content gap
 read off the content vector of the lower tableau (no tableau is built);
-multiplying the resulting per-tableau polynomials over the whole shape
-gives the shape's determinant polynomial. Its value at q represents the
-square class of the orthogonal determinant of the even-degree Hecke
-character at parameter q, and at q = 1 that of the symmetric group character;
+multiplying the per-tableau polynomials over the whole shape gives the
+shape's determinant polynomial. Its value at q represents the square class
+of the orthogonal determinant of the even-degree Hecke character at
+parameter q, and at q = 1 that of the symmetric group character;
 `hecke_determinant` refuses an odd-degree shape at the gate of `tableaux`
 before any count or walk.
 
-Four routes compute it, each for its own callers:
+Mod squares the polynomial is a vector over GF(2), as the [k]_x with k >= 2
+are independent mod squares ([k] is the first to hold Phi_k), and it has
+one format, an int mask: bit 1 holds the parity of the x-power, and bit
+k >= 2 each [k]_x of odd multiplicity. At odd q its parity is fixed by two
+popcounts (`mask_bits`), which never read bit 1. A full product
+(`QIntProduct`: an x-power and q-integer multiplicities) reads its mask
+off as `mask`; `QIntProduct.from_mask` builds a product only to print or
+classify it, factor by factor, so no enormous integer is ever factored.
 
-* `beta_row` serves the sweep rows of `parker`. It reads the q-integers of
-  odd multiplicity, and v2 of the tableau count, off the shape's
-  beta-numbers: the Gram determinant of the Specht module S^shape of
-  H_n(q) has a closed form (James-Mathas 1997, the q-analogue of the
-  Jantzen-Schaper formula), a product over pairs of rows and hook lengths
-  with exponents +-#SYT of nearby shapes. Mod squares only the parities of
-  those counts matter, and Legendre's formula gives them in O(1) per term.
-  It gives no x-power, which a parity at odd q does not need;
+Four routes compute the polynomial, each for its own callers:
+
+* `beta_row` gives the mask, bit 1 clear, for the sweep rows of `parker`.
+  It reads it, and v2 of the tableau count, off the shape's beta-numbers:
+  the Gram determinant of the Specht module S^shape of H_n(q) has a closed
+  form (James-Mathas 1997, the q-analogue of the Jantzen-Schaper formula),
+  a product over pairs of rows and hook lengths with exponents +-#SYT of
+  nearby shapes. Mod squares only the parities of those counts matter, and
+  Legendre's formula gives them in O(1) per term. It gives no x-power,
+  which a parity at odd q does not need;
 * `det_poly_reduced`, one walk over the Young lattice below the shape
-  (`_lattice_product`) in GF(2) mode, gives the product with its square
-  factors dropped, x-power included. It serves `hecke_determinant`, the
-  public determinants of `gl`, and the printed and failing rows of the
-  sweeps, which classify at q, so need the x-power; every such row checks
-  that its walk has the bits of its formula row. An even-degree shape and
-  its conjugate share this product, so it is walked once per pair, on the
-  orientation with fewer rows (then the lexicographically smaller one).
-  At q = 1 this is classical: the character of the conjugate is the sign
-  twist, which keeps the invariant form. At every q, the automorphism
-  T_i -> -q T_i^-1 of H_n(q) commutes with the anti-involution
-  T_w -> T_(w^-1), so twisting S^shape by it gives S^conjugate with the
-  same invariant form (Mathas 1999). The formula runs on the shape as
-  given, so a printed row checks the claim as well;
+  (`_lattice_product`) in GF(2) mode, gives the whole mask. It serves
+  `hecke_determinant`, the public determinants of `gl`, and the printed
+  and failing rows of the sweeps, which classify at q, so need the
+  x-power; every such row checks that its mask, bit 1 cleared, is its
+  formula row. An even-degree shape and its conjugate share this mask, so
+  it is walked once per pair, on the orientation with fewer rows (then the
+  lexicographically smaller one). At q = 1 this is classical: the
+  character of the conjugate is the sign twist, which keeps the invariant
+  form. At every q, the automorphism T_i -> -q T_i^-1 of H_n(q) commutes
+  with the anti-involution T_w -> T_(w^-1), so twisting S^shape by it
+  gives S^conjugate with the same invariant form (Mathas 1999). The
+  formula runs on the shape as given, so a printed row checks the claim;
 * `det_poly_factored`, the same walk in full mode, weighs each lattice step
   by tableau counts and gives the full product, the q-analogue of the norm
   formula for Young's seminormal basis (Hoefsmit 1974; Mathas,
   Iwahori-Hecke algebras and Schur algebras of the symmetric group, 1999).
-  It runs only where the full factors are printed, and checks that it
-  reduces to the GF(2) product and, at even degree, to the formula's set;
+  It runs only where the full factors are printed, and checks that its
+  mask is the GF(2) walk's and, at even degree, the formula's;
 * `tableau_polynomials` walks the transposition graph tableau by tableau,
   on content vectors alone, and stays as the independent reference for the
   other three.
-
-Polynomials are carried in factored form (an x-power and q-integer
-multiplicities), so square classes come from classifying small cyclotomic
-values instead of factoring one enormous integer, and parities come from
-2-adic valuations of the factors without evaluating anything. A set of
-q-integers [k]_x, k >= 2, is a bitmask with bit k set; at odd q its
-parity is fixed by two popcounts of the mask (`mask_bits`).
 """
 
 from __future__ import annotations
@@ -130,12 +131,12 @@ class QIntProduct:
             value *= q_int(k)(q) ** m
         return value
 
-    def reduced(self) -> QIntProduct:
-        """Drop all square factors: exponents taken mod 2."""
-        return QIntProduct(
-            self.x_exp % 2,
-            tuple((k, 1) for k, m in self.qint_mults if m % 2),
-        )
+    @staticmethod
+    def from_mask(mask: int) -> QIntProduct:
+        """The squarefree product of a mask: x if bit 1 is set, and [k]_x for each bit k >= 2."""
+        if check_int(mask, "mask", 0) & 1:
+            raise ValueError(f"bit 0 of a mask stands for nothing, got {mask}")
+        return QIntProduct(mask >> 1 & 1, tuple((k, 1) for k in _mask_indices(mask) if k > 1))
 
     def square_class(self, q: int) -> SquareClass:
         """Square class of the value at q, factor by factor; checked against `parity_at`."""
@@ -148,25 +149,20 @@ class QIntProduct:
             raise InvariantViolation(f"class {result} at q={q} contradicts its factors {self!r}")
         return result
 
-    @property
-    def odd_mask(self) -> int:
-        """The bitmask of the [k] with odd multiplicity: bit k set for each."""
-        return sum(1 << k for k, m in self.qint_mults if m % 2)
-
     @cached_property
-    def odd_q_bits(self) -> tuple[int, int]:
-        """`mask_bits` of `odd_mask`: the q-free bits of `parity_at`."""
-        return mask_bits(self.odd_mask)
+    def mask(self) -> int:
+        """The product with its squares dropped: x_exp mod 2 in bit 1, bit k for odd [k]^m."""
+        return sum(1 << k for k, m in self.qint_mults if m % 2) | self.x_exp % 2 << 1
 
     def parity_at(self, q: int) -> Parity:
         """Parity of the square class of the value at q >= 1, from the factors alone.
 
         The class is even iff the value's 2-adic valuation is odd. At even q
         only the x-power counts, as every [k]_q is odd; at odd q the
-        `odd_q_bits` decide (`odd_q_parity`).
+        `mask_bits` of `mask` decide (`odd_q_parity`).
         """
         if check_int(q, "evaluation point", 1) % 2:
-            return odd_q_parity(self.odd_q_bits, q)
+            return odd_q_parity(mask_bits(self.mask), q)
         return Parity.EVEN if self.x_exp * two_adic_valuation(q) % 2 else Parity.ODD
 
     def factors_json(self) -> list[dict]:
@@ -186,10 +182,11 @@ class QIntProduct:
 
 
 def mask_bits(mask: int) -> tuple[int, int]:
-    """The bits (a, b) of the product of the [k]_x with bit k set in `mask`.
+    """The bits (a, b) of the product of the [k]_x with bit k >= 2 set in `mask`.
 
     a counts the even k, and b sums v2(k) - 1 over them, both mod 2: two
-    popcounts, of the even k and of the k with v2(k) even and >= 2.
+    popcounts, of the even k and of the k with v2(k) even and >= 2. Bit 1,
+    the x-power, is odd at odd q and never counts.
     """
     evens, quarters = _bit_masks(mask.bit_length())
     return (mask & evens).bit_count() % 2, (mask & quarters).bit_count() % 2
@@ -204,7 +201,7 @@ def _bit_masks(width: int) -> tuple[int, int]:
 
 
 def odd_q_parity(bits: tuple[int, int], q: int) -> Parity:
-    """Parity of the class at odd q (q = 1 included) of a product with `odd_q_bits` bits.
+    """Parity of the class at odd q (q = 1 included) of a mask whose `mask_bits` are `bits`.
 
     x^e and [k]_q for odd k are odd, and lifting the exponent gives
     v2([k]_q) = v2(k) - 1 + v2(q+1) for even k, so the value's 2-adic
@@ -261,33 +258,33 @@ def det_poly_factored(shape) -> QIntProduct:
     The full walk runs first, on the shape as given, so its guard refuses
     before anything is spent. It sums tableau counts where the (cached) GF(2)
     walk keeps their parities, and that walk may have run on the conjugate,
-    so a product that does not reduce to the GF(2) one raises
+    so a full product whose mask is not the GF(2) one raises
     InvariantViolation: a slip in either walk, or in the conjugation claim.
-    At even degree the GF(2) product's q-integers must also be the set of
+    At even degree the GF(2) mask, bit 1 cleared, must also be that of
     `beta_row`, which shares no code with the walks.
     """
     shape = check_partition(shape)
     full = _lattice_product(shape, False)
-    if full.reduced() != (reduced := det_poly_reduced(shape)):
+    if full.mask != (mask := det_poly_reduced(shape)):
         raise InvariantViolation(
-            f"GF(2) walk of {shape} gives {reduced!r}, "
-            f"the full product reduces to {full.reduced()!r}"
+            f"GF(2) walk of {shape} gives {QIntProduct.from_mask(mask)!r}, "
+            f"the full product reduces to {QIntProduct.from_mask(full.mask)!r}"
         )
-    count_v2, mask = beta_row(shape)
-    if count_v2 and mask != reduced.odd_mask:
+    count_v2, formula = beta_row(shape)
+    if count_v2 and formula != mask & ~2:
         raise InvariantViolation(
-            f"beta-number formula of {shape} gives the q-integers {_mask_indices(mask)}, "
-            f"the GF(2) walk {_mask_indices(reduced.odd_mask)}"
+            f"beta-number formula of {shape} gives the q-integers {_mask_indices(formula)}, "
+            f"the GF(2) walk {_mask_indices(mask & ~2)}"
         )
     return full
 
 
-def det_poly_reduced(shape) -> QIntProduct:
-    """The determinant polynomial of a shape without its square factors, from the GF(2) walk.
+def det_poly_reduced(shape) -> int:
+    """The mask of a shape's determinant polynomial, x-power in bit 1, from the GF(2) walk.
 
     At even degree the walk is cached on one orientation of the conjugate
     pair: the one with fewer rows, then the lexicographically smaller. Both
-    orientations have the same reduced product (see the module docstring),
+    orientations have the same mask (see the module docstring),
     and the guard counts the units of the orientation walked. At odd degree
     they differ ((3, 1) gives x [3], (2, 1, 1) gives x [2] [4]), so such a
     shape is walked as given.
@@ -298,12 +295,12 @@ def det_poly_reduced(shape) -> QIntProduct:
     return _lattice_product(shape, True)
 
 
-def hecke_row(shape: tuple[int, ...]) -> QIntProduct:
+def hecke_row(shape: tuple[int, ...]) -> int:
     """`det_poly_reduced` of a validated shape, refused at the odd-degree gate.
 
-    The product of `hecke_determinant` and `parker.parity_bridge_check`,
-    and the class source of the printed and failing rows of the symmetric
-    sweep: no result record.
+    The mask of `hecke_determinant` and `parker.parity_bridge_check`, and
+    the class source of the printed and failing rows of the symmetric sweep:
+    no result record.
     """
     check_even_degree(shape)
     return det_poly_reduced(shape)
@@ -312,8 +309,7 @@ def hecke_row(shape: tuple[int, ...]) -> QIntProduct:
 def beta_row(shape: tuple[int, ...]) -> tuple[int, int]:
     """v2 of a validated shape's tableau count, and the mask of its determinant product.
 
-    The mask has bit k set for each [k]_x, k >= 2, of odd multiplicity in
-    the determinant product: the q-integers of `det_poly_reduced`, read off
+    The mask of `det_poly_reduced` with bit 1 (the x-power) clear, read off
     the beta-numbers B_i = shape_i + r - i of the r rows, with no walk. It
     is 0 at odd degree, where it is not computed. The row source of the
     sweeps.
@@ -407,7 +403,7 @@ def _subdiagram_count(shape: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
+def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct | int:
     """Multiply the tableau polynomials of a shape by walking its Young lattice.
 
     A standard tableau is a path of sub-diagrams from the empty one to the
@@ -424,7 +420,7 @@ def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
     and weighs each step down from nu to mu by both counts. In GF(2) mode
     (`mod2`) the counts are taken mod 2 and sub-diagrams with an even count
     are dropped, so only steps where both counts are odd contribute, and
-    the product comes out without its square factors. Sub-diagrams are
+    the walk returns the product's mask. Sub-diagrams are
     tuples without zero rows. Both ends must agree with the hook formula's
     count (in GF(2) mode its parity, from the shape record), and every
     state kept, times the rows of the shape, counts against
@@ -504,17 +500,18 @@ def _lattice_product(shape: tuple[int, ...], mod2: bool) -> QIntProduct:
     check_end(down.get((), 0), "down from")
     mults = accumulate(diff)
     product = QIntProduct(x_exp, tuple((k, m) for k, m in enumerate(mults) if k >= 2 and m))
-    return product.reduced() if mod2 else product
+    return product.mask if mod2 else product
 
 
 @record
 class HeckeDetResult:
     """Orthogonal determinant data of one even-degree character.
 
-    `symbolic` is the walk's squarefree product, whose value at q lies in
-    the class. The rest is formed on first access only: `degree` counts the
-    tableaux, `det_class` classifies `symbolic`, and `f_factored` is the full
-    product, which `det_poly_factored` checks against that GF(2) walk.
+    `symbolic` is the squarefree product of the GF(2) walk's mask
+    (`QIntProduct.from_mask`), whose value at q lies in the class. The rest
+    is formed on first access only: `degree` counts the tableaux, `det_class`
+    classifies `symbolic`, and `f_factored` is the full product, which
+    `det_poly_factored` checks against that walk.
     """
 
     shape: tuple[int, ...]
@@ -553,4 +550,4 @@ def hecke_determinant(shape, q: int) -> HeckeDetResult:
     """
     shape = check_partition(shape)
     check_int(q, "parameter q", 1)
-    return HeckeDetResult(shape=shape, q=q, symbolic=hecke_row(shape))
+    return HeckeDetResult(shape=shape, q=q, symbolic=QIntProduct.from_mask(hecke_row(shape)))

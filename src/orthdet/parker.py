@@ -6,21 +6,20 @@ witnesses instead of booleans: a single even class would be mathematically
 significant and has to be diagnosable.
 
 Each public sweep feeds one sweep routine with blocks of rows, each block
-with its number of even-degree rows and whether all its distinct products
+with its number of even-degree rows and whether all its distinct masks
 are odd at every odd q. The routine refuses an empty q list and an n_max
 that leaves no rows, and the GL sweeps validate every q up front.
 
-Rows read the q-free bits of enumerated, hence already valid, shapes
-from `hecke.beta_row`, the Gram determinant's closed form in
-beta-numbers: v2 of the tableau count, which skips an odd-degree shape,
-and the mask of the q-integers of odd multiplicity in the determinant
-product. No row walks the Young lattice, reads a shape record or builds a
-result record. At odd q, a GL row's product up to its power of q, and
-whether its degree is even, do not depend on q, and neither does a
-unipotent row's mask, which is its Hecke row's. A row's parity at odd q is
-fixed by two q-free bits of its mask (`hecke.mask_bits`): a row whose bits
-are (0, 0) is odd at every odd q, and any other row is decided q by q by
-`hecke.odd_q_parity`.
+A row is a mask in the one format of `hecke` (bit 1 the x-power, bit k >= 2
+an odd [k]_x). Rows of enumerated, hence valid, shapes come from
+`hecke.beta_row`, the Gram determinant's closed form in beta-numbers: v2
+of the tableau count, which skips an odd-degree shape, and the mask with
+bit 1 clear. No row walks the Young lattice, reads a shape record or builds
+a product. At odd q, neither a GL row's mask up to bit 1 (for a unipotent
+row, its Hecke row's) nor whether its degree is even depends on q. Its
+parity at odd q is fixed by the two q-free `hecke.mask_bits` of its mask,
+taken once per row: a row whose bits are (0, 0) is odd at every odd q, and
+any other is decided q by q by `hecke.odd_q_parity`.
 
 Unipotent and symmetric blocks are single shapes. Sign pairs (lam, mu)
 come in one block per (n, l) with l = |lam|, and each row is
@@ -30,15 +29,15 @@ even, every row of the block is trivial; when odd, a row is the row of
 its even-degree side, trivial when both sides are even, and refused when
 both are odd (the empty shape counts as odd). So a block's count and bits
 come from the shapes of its two sizes, not from its pairs. Once the
-witnesses are full, a block whose distinct products all have bits (0, 0)
+witnesses are full, a block whose distinct masks all have bits (0, 0)
 is only counted; any other block is enumerated row by row, so failures and
 witnesses keep (row, q) order. Every (row, q) pair is counted, but a
-witness is built only for a failure or a printed row. Only a witness
-reads its product's x-power, from the lattice walk of the family's class
-source (`hecke.hecke_row`, `gl.unipotent_row` or `gl.sign_pair_row`),
-checked against the formula's bits, and only a printed row is classified,
-which needs factorization; no row evaluates a degree at q or runs the full
-determinant polynomial.
+witness is built only for a failure or a printed row. A witness reads its
+x-power from bit 1 of the walk-based mask of the family's class source
+(`hecke.hecke_row`, `gl.unipotent_row` or `gl.sign_pair_row`), whose other
+bits must be the formula's, and builds its product from it; only a printed
+row is classified, which needs factorization. No row evaluates a degree at
+q or runs the full determinant polynomial.
 
 The point-wise parity lemma behind the sweeps compares c(c+2) with
 [c]_q [c+2]_q through their 2-adic valuations. One walk over c keeps a
@@ -79,7 +78,7 @@ def lemma_parity_walk(q: int, first: int, last: int) -> list[bool]:
     out. Each v2(q^e - 1) is read once, as v2(m) = (m & -m).bit_length() - 1
     for m = (q^e mod 2^64) - 1, which is q^e - 1 mod 2^64, or m = q^e - 1 if that is 0.
     """
-    check_int(first, "c", 1)
+    check_int(last, "last c", check_int(first, "c", 1))
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
     mod = 1 << 64
@@ -102,38 +101,39 @@ def parity_bridge_check(shape, q: int) -> bool:
     shape = check_partition(shape)
     if check_int(q, "q", 3) % 2 == 0:
         raise ValueError(f"q must be odd, got {q}")
-    reduced = hecke_row(shape)
-    return reduced.parity_at(q) == reduced.parity_at(1)
+    bits = mask_bits(hecke_row(shape))
+    return odd_q_parity(bits, q) == odd_q_parity(bits, 1)
 
 
 @record
 class ParityWitness:
-    """One checked character: shapes, parameter, the formula's bits and a class source.
+    """One checked character: shapes, parameter, the formula's mask and a class source.
 
-    The parity is read off the bits. The product `symbolic` is read from
-    `source(*shapes)` on first access only, and must have the same bits;
-    the class is computed from it on first access only, and `square_class`
-    checks that it has that parity.
+    `mask` is the formula's row (`hecke.beta_row`, bit 1 clear), and the
+    parity is read off its `mask_bits`. On first access only, `symbolic`
+    builds the product of the walk-based mask `source(*shapes)`, which must
+    be `mask` once bit 1 (the x-power) is cleared, and `det_class`
+    classifies it; `square_class` checks that the class has that parity.
     """
 
     shapes: tuple[tuple[int, ...], ...]
     q: int
-    bits: tuple[int, int]
+    mask: int
     source: object
 
     @property
     def parity(self) -> Parity:
-        return odd_q_parity(self.bits, self.q)
+        return odd_q_parity(mask_bits(self.mask), self.q)
 
     @cached_property
     def symbolic(self) -> QIntProduct:
-        symbolic = self.source(*self.shapes)
-        if symbolic.odd_q_bits != self.bits:
+        walk = QIntProduct.from_mask(self.source(*self.shapes))
+        if walk.mask & ~2 != self.mask:
             raise InvariantViolation(
-                f"{self.shapes}: the beta-number formula gives the bits {self.bits}, "
-                f"the walk-based product {symbolic!r} has {symbolic.odd_q_bits}"
+                f"{self.shapes}: the beta-number formula gives "
+                f"{QIntProduct.from_mask(self.mask)!r}, the walk-based row {walk!r}"
             )
-        return symbolic
+        return walk
 
     @cached_property
     def det_class(self) -> SquareClass:
@@ -147,7 +147,7 @@ class ParityWitness:
         }
 
     def __repr__(self) -> str:
-        return (f"ParityWitness(shapes={self.shapes!r}, q={self.q!r}, bits={self.bits!r}, "
+        return (f"ParityWitness(shapes={self.shapes!r}, q={self.q!r}, mask={self.mask!r}, "
                 f"source={getattr(self.source, '__name__', self.source)})")
 
 
@@ -183,13 +183,12 @@ def _shapes_of(n: int) -> list[tuple[int, ...]]:
 
 
 def _shape_blocks(n_max: int):
-    """One block per even-degree shape with 2 <= n <= n_max: its bits from `beta_row`."""
+    """One block per even-degree shape with 2 <= n <= n_max: its mask from `beta_row`."""
     for n in range(2, n_max + 1):
         for shape in enumerate_partitions(n):
             count_v2, mask = beta_row(shape)
             if count_v2:
-                bits = mask_bits(mask)
-                yield 1, bits == (0, 0), (((shape,), bits),)
+                yield 1, mask_bits(mask) == (0, 0), (((shape,), mask),)
 
 
 def _sign_pair_blocks(n_max: int):
@@ -199,8 +198,8 @@ def _sign_pair_blocks(n_max: int):
     degree), the number of odd ones and whether every mask's bits are
     (0, 0). A block's count and bits are then known without enumerating
     it, since its products are the trivial one and, with an odd index, the
-    rows of both sides. Its rows, read lazily, are the bits of
-    `gl.sign_pair_row` on the masks.
+    rows of both sides. Its rows, read lazily, are `gl.sign_pair_row` on
+    the masks.
     """
     masks, sides = {}, []
     for m in range(n_max + 1):
@@ -222,8 +221,7 @@ def _sign_pair_blocks(n_max: int):
                 pairs = (pair for pair in pairs
                          if any(masks[side] is not None for side in pair))
                 count, quiet = count - odd_lams * odd_mus, quiet_lams and quiet_mus
-            rows = (((lam, mu), mask_bits(sign_pair_row(lam, mu, masks.__getitem__, 0)))
-                    for lam, mu in pairs)
+            rows = (((lam, mu), sign_pair_row(lam, mu, masks.__getitem__)) for lam, mu in pairs)
             yield count, quiet, rows
 
 
@@ -231,13 +229,13 @@ def _sweep(name, first_n, blocks, source, n_max, q_values, witness_limit) -> Par
     """The report `name` of the rows of `blocks`, whose rows start at n = first_n.
 
     `blocks` yields (count, quiet, rows): the number of even-degree rows,
-    whether every distinct product among them has bits (0, 0), and the rows
-    as (shapes, bits) pairs in order: (shape,) for unipotent and
-    symmetric, (lam, mu) for sign pairs. Every q is odd, and a row's bits
-    are the same at every odd q. Once the witnesses are full, a quiet block
-    is only counted, and so is a row with bits (0, 0), as it fails at no q.
-    Failures and the first `witness_limit` witnesses are listed in (row, q)
-    order, and read their classes from `source`.
+    whether every distinct mask among them has bits (0, 0), and the rows as
+    (shapes, mask) pairs in order: (shape,) for unipotent and symmetric,
+    (lam, mu) for sign pairs. Every q is odd, and a row's `mask_bits`,
+    taken once, hold at every odd q. Once the witnesses are full, a quiet
+    block is only counted, and so is a row with bits (0, 0), as it fails at
+    no q. Failures and the first `witness_limit` witnesses are listed in
+    (row, q) order, and read their classes from `source`.
     """
     check_int(n_max, "n_max", 1)
     check_int(witness_limit, "witness_limit", 0)
@@ -253,14 +251,15 @@ def _sweep(name, first_n, blocks, source, n_max, q_values, witness_limit) -> Par
         checked += count * len(q_values)
         if quiet and len(witnesses) >= witness_limit:
             continue
-        for shapes, bits in rows:
+        for shapes, mask in rows:
+            bits = mask_bits(mask)
             if bits == (0, 0) and len(witnesses) >= witness_limit:
                 continue
             for q in q_values:
                 failed = odd_q_parity(bits, q) is not Parity.ODD
                 printed = len(witnesses) < witness_limit
                 if failed or printed:
-                    row = ParityWitness(shapes, q, bits, source)
+                    row = ParityWitness(shapes, q, mask, source)
                     if failed:
                         failures.append(row)
                     if printed:

@@ -12,8 +12,8 @@ budget per integer. Testing membership in a known class does not:
 classified or tested; every caller holds integer values. Parity alone never
 needs a factorization either: the squarefree part is even exactly when the
 2-adic valuation is odd. The sweeps never form the values at all:
-`hecke.odd_q_parity` reads that valuation off two q-free bits of the
-factors and v2(q + 1), which is what makes parity sweeps over
+`hecke.odd_q_parity` reads that valuation off two q-free bits of a
+product's mask and v2(q + 1), which is what makes parity sweeps over
 astronomically large q-integer products feasible. `parity_of_integer`
 reads it off a value directly, the reference the tests compare against.
 """

@@ -79,7 +79,7 @@ def test_criterion_1_worked_example_reproduction():
         assert a_t.expand() == x * (x + 1) ** 2 * (IntPoly.monomial(2) + 1)
 
         # symbolic class of both the Hecke character and the GL character
-        assert det_poly_factored((3, 1, 1)).reduced() == QIntProduct(0, ((5, 1),))
+        assert det_poly_factored((3, 1, 1)).mask == 1 << 5
         for q in (3, 5, 7):
             gl_result = unipotent_determinant((3, 1, 1), q)
             assert gl_result.symbolic == QIntProduct(0, ((5, 1),))

@@ -122,7 +122,7 @@ def test_lattice_dp_equals_product_of_tableau_polynomials():
         assert det_poly_factored(shape) == product, shape
         count_v2, mask = hecke.beta_row(shape)
         if count_v2:
-            assert mask == product.odd_mask, shape
+            assert mask == product.mask & ~2, shape
             even += 1
     assert len(shapes_checked) == 138 and even == 77
     assert det_poly_factored(()) == QIntProduct.one()
@@ -193,13 +193,28 @@ def test_walk_matches_the_reduced_full_product():
     shapes = _all_partitions(14)
     assert len(shapes) == 507
     for shape in shapes:
-        assert det_poly_reduced(shape) == det_poly_factored(shape).reduced(), shape
-    assert det_poly_reduced(()) == QIntProduct.one()
+        assert det_poly_reduced(shape) == det_poly_factored(shape).mask, shape
+    assert det_poly_reduced(()) == 0
+
+
+def test_from_mask_inverts_mask():
+    # A mask is the squarefree product: x_exp mod 2 in bit 1, bit k for each odd [k].
+    for shape in _all_partitions(8):
+        full = det_poly_factored(shape)
+        squarefree = QIntProduct(full.x_exp % 2, tuple((k, 1) for k, m in full.qint_mults if m % 2))
+        assert QIntProduct.from_mask(full.mask) == squarefree, shape
+        assert squarefree.mask == full.mask, shape
+    assert QIntProduct(3, ((2, 2), (5, 3))).mask == 1 << 1 | 1 << 5
+    assert QIntProduct.from_mask(1 << 1 | 1 << 2 | 1 << 7) == QIntProduct(1, ((2, 1), (7, 1)))
+    assert QIntProduct.from_mask(0) == QIntProduct.one()
+    for bad in (1, 1 << 3 | 1, -4, 8.0, True):
+        with pytest.raises(ValueError):
+            QIntProduct.from_mask(bad)
 
 
 def test_conjugate_shapes_share_one_walk(monkeypatch):
     # Every even shape with n <= 14 and its conjugate, walked from cold
-    # caches, give one reduced product; det_poly_reduced of either reads
+    # caches, give one mask; det_poly_reduced of either reads
     # only the walk of the canonical orientation: fewer rows, then the
     # lexicographically smaller.
     walk = hecke._lattice_product
@@ -220,8 +235,8 @@ def test_conjugate_shapes_share_one_walk(monkeypatch):
         assert walked == [(canonical, True)] * 2, shape
     assert pairs == 280  # 140 conjugate pairs, each met from both sides
     # At odd degree the orientations differ, and each shape walks its own.
-    assert det_poly_reduced((3, 1)) == QIntProduct(1, ((3, 1),))
-    assert det_poly_reduced((2, 1, 1)) == QIntProduct(1, ((2, 1), (4, 1)))
+    assert det_poly_reduced((3, 1)) == 1 << 1 | 1 << 3  # x [3]
+    assert det_poly_reduced((2, 1, 1)) == 1 << 1 | 1 << 2 | 1 << 4  # x [2] [4]
 
 
 def test_walk_guard_counts_visited_states(monkeypatch):
@@ -230,14 +245,14 @@ def test_walk_guard_counts_visited_states(monkeypatch):
     hecke._lattice_product.cache_clear()
     with pytest.raises(ResourceGuardError, match="walk passed 12 sub-diagram rows > limit 10"):
         det_poly_reduced((2, 2))
-    assert det_poly_reduced((2, 1)) == QIntProduct(1, ((3, 1),))
+    assert det_poly_reduced((2, 1)) == 1 << 1 | 1 << 3
 
 
 def test_walk_admits_shapes_beyond_the_lattice_guard():
     # (12, 11, ..., 1): 8914800 sub-diagram rows refuse the full product.
     staircase = tuple(range(12, 0, -1))
-    reduced = det_poly_reduced(staircase)
-    assert reduced == reduced.reduced() and reduced.parity_at(1) is Parity.ODD
+    mask = det_poly_reduced(staircase)
+    assert not mask & 1 and QIntProduct.from_mask(mask).parity_at(1) is Parity.ODD
     with pytest.raises(ResourceGuardError, match="sub-diagram rows"):
         det_poly_factored(staircase)
 
@@ -255,7 +270,7 @@ def test_gf2_mode_admits_every_shape_full_mode_admits(monkeypatch):
         except ResourceGuardError:
             continue
         admitted.append(shape)
-        assert det_poly_reduced(shape) == full.reduced(), shape
+        assert det_poly_reduced(shape) == full.mask, shape
     assert (6,) in admitted and len(admitted) < len(shapes)
 
 
@@ -270,11 +285,11 @@ def test_walk_checks_the_hook_formula_parity(monkeypatch):
 
 def test_full_product_is_checked_against_the_walk(monkeypatch):
     good = hecke_determinant((2, 2), 5)
-    assert good.symbolic == good.f_factored.reduced()
+    assert good.symbolic == QIntProduct.from_mask(good.f_factored.mask)
     # A GF(2) walk that drops the x of (2, 2): its full product reduces to x [3].
     lattice_product = hecke._lattice_product
     monkeypatch.setattr(hecke, "_lattice_product", lambda shape, mod2: (
-        QIntProduct(0, ((3, 1),)) if mod2 else lattice_product(shape, mod2)))
+        1 << 3 if mod2 else lattice_product(shape, mod2)))
     with pytest.raises(InvariantViolation, match="GF\\(2\\) walk of \\(2, 2\\)"):
         det_poly_factored((2, 2))
     wrong = hecke_determinant((2, 2), 5)
@@ -322,8 +337,8 @@ def test_formula_matches_the_reduced_walk():
     for shape in _all_partitions(14):
         count_v2, mask = hecke.beta_row(shape)
         if count_v2:
-            assert mask == det_poly_reduced(shape).odd_mask, shape
-            assert mask == hecke._lattice_product(shape, True).odd_mask, shape
+            assert mask == det_poly_reduced(shape) & ~2, shape
+            assert mask == hecke._lattice_product(shape, True) & ~2, shape
             checked += 1
     assert checked == 302
 
@@ -336,14 +351,17 @@ def test_formula_examples():
     assert hecke.beta_row((2, 1)) == (1, 1 << 3)
     assert hecke.beta_row((3, 1, 1)) == (1, 1 << 5)
     assert hecke.beta_row((3, 1)) == hecke.beta_row((2, 1, 1)) == (0, 0)
-    assert hecke.beta_row((2, 2)) == (1, det_poly_reduced((2, 2)).odd_mask)
+    assert hecke.beta_row((2, 2)) == (1, det_poly_reduced((2, 2)) & ~2)
     assert hecke.mask_bits(0) == (0, 0)
     assert hecke.mask_bits(1 << 2 | 1 << 4) == (0, 1)
     assert hecke.mask_bits(1 << 4 | 1 << 16 | 1 << 12) == (1, 1)
+    assert hecke.mask_bits(1 << 1) == hecke.mask_bits(1 << 1 | 1 << 3) == (0, 0)  # x [3]
     for q in (1, 3, 5, 7, 9, 31, 127):
         for mults in (((2, 1),), ((4, 1),), ((2, 1), (4, 1)), ((6, 1), (8, 1))):
-            product = QIntProduct(0, mults)
-            assert hecke.odd_q_parity(product.odd_q_bits, q) is product.parity_at(q)
+            for x_exp in (0, 1):
+                product = QIntProduct(x_exp, mults)
+                parity = hecke.odd_q_parity(hecke.mask_bits(product.mask), q)
+                assert parity is product.parity_at(q) is parity_of_integer(product(q))
 
 
 def test_full_product_is_checked_against_the_formula(monkeypatch):
@@ -365,11 +383,11 @@ def test_parity_at_matches_the_value():
     # bits (a, b) say the class is even iff b + a * v2(q + 1) is odd.
     for shape in _all_partitions(10):
         factored = det_poly_factored(shape)
-        a, b = factored.odd_q_bits
-        assert factored.reduced().odd_q_bits == (a, b), shape
+        a, b = hecke.mask_bits(factored.mask)
+        squarefree = QIntProduct.from_mask(factored.mask)
         for q in (1, 2, 3, 4, 5, 7, 9, 27, 31, 47, 127, 191):
             parity = parity_of_integer(factored(q))
-            assert factored.parity_at(q) is parity, (shape, q)
+            assert factored.parity_at(q) is squarefree.parity_at(q) is parity, (shape, q)
             if q % 2:
                 even = (b + a * two_adic_valuation(q + 1)) % 2 == 1
                 assert even is (parity is Parity.EVEN), (shape, q)
@@ -378,7 +396,8 @@ def test_parity_at_matches_the_value():
 
 
 def test_det_poly_reduced_class_is_single_q_int():
-    reduced = det_poly_factored((3, 1, 1)).reduced()
+    assert det_poly_factored((3, 1, 1)).mask == 1 << 5
+    reduced = QIntProduct.from_mask(det_poly_factored((3, 1, 1)).mask)
     assert reduced == QIntProduct(0, ((5, 1),))
     assert reduced.expand() == q_int(5)
 

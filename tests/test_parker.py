@@ -71,6 +71,19 @@ def test_lemma_walk_matches_exact_valuations_past_the_residue():
     assert lemma_parity_walk(q, 1, 60) == expected
 
 
+@pytest.mark.parametrize("last", [
+    pytest.param(5.0, id="float"),
+    pytest.param(True, id="bool"),
+    pytest.param("9", id="string"),
+    pytest.param(2, id="below-first"),
+])
+def test_lemma_walk_rejects_a_bad_last(last):
+    # A walk from c = 3 ends at an int c >= 3, or checks nothing at all.
+    with pytest.raises(ValueError, match="last c"):
+        lemma_parity_walk(3, 3, last)
+    assert lemma_parity_walk(3, 3, 3) == [lemma_parity_check(3, 3)]
+
+
 def test_lemma_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lemma_parity_check(0, 3)
@@ -246,7 +259,7 @@ def _all_sign_pairs(n_max):
 
 
 def _even_sign_pair_rows(pairs):
-    """(pair, symbolic) for each pair that `gl` does not refuse, read pair by pair."""
+    """(pair, mask) for each pair that `gl` does not refuse, read pair by pair."""
     rows = []
     for lam, mu in pairs:
         try:
@@ -266,21 +279,15 @@ def patch_row(monkeypatch):
     return patch
 
 
-def _product(mask):
-    """The squarefree product of the [k] in a bitmask."""
-    return QIntProduct(0, tuple((k, 1) for k in range(mask.bit_length()) if mask >> k & 1))
-
-
 @pytest.fixture
 def change_rows(patch_row):
-    """Change the products of chosen rows, in the formula and in a walk-based class source.
+    """Change the masks of chosen rows, in the formula and in a walk-based class source.
 
-    `change(shape, product)` gives a shape's new product, or `product`
-    itself. The sweeps read the changed masks of `hecke.beta_row`; their
-    printed and failing rows, and the public determinants of the per-q
-    reference, read the changed walk products of `module.name`, so the
-    two agree and every failure can be printed. `calls` records every
-    formula call.
+    `change(shape, mask)` gives a shape's new mask, or `mask` itself. The
+    sweeps read the changed masks of `hecke.beta_row`; their printed and
+    failing rows, and the public determinants of the per-q reference, read
+    the changed walk masks of `module.name`, so the two agree and every
+    failure can be printed. `calls` records every formula call.
     """
     def patch(module, name, change, calls=None):
         formula, walk = hecke.beta_row, getattr(module, name)
@@ -289,7 +296,7 @@ def change_rows(patch_row):
             if calls is not None:
                 calls.append(shape)
             count_v2, mask = formula(shape)
-            return count_v2, change(shape, _product(mask)).odd_mask if count_v2 else mask
+            return count_v2, change(shape, mask) if count_v2 else mask
 
         patch_row(hecke, "beta_row", changed_formula)
         patch_row(module, name, lambda shape: change(shape, walk(shape)))
@@ -365,7 +372,7 @@ def test_unipotent_sweep_evaluates_no_degree(monkeypatch):
 
 
 def test_sweeps_never_run_the_full_product(monkeypatch):
-    # Rows and printed witnesses read the GF(2) walk's product only.
+    # Rows and printed witnesses read the GF(2) walk's mask only.
     walk = hecke._lattice_product
     walk.cache_clear()
     monkeypatch.setattr(hecke, "_lattice_product",
@@ -404,18 +411,31 @@ def test_sweep_rows_neither_walk_nor_read_shape_records(monkeypatch):
 
 def test_a_formula_row_the_walk_contradicts_is_refused(monkeypatch, capsys):
     # [2]_x in the formula's row of (2, 1) alone: the sweep fails there, and
-    # printing the failure compares the formula's bits with the walk's.
+    # printing the failure compares the formula's mask with the walk's.
     formula = parker.beta_row
     monkeypatch.setattr(parker, "beta_row", lambda shape: (
         (1, formula(shape)[1] ^ 1 << 2) if shape == (2, 1) else formula(shape)))
     report = verify_parker_unipotent(4, [3, 5])
-    assert [(w.shapes, w.q, w.bits) for w in report.failures] == [(((2, 1),), 5, (1, 0))]
+    assert [(w.shapes, w.q, w.mask) for w in report.failures] == [(((2, 1),), 5, 1 << 2 | 1 << 3)]
     with pytest.raises(InvariantViolation, match=r"\(\(2, 1\),\): the beta-number formula "
-                                                 r"gives the bits \(1, 0\), the walk-based"):
+                                                 r"gives QIntProduct\(\[2\] \[3\]\), "
+                                                 r"the walk-based row QIntProduct\(\[3\]\)"):
         report.to_json()
     assert main(["verify-parker", "--n-max", "4", "--q", "3,5"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("invariant violation:") and "(1, 0)" in err
+    assert out == "" and err.startswith("invariant violation:") and "[2] [3]" in err
+
+
+def test_a_formula_row_without_a_parity_neutral_factor_is_refused(monkeypatch, capsys):
+    # (2, 1) without its [3]: the mask's bits stay (0, 0), so the row is odd
+    # at every odd q, but printing it compares the whole mask with the walk's.
+    formula = parker.beta_row
+    monkeypatch.setattr(parker, "beta_row",
+                        lambda shape: (1, 0) if shape == (2, 1) else formula(shape))
+    assert main(["verify-parker", "--n-max", "3", "--q", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invariant violation:") and err.count("\n") == 1
+    assert "formula gives QIntProduct(1), the walk-based row QIntProduct([3])" in err
 
 
 def test_report_json():
@@ -439,8 +459,8 @@ CLASS_SOURCES = {"unipotent": "unipotent_row", "sign-pair": "sign_pair_row",
 def _per_q_report(name, build_rows, determinant, n_max, q_values, witness_limit):
     """The report of a loop that runs the determinant and the parity at every (row, q).
 
-    Its witnesses carry the bits of the walk's products, where the sweep's
-    carry those of the formula.
+    Its witnesses carry the masks of the walk's products with bit 1 (the
+    x-power) cleared, where the sweep's carry those of the formula.
     """
     source = getattr(parker, CLASS_SOURCES[name])
     rows = []
@@ -450,7 +470,7 @@ def _per_q_report(name, build_rows, determinant, n_max, q_values, witness_limit)
                 symbolic = determinant(*shapes, q).symbolic
             except NotIrrPlusError:
                 break
-            rows.append((ParityWitness(shapes, q, symbolic.odd_q_bits, source), symbolic))
+            rows.append((ParityWitness(shapes, q, symbolic.mask & ~2, source), symbolic))
     return ParityReport(
         family=name,
         n_max=n_max,
@@ -490,9 +510,9 @@ def test_bits_driven_sweep_finds_the_per_q_failures(change_rows, sweep, name, bu
     # v2(q + 1), so failures fall in every class and in most rows. The
     # sweep reads the changed formula, the public determinants the changed
     # walk-based row source.
-    def perturbed(shape, product):
+    def perturbed(shape, mask):
         k = 2 + 2 * (len(shape) % 2)
-        return product * QIntProduct(0, ((k, 1),))
+        return mask ^ 1 << k
 
     change_rows(*row_source, perturbed)
     report = sweep(n_max, q_values, witness_limit=50)
@@ -507,14 +527,14 @@ EVEN_ROWS = ((2, 1), (2, 2))
 
 
 def _patch_even_rows(change_rows, symbolic, calls=None):
-    """Patch the unipotent rows of (2, 1) and (2, 2) to the product `symbolic`."""
+    """Patch the unipotent rows of (2, 1) and (2, 2) to the mask `symbolic`."""
     change_rows(gl, "unipotent_row",
-                lambda shape, product: symbolic if shape in EVEN_ROWS else product, calls)
+                lambda shape, mask: symbolic if shape in EVEN_ROWS else mask, calls)
 
 
 def _even_at_odd_v2(change_rows, calls=None):
     """Patch the rows (2, 1) and (2, 2) to [2]_x, even iff v2(q + 1) is odd."""
-    _patch_even_rows(change_rows, QIntProduct(0, ((2, 1),)), calls)
+    _patch_even_rows(change_rows, 1 << 2, calls)
 
 
 def test_a_constructed_even_row_fails_at_odd_v2(change_rows, capsys):
@@ -544,12 +564,13 @@ def test_a_constructed_even_row_fails_at_odd_v2(change_rows, capsys):
     (((8, 2),), (0, 0)),
 ])
 def test_odd_q_bits_of_constructed_products(mults, bits):
-    assert QIntProduct(1, mults).odd_q_bits == bits
+    # The bits of a product's mask; its x (bit 1) never counts.
+    assert hecke.mask_bits(QIntProduct(1, mults).mask) == bits
 
 
 def test_a_constructed_row_with_bits_0_1_fails_at_every_odd_q(change_rows, patch_row, capsys):
     # [2]_x [4]_x has a = 0 and b = 1: even at every odd q, q = 1 included.
-    product = QIntProduct(0, ((2, 1), (4, 1)))
+    product = 1 << 2 | 1 << 4
     _patch_even_rows(change_rows, product)
     report = verify_parker_unipotent(6, V2_QS)
     reference = _per_q_report("unipotent", _all_shapes, gl.unipotent_determinant, 6, V2_QS, 8)
@@ -580,7 +601,7 @@ def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(change_rows, l
     # and its failures come in (row, q) order. With an even index (C(8, 4))
     # or an even partner the row stays trivial.
     change_rows(gl, "unipotent_row",
-                lambda shape, product: QIntProduct(0, ((2, 1),)) if shape == (2, 2) else product)
+                lambda shape, mask: 1 << 2 if shape == (2, 2) else mask)
     report = verify_parker_sign_pairs(8, V2_QS, witness_limit=limit)
     reference = _per_q_report("sign-pair", _all_sign_pairs, gl.sign_pair_determinant,
                               8, V2_QS, limit)
@@ -593,15 +614,15 @@ def test_a_failing_row_in_a_counted_sign_pair_block_is_enumerated(change_rows, l
 
 def test_sign_pair_blocks_match_the_per_pair_rows():
     # Each (n, l) block's count, bits and rows, from the formula's masks,
-    # against the walk's products of `gl.sign_pair_row` pair by pair.
+    # against the walk's masks of `gl.sign_pair_row` pair by pair, x cleared.
     keys = [(n, ell) for n in range(1, 13) for ell in range(n + 1)]
     blocks = list(parker._sign_pair_blocks(12))
     assert len(blocks) == len(keys)
     for (n, ell), (count, quiet, rows) in zip(keys, blocks):
         pairs = [(lam, mu) for lam in _shapes_of(ell) for mu in _shapes_of(n - ell)]
-        expected = [(pair, symbolic.odd_q_bits) for pair, symbolic in _even_sign_pair_rows(pairs)]
+        expected = [(pair, mask & ~2) for pair, mask in _even_sign_pair_rows(pairs)]
         assert list(rows) == expected and count == len(expected), (n, ell)
-        assert quiet is all(bits == (0, 0) for _, bits in expected)
+        assert quiet is all(hecke.mask_bits(mask) == (0, 0) for _, mask in expected)
 
 
 @pytest.mark.parametrize("pair", [
@@ -611,7 +632,7 @@ def test_sign_pair_blocks_match_the_per_pair_rows():
 def test_a_sign_pair_row_times_two_fails_on_that_pair_alone(patch_row, pair):
     # [2]_x times the row of one pair, read from `gl.sign_pair_row` by the
     # sweep (on the formula's masks) and by the determinant (on the walk's
-    # products): the sweep fails on that pair alone, at the q with
+    # masks): the sweep fails on that pair alone, at the q with
     # v2(q + 1) odd, in (row, q) order. C(4, 3) is even, so the first row
     # is trivial; C(5, 4) is odd and (1,) is odd, so the second is the
     # unipotent row of (2, 2).
@@ -619,9 +640,7 @@ def test_a_sign_pair_row_times_two_fails_on_that_pair_alone(patch_row, pair):
 
     def perturbed(lam, mu, *sides):
         row = real(lam, mu, *sides)
-        if (lam, mu) != pair:
-            return row
-        return row ^ 1 << 2 if sides else (row * QIntProduct(0, ((2, 1),))).reduced()
+        return row ^ 1 << 2 if (lam, mu) == pair else row
 
     patch_row(gl, "sign_pair_row", perturbed)
     report = verify_parker_sign_pairs(7, V2_QS, witness_limit=10**6)
@@ -662,11 +681,11 @@ def test_parker_holds_at_every_odd_q_up_to_18():
               if tableaux.shape_record(shape).count_v2]
     assert len(shapes) == 1263
     for shape in shapes:
-        assert hecke.det_poly_reduced(shape).odd_q_bits == (0, 0), shape
-        assert gl.unipotent_row(shape).odd_q_bits == (0, 0), shape
+        assert hecke.mask_bits(hecke.det_poly_reduced(shape)) == (0, 0), shape
+        assert hecke.mask_bits(gl.unipotent_row(shape)) == (0, 0), shape
     unipotent_rows = {gl.unipotent_row(shape) for shape in shapes}
-    for (lam, mu), symbolic in _even_sign_pair_rows(_all_sign_pairs(8)):
-        assert symbolic == QIntProduct.one() or symbolic in unipotent_rows, (lam, mu)
+    for (lam, mu), mask in _even_sign_pair_rows(_all_sign_pairs(8)):
+        assert mask == 0 or mask in unipotent_rows, (lam, mu)
 
 
 def test_sweep_runs_the_determinant_once_per_row(change_rows, monkeypatch):

@@ -40,9 +40,9 @@ RECORDS = [
      "HeckeDetResult(shape=(2, 1), q=3, symbolic=QIntProduct(x [3]))"),
     ("ParityReport", lambda: verify_parker_unipotent(3, (3,), witness_limit=1),
      "ParityReport(family='unipotent', n_max=3, q_values=(3,), checked=1, failures=(), "
-     "witnesses=(ParityWitness(shapes=((2, 1),), q=3, bits=(0, 0), source=unipotent_row),))"),
+     "witnesses=(ParityWitness(shapes=((2, 1),), q=3, mask=8, source=unipotent_row),))"),
     ("ParityWitness", lambda: verify_parker_unipotent(3, (3,), witness_limit=1).witnesses[0],
-     "ParityWitness(shapes=((2, 1),), q=3, bits=(0, 0), source=unipotent_row)"),
+     "ParityWitness(shapes=((2, 1),), q=3, mask=8, source=unipotent_row)"),
     ("SquareClass", lambda: SquareClass(-1, 6), "SquareClass(-6)"),
     ("TableauGraph", lambda: enumerate_syt((2, 1)), GRAPH_21),
     ("SeminormalRep", lambda: build_seminormal((2, 1), 3),
@@ -141,11 +141,11 @@ def test_positions_are_private_and_no_field():
 
 
 def test_cached_properties_are_computed_once(monkeypatch):
-    product = QIntProduct(0, ((2, 1), (4, 3)))
-    bits = product.odd_q_bits
-    assert bits == (0, 1) and product.odd_q_bits is bits
-    assert vars(product)["odd_q_bits"] is bits
-    assert product == QIntProduct(0, ((2, 1), (4, 3)))
+    product = QIntProduct(0, ((2, 1), (400, 3)))
+    mask = product.mask
+    assert mask == 1 << 2 | 1 << 400 and product.mask is mask
+    assert vars(product)["mask"] is mask
+    assert product == QIntProduct(0, ((2, 1), (400, 3)))
 
     calls = []
     exact = gl._degree_and_exponent

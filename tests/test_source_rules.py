@@ -29,6 +29,10 @@ A tableau has one format, its content vector: no module names
 `StandardTableau`, `apply_simple_transposition`, `row_filling_tableau`,
 `edge_content_gap` or `position`, and `hecke` names no `nodes`, so the
 reference `tableau_polynomials` reads its gaps off the content vectors.
+A product with its squares dropped has one format, an int mask (bit 1 the
+x-power, bit k an odd [k]_x): no module names `reduced`, `odd_mask` or
+`odd_q_bits`, and `gl.sign_pair_row` has no `one` parameter, so no rule
+serves two formats.
 """
 
 import ast
@@ -342,3 +346,19 @@ def test_one_tableau_format():
         if _names(node, name)
     )
     assert not found, f"tableau objects named at (module, line, name) {found}"
+
+
+def test_one_squarefree_product_format():
+    found = sorted(
+        (path.name, node.lineno, name)
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        for name in ("reduced", "odd_mask", "odd_q_bits")
+        if _names(node, name)
+    )
+    assert not found, f"second squarefree formats named at (module, line, name) {found}"
+    gl_tree = _tree(next(path for path in SOURCES if path.name == "gl.py"))
+    (row,) = [node for node in gl_tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "sign_pair_row"]
+    arguments = row.args.posonlyargs + row.args.args + row.args.kwonlyargs
+    assert [argument.arg for argument in arguments] == ["lam", "mu", "side"]
